@@ -56,7 +56,7 @@ from .optimizer import (
     relay_count_bounds,
     solve_master,
 )
-from .simulate import McConfig, McResult, brute_force_optimize, monte_carlo_ee, monte_carlo_outage
+from .simulate import McConfig, McResult, brute_force_optimize, monte_carlo_outage
 
 __version__ = "0.1.0"
 
@@ -102,6 +102,5 @@ __all__ = [
     "McConfig",
     "McResult",
     "monte_carlo_outage",
-    "monte_carlo_ee",
     "brute_force_optimize",
 ]

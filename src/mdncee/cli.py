@@ -278,7 +278,8 @@ def cmd_verify(args) -> int:
         from .outage import PowerAllocation
         powers = PowerAllocation(p=p, p_relay=pr)
     else:
-        sol = dinkelbach_solve(s, coeffs, args.target, scheme=args.scheme)
+        sol = dinkelbach_solve(s, coeffs, args.target, scheme=args.scheme,
+                               include_user_energy=args.include_user_energy_in_budget)
         if not sol.feasible:
             print(json.dumps({"schema": VERIFY_SCHEMA, "status": "infeasible",
                               "reason": sol.reason}, indent=2))

@@ -82,9 +82,6 @@ class ScenarioConfig:
         for name in ("sigma_g", "d_g", "n_g", "N0_g"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
 
-    def with_target(self, target: float) -> "ScenarioConfig":
-        return replace(self, pr_out_target=float(target))
-
 
 @dataclass(frozen=True)
 class LinkCoefficients:

@@ -69,7 +69,6 @@ IMPROVE_EPS_REL = 1e-9      # strict-improvement margin on the master's w
 DINKELBACH_TOL_REL = 1e-6   # |V(q)| <= tol * M * alpha0
 DINKELBACH_MAX_ITER = 50
 GOA_MAX_ITER = 120
-ENUM_GUARD_N = 12           # exhaustive subset work only up to this many relays
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,6 @@ class CountBounds:
     low: int | None
     up: int
     best_subset: tuple[int, ...] | None
-    heuristic: bool = False
 
     @property
     def feasible(self) -> bool:
@@ -110,35 +108,34 @@ def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: floa
 
     low: the smallest k whose best k-subset meets the outage target with every
     transmitter at maximum power (exact outage formula). up: the largest k
-    whose circuit energy alone fits the budget. For N beyond the enumeration
-    guard the k-subset search degrades to a greedy pick of the k smallest
-    relay->BS coefficients; that path is a labeled heuristic.
+    whose circuit energy alone fits the budget. The MDNC outage is a
+    Poisson-binomial tail that falls in every relay's two-hop success
+    probability r_j, so its best k-subset is the top k relays by r_j (lowest
+    index first on ties), read from the all-relay schedule: a sort, exact at
+    every N. The NoNC outage is a max over users with no such order, so its
+    k-subsets are enumerated.
     """
     gamma, delta0, _, _ = scheme_constants(s, scheme)
     up = 0
     for k in range(1, s.N + 1):
         if gamma * k + delta0 <= s.E0:
             up = k
+    if scheme == "mdnc":
+        full = RelaySchedule(np.ones(s.N, dtype=int))
+        ob = outage_exact(s, coeffs, full, _max_power_allocation(s, full))
+        order = np.argsort(-ob.rho * (1.0 - ob.pr_e_g), kind="stable")
     k_min = s.M if scheme == "mdnc" else 1
 
-    low = None
-    best_subset = None
-    heuristic = s.N > ENUM_GUARD_N
     for k in range(k_min, s.N + 1):
-        if heuristic:
-            order = tuple(int(j) for j in np.argsort(coeffs.c_g, kind="stable")[:k])
-            candidates = [order]
+        if scheme == "mdnc":
+            subsets = [tuple(sorted(int(j) for j in order[:k]))]
         else:
-            candidates = combinations(range(s.N), k)
-        best = None
-        for subset in candidates:
-            merit = _max_power_merit(s, coeffs, subset, scheme, target)
-            if best is None or merit < best[0]:
-                best = (merit, tuple(subset))
-        if best is not None and best[0] <= 1.0:
-            low, best_subset = k, best[1]
-            break
-    return CountBounds(low=low, up=up, best_subset=best_subset, heuristic=heuristic)
+            subsets = combinations(range(s.N), k)
+        merit, subset = min((_max_power_merit(s, coeffs, subset, scheme, target), subset)
+                            for subset in subsets)
+        if merit <= 1.0:
+            return CountBounds(low=k, up=up, best_subset=subset)
+    return CountBounds(low=None, up=up, best_subset=None)
 
 
 # ---------------------------------------------------------------------------

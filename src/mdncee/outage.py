@@ -8,6 +8,12 @@ the number K of fully-decoding relays:
 * K < M  -- hopeless regardless of the second hop;
 * K >= M -- outage iff fewer than M of those K succeed in the second hop.
 
+Relays succeed independently, so the outage is the tail below M of a
+Poisson-binomial distribution, evaluated by the one-trial-at-a-time
+recursion (Hong 2013, Comput. Stat. Data Anal. 59:41-51). The subset sums
+prob_zeta_K, prob_varsigma_given_zeta and outage_approx_power spell out the
+paper's expressions term by term and serve as the tests' oracles.
+
 High-SNR approximation: success factors are replaced by 1, first-hop failure
 factors 1 - rho_j by sum_i c_ij/p_i, and second-hop failures by
 c_j/(c_j + u_j p'_j), which turns the whole expression into a posynomial in
@@ -170,12 +176,14 @@ def prob_varsigma_given_zeta(phi_K, pr_e_g, tau: int) -> float:
 class OutageBreakdown:
     """Structured exact-outage evaluation.
 
-    pr_A covers K < M (too few relays decode), pr_B covers K >= M with fewer
-    than M second-hop survivors; total = pr_A + pr_B. zeta[K] is the
-    probability that exactly K selected relays decode everything. pr_e_h and
-    pr_e_g are the per-link failure probabilities (pr_e_g[j] = 1 for
-    unselected relays). certain_outage flags schedules with fewer than M
-    relays, for which the BS can never collect M codewords.
+    total is P(S < M), where S counts the selected relays that complete both
+    hops. It splits by the number K of fully-decoding relays: pr_A = P(K < M)
+    (too few relays decode) and pr_B = P(K >= M, S < M) = total - pr_A,
+    floored at 0, so total == pr_A + pr_B. zeta[K] is the probability that
+    exactly K selected relays decode everything. pr_e_h and pr_e_g are the
+    per-link failure probabilities (pr_e_g[j] = 1 for unselected relays).
+    certain_outage flags schedules with fewer than M relays, for which the BS
+    can never collect M codewords.
     """
 
     pr_A: float
@@ -201,46 +209,41 @@ def _per_link_failures(s: ScenarioConfig, coeffs: LinkCoefficients,
     return pr_e_h, pr_e_g
 
 
+def _poisson_binomial(r) -> np.ndarray:
+    """dist[k] = probability of exactly k successes among independent Bernoulli(r_j).
+
+    Adds one trial at a time: dist_new[k] = dist[k] (1 - r_j) + dist[k-1] r_j.
+    """
+    dist = np.zeros(len(r) + 1)
+    dist[0] = 1.0
+    for n, rj in enumerate(r, start=1):
+        dist[1:n + 1] = dist[1:n + 1] * (1.0 - rj) + dist[:n] * rj
+        dist[0] *= 1.0 - rj
+    return dist
+
+
 def outage_exact(s: ScenarioConfig, coeffs: LinkCoefficients,
                  schedule: RelaySchedule, powers: PowerAllocation) -> OutageBreakdown:
     """Exact network outage probability, split into cases A and B.
 
-    Sums over every decode subset Phi of the selected relays, weighting by
-    prod rho / (1-rho), and for |Phi| >= M over every second-hop survivor
-    subset of size < M. Plain linear-space probability arithmetic with
-    compensated summation.
+    A selected relay j completes both hops with probability
+    r_j = rho_j (1 - Pe_g,j), independently of the others, so the outage is
+    the Poisson-binomial tail P(S < M) over the r_j; zeta is the same
+    distribution over the rho_j. O(N^2) work, no subset enumeration.
     """
     if schedule.count == 0:
         raise ValueError("schedule selects no relays")
     pr_e_h, pr_e_g = _per_link_failures(s, coeffs, schedule, powers)
     rho = np.array([relay_decode_prob(coeffs.c_h[:, j], powers.p) for j in schedule.theta])
+    zeta = _poisson_binomial(rho)
 
     if schedule.count < s.M:
-        zeta = np.array([prob_zeta_K(schedule, rho, K) for K in range(schedule.count + 1)])
         return OutageBreakdown(pr_A=1.0, pr_B=0.0, total=1.0, zeta=zeta,
                                pr_e_h=pr_e_h, pr_e_g=pr_e_g, rho=rho, certain_outage=True)
 
-    rho_of = dict(zip(schedule.theta, rho))
-    zeta_terms: list[list[float]] = [[] for _ in range(schedule.count + 1)]
-    a_terms: list[float] = []
-    b_terms: list[float] = []
-    for K in range(schedule.count + 1):
-        for phi in combinations(schedule.theta, K):
-            inside = set(phi)
-            w = 1.0
-            for j in schedule.theta:
-                w *= rho_of[j] if j in inside else (1.0 - rho_of[j])
-            zeta_terms[K].append(w)
-            if K < s.M:
-                a_terms.append(w)
-            else:
-                pe_phi = [pr_e_g[j] for j in phi]
-                fail2 = math.fsum(prob_varsigma_given_zeta(phi, pe_phi, tau) for tau in range(s.M))
-                b_terms.append(w * fail2)
-
-    zeta = np.array([math.fsum(t) for t in zeta_terms])
-    pr_A = math.fsum(a_terms)
-    pr_B = math.fsum(b_terms)
+    r = rho * (1.0 - pr_e_g[list(schedule.theta)])
+    pr_A = math.fsum(zeta[:s.M])
+    pr_B = max(math.fsum(_poisson_binomial(r)[:s.M]) - pr_A, 0.0)
     return OutageBreakdown(pr_A=pr_A, pr_B=pr_B, total=pr_A + pr_B, zeta=zeta,
                            pr_e_h=pr_e_h, pr_e_g=pr_e_g, rho=rho)
 

@@ -45,11 +45,6 @@ class Posynomial:
         return cls([value], np.zeros((1, dim)), dim)
 
     @classmethod
-    def monomial(cls, coef: float, expo, dim: int) -> "Posynomial":
-        e = np.asarray(expo, dtype=float).reshape(dim)
-        return cls([coef], e.reshape(1, dim), dim)
-
-    @classmethod
     def single_var(cls, coef: float, var: int, power: float, dim: int) -> "Posynomial":
         """coef * exp(power * x[var])."""
         e = np.zeros((1, dim))
@@ -155,13 +150,6 @@ class Posynomial:
         w = self._softmax_weights(x)
         mean = w @ self.expos
         return self.expos.T @ (w[:, None] * self.expos) - np.outer(mean, mean)
-
-    def embed(self, mapping, dim: int) -> "Posynomial":
-        """Re-index variables into a larger space: new_var[mapping[k]] = old_var[k]."""
-        mapping = np.asarray(mapping, dtype=int)
-        expos = np.zeros((len(self.coeffs), dim))
-        expos[:, mapping] = self.expos
-        return Posynomial(self.coeffs, expos, dim)
 
     def __repr__(self):
         return f"Posynomial({self.n_terms} terms, dim={self.dim})"

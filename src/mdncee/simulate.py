@@ -27,8 +27,8 @@ from .model import LinkCoefficients, ScenarioConfig
 from .optimizer import Solution, dinkelbach_fixed_schedule, relay_count_bounds
 from .outage import PowerAllocation, RelaySchedule
 
-__all__ = ["McConfig", "McResult", "monte_carlo_outage", "monte_carlo_ee",
-           "brute_force_optimize", "CHUNK", "rng_for_chunk"]
+__all__ = ["McConfig", "McResult", "monte_carlo_outage", "brute_force_optimize",
+           "CHUNK", "rng_for_chunk"]
 
 CHUNK = 1 << 17
 ENUM_GUARD_N = 12
@@ -126,12 +126,6 @@ def monte_carlo_outage(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Re
     e = nonc_energy(s, schedule, powers)
     ee = s.alpha0 * s.T * float(np.sum(1.0 - p_hat)) / e.e_tot
     return McResult(outage=p_hat, stderr=stderr, ee=ee, samples=mc.samples, scheme=scheme)
-
-
-def monte_carlo_ee(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
-                   powers: PowerAllocation, mc: McConfig, scheme: str = "mdnc") -> McResult:
-    """EE from the empirical outage and the deterministic round energy."""
-    return monte_carlo_outage(s, coeffs, schedule, powers, mc, scheme=scheme)
 
 
 def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import SCENARIO_PATH
 from mdncee import cli
+from mdncee.optimizer import Solution
 from mdncee.simulate import McResult
 
 
@@ -138,7 +139,7 @@ def test_verify_passes_at_optimizer_point(tmp_path, capsys):
 def test_verify_explicit_point_deterministic(tmp_path, capsys):
     argv = ["verify", SCENARIO_PATH, "--relays", "0,1,2,3",
             "--user-powers", "0.7,0.7", "--relay-powers", "1.5,1.5,1.5,1.5",
-            "--samples", "200000", "--seed", "3"]
+            "--samples", "200000", "--seed", "3", "--out", str(tmp_path)]
     assert run_cli(argv) == 0
     first = json.loads(capsys.readouterr().out)
     assert run_cli(argv) == 0
@@ -159,5 +160,19 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "monte_carlo_outage", shifted)
     code = run_cli(["verify", SCENARIO_PATH, "--relays", "0,1,2,3",
                     "--user-powers", "0.7,0.7", "--relay-powers", "1.5,1.5,1.5,1.5",
-                    "--samples", "100000", "--seed", "3"])
+                    "--samples", "100000", "--seed", "3", "--out", str(tmp_path)])
     assert code == 4
+
+
+def test_verify_passes_budget_switch_to_solver(monkeypatch, tmp_path):
+    seen = {}
+
+    def solver(s, coeffs, target, scheme="mdnc", include_user_energy=False):
+        seen["include_user_energy"] = include_user_energy
+        return Solution(feasible=False, scheme=scheme, target=target, reason="stub")
+
+    monkeypatch.setattr(cli, "dinkelbach_solve", solver)
+    code = run_cli(["verify", SCENARIO_PATH, "--target", "1e-3",
+                    "--include-user-energy-in-budget", "--out", str(tmp_path)])
+    assert code == 3
+    assert seen == {"include_user_energy": True}

@@ -19,7 +19,9 @@ from mdncee.optimizer import (
     relay_count_bounds,
     solve_master,
 )
-from mdncee.outage import RelaySchedule
+from mdncee.model import build_link_coefficients
+from mdncee.outage import PowerAllocation, RelaySchedule, outage_exact
+from test_properties import _random_small_scenario
 
 
 # -- relay-count bounds ------------------------------------------------------
@@ -58,6 +60,44 @@ def test_count_bounds_unreachable_target(paper_scenario, paper_coeffs):
 def test_count_bounds_nonc_allows_single_relay(paper_scenario, paper_coeffs):
     b = relay_count_bounds(paper_scenario, paper_coeffs, 1e-2, scheme="nonc")
     assert b.low == 1
+
+
+def _max_power_outage(s, coeffs, subset):
+    schedule = RelaySchedule.from_indices(subset, s.N)
+    powers = PowerAllocation(p=np.full(s.M, s.P_S_max), p_relay=schedule.u * s.P_R_max)
+    return outage_exact(s, coeffs, schedule, powers).total
+
+
+@pytest.mark.parametrize("N,M", [(5, 2), (5, 3), (8, 2), (8, 3)])
+def test_mdnc_count_bounds_match_subset_enumeration(N, M):
+    # oracle: the lexicographically first argmin of the exact max-power
+    # outage over every k-subset, for the smallest k meeting the target
+    for seed in range(3):
+        s = _random_small_scenario(np.random.default_rng([N, M, seed]), M=M, N=N)
+        coeffs = build_link_coefficients(s)
+        for target in (1e-3, 1e-5):
+            low = best_subset = None
+            for k in range(M, N + 1):
+                merit, subset = min((_max_power_outage(s, coeffs, c) / target, c)
+                                    for c in combinations(range(N), k))
+                if merit <= 1.0:
+                    low, best_subset = k, subset
+                    break
+            b = relay_count_bounds(s, coeffs, target)
+            assert (b.low, b.best_subset) == (low, best_subset)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("M", [2, 3])
+def test_mdnc_count_lower_bound_is_tight_beyond_brute_force_size(seed, M):
+    s = _random_small_scenario(np.random.default_rng([14, seed]), M=M, N=14)
+    coeffs = build_link_coefficients(s)
+    for target in (1e-3, 1e-5):
+        b = relay_count_bounds(s, coeffs, target)
+        assert b.low is not None and len(b.best_subset) == b.low
+        assert _max_power_outage(s, coeffs, b.best_subset) <= target
+        assert all(_max_power_outage(s, coeffs, c) > target
+                   for c in combinations(range(s.N), b.low - 1))
 
 
 # -- cuts --------------------------------------------------------------------

@@ -156,7 +156,7 @@ def outage_exact_toy(co, sched, powers):
     return outage_exact(s, co, sched, powers)
 
 
-@pytest.mark.parametrize("M,n", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4)])
+@pytest.mark.parametrize("M,n", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3)])
 def test_outage_exact_matches_pattern_enumeration(M, n):
     rng = np.random.default_rng(100 * M + n)
     for _ in range(8):

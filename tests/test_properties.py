@@ -51,9 +51,9 @@ def test_approximation_band_on_operating_domain(paper_scenario, paper_coeffs):
     assert checked >= 10
 
 
-def _random_small_scenario(rng) -> ScenarioConfig:
-    M = int(rng.integers(1, 3))
-    N = int(rng.integers(M, 5))
+def _random_small_scenario(rng, M=None, N=None) -> ScenarioConfig:
+    M = int(rng.integers(1, 3)) if M is None else M
+    N = int(rng.integers(M, 5)) if N is None else N
     return ScenarioConfig(
         M=M, N=N,
         sigma_h=rng.uniform(0.5, 8.0, (M, N)), d_h=rng.uniform(200.0, 1200.0, (M, N)),

@@ -9,7 +9,6 @@ from mdncee.outage import PowerAllocation, RelaySchedule, nonc_outage, outage_ex
 from mdncee.simulate import (
     McConfig,
     brute_force_optimize,
-    monte_carlo_ee,
     monte_carlo_outage,
     rng_for_chunk,
 )
@@ -102,7 +101,7 @@ def test_mc_nonc_per_user_agreement(paper_scenario, paper_coeffs):
 def test_mc_ee_consistent_with_deterministic_energy(paper_scenario, paper_coeffs, mdnc_point):
     from mdncee.energy import total_energy
     sched, powers = mdnc_point
-    res = monte_carlo_ee(paper_scenario, paper_coeffs, sched, powers, McConfig(100_000, seed=2))
+    res = monte_carlo_outage(paper_scenario, paper_coeffs, sched, powers, McConfig(100_000, seed=2))
     e = total_energy(paper_scenario, sched, powers)
     expected = paper_scenario.M * paper_scenario.alpha0 * paper_scenario.T * (1 - res.outage) / e.e_tot
     assert res.ee == pytest.approx(expected, rel=1e-12)
