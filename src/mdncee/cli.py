@@ -7,10 +7,12 @@ Subcommands:
 * relay-shift  -- EE versus relay displacement for a fixed relay subset
 * verify       -- Monte Carlo check of the analytic outage/EE at one point
 
-Exit codes: 0 success, 2 invalid scenario, 3 every requested target
-infeasible, 4 verification failure. Output files start with a schema line;
-numbers are written with 12 significant digits, so identical inputs and
-seeds reproduce byte-identical files.
+Exit codes: 0 success, 2 invalid scenario or invalid point, 3 no
+requested target solved, 4 verification failure. A sweep target whose solve
+fails becomes a row with status "failed" and the error as its reason.
+Output files start with a schema line; numbers are written with 12
+significant digits, so identical inputs and seeds reproduce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .model import ScenarioError, apply_relay_shift, build_link_coefficients, load_scenario, validate_scenario
 from .optimizer import dinkelbach_fixed_schedule, dinkelbach_solve
-from .outage import RelaySchedule
+from .outage import PowerAllocation, RelaySchedule
 from .simulate import McConfig, brute_force_optimize, monte_carlo_outage
 
 SWEEP_SCHEMA = "# mdncee-sweep-v1"
@@ -95,7 +97,12 @@ def _solve_row(args):
         "goa_iters": None, "cuts": None, "newton_iters": None,
     }
     solver = brute_force_optimize if mode == "brute" else dinkelbach_solve
-    sol = solver(s, coeffs, target, scheme=scheme, include_user_energy=include_user)
+    try:
+        sol = solver(s, coeffs, target, scheme=scheme, include_user_energy=include_user)
+    except RuntimeError as exc:
+        row["status"] = "failed"
+        row["reason"] = str(exc)
+        return row
     if not sol.feasible:
         row["status"] = "infeasible"
         row["reason"] = sol.reason or "infeasible"
@@ -267,16 +274,36 @@ def cmd_relay_shift(args) -> int:
     return 0 if any_ok else 3
 
 
+def _explicit_point(s, args):
+    """Schedule and powers from --relays, --user-powers and --relay-powers.
+
+    Raises ValueError when a list is missing, has the wrong length, names a
+    relay outside 0..N-1 or holds a power outside its cap.
+    """
+    if not (args.user_powers and args.relay_powers):
+        raise ValueError("--relays needs --user-powers and --relay-powers")
+    schedule = RelaySchedule.from_indices([int(j) for j in args.relays.split(",")], s.N)
+    p = [float(v) for v in args.user_powers.split(",")]
+    relay_p = [float(v) for v in args.relay_powers.split(",")]
+    if len(p) != s.M:
+        raise ValueError(f"{len(p)} user powers given for M = {s.M} users")
+    if len(relay_p) != schedule.count:
+        raise ValueError(f"{len(relay_p)} relay powers given for {schedule.count} selected relays")
+    pr = np.zeros(s.N)
+    pr[list(schedule.theta)] = relay_p
+    powers = PowerAllocation(p=p, p_relay=pr)
+    powers.check(s, schedule)
+    return schedule, powers
+
+
 def cmd_verify(args) -> int:
     s, coeffs = _load(args.scenario)
     if args.relays:
-        schedule = RelaySchedule.from_indices(
-            [int(j) for j in args.relays.split(",")], s.N)
-        p = np.array([float(v) for v in args.user_powers.split(",")])
-        pr = np.zeros(s.N)
-        pr[list(schedule.theta)] = [float(v) for v in args.relay_powers.split(",")]
-        from .outage import PowerAllocation
-        powers = PowerAllocation(p=p, p_relay=pr)
+        try:
+            schedule, powers = _explicit_point(s, args)
+        except ValueError as exc:
+            print(f"invalid point: {exc}", file=sys.stderr)
+            return 2
     else:
         sol = dinkelbach_solve(s, coeffs, args.target, scheme=args.scheme,
                                include_user_energy=args.include_user_energy_in_budget)

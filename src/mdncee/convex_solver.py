@@ -14,7 +14,7 @@ Unselected relays are eliminated from the vector entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class PrimalProblem:
         full[list(self.schedule.theta)] = ptr
         return powers_from_log(self.coeffs, self.schedule, ptilde, full)
 
-    def tilde_v_at(self, x) -> float:
-        return self.vprime.logvalue(x)
-
     def outage_at(self, x) -> np.ndarray:
         return np.array([pos.value(x) for pos in self.outage_pos])
 
@@ -123,7 +120,6 @@ class PrimalSolution:
     newton_iterations: int
     barrier_stages: int
     kkt_residual: float
-    active_constraints: dict = field(default_factory=dict)
 
 
 def _build_vprime(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
@@ -235,32 +231,37 @@ def _max_slack_point(pp: PrimalProblem) -> np.ndarray:
         x[pp.s.M:] = 0.5 * x[pp.s.M:]
     res = _barrier_minimize(
         objective=agg,
-        constraints=[("pos", pp.budget_pos, pp.budget_cap)],
-        lo=pp.lo, hi=pp.hi, x0=x, log_objective=True,
+        constraints=[(pp.budget_pos.value, pp.budget_pos.parts, pp.budget_cap)],
+        lo=pp.lo, hi=pp.hi, x0=x,
     )
     return res[0]
 
 
-def _constraint_eval(kind, pos, cap, x):
-    """Value of g(x) <= 0 and its gradient/Hessian pieces."""
-    if kind == "pos":
-        g = pos.value(x) - cap
-        grad = pos.grad(x)
-        hess = pos.hess(x)
-    else:  # "logpos": log posynomial <= log cap
-        g = pos.logvalue(x) - np.log(cap)
-        grad = pos.loggrad(x)
-        hess = pos.loghess(x)
-    return g, grad, hess
+def _barrier_value(x, lo, hi, constraints):
+    """Log-barrier value -sum log(slack) at x, or None off the strict interior.
+
+    Each constraint is a (value, parts, cap) triple meaning value(x) < cap,
+    where parts(x) returns the value with its gradient and Hessian.
+    """
+    if np.any(x <= lo) or np.any(x >= hi):
+        return None
+    val = -(np.sum(np.log(hi - x)) + np.sum(np.log(x - lo)))
+    for value, _, cap in constraints:
+        g = value(x) - cap
+        if g >= 0:
+            return None
+        val -= np.log(-g)
+    return val
 
 
-def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0,
-                      log_objective: bool = True):
-    """Minimize log(objective(x)) (or objective itself) over box + constraints.
+def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0):
+    """Minimize log(objective(x)) over the box and the constraints.
 
-    Returns (x, newton_iterations, barrier_stages, kkt_residual).
+    Returns (x, newton_iterations, barrier_stages, kkt_residual, exhausted).
     Implements the pinned schedule: barrier weight mu from 1 by factors of
-    10 until (#inequalities)*mu < GAP_TOL, damped Newton inside.
+    10 until (#inequalities)*mu < GAP_TOL, damped Newton inside. Each
+    iterate is evaluated once with derivatives; line-search trials are
+    evaluated by value only.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -268,55 +269,33 @@ def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0,
     dim = len(x)
     m_ineq = 2 * dim + len(constraints)
 
-    def f_val(x):
-        return objective.logvalue(x) if log_objective else objective.value(x)
-
-    def f_grad(x):
-        return objective.loggrad(x) if log_objective else objective.grad(x)
-
-    def f_hess(x):
-        return objective.loghess(x) if log_objective else objective.hess(x)
-
-    def strictly_feasible(x):
-        if np.any(x <= lo) or np.any(x >= hi):
-            return False
-        for kind, pos, cap in constraints:
-            g, _, _ = _constraint_eval(kind, pos, cap, x)
-            if g >= 0:
-                return False
-        return True
-
-    def phi_parts(x):
-        """Barrier value, gradient, Hessian of -sum log(-g_i)."""
-        val = 0.0
-        grad = np.zeros(dim)
-        hess = np.zeros((dim, dim))
+    def evaluate(x):
+        """Objective (log V, gradient, Hessian) and barrier (value, gradient, Hessian)."""
         su = hi - x
         sl = x - lo
-        val -= np.sum(np.log(su)) + np.sum(np.log(sl))
-        grad += 1.0 / su - 1.0 / sl
-        hess += np.diag(1.0 / su**2 + 1.0 / sl**2)
-        for kind, pos, cap in constraints:
-            g, gg, gh = _constraint_eval(kind, pos, cap, x)
-            val -= np.log(-g)
-            grad += gg / (-g)
-            hess += gh / (-g) + np.outer(gg, gg) / g**2
-        return val, grad, hess
+        bv = -(np.sum(np.log(su)) + np.sum(np.log(sl)))
+        bg = 1.0 / su - 1.0 / sl
+        bh = np.diag(1.0 / su**2 + 1.0 / sl**2)
+        for _, parts, cap in constraints:
+            v, gg, gh = parts(x)
+            g = v - cap
+            bv -= np.log(-g)
+            bg += gg / (-g)
+            bh += gh / (-g) + np.outer(gg, gg) / g**2
+        return objective.log_parts(x), (bv, bg, bh)
 
-    if not strictly_feasible(x):
+    if _barrier_value(x, lo, hi, constraints) is None:
         raise RuntimeError("barrier start point is not strictly feasible")
 
     mu = 1.0
     newton_total = 0
     stages = 0
     exhausted = False
+    (fv, fg, fh), (bv, bg, bh) = evaluate(x)
     while True:
         stages += 1
         t = 1.0 / mu
         for inner in range(MAX_NEWTON):
-            fg = f_grad(x)
-            fh = f_hess(x)
-            bv, bg, bh = phi_parts(x)
             grad = t * fg + bg
             hess = t * fh + bh
             try:
@@ -327,19 +306,20 @@ def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0,
             if decrement2 / 2.0 <= NEWTON_TOL:
                 break
             # backtracking: stay strictly feasible, then Armijo
-            base = t * f_val(x) + bv
+            base = t * fv + bv
             alpha = 1.0
             while alpha > 1e-14:
                 xn = x + alpha * step
-                if strictly_feasible(xn):
-                    fn = t * f_val(xn) + phi_parts(xn)[0]
-                    if fn <= base + ARMIJO_SLOPE * alpha * float(grad @ step):
-                        break
+                bn = _barrier_value(xn, lo, hi, constraints)
+                if bn is not None and (t * objective.logvalue(xn) + bn
+                                       <= base + ARMIJO_SLOPE * alpha * float(grad @ step)):
+                    break
                 alpha *= ARMIJO_SHRINK
             else:
                 break
-            x = x + alpha * step
+            x = xn
             newton_total += 1
+            (fv, fg, fh), (bv, bg, bh) = evaluate(x)
         else:
             exhausted = True   # Newton budget spent before reaching tolerance
         if m_ineq * mu < GAP_TOL:
@@ -347,8 +327,7 @@ def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0,
         mu /= 10.0
 
     # KKT stationarity residual of the original problem at the final iterate
-    _, bg, _ = phi_parts(x)
-    kkt = float(np.linalg.norm(f_grad(x) + mu * bg))
+    kkt = float(np.linalg.norm(fg + mu * bg))
     return x, newton_total, stages, kkt, exhausted
 
 
@@ -362,20 +341,16 @@ def solve_primal(pp: PrimalProblem) -> PrimalSolution:
     if not pp.feasible:
         raise ValueError(f"primal problem is infeasible: {pp.infeasible_reason}")
 
-    constraints = [("logpos", pos, t) for pos, t in zip(pp.outage_pos, pp.targets)]
-    constraints.append(("pos", pp.budget_pos, pp.budget_cap))
+    constraints = [(pos.logvalue, pos.log_parts, np.log(t))
+                   for pos, t in zip(pp.outage_pos, pp.targets)]
+    constraints.append((pp.budget_pos.value, pp.budget_pos.parts, pp.budget_cap))
 
     span = pp.hi - pp.lo
     x0 = 0.5 * (pp.lo + pp.hi)
     anchor = np.clip(pp.max_slack_point, pp.lo + 1e-9 * span, pp.hi - 1e-9 * span)
 
-    def strictly_ok(x):
-        if np.any(pp.outage_at(x) >= pp.targets):
-            return False
-        return pp.budget_pos.value(x) < pp.budget_cap
-
     for _ in range(200):
-        if strictly_ok(x0):
+        if _barrier_value(x0, pp.lo, pp.hi, constraints) is not None:
             break
         x0 = 0.5 * (x0 + anchor)
     else:
@@ -383,26 +358,17 @@ def solve_primal(pp: PrimalProblem) -> PrimalSolution:
 
     x, newton_total, stages, kkt, exhausted = _barrier_minimize(
         objective=pp.vprime, constraints=constraints, lo=pp.lo, hi=pp.hi, x0=x0,
-        log_objective=True,
     )
 
     ptilde, ptr = pp.split(x)
     powers = pp.powers(x)
     out = pp.outage_at(x)
     tv = pp.vprime.logvalue(x)
-
-    tol = 1e-6
-    active = {
-        "outage": [bool(abs(np.log(o) - np.log(t)) <= tol) for o, t in zip(out, pp.targets)],
-        "budget": bool(abs(pp.budget_pos.value(x) - pp.budget_cap) <= tol * (1 + pp.budget_cap)),
-        "box_hi": (np.abs(x - pp.hi) <= tol * (1 + np.abs(pp.hi))).tolist(),
-        "box_lo": (np.abs(x - pp.lo) <= tol * (1 + np.abs(pp.lo))).tolist(),
-    }
     return PrimalSolution(
         x=x, ptilde=ptilde, ptilde_relay=ptr, powers=powers, tilde_v=tv,
         vprime=float(np.exp(tv)), outage_approx=out, converged=not exhausted,
         newton_iterations=newton_total, barrier_stages=stages,
-        kkt_residual=kkt, active_constraints=active,
+        kkt_residual=kkt,
     )
 
 
@@ -414,6 +380,6 @@ def gradients(pp: PrimalProblem, x) -> tuple[np.ndarray, np.ndarray]:
     against central differences in the test suite.
     """
     x = np.asarray(x, dtype=float)
-    gtv = pp.vprime.loggrad(x)
-    gg = np.vstack([pos.grad(x) for pos in pp.outage_pos])
+    gtv = pp.vprime.log_parts(x)[1]
+    gg = np.vstack([pos.parts(x)[1] for pos in pp.outage_pos])
     return gtv, gg

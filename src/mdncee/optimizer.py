@@ -222,24 +222,23 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None, master: MasterM
     """Linearize objective and constraints at a solved primal point, or build
     the infeasibility certificate cut at the maximum-slack point."""
     schedule = pp.schedule
-    if sol is not None:
-        x = master.anchor_full(schedule, sol.x)
-        gtv_sel = pp.vprime.loggrad(sol.x)
-        gtv = np.zeros(master.dim)
-        gtv[: pp.s.M] = gtv_sel[: pp.s.M]
-        for k, j in enumerate(schedule.theta):
-            gtv[pp.s.M + j] = gtv_sel[pp.s.M + k]
-        g = np.array([pos.value(x) for pos in master.outage_full]) - master.targets
-        grad_g = np.vstack([pos.grad(x) for pos in master.outage_full])
-        vpm = master.obj_smooth.value(x) + master.q * (master.gamma * schedule.count + master.delta0)
+    x = master.anchor_full(schedule, pp.max_slack_point if sol is None else sol.x)
+    values, grads, _ = zip(*(pos.parts(x) for pos in master.outage_full))
+    g = np.array(values) - master.targets
+    grad_g = np.vstack(grads)
+    if sol is None:
         return OACut(iteration=iteration, schedule=schedule.theta, x=x, g=g, grad_g=grad_g,
-                     feasible=True, tilde_v=sol.tilde_v, grad_tilde_v=gtv,
-                     vprime_master=vpm, obj_grad=master.obj_smooth.grad(x))
-    x = master.anchor_full(schedule, pp.max_slack_point)
-    g = np.array([pos.value(x) for pos in master.outage_full]) - master.targets
-    grad_g = np.vstack([pos.grad(x) for pos in master.outage_full])
+                     feasible=False)
+    gtv_sel = pp.vprime.log_parts(sol.x)[1]
+    gtv = np.zeros(master.dim)
+    gtv[: pp.s.M] = gtv_sel[: pp.s.M]
+    for k, j in enumerate(schedule.theta):
+        gtv[pp.s.M + j] = gtv_sel[pp.s.M + k]
+    smooth, obj_grad, _ = master.obj_smooth.parts(x)
+    vpm = smooth + master.q * (master.gamma * schedule.count + master.delta0)
     return OACut(iteration=iteration, schedule=schedule.theta, x=x, g=g, grad_g=grad_g,
-                 feasible=False)
+                 feasible=True, tilde_v=sol.tilde_v, grad_tilde_v=gtv,
+                 vprime_master=vpm, obj_grad=obj_grad)
 
 
 @dataclass
@@ -307,13 +306,12 @@ def _master_lp_rows(state: GoaState):
             r[:M + N] = ggrad
             rows.append(r)
             rhs.append(float(ggrad @ cut.x) - float(gi))
-        bgrad = m.budget_exp.grad(cut.x)
+        bval, bgrad, _ = m.budget_exp.parts(cut.x)
         r = new_row()
         r[:M + N] = bgrad
         r[u0:u0 + N] += m.gamma
         rows.append(r)
-        rhs.append(s.E0 - m.delta0 + m.budget_offset
-                   - m.budget_exp.value(cut.x) + float(bgrad @ cut.x))
+        rhs.append(s.E0 - m.delta0 + m.budget_offset - bval + float(bgrad @ cut.x))
 
     for visited in state.visited:
         r = new_row()

@@ -113,43 +113,40 @@ class Posynomial:
             return 0.0
         return float(self.coeffs @ np.exp(self._exponents(x)))
 
-    def grad(self, x) -> np.ndarray:
+    def parts(self, x):
+        """(P, grad P, Hessian of P) at x from one exponent evaluation."""
         if len(self.coeffs) == 0:
-            return np.zeros(self.dim)
-        t = self.coeffs * np.exp(self._exponents(x))
-        return t @ self.expos
+            return 0.0, np.zeros(self.dim), np.zeros((self.dim, self.dim))
+        e = np.exp(self._exponents(x))
+        t = self.coeffs * e
+        return float(self.coeffs @ e), t @ self.expos, self.expos.T @ (t[:, None] * self.expos)
 
-    def hess(self, x) -> np.ndarray:
-        if len(self.coeffs) == 0:
-            return np.zeros((self.dim, self.dim))
-        t = self.coeffs * np.exp(self._exponents(x))
-        return self.expos.T @ (t[:, None] * self.expos)
-
-    def logvalue(self, x) -> float:
+    def _shifted_terms(self, x):
         # log-sum-exp with max shift so extreme exponents stay in range
-        if len(self.coeffs) == 0:
-            return -np.inf
         z = self._exponents(x) + np.log(self.coeffs)
         zmax = np.max(z)
-        return float(zmax + np.log(np.sum(np.exp(z - zmax))))
+        return zmax, np.exp(z - zmax)
 
-    def _softmax_weights(self, x) -> np.ndarray:
-        z = self._exponents(x) + np.log(self.coeffs)
-        z -= np.max(z)
-        w = np.exp(z)
-        return w / np.sum(w)
+    def logvalue(self, x) -> float:
+        if len(self.coeffs) == 0:
+            return -np.inf
+        zmax, e = self._shifted_terms(x)
+        return float(zmax + np.log(np.sum(e)))
 
-    def loggrad(self, x) -> np.ndarray:
+    def log_parts(self, x):
+        """(log P, its gradient, its Hessian) at x from one exponent evaluation.
+
+        With softmax weights w over the terms, the gradient is A^T w and the
+        Hessian A^T diag(w) A - (A^T w)(A^T w)^T, PSD by construction.
+        """
         if len(self.coeffs) == 0:
             raise ValueError("log of an empty posynomial")
-        w = self._softmax_weights(x)
-        return w @ self.expos
-
-    def loghess(self, x) -> np.ndarray:
-        """Hessian of log P: A^T diag(w) A - (A^T w)(A^T w)^T, PSD by construction."""
-        w = self._softmax_weights(x)
+        zmax, e = self._shifted_terms(x)
+        total = np.sum(e)
+        w = e / total
         mean = w @ self.expos
-        return self.expos.T @ (w[:, None] * self.expos) - np.outer(mean, mean)
+        hess = self.expos.T @ (w[:, None] * self.expos) - np.outer(mean, mean)
+        return float(zmax + np.log(total)), mean, hess
 
     def __repr__(self):
         return f"Posynomial({self.n_terms} terms, dim={self.dim})"

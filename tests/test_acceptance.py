@@ -152,8 +152,8 @@ def test_criterion_05_convexity_certificates(paper_scenario, paper_coeffs):
     min_eig = np.inf
     for _ in range(100):
         x = rng.uniform(pp.lo + 0.02 * span, pp.hi - 0.02 * span)
-        h_tv = _fd_hessian(lambda z: pp.vprime.loggrad(z), x)
-        h_out = _fd_hessian(lambda z: pp.outage_pos[0].loggrad(z), x)
+        h_tv = _fd_hessian(lambda z: pp.vprime.log_parts(z)[1], x)
+        h_out = _fd_hessian(lambda z: pp.outage_pos[0].log_parts(z)[1], x)
         min_eig = min(min_eig, np.linalg.eigvalsh(h_tv).min(), np.linalg.eigvalsh(h_out).min())
     elapsed = time.time() - start
     record(5, min_eig >= -1e-8 and elapsed < 60.0,

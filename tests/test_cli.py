@@ -176,3 +176,36 @@ def test_verify_passes_budget_switch_to_solver(monkeypatch, tmp_path):
                     "--include-user-energy-in-budget", "--out", str(tmp_path)])
     assert code == 3
     assert seen == {"include_user_energy": True}
+
+
+def test_failed_solve_becomes_row_and_sweep_continues(monkeypatch, tmp_path):
+    real = cli.dinkelbach_solve
+
+    def solver(s, coeffs, target, scheme="mdnc", include_user_energy=False):
+        if target < 5e-3:
+            raise RuntimeError("parametric q-iteration did not converge in 60 rounds")
+        return real(s, coeffs, target, scheme=scheme, include_user_energy=include_user_energy)
+
+    monkeypatch.setattr(cli, "dinkelbach_solve", solver)
+    out = tmp_path / "o"
+    assert run_cli(["sweep", SCENARIO_PATH, "--targets", "1e-2,1e-3", "--out", str(out)]) == 0
+    rows = {r["target"]: r for r in parse_sweep(read(out / "sweep.csv"))}
+    assert rows["0.01"]["status"] == "ok"
+    assert rows["0.001"]["status"] == "failed"
+    assert rows["0.001"]["reason"] == "parametric q-iteration did not converge in 60 rounds"
+
+
+@pytest.mark.parametrize("point", [
+    ["--relays", "0,1"],                                                    # no powers
+    ["--relays", "0,1", "--user-powers", "0.7,0.7", "--relay-powers", "1.5"],
+    ["--relays", "0,1", "--user-powers", "0.7", "--relay-powers", "1.5,1.5"],
+    ["--relays", "0,4", "--user-powers", "0.7,0.7", "--relay-powers", "1.5,1.5"],
+    ["--relays", "0,1", "--user-powers", "0.7,70", "--relay-powers", "1.5,1.5"],
+    ["--relays", "0,1", "--user-powers", "0.7,0.7", "--relay-powers", "1.5,-1"],
+])
+def test_verify_rejects_invalid_point(point, tmp_path, capsys):
+    code = run_cli(["verify", SCENARIO_PATH, *point, "--samples", "1000", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid point: ") and err.count("\n") == 1
+    assert not (tmp_path / "verify.json").exists()

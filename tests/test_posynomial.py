@@ -1,0 +1,50 @@
+import numpy as np
+import pytest
+
+from mdncee.outage import outage_posynomial
+from mdncee.posynomial import Posynomial
+
+
+def random_posynomial(rng, dim=4, terms=7):
+    coeffs = rng.lognormal(0.0, 2.0, size=terms)
+    expos = rng.integers(-2, 3, size=(terms, dim))
+    return Posynomial(coeffs, expos, dim)
+
+
+def central_diff(f, x, h=1e-6):
+    """Central differences of f along each coordinate; column k is df/dx_k."""
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(len(x))]).T
+
+
+def test_parts_values_equal_value_only_bitwise(paper_coeffs):
+    # Armijo compares a base value from log_parts with trial values from
+    # logvalue, so the two must agree to the last bit
+    rng = np.random.default_rng(11)
+    cases = [random_posynomial(rng) for _ in range(20)]
+    cases.append(outage_posynomial(paper_coeffs, (0, 1, 2, 3), 2))
+    for pos in cases:
+        for _ in range(10):
+            x = rng.uniform(-3.0, 3.0, pos.dim)
+            assert pos.log_parts(x)[0] == pos.logvalue(x)
+            assert pos.parts(x)[0] == pos.value(x)
+
+
+def test_parts_derivatives_match_central_differences():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        pos = random_posynomial(rng)
+        x = rng.uniform(-1.0, 1.0, pos.dim)
+        value, grad, hess = pos.parts(x)
+        assert grad == pytest.approx(central_diff(pos.value, x), rel=1e-6, abs=1e-6 * value)
+        fd_hess = central_diff(lambda z: pos.parts(z)[1], x)
+        assert hess == pytest.approx(fd_hess, rel=1e-6, abs=1e-6 * value)
+        _, lgrad, lhess = pos.log_parts(x)
+        assert lgrad == pytest.approx(central_diff(pos.logvalue, x), abs=1e-7)
+        assert lhess == pytest.approx(central_diff(lambda z: pos.log_parts(z)[1], x), abs=1e-7)
+
+
+def test_parts_of_empty_posynomial():
+    value, grad, hess = Posynomial.constant(0.0, 3).parts(np.ones(3))
+    assert value == 0.0
+    assert np.array_equal(grad, np.zeros(3))
+    assert np.array_equal(hess, np.zeros((3, 3)))
