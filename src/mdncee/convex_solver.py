@@ -40,7 +40,11 @@ __all__ = [
 # Barrier schedule: weight 1, divide by 10 per stage, stop when the duality
 # gap bound (#constraints * weight) drops below GAP_TOL.
 GAP_TOL = 1e-7
-NEWTON_TOL = 1e-12          # half squared Newton decrement
+# A stage stops when half the squared Newton decrement (the predicted
+# decrease of the merit t*log objective + barrier) is at most NEWTON_TOL or
+# the merit's round-off floor eps*(|t*log objective| + |barrier|), whichever
+# is larger: the Armijo test cannot resolve a smaller decrease.
+NEWTON_TOL = 1e-12
 ARMIJO_SLOPE = 0.3
 ARMIJO_SHRINK = 0.5
 MAX_NEWTON = 200
@@ -259,15 +263,21 @@ def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0):
 
     Returns (x, newton_iterations, barrier_stages, kkt_residual, exhausted).
     Implements the pinned schedule: barrier weight mu from 1 by factors of
-    10 until (#inequalities)*mu < GAP_TOL, damped Newton inside. Each
-    iterate is evaluated once with derivatives; line-search trials are
-    evaluated by value only.
+    10 until (#inequalities)*mu < GAP_TOL, damped Newton inside. A stage
+    ends when lambda^2/2 (half the squared Newton decrement) is at most
+    max(NEWTON_TOL, eps*(|t*log objective| + |barrier|)), with t = 1/mu and
+    eps the machine epsilon: below that round-off floor of the merit the
+    Armijo test cannot tell a step from noise. Each iterate is evaluated
+    once with derivatives; line-search trials are evaluated by value only.
+    exhausted is set when a stage spends MAX_NEWTON steps or backtracking
+    finds no acceptable step.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
     dim = len(x)
     m_ineq = 2 * dim + len(constraints)
+    eps = np.finfo(float).eps
 
     def evaluate(x):
         """Objective (log V, gradient, Hessian) and barrier (value, gradient, Hessian)."""
@@ -303,10 +313,10 @@ def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0):
             except np.linalg.LinAlgError:
                 step = np.linalg.solve(hess + 1e-10 * np.trace(hess) * np.eye(dim), -grad)
             decrement2 = float(-grad @ step)
-            if decrement2 / 2.0 <= NEWTON_TOL:
+            base = t * fv + bv
+            if decrement2 / 2.0 <= max(NEWTON_TOL, eps * (abs(t * fv) + abs(bv))):
                 break
             # backtracking: stay strictly feasible, then Armijo
-            base = t * fv + bv
             alpha = 1.0
             while alpha > 1e-14:
                 xn = x + alpha * step
@@ -316,6 +326,7 @@ def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0):
                     break
                 alpha *= ARMIJO_SHRINK
             else:
+                exhausted = True   # no acceptable step above the round-off floor
                 break
             x = xn
             newton_total += 1

@@ -263,6 +263,7 @@ class GoaState:
     incumbent_schedule: RelaySchedule | None = None
     iteration: int = 0
     newton_total: int = 0
+    primal_unconverged: int = 0         # primal solves that returned converged=False
     converged: bool = False
     termination: str = ""
 
@@ -441,6 +442,7 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
         if pp.feasible:
             sol = solve_primal(pp)
             state.newton_total += sol.newton_iterations
+            state.primal_unconverged += not sol.converged
             state.cuts.append(build_oa_cuts(pp, sol, master, t))
             if sol.tilde_v < state.ubd:
                 state.ubd = sol.tilde_v
@@ -620,6 +622,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
                         reason=f"no schedule satisfies the approximate outage cap: {exc}")
     diagnostics["goa_states"] = len(states)
     diagnostics["newton_total"] = sum(st.newton_total for st in states)
+    diagnostics["primal_unconverged"] = sum(st.primal_unconverged for st in states)
     diagnostics["cuts_total"] = sum(len(st.cuts) for st in states)
     return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)
 
@@ -648,15 +651,16 @@ def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
     powers = pp0.powers(x_hi)
     q0 = max(_numerator(s, scheme, pp0.outage_at(x_hi)) / _energy_of(s, scheme, schedule, powers).e_tot, 0.0)
 
-    newton = {"total": 0}
+    sols: list[PrimalSolution] = []
 
     def inner(q, warm):
         pp = assemble_primal(s, coeffs, schedule, q, target=target, scheme=scheme,
                              include_user_energy=include_user_energy)
         sol = solve_primal(pp)
-        newton["total"] += sol.newton_iterations
+        sols.append(sol)
         return schedule, sol, {"newton_iterations": sol.newton_iterations}
 
     schedule, sol, diagnostics, q_final = _dinkelbach_loop(s, scheme, inner, q0, schedule)
-    diagnostics["newton_total"] = newton["total"]
+    diagnostics["newton_total"] = sum(p.newton_iterations for p in sols)
+    diagnostics["primal_unconverged"] = sum(not p.converged for p in sols)
     return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)

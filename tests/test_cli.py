@@ -209,3 +209,36 @@ def test_verify_rejects_invalid_point(point, tmp_path, capsys):
     assert code == 2
     assert err.startswith("invalid point: ") and err.count("\n") == 1
     assert not (tmp_path / "verify.json").exists()
+
+
+NONC_POINT = ["--scheme", "nonc", "--relays", "0", "--user-powers", "0.7,0.7",
+              "--relay-powers", "1.5"]
+
+
+def test_verify_nonc_reports_each_user(tmp_path):
+    assert run_cli(["verify", SCENARIO_PATH, *NONC_POINT, "--samples", "200000",
+                    "--seed", "2", "--out", str(tmp_path)]) == 0
+    report = json.loads(read(tmp_path / "verify.json"))
+    assert len(report["z_scores"]) == 2
+    assert report["z_score"] == max(report["z_scores"], key=abs)
+
+
+def test_verify_nonc_fails_on_one_user_with_mean_unchanged(tmp_path, monkeypatch):
+    # user 0 far above its analytic outage, user 1 as far below: the mean
+    # over users is right, so only a per-user test can catch it
+    def opposite(s, coeffs, schedule, powers, mc, scheme="mdnc"):
+        from mdncee.outage import nonc_outage
+        exact = nonc_outage(coeffs, schedule, powers)
+        shift = 6.0 * np.sqrt(np.max(exact * (1 - exact)) / mc.samples)
+        outage = exact + np.array([shift, -shift])
+        return McResult(outage=outage, stderr=np.sqrt(outage * (1 - outage) / mc.samples),
+                        ee=0.0, samples=mc.samples, scheme=scheme)
+
+    monkeypatch.setattr(cli, "monte_carlo_outage", opposite)
+    code = run_cli(["verify", SCENARIO_PATH, *NONC_POINT, "--samples", "100000",
+                    "--out", str(tmp_path)])
+    report = json.loads(read(tmp_path / "verify.json"))
+    assert code == 4
+    assert report["pass"] is False
+    assert report["empirical"]["outage"] == pytest.approx(report["analytic"]["outage"], rel=1e-12)
+    assert report["z_scores"][0] > 5.0 and report["z_scores"][1] < -5.0

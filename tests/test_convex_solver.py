@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mdncee.convex_solver import assemble_primal, gradients, solve_primal
+from mdncee.convex_solver import _barrier_minimize, assemble_primal, gradients, solve_primal
 from mdncee.outage import RelaySchedule
+from mdncee.posynomial import Posynomial
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +132,22 @@ def test_nonc_primal_per_user_caps(paper_scenario, paper_coeffs):
     assert len(pp.outage_pos) == paper_scenario.M
     sol = solve_primal(pp)
     assert np.all(sol.outage_approx <= 1e-3 * (1 + 1e-9))
+
+
+def test_line_search_failure_is_flagged():
+    # the constraint admits x0 alone, so every backtracking trial is
+    # rejected: the stage must end unconverged, not pass as converged
+    x0 = np.array([0.3])
+
+    def value(x):
+        return -1.0 if np.array_equal(x, x0) else 1.0
+
+    def parts(x):
+        return value(x), np.zeros(1), np.zeros((1, 1))
+
+    objective = Posynomial([1.0, 1.0], [[1.0], [-1.0]])
+    x, newton, _, _, exhausted = _barrier_minimize(
+        objective, [(value, parts, 0.0)], lo=[-1.0], hi=[1.0], x0=x0)
+    assert newton == 0
+    assert np.array_equal(x, x0)
+    assert exhausted

@@ -253,6 +253,39 @@ def test_dinkelbach_converges_with_monotone_q(paper_scenario, paper_coeffs):
     assert sol.schedule.theta == (0, 1, 2)
 
 
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_no_primal_ends_unconverged_on_paper_targets(paper_scenario, paper_coeffs, scheme):
+    for target in (1e-2, 1e-3, 1e-4, 1e-5):
+        sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+        assert sol.diagnostics["primal_unconverged"] == 0, target
+
+
+def test_fixed_schedule_counts_unconverged_primals(paper_scenario, paper_coeffs):
+    sched = RelaySchedule.from_indices([0, 1, 2], 4)
+    sol = dinkelbach_fixed_schedule(paper_scenario, paper_coeffs, sched, 1e-3)
+    assert sol.diagnostics["primal_unconverged"] == 0
+
+
+@pytest.mark.parametrize("target", [10 ** -2.75, 1e-3], ids=["10^-2.75", "1e-3"])
+def test_newton_path_ignores_outage_term_order(paper_scenario, paper_coeffs, monkeypatch, target):
+    from mdncee import convex_solver, optimizer
+    from mdncee.posynomial import Posynomial
+
+    before = dinkelbach_solve(paper_scenario, paper_coeffs, target)
+    real = optimizer.outage_posynomial
+
+    def reversed_terms(*args, **kwargs):
+        pos = real(*args, **kwargs)
+        return Posynomial(pos.coeffs[::-1], pos.expos[::-1], pos.dim)
+
+    monkeypatch.setattr(optimizer, "outage_posynomial", reversed_terms)
+    monkeypatch.setattr(convex_solver, "outage_posynomial", reversed_terms)
+    after = dinkelbach_solve(paper_scenario, paper_coeffs, target)
+    assert after.schedule.theta == before.schedule.theta
+    assert after.diagnostics["newton_total"] == before.diagnostics["newton_total"]
+    assert after.ee == pytest.approx(before.ee, rel=1e-12)
+
+
 def grid_maximize_toy_ratio(s, coeffs, sched, target):
     """Dense 2-D grid oracle for the single-user single-relay ratio, refined
     once around the coarse argmax so the grid error is far below 1e-4."""
