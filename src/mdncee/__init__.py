@@ -30,10 +30,7 @@ from .outage import (
     link_outage,
     nonc_outage,
     outage_approx_logdomain,
-    outage_approx_power,
     outage_exact,
-    prob_varsigma_given_zeta,
-    prob_zeta_K,
     relay_decode_prob,
 )
 from .energy import (
@@ -73,10 +70,7 @@ __all__ = [
     "OutageBreakdown",
     "link_outage",
     "relay_decode_prob",
-    "prob_zeta_K",
-    "prob_varsigma_given_zeta",
     "outage_exact",
-    "outage_approx_power",
     "outage_approx_logdomain",
     "nonc_outage",
     "EnergyBreakdown",

@@ -32,6 +32,7 @@ __all__ = [
     "PrimalProblem",
     "PrimalSolution",
     "assemble_primal",
+    "energy_model",
     "solve_primal",
     "gradients",
     "scheme_constants",
@@ -126,24 +127,39 @@ class PrimalSolution:
     kkt_residual: float
 
 
-def _build_vprime(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
-                  q: float, scheme: str, outage_pos: list[Posynomial]) -> Posynomial:
-    gamma, delta0, m, obj_coef = scheme_constants(s, scheme)
-    n = schedule.count
-    dim = s.M + n
-    selected = schedule.theta
+def _stacked(dim: int, *parts) -> Posynomial:
+    """Posynomial whose terms are the rows of (coefficients, exponent rows) parts."""
+    return Posynomial(np.concatenate([np.ravel(c) for c, _ in parts]),
+                      np.vstack([np.reshape(e, (-1, dim)) for _, e in parts]), dim)
 
-    vp = Posynomial.constant(q * (gamma * n + delta0)
-                             + q * m * s.T * s.delta_P * float(np.sum(coeffs.c_g))
-                             - q * m * s.T * s.delta_P * float(np.sum(coeffs.c_g[list(selected)])),
-                             dim)
-    for i in range(s.M):
-        vp = vp + Posynomial.single_var(q * s.T, i, 1.0, dim)
-    for k, j in enumerate(selected):
-        vp = vp + Posynomial.single_var(q * m * s.delta_P * s.T * coeffs.c_g[j], s.M + k, 1.0, dim)
-    for pos in outage_pos:
-        vp = vp + obj_coef * pos
-    return vp.merged()
+
+def energy_model(s: ScenarioConfig, coeffs: LinkCoefficients, relays, scheme: str, q: float,
+                 outage_pos: list[Posynomial], include_user_energy: bool = False,
+                 constants: tuple[float, float] = (0.0, 0.0)) -> tuple[Posynomial, Posynomial]:
+    """V' and the grid-energy budget over x = (ptilde_1..M, ptilde'_j for j in relays).
+
+    V' = constants[0] + q*T*sum_i e^(ptilde_i)
+         + q*m*delta_P*T*sum_j c_j e^(ptilde'_j) + obj_coef*sum(outage_pos);
+    budget = constants[1] + m*delta_P*T*sum_j c_j e^(ptilde'_j), plus
+    T*sum_i e^(ptilde_i) when user energy counts against E0. The -c_j
+    offsets of the substituted relay powers are left to the caller's
+    constants and caps. The fixed-schedule primal passes its selected
+    relays and constant rows; the master passes all N relays and no
+    constants, its circuit energy being linear in u.
+    """
+    _, _, m, obj_coef = scheme_constants(s, scheme)
+    c_g = coeffs.c_g[list(relays)]
+    dim = s.M + len(c_g)
+    eye = np.eye(dim)
+    zero = np.zeros(dim)
+    users, relay = eye[:s.M], eye[s.M:]
+    vprime = _stacked(dim, ([constants[0]], zero),
+                      (np.full(s.M, q * s.T), users), (q * m * s.delta_P * s.T * c_g, relay),
+                      *((obj_coef * pos.coeffs, pos.expos) for pos in outage_pos))
+    budget_parts = [([constants[1]], zero), (m * s.delta_P * s.T * c_g, relay)]
+    if include_user_energy:
+        budget_parts.append((np.full(s.M, s.T), users))
+    return vprime, _stacked(dim, *budget_parts)
 
 
 def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
@@ -161,7 +177,6 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     if target is None:
         target = s.pr_out_target
     n = schedule.count
-    dim = s.M + n
     selected = schedule.theta
 
     if scheme == "mdnc":
@@ -176,18 +191,15 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     caps = np.array([np.log1p(s.P_R_max / coeffs.c_g[j]) for j in selected])
     hi = np.concatenate([np.full(s.M, np.log(s.P_S_max)), caps])
 
-    # Grid energy draw: circuit + load-dependent transmit part. The
-    # -c_j offsets of the substituted relay powers move into the cap.
-    budget = Posynomial.constant(gamma * n + delta0, dim)
-    for k, j in enumerate(selected):
-        budget = budget + Posynomial.single_var(m * s.delta_P * s.T * coeffs.c_g[j], s.M + k, 1.0, dim)
+    # The -c_j offsets of the substituted relay powers move into the budget
+    # cap; in V' the unselected relays keep their c_j, as at ptilde'_j = 0 in
+    # the master's all-relay model.
+    vp_const = (q * (gamma * n + delta0)
+                + q * m * s.T * s.delta_P * float(np.sum(coeffs.c_g))
+                - q * m * s.T * s.delta_P * float(np.sum(coeffs.c_g[list(selected)])))
+    vprime, budget = energy_model(s, coeffs, selected, scheme, q, outage_pos, include_user_energy,
+                                  constants=(vp_const, gamma * n + delta0))
     budget_cap = s.E0 + m * s.delta_P * s.T * float(np.sum(coeffs.c_g[list(selected)]))
-    if include_user_energy:
-        for i in range(s.M):
-            budget = budget + Posynomial.single_var(s.T, i, 1.0, dim)
-    budget = budget.merged()
-
-    vprime = _build_vprime(s, coeffs, schedule, q, scheme, outage_pos)
     pp = PrimalProblem(s=s, coeffs=coeffs, schedule=schedule, q=q, scheme=scheme,
                        targets=targets, lo=lo, hi=hi, vprime=vprime,
                        outage_pos=outage_pos, budget_pos=budget, budget_cap=budget_cap,
@@ -223,9 +235,8 @@ def _max_slack_point(pp: PrimalProblem) -> np.ndarray:
     sum_i Pout_i/target_i is a posynomial, so this is one more convex solve;
     its minimizer is the constraint-slack certificate point.
     """
-    agg = Posynomial.constant(0.0, pp.dim)
-    for pos, t in zip(pp.outage_pos, pp.targets):
-        agg = agg + (1.0 / t) * pos
+    agg = _stacked(pp.dim, *((pos.coeffs * (1.0 / t), pos.expos)
+                             for pos, t in zip(pp.outage_pos, pp.targets)))
     interior = 0.5 * (pp.lo + pp.hi)
     # start strictly inside the budget: shrink relay powers toward zero
     x = interior.copy()

@@ -34,6 +34,7 @@ from .convex_solver import (
     PrimalProblem,
     PrimalSolution,
     assemble_primal,
+    energy_model,
     scheme_constants,
     solve_primal,
 )
@@ -48,7 +49,6 @@ from .outage import (
     outage_exact,
     outage_posynomial,
 )
-from .posynomial import Posynomial
 
 __all__ = [
     "CountBounds",
@@ -187,24 +187,9 @@ class MasterModel:
         else:
             self.outage_full = nonc_outage_posynomials(coeffs, full, s.M)
 
-        smooth = Posynomial.constant(0.0, self.dim)
-        for i in range(s.M):
-            smooth = smooth + Posynomial.single_var(q * s.T, i, 1.0, self.dim)
-        for j in range(s.N):
-            smooth = smooth + Posynomial.single_var(
-                q * m_slots * s.delta_P * s.T * coeffs.c_g[j], s.M + j, 1.0, self.dim)
-        for pos in self.outage_full:
-            smooth = smooth + obj_coef * pos
-        self.obj_smooth = smooth.merged()   # V'(x,u) = obj_smooth(x) + q*(gamma*sum(u) + delta0)
-
-        bexp = Posynomial.constant(0.0, self.dim)
-        for j in range(s.N):
-            bexp = bexp + Posynomial.single_var(m_slots * s.delta_P * s.T * coeffs.c_g[j],
-                                                s.M + j, 1.0, self.dim)
-        if include_user_energy:
-            for i in range(s.M):
-                bexp = bexp + Posynomial.single_var(s.T, i, 1.0, self.dim)
-        self.budget_exp = bexp.merged()
+        # V'(x,u) = obj_smooth(x) + q*(gamma*sum(u) + delta0)
+        self.obj_smooth, self.budget_exp = energy_model(s, coeffs, full, scheme, q,
+                                                        self.outage_full, include_user_energy)
         self.budget_offset = m_slots * s.delta_P * s.T * float(np.sum(coeffs.c_g))
         self.caps = np.log1p(s.P_R_max / coeffs.c_g)
         self.v_scale = s.M * s.alpha0    # master works in v / v_scale units
@@ -365,25 +350,22 @@ def solve_master(state: GoaState):
 
     best: dict = {"obj": math.inf, "x": None}
 
-    def recurse(lo_u, hi_u):
-        lbn = lb.copy()
-        ubn = ub.copy()
-        lbn[u0:u0 + n_u] = lo_u
-        ubn[u0:u0 + n_u] = hi_u
-        res = solve_lp(c, A, b, lbn, ubn)
-        if res.status != "optimal":
-            return
+    def relaxation(lo_u, hi_u):
+        return solve_lp(c, A, b,
+                        np.concatenate([lb[:u0], lo_u, lb[u0 + n_u:]]),
+                        np.concatenate([ub[:u0], hi_u, ub[u0 + n_u:]]))
+
+    def recurse(lo_u, hi_u, res):
+        """Explore the node whose relaxation res was solved by the caller."""
         if res.objective >= best["obj"] - 1e-12 * (1.0 + abs(best["obj"])):
             return
         u = res.x[u0:u0 + n_u]
         frac = np.abs(u - np.round(u))
         undecided = np.where((frac > 1e-6) & (lo_u < hi_u))[0]
         if len(undecided) == 0:
-            u_int = np.round(u).astype(int)
-            u_int = np.clip(u_int, lo_u.astype(int), hi_u.astype(int))
-            lbn[u0:u0 + n_u] = u_int
-            ubn[u0:u0 + n_u] = u_int
-            leaf = solve_lp(c, A, b, lbn, ubn)
+            u_int = np.clip(np.round(u).astype(int), lo_u.astype(int), hi_u.astype(int))
+            # with every u_j already fixed the leaf LP is the node's own
+            leaf = res if np.array_equal(lo_u, hi_u) else relaxation(u_int, u_int)
             if leaf.status == "optimal" and leaf.objective < best["obj"]:
                 best["obj"] = leaf.objective
                 best["x"] = leaf.x
@@ -395,16 +377,17 @@ def solve_master(state: GoaState):
         for value in (0, 1):
             lo_c, hi_c = lo_u.copy(), hi_u.copy()
             lo_c[j] = hi_c[j] = value
-            child = solve_lp(c, A, b,
-                             np.concatenate([lb[:u0], lo_c, lb[u0 + n_u:]]),
-                             np.concatenate([ub[:u0], hi_c, ub[u0 + n_u:]]))
+            child = relaxation(lo_c, hi_c)
             if child.status == "optimal":
-                children.append((child.objective, value, lo_c, hi_c))
+                children.append((child.objective, value, lo_c, hi_c, child))
         children.sort(key=lambda t: (t[0], t[1]))
-        for _, _, lo_c, hi_c in children:
-            recurse(lo_c, hi_c)
+        for _, _, lo_c, hi_c, child in children:
+            recurse(lo_c, hi_c, child)
 
-    recurse(np.zeros(n_u), np.ones(n_u))
+    lo_root, hi_root = np.zeros(n_u), np.ones(n_u)
+    root = relaxation(lo_root, hi_root)
+    if root.status == "optimal":
+        recurse(lo_root, hi_root, root)
     if best["x"] is None:
         return None
     u = np.round(best["x"][u0:u0 + n_u]).astype(int)

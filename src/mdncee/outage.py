@@ -10,14 +10,16 @@ the number K of fully-decoding relays:
 
 Relays succeed independently, so the outage is the tail below M of a
 Poisson-binomial distribution, evaluated by the one-trial-at-a-time
-recursion (Hong 2013, Comput. Stat. Data Anal. 59:41-51). The subset sums
-prob_zeta_K, prob_varsigma_given_zeta and outage_approx_power spell out the
-paper's expressions term by term and serve as the tests' oracles.
+recursion (Hong 2013, Comput. Stat. Data Anal. 59:41-51). The paper's subset
+sums, which spell the same expressions out term by term, live in the tests
+as oracles.
 
 High-SNR approximation: success factors are replaced by 1, first-hop failure
 factors 1 - rho_j by sum_i c_ij/p_i, and second-hop failures by
 c_j/(c_j + u_j p'_j), which turns the whole expression into a posynomial in
-1/p_i and 1/(1 + u_j p'_j / c_j); its log-domain image is convex.
+1/p_i and 1/(1 + u_j p'_j / c_j); its log-domain image is convex. Its terms
+come from the same one-relay-at-a-time counting: a recursion over the
+decoded and surviving counts, both capped at M, with no subset enumeration.
 
 NoNC baseline: each relay forwards each user's message separately, so user i
 is in outage iff no relay carries its message end to end.
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -40,10 +41,7 @@ __all__ = [
     "OutageBreakdown",
     "link_outage",
     "relay_decode_prob",
-    "prob_zeta_K",
-    "prob_varsigma_given_zeta",
     "outage_exact",
-    "outage_approx_power",
     "outage_approx_logdomain",
     "nonc_outage",
     "outage_posynomial",
@@ -138,40 +136,6 @@ def relay_decode_prob(c_col, p) -> float:
     return math.exp(-math.fsum(c_col / p))
 
 
-def prob_zeta_K(schedule: RelaySchedule, rho, K: int) -> float:
-    """Probability that exactly K of the selected relays decode all messages."""
-    if not 0 <= K <= schedule.count:
-        raise ValueError(f"K={K} outside 0..{schedule.count}")
-    rho = {j: float(r) for j, r in zip(schedule.theta, np.asarray(rho, dtype=float).ravel())}
-    terms = []
-    for phi in combinations(schedule.theta, K):
-        inside = set(phi)
-        prod = 1.0
-        for j in schedule.theta:
-            prod *= rho[j] if j in inside else (1.0 - rho[j])
-        terms.append(prod)
-    return math.fsum(terms)
-
-
-def prob_varsigma_given_zeta(phi_K, pr_e_g, tau: int) -> float:
-    """Probability that exactly tau of the relays in phi_K survive the second hop.
-
-    pr_e_g maps each relay in phi_K (in order) to its second-hop outage.
-    """
-    phi_K = tuple(phi_K)
-    if not 0 <= tau <= len(phi_K):
-        raise ValueError(f"tau={tau} outside 0..{len(phi_K)}")
-    pe = {j: float(e) for j, e in zip(phi_K, np.asarray(pr_e_g, dtype=float).ravel())}
-    terms = []
-    for psi in combinations(phi_K, tau):
-        inside = set(psi)
-        prod = 1.0
-        for j in phi_K:
-            prod *= (1.0 - pe[j]) if j in inside else pe[j]
-        terms.append(prod)
-    return math.fsum(terms)
-
-
 @dataclass(frozen=True)
 class OutageBreakdown:
     """Structured exact-outage evaluation.
@@ -252,95 +216,66 @@ def outage_exact(s: ScenarioConfig, coeffs: LinkCoefficients,
 # High-SNR approximation
 
 
-def outage_approx_power(coeffs: LinkCoefficients, schedule: RelaySchedule,
-                        powers: PowerAllocation) -> float:
-    """High-SNR approximation evaluated in natural power variables.
-
-    First-hop failure factors become f_j = sum_i c_ij/p_i, second-hop failures
-    e_j = c_j/(c_j + u_j p'_j); all success factors are 1. The case-B inner sum
-    runs over survivor subsets psi of each decode subset Phi.
-    """
-    M = coeffs.c_h.shape[0]
-    f = {j: math.fsum(coeffs.c_h[:, j] / powers.p) for j in schedule.theta}
-    e = {j: coeffs.c_g[j] / (coeffs.c_g[j] + schedule.u[j] * powers.p_relay[j])
-         for j in schedule.theta}
-    terms = []
-    for K in range(schedule.count + 1):
-        for phi in combinations(schedule.theta, K):
-            inside = set(phi)
-            first = 1.0
-            for j in schedule.theta:
-                if j not in inside:
-                    first *= f[j]
-            if K < M:
-                terms.append(first)
-            else:
-                inner = []
-                for tau in range(M):
-                    for psi in combinations(phi, tau):
-                        survived = set(psi)
-                        prod = 1.0
-                        for j in phi:
-                            if j not in survived:
-                                prod *= e[j]
-                        inner.append(prod)
-                terms.append(first * math.fsum(inner))
-    return math.fsum(terms)
+def _accumulate(table: dict, terms) -> None:
+    """Add (exponent tuple, coefficient) pairs into table, merging equal rows."""
+    for e, c in terms:
+        table[e] = table.get(e, 0.0) + c
 
 
-_POSY_CACHE: dict = {}
+def _lowered(e: tuple, col: int) -> tuple:
+    """Exponent row e of a term multiplied by e^(-x[col])."""
+    return e[:col] + (e[col] - 1,) + e[col + 1:]
 
 
 def outage_posynomial(coeffs: LinkCoefficients, selected, M: int) -> Posynomial:
     """Approximate outage as a posynomial in x = (ptilde_1..M, ptilde'_j for j in selected).
 
     Substituting p_i = e^(ptilde_i) and u_j p'_j = c_j e^(ptilde'_j) - c_j turns
-    f_j into sum_i c_ij e^(-ptilde_i) and e_j into e^(-ptilde'_j). Results are
-    memoized per coefficient set (sweeps revisit the same schedules often).
+    the first-hop failure f_j into sum_i c_ij e^(-ptilde_i) and the second-hop
+    failure e_j into e^(-ptilde'_j). Each relay is undecoded (factor f_j),
+    decoded but lost on hop 2 (e_j) or decoded and delivered (1), so the
+    terms are built one relay at a time, each state a dict from exponent
+    tuple to coefficient:
+
+    * K < M: the decoded count d < M, where a decoded relay contributes 1;
+    * K >= M: (d capped at M, survivor count s < M).
+
+    The final states are the outage events. Their exponent rows are
+    distinct, since a row fixes the undecoded and lost counts, so the tables
+    are stacked without a merge.
     """
     selected = tuple(selected)
-    key = ("mdnc", coeffs.c_h.tobytes(), coeffs.c_g.tobytes(), selected, M)
-    cached = _POSY_CACHE.get(key)
-    if cached is not None:
-        return cached
     dim = M + len(selected)
-    col = {j: M + k for k, j in enumerate(selected)}
-    one = Posynomial.constant(1.0, dim)
+    c_h = coeffs.c_h
 
-    f: dict[int, Posynomial] = {}
-    e: dict[int, Posynomial] = {}
-    for j in selected:
-        f[j] = Posynomial(
-            coeffs.c_h[:, j].copy(),
-            -np.eye(M, dim),
-            dim,
-        )
-        e[j] = Posynomial.single_var(1.0, col[j], -1.0, dim)
+    def times_f(table, j):
+        return ((_lowered(e, i), c * c_h[i, j]) for e, c in table.items() for i in range(M))
 
-    total = Posynomial.constant(0.0, dim)
-    for K in range(len(selected) + 1):
-        for phi in combinations(selected, K):
-            inside = set(phi)
-            first = one
-            for j in selected:
-                if j not in inside:
-                    first = first * f[j]
-            if K < M:
-                total = total + first
-            else:
-                inner = Posynomial.constant(0.0, dim)
-                for tau in range(M):
-                    for psi in combinations(phi, tau):
-                        survived = set(psi)
-                        prod = one
-                        for j in phi:
-                            if j not in survived:
-                                prod = prod * e[j]
-                        inner = inner + prod
-                total = total + first * inner
-    total = total.merged()
-    _POSY_CACHE[key] = total
-    return total
+    start = {(0,) * dim: 1.0}
+    few = {0: start}                    # K < M: decoded count -> terms
+    many = {(0, 0): start}              # K >= M: (decoded, survived) -> terms
+    for k, j in enumerate(selected):
+        col = M + k
+        nxt: dict = {}
+        for d, table in few.items():
+            _accumulate(nxt.setdefault(d, {}), times_f(table, j))
+            if d + 1 < M:
+                _accumulate(nxt.setdefault(d + 1, {}), table.items())
+        few = nxt
+        nxt = {}
+        for (d, s), table in many.items():
+            up = min(d + 1, M)
+            _accumulate(nxt.setdefault((d, s), {}), times_f(table, j))
+            _accumulate(nxt.setdefault((up, s), {}),
+                        ((_lowered(e, col), c) for e, c in table.items()))
+            if s + 1 < M:
+                _accumulate(nxt.setdefault((up, s + 1), {}), table.items())
+        many = nxt
+
+    tables = list(few.values()) + [many.get((M, s), {}) for s in range(M)]
+    expos = [e for table in tables for e in table]
+    return Posynomial([c for table in tables for c in table.values()],
+                      np.array(expos, dtype=float).reshape(len(expos), dim), dim)
 
 
 def outage_approx_logdomain(coeffs: LinkCoefficients, schedule: RelaySchedule,
@@ -349,7 +284,7 @@ def outage_approx_logdomain(coeffs: LinkCoefficients, schedule: RelaySchedule,
 
     `ptilde_relay` holds the selected relays' variables in schedule order and
     must be >= 0 so the implied real power c_j e^(ptilde'_j) - c_j is >= 0.
-    Equals outage_approx_power after substitution to relative 1e-10.
+    Equals the natural-power approximation after substitution.
     """
     ptilde = np.asarray(ptilde, dtype=float)
     ptilde_relay = np.asarray(ptilde_relay, dtype=float)
@@ -391,24 +326,19 @@ def nonc_outage_posynomials(coeffs: LinkCoefficients, selected, M: int) -> list[
 
     1 - (1-Pe_ij)(1-Pe_j) = Pe_ij + Pe_j - Pe_ij Pe_j is approximated by the
     posynomial upper bound Pe_ij + Pe_j = c_ij e^(-ptilde_i) + e^(-ptilde'_j);
-    the cross term is second-order at high SNR.
+    the cross term is second-order at high SNR. The product over relays
+    doubles the term matrix once per relay; its 2^n rows are distinct (a
+    row's relay part says which factor each relay contributed).
     """
     selected = tuple(selected)
-    key = ("nonc", coeffs.c_h.tobytes(), coeffs.c_g.tobytes(), selected, M)
-    cached = _POSY_CACHE.get(key)
-    if cached is not None:
-        return cached
     dim = M + len(selected)
     result = []
     for i in range(M):
-        prod = Posynomial.constant(1.0, dim)
+        c = np.ones(1)
+        expos = np.zeros((1, dim))
         for k, j in enumerate(selected):
-            e_i = np.zeros(dim)
-            e_i[i] = -1.0
-            e_j = np.zeros(dim)
-            e_j[M + k] = -1.0
-            factor = Posynomial([coeffs.c_h[i, j], 1.0], np.vstack([e_i, e_j]), dim)
-            prod = prod * factor
-        result.append(prod.merged())
-    _POSY_CACHE[key] = result
+            factor = -np.eye(dim)[[i, M + k]]
+            c = np.outer(c, [coeffs.c_h[i, j], 1.0]).ravel()
+            expos = (expos[:, None, :] + factor[None, :, :]).reshape(-1, dim)
+        result.append(Posynomial(c, expos, dim))
     return result

@@ -6,6 +6,11 @@ quantity the solver touches -- the approximated outage probability, the
 substituted energy, the shifted subtractive objective -- takes this form, so
 log P is a log-sum-exp of affine functions and therefore convex. Values,
 gradients and Hessians of both P and log P are analytic.
+
+The class is a term matrix and its evaluator, with no algebra: builders
+assemble the coefficient vector and exponent rows directly (the outage
+terms by counting recursions, the energy terms by stacking rows), and
+evaluation treats repeated rows as a sum, so nothing needs merging.
 """
 
 from __future__ import annotations
@@ -35,68 +40,6 @@ class Posynomial:
         self.coeffs = coeffs[keep]
         self.expos = expos[keep]
         self.dim = dim
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: float, dim: int) -> "Posynomial":
-        if value == 0:
-            return cls(np.zeros(0), np.zeros((0, dim)), dim)
-        return cls([value], np.zeros((1, dim)), dim)
-
-    @classmethod
-    def single_var(cls, coef: float, var: int, power: float, dim: int) -> "Posynomial":
-        """coef * exp(power * x[var])."""
-        e = np.zeros((1, dim))
-        e[0, var] = power
-        return cls([coef], e, dim)
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = Posynomial.constant(float(other), self.dim)
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Posynomial(
-            np.concatenate([self.coeffs, other.coeffs]),
-            np.vstack([self.expos, other.expos]),
-            self.dim,
-        ).merged()
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            if other < 0:
-                raise ValueError("posynomials are closed under nonnegative scaling only")
-            return Posynomial(self.coeffs * other, self.expos, self.dim)
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        if len(self.coeffs) == 0 or len(other.coeffs) == 0:
-            return Posynomial.constant(0.0, self.dim)
-        coeffs = np.outer(self.coeffs, other.coeffs).ravel()
-        expos = (self.expos[:, None, :] + other.expos[None, :, :]).reshape(-1, self.dim)
-        return Posynomial(coeffs, expos, self.dim).merged()
-
-    __rmul__ = __mul__
-
-    def merged(self) -> "Posynomial":
-        """Combine terms with identical exponent rows; ordering is deterministic."""
-        if len(self.coeffs) <= 1:
-            return self
-        seen: dict[tuple, int] = {}
-        coeffs: list[float] = []
-        expos: list[np.ndarray] = []
-        for c, e in zip(self.coeffs, self.expos):
-            key = tuple(e)
-            if key in seen:
-                coeffs[seen[key]] += c
-            else:
-                seen[key] = len(coeffs)
-                coeffs.append(c)
-                expos.append(e)
-        return Posynomial(np.array(coeffs), np.array(expos), self.dim)
 
     @property
     def n_terms(self) -> int:

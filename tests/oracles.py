@@ -1,0 +1,160 @@
+"""Test-only oracles: the paper's outage expressions as literal subset sums.
+
+The library evaluates the exact outage as a Poisson-binomial tail and builds
+the high-SNR posynomials by counting recursions. The functions here spell
+the same quantities out term by term, enumerating decode subsets Phi and
+survivor subsets psi, so the fast forms can be checked against them.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations, product
+
+import numpy as np
+
+from mdncee.outage import PowerAllocation, RelaySchedule
+
+
+def prob_zeta_K(schedule: RelaySchedule, rho, K: int) -> float:
+    """Probability that exactly K of the selected relays decode all messages."""
+    if not 0 <= K <= schedule.count:
+        raise ValueError(f"K={K} outside 0..{schedule.count}")
+    rho = {j: float(r) for j, r in zip(schedule.theta, np.asarray(rho, dtype=float).ravel())}
+    terms = []
+    for phi in combinations(schedule.theta, K):
+        inside = set(phi)
+        prod = 1.0
+        for j in schedule.theta:
+            prod *= rho[j] if j in inside else (1.0 - rho[j])
+        terms.append(prod)
+    return math.fsum(terms)
+
+
+def prob_varsigma_given_zeta(phi_K, pr_e_g, tau: int) -> float:
+    """Probability that exactly tau of the relays in phi_K survive the second hop.
+
+    pr_e_g maps each relay in phi_K (in order) to its second-hop outage.
+    """
+    phi_K = tuple(phi_K)
+    if not 0 <= tau <= len(phi_K):
+        raise ValueError(f"tau={tau} outside 0..{len(phi_K)}")
+    pe = {j: float(e) for j, e in zip(phi_K, np.asarray(pr_e_g, dtype=float).ravel())}
+    terms = []
+    for psi in combinations(phi_K, tau):
+        inside = set(psi)
+        prod = 1.0
+        for j in phi_K:
+            prod *= (1.0 - pe[j]) if j in inside else pe[j]
+        terms.append(prod)
+    return math.fsum(terms)
+
+
+def outage_approx_power(coeffs, schedule: RelaySchedule, powers: PowerAllocation) -> float:
+    """High-SNR approximation evaluated in natural power variables.
+
+    First-hop failure factors become f_j = sum_i c_ij/p_i, second-hop failures
+    e_j = c_j/(c_j + u_j p'_j); all success factors are 1. The case-B inner sum
+    runs over survivor subsets psi of each decode subset Phi.
+    """
+    M = coeffs.c_h.shape[0]
+    f = {j: math.fsum(coeffs.c_h[:, j] / powers.p) for j in schedule.theta}
+    e = {j: coeffs.c_g[j] / (coeffs.c_g[j] + schedule.u[j] * powers.p_relay[j])
+         for j in schedule.theta}
+    terms = []
+    for K in range(schedule.count + 1):
+        for phi in combinations(schedule.theta, K):
+            inside = set(phi)
+            first = 1.0
+            for j in schedule.theta:
+                if j not in inside:
+                    first *= f[j]
+            if K < M:
+                terms.append(first)
+            else:
+                inner = []
+                for tau in range(M):
+                    for psi in combinations(phi, tau):
+                        survived = set(psi)
+                        prod = 1.0
+                        for j in phi:
+                            if j not in survived:
+                                prod *= e[j]
+                        inner.append(prod)
+                terms.append(first * math.fsum(inner))
+    return math.fsum(terms)
+
+
+def _expand_first_hop(coeffs, undecoded, dim):
+    """prod_{j in undecoded} sum_i c_ij e^(-x_i) as {exponent tuple: coefficient}."""
+    M = coeffs.c_h.shape[0]
+    terms: dict = {}
+    for users in product(range(M), repeat=len(undecoded)):
+        e = [0] * dim
+        c = 1.0
+        for i, j in zip(users, undecoded):
+            e[i] -= 1
+            c *= coeffs.c_h[i, j]
+        key = tuple(e)
+        terms[key] = terms.get(key, 0.0) + c
+    return terms
+
+
+def enumerated_outage_terms(coeffs, selected, M: int) -> dict:
+    """MDNC high-SNR outage posynomial as {exponent tuple: coefficient}.
+
+    Variables x = (ptilde_1..M, ptilde'_j for j in selected). Sums over decode
+    subsets Phi: if |Phi| < M the undecoded relays' f_j product alone; else
+    that product times every survivor subset psi of Phi with |psi| < M, each
+    contributing e^(-ptilde'_j) for the relays of Phi outside psi.
+    """
+    selected = tuple(selected)
+    dim = M + len(selected)
+    col = {j: M + k for k, j in enumerate(selected)}
+    total: dict = {}
+    for K in range(len(selected) + 1):
+        for phi in combinations(selected, K):
+            first = _expand_first_hop(coeffs, [j for j in selected if j not in phi], dim)
+            if K < M:
+                seconds = [(0,) * dim]
+            else:
+                seconds = []
+                for tau in range(M):
+                    for psi in combinations(phi, tau):
+                        e = [0] * dim
+                        for j in phi:
+                            if j not in psi:
+                                e[col[j]] -= 1
+                        seconds.append(tuple(e))
+            for e1, c in first.items():
+                for e2 in seconds:
+                    key = tuple(a + b for a, b in zip(e1, e2))
+                    total[key] = total.get(key, 0.0) + c
+    return total
+
+
+def enumerated_nonc_terms(coeffs, selected, M: int) -> list[dict]:
+    """Per-user NoNC posynomials prod_j (c_ij e^(-x_i) + e^(-x'_j)) as term dicts.
+
+    Enumerates the subset of relays contributing their second-hop factor.
+    """
+    selected = tuple(selected)
+    n = len(selected)
+    dim = M + n
+    result = []
+    for i in range(M):
+        terms: dict = {}
+        for size in range(n + 1):
+            for second in combinations(range(n), size):
+                e = [0] * dim
+                c = 1.0
+                for k, j in enumerate(selected):
+                    if k in second:
+                        e[M + k] -= 1
+                    else:
+                        e[i] -= 1
+                        c *= coeffs.c_h[i, j]
+                key = tuple(e)
+                terms[key] = terms.get(key, 0.0) + c
+        result.append(terms)
+    return result

@@ -13,20 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_PATH, random_coeffs
+from oracles import outage_approx_power, prob_varsigma_given_zeta, prob_zeta_K
 from test_outage import enumerate_outage, outage_exact_toy
 from test_optimizer import grid_maximize_toy_ratio
 
 from mdncee import cli
 from mdncee.convex_solver import assemble_primal, gradients
 from mdncee.optimizer import dinkelbach_fixed_schedule, dinkelbach_solve, nonc_solve
-from mdncee.outage import (
-    PowerAllocation,
-    RelaySchedule,
-    outage_approx_power,
-    outage_exact,
-    prob_varsigma_given_zeta,
-    prob_zeta_K,
-)
+from mdncee.outage import PowerAllocation, RelaySchedule, outage_exact
 from mdncee.simulate import McConfig, brute_force_optimize, monte_carlo_outage
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -242,3 +243,32 @@ def test_verify_nonc_fails_on_one_user_with_mean_unchanged(tmp_path, monkeypatch
     assert report["pass"] is False
     assert report["empirical"]["outage"] == pytest.approx(report["analytic"]["outage"], rel=1e-12)
     assert report["z_scores"][0] > 5.0 and report["z_scores"][1] < -5.0
+
+
+GOLDEN_SWEEP = os.path.join(os.path.dirname(__file__), "data", "paper_sweep_golden.csv")
+GOLDEN_EXACT = ("target", "scheme", "mode", "relays", "count", "status", "dinkelbach_iters",
+                "goa_iters", "cuts")
+GOLDEN_FLOAT = ("p_users", "p_relays", "ee", "pr_out_exact", "pr_out_approx", "pr_out_mc",
+                "mc_stderr", "e_tot", "e_data", "q_star")
+
+
+def test_paper_sweep_matches_golden(tmp_path):
+    # the paper's numbers are pinned: exact counters must not move and every
+    # float stays within 1e-9 relative; newton_iters is left free because
+    # BLAS round-off can move it between machines
+    argv = ["sweep", SCENARIO_PATH, "--scheme", "both", "--mode", "goa",
+            "--targets", "1e-2,1e-3,1e-5", "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    text = read(tmp_path / "sweep.csv")
+    golden = read(GOLDEN_SWEEP)
+    assert text.split("\n")[:2] == golden.split("\n")[:2]
+    rows, expected = parse_sweep(text), parse_sweep(golden)
+    assert len(rows) == len(expected) == 6
+    for row, want in zip(rows, expected):
+        assert set(row) == set(GOLDEN_EXACT) | set(GOLDEN_FLOAT) | {"newton_iters", "reason"}
+        for col in GOLDEN_EXACT + ("reason",):
+            assert row[col] == want[col], (col, want["target"], want["scheme"])
+        for col in GOLDEN_FLOAT:
+            got = [float(v) for v in row[col].split(";") if v]
+            ref = [float(v) for v in want[col].split(";") if v]
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0), (col, want["target"], want["scheme"])

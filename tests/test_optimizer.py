@@ -286,11 +286,56 @@ def test_newton_path_ignores_outage_term_order(paper_scenario, paper_coeffs, mon
     assert after.ee == pytest.approx(before.ee, rel=1e-12)
 
 
+# schedule, GOA iterations, cuts and EE of paper.cfg per (scheme, target)
+PAPER_MASTER_RESULTS = {
+    ("mdnc", 1e-2): ((0, 2), 12, 12, 783.0075496313098),
+    ("mdnc", 1e-3): ((0, 1, 2), 8, 8, 567.8600391730046),
+    ("mdnc", 1e-4): ((0, 1, 2), 8, 8, 563.9915982539757),
+    ("mdnc", 1e-5): ((0, 1, 2), 8, 8, 550.657050890315),
+    ("nonc", 1e-2): ((0,), 12, 12, 933.3897578534938),
+    ("nonc", 1e-3): ((0,), 8, 8, 902.1859586213831),
+    ("nonc", 1e-4): ((0, 2), 12, 12, 532.2684733770477),
+    ("nonc", 1e-5): ((0, 2), 12, 12, 526.9936995595244),
+}
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_master_solves_each_lp_once(paper_scenario, paper_coeffs, monkeypatch, scheme):
+    from mdncee import optimizer
+
+    real_lp, real_master = optimizer.solve_lp, optimizer.solve_master
+    seen: set = set()
+    repeats = []
+
+    def recording_lp(c, A, b, lb, ub):
+        key = tuple(np.asarray(a, dtype=float).tobytes() for a in (A, b, lb, ub))
+        if key in seen:
+            repeats.append(len(seen))
+        seen.add(key)
+        return real_lp(c, A, b, lb, ub)
+
+    def fresh_master(state):
+        seen.clear()
+        return real_master(state)
+
+    monkeypatch.setattr(optimizer, "solve_lp", recording_lp)
+    monkeypatch.setattr(optimizer, "solve_master", fresh_master)
+    for target in (1e-2, 1e-3, 1e-4, 1e-5):
+        sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+        assert repeats == [], f"{len(repeats)} repeated master LPs at {target:g}"
+        relays, goa_iters, cuts, ee = PAPER_MASTER_RESULTS[scheme, target]
+        assert sol.schedule.theta == relays
+        assert sum(i["goa_iterations"] for i in sol.diagnostics["inner"]) == goa_iters
+        assert sol.diagnostics["cuts_total"] == cuts
+        assert sol.ee == pytest.approx(ee, rel=1e-9)
+
+
 def grid_maximize_toy_ratio(s, coeffs, sched, target):
     """Dense 2-D grid oracle for the single-user single-relay ratio, refined
     once around the coarse argmax so the grid error is far below 1e-4."""
     from mdncee.energy import total_energy
-    from mdncee.outage import PowerAllocation, outage_approx_power
+    from mdncee.outage import PowerAllocation
+    from oracles import outage_approx_power
 
     def scan(p_grid, pr_grid):
         best = (0.0, p_grid[0], pr_grid[0])

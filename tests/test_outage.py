@@ -6,20 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coeffs
+from conftest import SCENARIO_PATH, random_coeffs
+from oracles import (
+    enumerated_nonc_terms,
+    enumerated_outage_terms,
+    outage_approx_power,
+    prob_varsigma_given_zeta,
+    prob_zeta_K,
+)
+from mdncee.model import build_link_coefficients, load_scenario
 from mdncee.outage import (
     PowerAllocation,
     RelaySchedule,
     link_outage,
     nonc_outage,
+    nonc_outage_posynomials,
     outage_approx_logdomain,
-    outage_approx_power,
     outage_exact,
     outage_posynomial,
     powers_from_log,
     powers_to_log,
-    prob_varsigma_given_zeta,
-    prob_zeta_K,
     relay_decode_prob,
 )
 
@@ -278,6 +284,44 @@ def test_posynomial_log_hessian_is_psd(paper_coeffs):
         x = np.concatenate([rng.uniform(-2, 2, 2), rng.uniform(0, 8, 4)])
         eig = np.linalg.eigvalsh(pos.log_parts(x)[2])
         assert eig.min() >= -1e-12
+
+
+def assert_same_terms(pos, oracle_terms):
+    """pos has exactly the oracle's exponent rows, coefficients to 1e-14 relative."""
+    rows = [tuple(int(v) for v in e) for e in pos.expos]
+    assert np.array_equal(pos.expos, np.array(rows, dtype=float).reshape(pos.expos.shape))
+    assert len(set(rows)) == len(rows) == len(oracle_terms)
+    for row, c in zip(rows, pos.coeffs):
+        assert c == pytest.approx(oracle_terms[row], rel=1e-14, abs=0.0)
+
+
+def builder_cases(M, N):
+    """Coefficient sets for (M, N): paper.cfg when it has that shape, plus seeded random scenarios."""
+    from test_properties import _random_small_scenario
+    cases = []
+    if (M, N) == (2, 4):
+        cases.append(build_link_coefficients(load_scenario(SCENARIO_PATH)))
+    rng = np.random.default_rng([M, N])
+    cases += [build_link_coefficients(_random_small_scenario(rng, M, N)) for _ in range(2)]
+    return cases
+
+
+@pytest.mark.parametrize("M,N", [(1, 3), (2, 4), (3, 3), (2, 6), (3, 6)])
+def test_outage_posynomial_terms_match_subset_enumeration(M, N):
+    for co in builder_cases(M, N):
+        for selected in (tuple(range(N)), tuple(range(0, N, 2)), tuple(range(1, N))):
+            assert_same_terms(outage_posynomial(co, selected, M),
+                              enumerated_outage_terms(co, selected, M))
+
+
+@pytest.mark.parametrize("M,N", [(1, 3), (2, 4), (3, 3), (2, 6), (3, 6)])
+def test_nonc_posynomial_terms_match_subset_enumeration(M, N):
+    for co in builder_cases(M, N):
+        for selected in (tuple(range(N)), tuple(range(0, N, 2))):
+            built = nonc_outage_posynomials(co, selected, M)
+            assert len(built) == M
+            for pos, terms in zip(built, enumerated_nonc_terms(co, selected, M)):
+                assert_same_terms(pos, terms)
 
 
 def test_log_roundtrip_power_conversion(paper_coeffs):

@@ -44,7 +44,7 @@ def test_parts_derivatives_match_central_differences():
 
 
 def test_parts_of_empty_posynomial():
-    value, grad, hess = Posynomial.constant(0.0, 3).parts(np.ones(3))
+    value, grad, hess = Posynomial([], np.zeros((0, 3)), 3).parts(np.ones(3))
     assert value == 0.0
     assert np.array_equal(grad, np.zeros(3))
     assert np.array_equal(hess, np.zeros((3, 3)))

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 
 from conftest import SCENARIO_PATH
+from oracles import outage_approx_power
 from mdncee import cli
 from mdncee.energy import tilde_v
 from mdncee.model import ScenarioConfig, build_link_coefficients
 from mdncee.optimizer import dinkelbach_fixed_schedule, dinkelbach_solve
-from mdncee.outage import PowerAllocation, RelaySchedule, outage_approx_power, outage_exact
+from mdncee.outage import PowerAllocation, RelaySchedule, outage_exact
 from mdncee.simulate import brute_force_optimize
 
 
