@@ -1,94 +1,111 @@
-"""Dense two-phase simplex for the small master-problem LPs.
+"""Dense dual simplex, warm-startable, for the small master-problem LPs.
 
-The outer-approximation master relaxations have a few dozen rows and
-columns, so a dense tableau is the simplest correct tool. Inequalities only
-(Ax <= b) with finite variable boxes; upper bounds become rows after the
-lower-bound shift. Pivoting uses Dantzig's rule with a deterministic switch
-to Bland's rule to guarantee termination on degenerate instances.
+Minimizes c.x subject to A x <= b and finite boxes lb <= x <= ub. The
+outer-approximation master relaxations have a few dozen columns and one to
+two hundred rows, so a dense tableau is the simplest correct tool.
+
+Cold start. Each variable is measured from the end of its box that its cost
+prefers: y = x - lb when c_j >= 0, y = ub - x when c_j < 0. Every cost is
+then >= 0, the far ends of the boxes are explicit rows y <= ub - lb, and the
+all-slack basis is dual feasible whatever the right-hand side. Rows are
+equilibrated to unit max-abs (an exact reformulation). The dual simplex then
+restores primal feasibility: the most negative basic value leaves, and the
+entering column passes the dual ratio test (largest pivot among ties). A
+negative row with no negative entry proves infeasibility.
+
+Anti-cycling. Reduced costs below COST_TOL are set to exactly zero after
+each pivot, so a degenerate pivot (zero dual step) leaves the dual objective
+exactly unchanged, and only a run of degenerate pivots can revisit a basis.
+When one does, both choices switch to Bland's smallest-index rule for the
+rest of the solve, which terminates. The master LPs are highly dual
+degenerate (only the epigraph variable has a cost); without the zeroing,
+round-off reduced costs hide degenerate pivots from that test and steer
+Bland's rule into cycles of its own.
+
+Warm start. The reduced costs do not depend on b, lb or ub, so an LP that
+differs from a solved one only there keeps the solved optimal basis dual
+feasible. solve_lp(..., warm=parent) rebuilds the initial right-hand side
+for the new data, maps it through B^-1 (the final tableau's slack block) and
+continues the dual simplex from the parent's basis. A branch-and-bound child,
+which fixes one variable, re-solves in a few pivots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["LpResult", "solve_lp"]
 
-FEAS_TOL = 1e-9
-COST_TOL = 1e-9
-PIVOT_TOL = 1e-11
-BLAND_AFTER = 2000          # iterations of Dantzig pricing before Bland takes over
+FEAS_TOL = 1e-9             # a basic value below -FEAS_TOL is infeasible
+COST_TOL = 1e-9             # a reduced cost below COST_TOL in magnitude is zero
+PIVOT_TOL = 1e-11           # smallest usable pivot magnitude
+RATIO_TIE = 1e-12           # dual ratios this close count as tied
 MAX_ITER = 20000
 
 
 @dataclass
 class LpResult:
-    status: str               # "optimal" | "infeasible" | "unbounded"
+    """Outcome of one LP. An optimal result keeps its final tableau and basis
+    so that an LP differing only in b, lb or ub can start from it."""
+
+    status: str               # "optimal" | "infeasible"
     x: np.ndarray | None
     objective: float | None
+    pivots: int = 0
+    tableau: np.ndarray | None = field(default=None, repr=False)
+    basis: np.ndarray | None = field(default=None, repr=False)
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
-    tableau -= np.outer(factor, tableau[row])
+    # the pivot row is sparse (about one entry in eight in the master): skip its zeros
+    nonzero = np.flatnonzero(tableau[row])
+    tableau[:, nonzero] -= np.outer(factor, tableau[row, nonzero])
     basis[row] = col
 
 
-def _price(tableau: np.ndarray, ncols: int, iteration: int, allowed: np.ndarray) -> int:
-    """Entering column index or -1 if optimal."""
-    costs = tableau[-1, :ncols]
-    if iteration < BLAND_AFTER:
-        cand = np.where(allowed & (costs < -COST_TOL))[0]
-        if len(cand) == 0:
-            return -1
-        return int(cand[np.argmin(costs[cand])])
-    for j in range(ncols):
-        if allowed[j] and costs[j] < -COST_TOL:
-            return j
-    return -1
-
-
-def _ratio_row(tableau: np.ndarray, basis: np.ndarray, col: int, bland: bool) -> int:
-    """Leaving row by minimum ratio; -1 if unbounded.
-
-    Ties go to the lowest row index normally, or to the smallest basis index
-    under Bland's rule (required for the anticycling guarantee).
-    """
+def _dual_simplex(tableau: np.ndarray, basis: np.ndarray) -> tuple[str, int]:
+    """Pivot a dual-feasible tableau to optimality; returns (status, pivots)."""
     m = len(basis)
-    column = tableau[:m, col]
     rhs = tableau[:m, -1]
-    best, best_ratio = -1, np.inf
-    for i in range(m):
-        if column[i] > PIVOT_TOL:
-            ratio = rhs[i] / column[i]
-            if ratio < best_ratio - 1e-12:
-                best, best_ratio = i, ratio
-            elif bland and ratio <= best_ratio + 1e-12 and best >= 0 and basis[i] < basis[best]:
-                best = i
-    return best
-
-
-def _simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, forbidden=None) -> str:
-    allowed = np.ones(ncols, dtype=bool)
-    if forbidden is not None and len(forbidden):
-        allowed[forbidden] = False
+    costs = tableau[-1, :-1]
+    bland = False
+    stalled: set[bytes] = set()         # bases met since the dual objective last rose
     for iteration in range(MAX_ITER):
-        bland = iteration >= BLAND_AFTER
-        col = _price(tableau, ncols, iteration, allowed)
-        if col < 0:
-            return "optimal"
-        row = _ratio_row(tableau, basis, col, bland)
-        if row < 0:
-            return "unbounded"
+        short = np.flatnonzero(rhs < -FEAS_TOL)
+        if len(short) == 0:
+            return "optimal", iteration
+        row = int(short[np.argmin(basis[short] if bland else rhs[short])])
+        entries = tableau[row, :-1]
+        cand = np.flatnonzero(entries < -PIVOT_TOL)
+        if len(cand) == 0:
+            return "infeasible", iteration
+        ratios = np.maximum(costs[cand], 0.0) / -entries[cand]
+        step = ratios.min()
+        tied = cand[ratios <= step + RATIO_TIE]
+        col = int(tied[0] if bland else tied[np.argmin(entries[tied])])
         _pivot(tableau, basis, row, col)
+        # round-off zeros become exact, so a degenerate pivot leaves every cost unchanged
+        costs[np.abs(costs) < COST_TOL] = 0.0
+        if step > 0.0:
+            stalled.clear()
+        elif not bland:
+            key = np.sort(basis).tobytes()
+            bland = key in stalled
+            stalled.add(key)
     raise RuntimeError("simplex iteration limit exceeded (cycling?)")
 
 
-def solve_lp(c, A, b, lb, ub) -> LpResult:
-    """Minimize c.x subject to A x <= b and lb <= x <= ub (all finite boxes)."""
+def solve_lp(c, A, b, lb, ub, warm: LpResult | None = None) -> LpResult:
+    """Minimize c.x subject to A x <= b and lb <= x <= ub (all finite boxes).
+
+    warm: an optimal result of an LP with the same c and A, whose basis the
+    dual simplex continues from.
+    """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -100,88 +117,29 @@ def solve_lp(c, A, b, lb, ub) -> LpResult:
     if np.any(ub < lb - 1e-15):
         return LpResult("infeasible", None, None)
 
-    # shift to y = x - lb >= 0; upper bounds become rows
-    b_shift = b - A @ lb
-    span = ub - lb
-    A2 = np.vstack([A, np.eye(n)])
-    b2 = np.concatenate([b_shift, span])
+    sign = np.where(c < 0, -1.0, 1.0)
+    ref = np.where(c < 0, ub, lb)            # x = ref + sign * y with y >= 0
+    scale = np.concatenate([np.maximum(np.max(np.abs(A), axis=1, initial=0.0), 1e-300),
+                            np.ones(n)])
+    rhs0 = np.concatenate([b - A @ ref, ub - lb]) / scale
+    m = len(rhs0)
+    if warm is None:
+        tableau = np.zeros((m + 1, n + m + 1))
+        tableau[:m, :n] = np.vstack([A * sign, np.eye(n)]) / scale[:, None]
+        tableau[:m, n:n + m] = np.eye(m)
+        tableau[:m, -1] = rhs0
+        tableau[-1, :n] = c * sign
+        basis = np.arange(n, n + m)
+    else:
+        tableau = warm.tableau.copy()
+        basis = warm.basis.copy()
+        tableau[:m, -1] = tableau[:m, n:n + m] @ rhs0
 
-    # row equilibration (scale-invariant reformulation, exact)
-    scale = np.maximum(np.max(np.abs(A2), axis=1), 1e-300)
-    A2 = A2 / scale[:, None]
-    b2 = b2 / scale
-
-    m = len(b2)
-    # orient rows so rhs >= 0; slack signs record the orientation
-    neg = b2 < 0
-    A2[neg] *= -1.0
-    b2[neg] *= -1.0
-    slack_sign = np.where(neg, -1.0, 1.0)
-
-    n_art = int(np.sum(neg))
-    ncols = n + m + n_art
-    tableau = np.zeros((m + 1, ncols + 1))
-    tableau[:m, :n] = A2
-    tableau[:m, n:n + m] = np.diag(slack_sign)
-    art_cols = []
-    k = 0
-    for i in range(m):
-        if neg[i]:
-            tableau[i, n + m + k] = 1.0
-            art_cols.append(n + m + k)
-            k += 1
-    tableau[:m, -1] = b2
-
-    basis = np.empty(m, dtype=int)
-    k = 0
-    for i in range(m):
-        if neg[i]:
-            basis[i] = n + m + k
-            k += 1
-        else:
-            basis[i] = n + i
-
-    if n_art:
-        # phase 1: minimize sum of artificials
-        tableau[-1, :] = 0.0
-        tableau[-1, art_cols] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                tableau[-1] -= tableau[i]
-        status = _simplex(tableau, basis, ncols)
-        if status != "optimal" or tableau[-1, -1] < -FEAS_TOL * max(1.0, float(np.max(np.abs(b2)))):
-            return LpResult("infeasible", None, None)
-        # drive zero-level artificials out of the basis; rows that resist are
-        # redundant constraints and are dropped before phase 2
-        art_set = set(art_cols)
-        drop = []
-        for i in range(m):
-            if basis[i] in art_set:
-                pivots = np.where(np.abs(tableau[i, :n + m]) > 1e-7)[0]
-                if len(pivots):
-                    _pivot(tableau, basis, i, int(pivots[0]))
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            tableau = np.vstack([tableau[keep], tableau[-1:]])
-            basis = basis[keep]
-            m = len(basis)
-
-    # phase 2
-    art = np.array(art_cols, dtype=int)
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = c
-    for i in range(m):
-        if tableau[-1, basis[i]] != 0.0:
-            tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
-    status = _simplex(tableau, basis, ncols, forbidden=art if n_art else None)
-    if status == "unbounded":
-        return LpResult("unbounded", None, None)
-
-    y = np.zeros(ncols)
+    status, pivots = _dual_simplex(tableau, basis)
+    if status == "infeasible":
+        return LpResult("infeasible", None, None, pivots)
+    y = np.zeros(n + m)
     y[basis] = tableau[:m, -1]
-    x = y[:n] + lb
     # snap round-off back into the box
-    x = np.minimum(np.maximum(x, lb), ub)
-    return LpResult("optimal", x, float(c @ x))
+    x = np.minimum(np.maximum(ref + sign * y[:n], lb), ub)
+    return LpResult("optimal", x, float(c @ x), pivots, tableau, basis)

@@ -167,11 +167,24 @@ class OACut:
     obj_grad: np.ndarray | None = None
 
 
+def _all_relay_outage(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str) -> list:
+    """The master's outage posynomials over all N relays (one for MDNC, one
+    per user for NoNC). They depend on neither q nor the target."""
+    full = tuple(range(s.N))
+    if scheme == "mdnc":
+        return [outage_posynomial(coeffs, full, s.M)]
+    return nonc_outage_posynomials(coeffs, full, s.M)
+
+
 class MasterModel:
-    """Shared posynomials and constants for one (scheme, q, target) master."""
+    """Shared posynomials and constants for one (scheme, q, target) master.
+
+    outage_full: _all_relay_outage(s, coeffs, scheme), built here when not given.
+    """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
-                 q: float, targets: np.ndarray, include_user_energy: bool = False):
+                 q: float, targets: np.ndarray, include_user_energy: bool = False,
+                 outage_full: list | None = None):
         self.s = s
         self.coeffs = coeffs
         self.scheme = scheme
@@ -182,10 +195,9 @@ class MasterModel:
         self.gamma, self.delta0, self.m_slots, self.obj_coef = gamma, delta0, m_slots, obj_coef
         self.dim = s.M + s.N
         full = tuple(range(s.N))
-        if scheme == "mdnc":
-            self.outage_full = [outage_posynomial(coeffs, full, s.M)]
-        else:
-            self.outage_full = nonc_outage_posynomials(coeffs, full, s.M)
+        if outage_full is None:
+            outage_full = _all_relay_outage(s, coeffs, scheme)
+        self.outage_full = outage_full
 
         # V'(x,u) = obj_smooth(x) + q*(gamma*sum(u) + delta0)
         self.obj_smooth, self.budget_exp = energy_model(s, coeffs, full, scheme, q,
@@ -249,6 +261,9 @@ class GoaState:
     iteration: int = 0
     newton_total: int = 0
     primal_unconverged: int = 0         # primal solves that returned converged=False
+    master_lps: int = 0
+    master_pivots: int = 0
+    master_nodes: int = 0               # branch-and-bound nodes entered
     converged: bool = False
     termination: str = ""
 
@@ -350,13 +365,17 @@ def solve_master(state: GoaState):
 
     best: dict = {"obj": math.inf, "x": None}
 
-    def relaxation(lo_u, hi_u):
-        return solve_lp(c, A, b,
-                        np.concatenate([lb[:u0], lo_u, lb[u0 + n_u:]]),
-                        np.concatenate([ub[:u0], hi_u, ub[u0 + n_u:]]))
+    def relaxation(lo_u, hi_u, warm=None):
+        res = solve_lp(c, A, b,
+                       np.concatenate([lb[:u0], lo_u, lb[u0 + n_u:]]),
+                       np.concatenate([ub[:u0], hi_u, ub[u0 + n_u:]]), warm=warm)
+        state.master_lps += 1
+        state.master_pivots += res.pivots
+        return res
 
     def recurse(lo_u, hi_u, res):
         """Explore the node whose relaxation res was solved by the caller."""
+        state.master_nodes += 1
         if res.objective >= best["obj"] - 1e-12 * (1.0 + abs(best["obj"])):
             return
         u = res.x[u0:u0 + n_u]
@@ -365,7 +384,7 @@ def solve_master(state: GoaState):
         if len(undecided) == 0:
             u_int = np.clip(np.round(u).astype(int), lo_u.astype(int), hi_u.astype(int))
             # with every u_j already fixed the leaf LP is the node's own
-            leaf = res if np.array_equal(lo_u, hi_u) else relaxation(u_int, u_int)
+            leaf = res if np.array_equal(lo_u, hi_u) else relaxation(u_int, u_int, res)
             if leaf.status == "optimal" and leaf.objective < best["obj"]:
                 best["obj"] = leaf.objective
                 best["x"] = leaf.x
@@ -377,9 +396,10 @@ def solve_master(state: GoaState):
         for value in (0, 1):
             lo_c, hi_c = lo_u.copy(), hi_u.copy()
             lo_c[j] = hi_c[j] = value
-            child = relaxation(lo_c, hi_c)
+            child = relaxation(lo_c, hi_c, res)
             if child.status == "optimal":
                 children.append((child.objective, value, lo_c, hi_c, child))
+        res.tableau = None              # the children were its last warm starts
         children.sort(key=lambda t: (t[0], t[1]))
         for _, _, lo_c, hi_c, child in children:
             recurse(lo_c, hi_c, child)
@@ -399,13 +419,15 @@ def solve_master(state: GoaState):
 def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: float,
               scheme: str = "mdnc", bounds: CountBounds | None = None,
               warm_schedule: RelaySchedule | None = None,
-              include_user_energy: bool = False) -> GoaState:
+              include_user_energy: bool = False,
+              outage_full: list | None = None) -> GoaState:
     """Outer-approximation loop for one fixed q: returns its final state.
 
     Alternates the fixed-schedule primal (updating the incumbent and the
     nonincreasing upper bound) with the cut master (updating the
     nondecreasing lower bound) until the bounds meet or the master proves
-    that nothing can improve on the incumbent.
+    that nothing can improve on the incumbent. outage_full is handed to
+    MasterModel, so that a caller solving several q builds it once.
     """
     if bounds is None:
         bounds = relay_count_bounds(s, coeffs, target, scheme)
@@ -413,7 +435,7 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
         raise ValueError(
             f"no admissible relay count: low={bounds.low}, up={bounds.up} for target {target}")
     targets = np.array([target]) if scheme == "mdnc" else np.full(s.M, target)
-    master = MasterModel(s, coeffs, scheme, q, targets, include_user_energy)
+    master = MasterModel(s, coeffs, scheme, q, targets, include_user_energy, outage_full)
     state = GoaState(s=s, coeffs=coeffs, scheme=scheme, q=q, targets=targets,
                      master=master, bounds=bounds, include_user_energy=include_user_energy)
 
@@ -579,11 +601,13 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
 
     q0, schedule0 = _initial_q(s, coeffs, scheme, target, bounds, include_user_energy)
+    outage_full = _all_relay_outage(s, coeffs, scheme)
     states: list[GoaState] = []
 
     def inner(q, warm):
         st = goa_solve(s, coeffs, q, target, scheme=scheme, bounds=bounds,
-                       warm_schedule=warm, include_user_energy=include_user_energy)
+                       warm_schedule=warm, include_user_energy=include_user_energy,
+                       outage_full=outage_full)
         states.append(st)
         if st.incumbent is None:
             raise _InfeasibleInner(st.termination)
@@ -605,6 +629,8 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
                         reason=f"no schedule satisfies the approximate outage cap: {exc}")
     diagnostics["goa_states"] = len(states)
     diagnostics["newton_total"] = sum(st.newton_total for st in states)
+    for counter in ("master_lps", "master_pivots", "master_nodes"):
+        diagnostics[counter] = sum(getattr(st, counter) for st in states)
     diagnostics["primal_unconverged"] = sum(st.primal_unconverged for st in states)
     diagnostics["cuts_total"] = sum(len(st.cuts) for st in states)
     return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)

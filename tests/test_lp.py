@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -76,3 +78,113 @@ def test_wide_coefficient_spread():
         ref = reference(c, A, b, lb, ub)
         assert ours.status == "optimal" and ref.status == 0
         assert ours.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-6)
+
+
+def _random_lp(rng):
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 20))
+    A = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
+    lb = rng.uniform(-4, 0, n)
+    ub = lb + rng.uniform(0.1, 8, n)
+    b = A @ rng.uniform(lb, ub) + rng.uniform(-1, 2, m)
+    c = rng.normal(size=n)
+    return c, A, b, lb, ub
+
+
+def _assert_same_outcome(ours, ref, cold, A, b):
+    if ref.status == 0:
+        assert ours.status == cold.status == "optimal"
+        assert ours.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-7)
+        assert ours.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-7)
+        assert np.all(A @ ours.x <= b + 1e-7)
+    else:
+        assert ref.status == 2
+        assert ours.status == cold.status == "infeasible"
+
+
+def test_warm_start_after_one_bound_change_matches_scipy_and_cold():
+    # a branch-and-bound child: one variable's box fixed or tightened, then
+    # re-solved from the parent's final basis
+    rng = np.random.default_rng(2024)
+    kinds = {"fix": 0, "tighten": 0, "infeasible": 0}
+    for _ in range(400):
+        c, A, b, lb, ub = _random_lp(rng)
+        parent = solve_lp(c, A, b, lb, ub)
+        if parent.status != "optimal":
+            continue
+        j = int(rng.integers(len(c)))
+        lo, hi = lb.copy(), ub.copy()
+        if rng.random() < 0.5:
+            lo[j] = hi[j] = rng.choice([lb[j], ub[j], rng.uniform(lb[j], ub[j])])
+            kinds["fix"] += 1
+        elif rng.random() < 0.5:
+            lo[j] = rng.uniform(lb[j], ub[j])
+            kinds["tighten"] += 1
+        else:
+            hi[j] = rng.uniform(lb[j], ub[j])
+            kinds["tighten"] += 1
+        ours = solve_lp(c, A, b, lo, hi, warm=parent)
+        ref = reference(c, A, b, lo, hi)
+        kinds["infeasible"] += ref.status == 2
+        _assert_same_outcome(ours, ref, solve_lp(c, A, b, lo, hi), A, b)
+    assert kinds["fix"] > 50 and kinds["tighten"] > 50 and kinds["infeasible"] > 10
+
+
+def test_warm_start_detects_infeasible_child():
+    # x + y >= 1.5 on [0,1]^2 is feasible; fixing y = 0 leaves x >= 1.5 out of the box
+    A, b = [[-1.0, -1.0]], [-1.5]
+    parent = solve_lp([1.0, 1.0], A, b, [0.0, 0.0], [1.0, 1.0])
+    assert parent.status == "optimal"
+    assert parent.objective == pytest.approx(1.5, abs=1e-9)
+    child = solve_lp([1.0, 1.0], A, b, [0.0, 0.0], [1.0, 0.0], warm=parent)
+    assert child.status == "infeasible"
+    assert reference([1.0, 1.0], A, b, [0.0, 0.0], [1.0, 0.0]).status == 2
+
+
+def test_negative_costs_start_at_the_upper_bound():
+    # each variable with c_j < 0 is measured down from ub_j, so with no
+    # binding row the all-slack start is already optimal
+    c = [-1.0, 2.0, -3.0]
+    res = solve_lp(c, [[1.0, 1.0, 1.0]], [100.0], [0.0, -1.0, 1.0], [2.0, 1.0, 4.0])
+    assert res.status == "optimal" and res.pivots == 0
+    assert res.x == pytest.approx([2.0, -1.0, 4.0])
+    # a binding row makes the dual simplex pivot away from the upper bounds
+    A, b = [[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]], [3.0, -2.5]
+    lb, ub = [0.0, -1.0, 1.0], [2.0, 1.0, 4.0]
+    res = solve_lp(c, A, b, lb, ub)
+    ref = reference(c, A, b, lb, ub)
+    assert res.status == "optimal" and res.pivots > 0
+    assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+
+
+def test_bland_switch_ends_a_cycling_master_solve(monkeypatch):
+    # A master LP of the N = 8 random scenario (seed [1, 8, 2]) reached along
+    # its branch-and-bound path: the root solved cold, then one u_j fixed per
+    # level with warm starts. The last re-solve meets a degenerate cycle
+    # under largest-infeasibility pricing; Bland's rule must end it.
+    from mdncee import lp
+
+    data = np.load(os.path.join(os.path.dirname(__file__), "data", "lp_master_cycle.npz"))
+    c, A, b = data["c"], data["A"], data["b"]
+    lo, hi = data["lb"].copy(), data["ub"].copy()
+    res = solve_lp(c, A, b, lo, hi)
+    for j, value in zip(data["fix_index"], data["fix_value"]):
+        lo[j] = hi[j] = value
+        parent = res
+        res = solve_lp(c, A, b, lo, hi, warm=parent)
+
+    bases = []
+    real_pivot = lp._pivot
+
+    def recording_pivot(tableau, basis, row, col):
+        real_pivot(tableau, basis, row, col)
+        bases.append(tuple(sorted(basis)))
+
+    monkeypatch.setattr(lp, "_pivot", recording_pivot)
+    again = solve_lp(c, A, b, lo, hi, warm=parent)
+    assert len(set(bases)) < len(bases), "no basis repeated: the instance no longer cycles"
+    assert again.status == "optimal" and again.pivots == res.pivots
+    ref = reference(c, A, b, lo, hi)
+    assert ref.status == 0
+    assert again.objective == pytest.approx(ref.fun, rel=1e-9)
+    assert again.objective == pytest.approx(solve_lp(c, A, b, lo, hi).objective, rel=1e-9)

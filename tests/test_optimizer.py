@@ -307,12 +307,12 @@ def test_master_solves_each_lp_once(paper_scenario, paper_coeffs, monkeypatch, s
     seen: set = set()
     repeats = []
 
-    def recording_lp(c, A, b, lb, ub):
+    def recording_lp(c, A, b, lb, ub, warm=None):
         key = tuple(np.asarray(a, dtype=float).tobytes() for a in (A, b, lb, ub))
         if key in seen:
             repeats.append(len(seen))
         seen.add(key)
-        return real_lp(c, A, b, lb, ub)
+        return real_lp(c, A, b, lb, ub, warm=warm)
 
     def fresh_master(state):
         seen.clear()
@@ -328,6 +328,65 @@ def test_master_solves_each_lp_once(paper_scenario, paper_coeffs, monkeypatch, s
         assert sum(i["goa_iterations"] for i in sol.diagnostics["inner"]) == goa_iters
         assert sol.diagnostics["cuts_total"] == cuts
         assert sol.ee == pytest.approx(ee, rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_warm_children_pivot_less_than_cold_roots(paper_scenario, paper_coeffs, monkeypatch,
+                                                  scheme):
+    from mdncee import optimizer
+
+    real_lp = optimizer.solve_lp
+    pivots = {"cold": [], "warm": []}
+
+    def recording_lp(c, A, b, lb, ub, warm=None):
+        res = real_lp(c, A, b, lb, ub, warm=warm)
+        pivots["cold" if warm is None else "warm"].append(res.pivots)
+        return res
+
+    monkeypatch.setattr(optimizer, "solve_lp", recording_lp)
+    lps = total = 0
+    for target in (1e-2, 1e-3, 1e-4, 1e-5):
+        sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+        lps += sol.diagnostics["master_lps"]
+        total += sol.diagnostics["master_pivots"]
+    # every master solves its root cold and every other LP from its parent
+    assert len(pivots["cold"]) == sum(PAPER_MASTER_RESULTS[scheme, t][1] for t in
+                                      (1e-2, 1e-3, 1e-4, 1e-5))
+    assert lps == len(pivots["cold"]) + len(pivots["warm"])
+    assert total == sum(pivots["cold"]) + sum(pivots["warm"])
+    assert np.mean(pivots["warm"]) < np.mean(pivots["cold"])
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_all_relay_outage_built_once_per_solve(paper_scenario, paper_coeffs, monkeypatch, scheme):
+    from mdncee import optimizer
+
+    name = "outage_posynomial" if scheme == "mdnc" else "nonc_outage_posynomials"
+    real = getattr(optimizer, name)
+    builds = []
+
+    def counting(coeffs, relays, M):
+        builds.append(tuple(relays))
+        return real(coeffs, relays, M)
+
+    monkeypatch.setattr(optimizer, name, counting)
+    sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
+    assert sol.diagnostics["goa_states"] > 1
+    assert builds == [(0, 1, 2, 3)]
+    goa_solve(paper_scenario, paper_coeffs, sol.q_star, 1e-3, scheme=scheme)
+    assert builds == [(0, 1, 2, 3)] * 2
+
+
+def test_goa_matches_brute_force_at_eight_relays():
+    # the N = 8, M = 2 scenario that bench/workloads.random_scenario draws from seed [1, 8, 2]
+    from mdncee.simulate import brute_force_optimize
+
+    s = _random_small_scenario(np.random.default_rng([1, 8, 2]), M=2, N=8)
+    coeffs = build_link_coefficients(s)
+    goa = dinkelbach_solve(s, coeffs, 1e-3)
+    brute = brute_force_optimize(s, coeffs, 1e-3)
+    assert goa.schedule.theta == brute.schedule.theta
+    assert goa.ee >= brute.ee * (1.0 - 1e-3)
 
 
 def grid_maximize_toy_ratio(s, coeffs, sched, target):
