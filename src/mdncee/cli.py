@@ -35,6 +35,10 @@ SWEEP_SCHEMA = "# mdncee-sweep-v1"
 ENERGY_SCHEMA = "# mdncee-energy-curve-v1"
 SHIFT_SCHEMA = "# mdncee-relay-shift-v1"
 VERIFY_SCHEMA = "mdncee-verify-v1"
+# Fewest expected outage events per tested indicator (samples * analytic
+# outage) at which verify's binomial z-test is trusted; below it the report
+# sets few_events. The benchmark sizes its Monte Carlo runs to the same floor.
+MIN_EXPECTED_EVENTS = 1000
 
 SWEEP_HEADER = ("target,scheme,mode,relays,count,p_users,p_relays,ee,pr_out_exact,"
                 "pr_out_approx,pr_out_mc,mc_stderr,e_tot,e_data,q_star,dinkelbach_iters,"
@@ -339,6 +343,7 @@ def cmd_verify(args) -> int:
     # Bonferroni: the two-sided level of |z| <= 3 is split over the tests,
     # so one test (MDNC) passes exactly when |z| <= 3.
     passed = len(z_scores) * math.erfc(abs(z) / math.sqrt(2.0)) >= math.erfc(3.0 / math.sqrt(2.0))
+    expected_events = [args.samples * float(p) for p in expected]
     report = {
         "schema": VERIFY_SCHEMA,
         "scheme": args.scheme,
@@ -351,6 +356,8 @@ def cmd_verify(args) -> int:
         "empirical": {"outage": emp, "stderr": _scalar_outage(mc.stderr), "ee": mc.ee},
         "z_score": z,
         "pass": bool(passed),
+        "expected_events": expected_events,
+        "few_events": min(expected_events) < MIN_EXPECTED_EVENTS,
     }
     if args.scheme == "nonc":
         report["z_scores"] = z_scores

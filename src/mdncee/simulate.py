@@ -5,14 +5,21 @@ configured per-link means, declares a link up when its achievable rate
 B*log2(1 + |h|^2 p / (N0 B)) reaches the fixed rate, and applies the scheme's
 outage rule per realization. Energy per round is deterministic (all selected
 relays are charged full transmit power whether or not they decode), so only
-the outage indicator is averaged. An optional variant lets failed relays
-idle at the base circuit power instead; it changes the energy average and is
-clearly labeled as a sensitivity knob, not the reference behavior.
+the outage indicator is averaged.
 
 Randomness comes from the Philox 4x64 counter-based generator, keyed by
 (seed, stream_high32 | chunk_index): substreams are reproducible regardless
 of chunk execution order or host parallelism. The generator identity is
 pinned by reference output vectors in the test suite.
+
+The sampling kernel works chunk by chunk (CHUNK samples, the last chunk
+partial). Each chunk draws the first-hop gains, shape (take, M, n) in C
+order, and then the second-hop gains, shape (take, n), from that chunk's
+generator. Its outage event counts are exact integers, pinned bit for bit
+by golden counts in the test suite. Memory is bounded by one chunk's
+buffers, allocated once per call and reused: float draws of
+min(CHUNK, samples) * (M + 1) * n values, two boolean masks of
+min(CHUNK, samples) * n and two per-sample arrays.
 """
 
 from __future__ import annotations
@@ -81,6 +88,58 @@ def _thresholds(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySche
     return thr_h, thr_g
 
 
+def _count_failures(thr_h: np.ndarray, thr_g: np.ndarray, mc: McConfig,
+                    mdnc: bool) -> np.ndarray:
+    """Outage event counts over mc.samples draws: [MDNC] or one per user (NoNC).
+
+    Each chunk refills the same unit-mean exponential buffers, first-hop
+    gains x_h (take, M, n) and then second-hop gains x_g (take, n), and
+    reduces them column by column into (take, n) masks.
+    """
+    M, n = thr_h.shape
+    size = min(CHUNK, mc.samples)
+    x_h = np.empty((size, M, n))
+    x_g = np.empty((size, n))
+    hop2_buf = np.empty((size, n), dtype=bool)
+    link_buf = np.empty((size, n), dtype=bool)
+    flag_buf = np.empty(size, dtype=bool)
+    if mdnc:
+        count_buf = np.empty(size, dtype=np.min_scalar_type(n))
+    fail_counts = np.zeros(1 if mdnc else M, dtype=np.int64)
+    done = 0
+    chunk_index = 0
+    while done < mc.samples:
+        take = min(CHUNK, mc.samples - done)
+        rng = rng_for_chunk(mc.seed, mc.stream, chunk_index)
+        # thresholds already absorb the link means
+        xh, xg = x_h[:take], x_g[:take]
+        rng.standard_exponential(out=xh)
+        rng.standard_exponential(out=xg)
+        hop2, link, flag = hop2_buf[:take], link_buf[:take], flag_buf[:take]
+        np.greater_equal(xg, thr_g, out=hop2)
+        if mdnc:
+            # hop2 becomes "relay decodes every user and survives hop 2"
+            for i in range(M):
+                hop2 &= np.greater_equal(xh[:, i, :], thr_h[i], out=link)
+            count = count_buf[:take]
+            count[:] = hop2[:, 0]
+            for j in range(1, n):
+                count += hop2[:, j]
+            fail_counts[0] += np.count_nonzero(np.less(count, M, out=flag))
+        else:
+            # user i is carried when some relay passes both of its hops
+            for i in range(M):
+                np.greater_equal(xh[:, i, :], thr_h[i], out=link)
+                link &= hop2
+                flag[:] = link[:, 0]
+                for j in range(1, n):
+                    flag |= link[:, j]
+                fail_counts[i] += take - np.count_nonzero(flag)
+        done += take
+        chunk_index += 1
+    return fail_counts
+
+
 def monte_carlo_outage(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
                        powers: PowerAllocation, mc: McConfig, scheme: str = "mdnc") -> McResult:
     """Empirical outage frequency over mc.samples Rayleigh realizations.
@@ -89,32 +148,12 @@ def monte_carlo_outage(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Re
     and survive the second hop. NoNC: user i is in outage iff no selected
     relay carries its message through both hops (per-user frequencies).
     """
+    if scheme not in ("mdnc", "nonc"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     if schedule.count == 0:
         raise ValueError("schedule selects no relays")
     thr_h, thr_g = _thresholds(s, coeffs, schedule, powers)
-    n_sel = schedule.count
-    M = s.M
-
-    fail_counts = np.zeros(M if scheme == "nonc" else 1, dtype=np.int64)
-    done = 0
-    chunk_index = 0
-    while done < mc.samples:
-        take = min(CHUNK, mc.samples - done)
-        rng = rng_for_chunk(mc.seed, mc.stream, chunk_index)
-        # unit-mean exponentials; thresholds already absorb the link means
-        x_h = rng.exponential(scale=1.0, size=(take, M, n_sel))
-        x_g = rng.exponential(scale=1.0, size=(take, n_sel))
-        up_h = x_h >= thr_h[None, :, :]
-        up_g = x_g >= thr_g[None, :]
-        if scheme == "mdnc":
-            decoded = np.all(up_h, axis=1)
-            full = decoded & up_g
-            fail_counts[0] += int(np.sum(np.sum(full, axis=1) < M))
-        else:
-            carried = up_h & up_g[:, None, :]
-            fail_counts += np.sum(~np.any(carried, axis=2), axis=0)
-        done += take
-        chunk_index += 1
+    fail_counts = _count_failures(thr_h, thr_g, mc, scheme == "mdnc")
 
     p_hat = fail_counts / mc.samples
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / mc.samples)

@@ -224,6 +224,30 @@ def test_verify_nonc_reports_each_user(tmp_path):
     assert report["z_score"] == max(report["z_scores"], key=abs)
 
 
+def test_verify_flags_few_expected_events_at_rare_target(tmp_path):
+    # about 10 outage events expected: the z-test still runs, but is flagged
+    out = tmp_path / "o"
+    code = run_cli(["verify", SCENARIO_PATH, "--target", "1e-4", "--samples", "100000",
+                    "--seed", "1", "--out", str(out)])
+    report = json.loads(read(out / "verify.json"))
+    assert code == (0 if report["pass"] else 4)
+    assert report["expected_events"] == [pytest.approx(1e5 * report["analytic"]["outage"],
+                                                       rel=1e-12)]
+    assert report["expected_events"][0] < cli.MIN_EXPECTED_EVENTS
+    assert report["few_events"] is True
+
+
+@pytest.mark.parametrize("samples,flagged", [(200_000, True), (300_000, False)])
+def test_verify_few_events_follows_the_rarest_user(samples, flagged, tmp_path):
+    # user 0 expects about 876 events per 200,000 samples, user 1 about 1052
+    assert run_cli(["verify", SCENARIO_PATH, *NONC_POINT, "--samples", str(samples),
+                    "--seed", "2", "--out", str(tmp_path)]) == 0
+    report = json.loads(read(tmp_path / "verify.json"))
+    events = report["expected_events"]
+    assert len(events) == 2 and events[0] < events[1]
+    assert (events[1] >= cli.MIN_EXPECTED_EVENTS) and report["few_events"] is flagged
+
+
 def test_verify_nonc_fails_on_one_user_with_mean_unchanged(tmp_path, monkeypatch):
     # user 0 far above its analytic outage, user 1 as far below: the mean
     # over users is right, so only a per-user test can catch it

@@ -12,6 +12,7 @@ from mdncee.simulate import (
     monte_carlo_outage,
     rng_for_chunk,
 )
+from test_properties import _random_small_scenario
 
 # Pinned generator identity (Philox 4x64): these exact streams must never
 # change, or archived results stop being reproducible.
@@ -117,6 +118,65 @@ def test_verifier_sensitivity_to_corrupted_coefficient(paper_scenario, paper_coe
     wrong = outage_exact(corrupted, build_link_coefficients(corrupted), sched, powers).total
     sigma = math.sqrt(wrong * (1 - wrong) / res.samples)
     assert abs(res.outage - wrong) > 3 * sigma
+
+
+# Exact failure counts of monte_carlo_outage. Any change to the draws (order,
+# shape, method) or to the outage rule moves them. Per case: samples -> counts
+# for each (seed, stream) in GOLDEN_SEEDS; 300,001 samples end in a partial
+# chunk.
+GOLDEN_SEEDS = ((0, 0), (2024, 5))
+GOLDEN_COUNTS = {
+    "paper-mdnc": {1: ([0], [0]), 1000: ([26], [35]), 300_001: ([9481], [9522])},
+    "paper-nonc": {1: ([0, 0], [1, 0]), 1000: ([16, 15], [26, 22]),
+                   300_001: ([6865, 6115], [6876, 6141])},
+    "zero-mdnc": {1: ([0], [1]), 1000: ([536], [555]), 300_001: ([163866], [164935])},
+    "zero-nonc": {1: ([0, 0], [1, 0]), 1000: ([11, 44], [12, 55]),
+                  300_001: ([3751, 15285], [3596, 14968])},
+    "m3-mdnc": {1: ([1], [0]), 1000: ([394], [385]), 300_001: ([113427], [113138])},
+    "m3-nonc": {1: ([0, 0, 0], [0, 0, 0]), 1000: ([5, 2, 48], [6, 1, 42]),
+                300_001: ([1411, 221, 15919], [1440, 212, 16003])},
+    "n8-mdnc": {1: ([0], [0]), 1000: ([21], [12]), 300_001: ([4843], [4779])},
+}
+
+
+def _golden_point(case, paper):
+    """(scenario, relays, user powers, relay powers) of one golden case."""
+    if case.startswith("m3"):
+        s = _random_small_scenario(np.random.default_rng([3, 4, 0]), M=3, N=4)
+        scale = 0.1 if case == "m3-mdnc" else 0.01
+        return s, range(4), np.full(3, s.P_S_max * scale), np.full(4, s.P_R_max * scale)
+    if case == "n8-mdnc":
+        # the all-relay N = 8 scenario of the benchmark's mc_verify workload
+        s = _random_small_scenario(np.random.default_rng([1, 8, 2]), M=2, N=8)
+        return s, range(8), np.full(2, s.P_S_max * 0.01), np.full(8, s.P_R_max * 0.01)
+    if case == "paper-mdnc":
+        return paper, range(4), [0.05, 0.05], np.full(4, 0.1)
+    if case == "paper-nonc":
+        return paper, (0, 2), [0.02, 0.02], np.array([0.05, 0.0, 0.05, 0.0])
+    # zero-*: relay 2 is selected with zero power, so its second hop never holds
+    return paper, range(4), [0.02, 0.02], np.array([0.05, 0.05, 0.0, 0.05])
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COUNTS))
+def test_mc_failure_counts_are_pinned(case, paper_scenario):
+    s, relays, p, p_relay = _golden_point(case, paper_scenario)
+    coeffs = build_link_coefficients(s)
+    sched = RelaySchedule.from_indices(relays, s.N)
+    powers = PowerAllocation(p=p, p_relay=p_relay)
+    for samples, per_seed in GOLDEN_COUNTS[case].items():
+        for (seed, stream), expected in zip(GOLDEN_SEEDS, per_seed):
+            res = monte_carlo_outage(s, coeffs, sched, powers,
+                                     McConfig(samples, seed=seed, stream=stream),
+                                     scheme=case[-4:])
+            counts = np.rint(np.atleast_1d(res.outage) * samples).astype(int).tolist()
+            assert counts == expected, (samples, seed, stream)
+
+
+@pytest.mark.parametrize("scheme", ["MDNC", "noNC", "", "mdnc "])
+def test_mc_rejects_unknown_scheme(scheme, paper_scenario, paper_coeffs, mdnc_point):
+    sched, powers = mdnc_point
+    with pytest.raises(ValueError, match="unknown scheme"):
+        monte_carlo_outage(paper_scenario, paper_coeffs, sched, powers, McConfig(10), scheme=scheme)
 
 
 def test_brute_force_single_relay_equals_fixed_schedule(toy_scenario, toy_coeffs):
