@@ -37,7 +37,6 @@ from .energy import (
     EnergyBreakdown,
     energy_budget_ok,
     energy_efficiency,
-    nonc_energy,
     subtractive_value,
     tilde_v,
     total_energy,
@@ -48,6 +47,7 @@ from .optimizer import (
     OACut,
     Solution,
     dinkelbach_solve,
+    exact_outage,
     goa_solve,
     nonc_solve,
     relay_count_bounds,
@@ -79,7 +79,6 @@ __all__ = [
     "energy_efficiency",
     "subtractive_value",
     "tilde_v",
-    "nonc_energy",
     "PrimalProblem",
     "PrimalSolution",
     "assemble_primal",
@@ -92,6 +91,7 @@ __all__ = [
     "solve_master",
     "goa_solve",
     "dinkelbach_solve",
+    "exact_outage",
     "nonc_solve",
     "McConfig",
     "McResult",

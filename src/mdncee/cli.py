@@ -7,7 +7,7 @@ Subcommands:
 * relay-shift  -- EE versus relay displacement for a fixed relay subset
 * verify       -- Monte Carlo check of the analytic outage/EE at one point
 
-Exit codes: 0 success, 2 invalid scenario or invalid point, 3 no
+Exit codes: 0 success, 2 invalid argument, scenario or point, 3 no
 requested target solved, 4 verification failure. A sweep target whose solve
 fails becomes a row with status "failed" and the error as its reason.
 Output files start with a schema line; numbers are written with 12
@@ -27,7 +27,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .model import ScenarioError, apply_relay_shift, build_link_coefficients, load_scenario, validate_scenario
-from .optimizer import dinkelbach_fixed_schedule, dinkelbach_solve
+from .energy import energy_efficiency, total_energy
+from .optimizer import dinkelbach_fixed_schedule, dinkelbach_solve, exact_outage
 from .outage import PowerAllocation, RelaySchedule
 from .simulate import McConfig, brute_force_optimize, monte_carlo_outage
 
@@ -80,13 +81,46 @@ def _load(path):
     return s, build_link_coefficients(s)
 
 
-def _parse_targets(spec_text: str | None):
-    if not spec_text:
-        return list(DEFAULT_TARGETS)
+# Argument types: argparse turns their errors into exit code 2 with the
+# message, before any solve starts.
+
+
+def _target(text: str) -> float:
+    """One target outage: a number strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"target outage {text} is not in (0, 1)")
+    return value
+
+
+def _target_list(text: str) -> list[float]:
+    """Target outages: a comma list."""
+    return [_target(t) for t in text.split(",")]
+
+
+def _parse_targets(spec_text: str) -> list[float]:
+    """Target outages: a comma list or logrange:start,stop,count."""
     if spec_text.startswith("logrange:"):
         start, stop, count = spec_text[len("logrange:"):].split(",")
-        return [float(t) for t in np.geomspace(float(start), float(stop), int(count))]
-    return [float(t) for t in spec_text.split(",")]
+        return [float(t) for t in np.geomspace(_target(start), _target(stop), int(count))]
+    return _target_list(spec_text)
+
+
+def _parse_modes(text: str) -> list[str]:
+    """Sweep modes: a comma list from goa, brute and mc."""
+    modes = text.split(",")
+    for mode in modes:
+        if mode not in ("goa", "brute", "mc"):
+            raise argparse.ArgumentTypeError(f"unknown mode {mode!r} (choose from goa, brute, mc)")
+    return modes
+
+
+def _sample_count(text: str) -> int:
+    """Monte Carlo sample count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"sample count {text} is below 1")
+    return value
 
 
 def _solve_row(args):
@@ -162,10 +196,8 @@ def _sweep_rows(scenario_path, targets, schemes, modes, samples, seed, include_u
 
 
 def cmd_sweep(args) -> int:
-    targets = _parse_targets(args.targets)
     schemes = ["mdnc", "nonc"] if args.scheme == "both" else [args.scheme]
-    modes = args.mode.split(",")
-    rows = _sweep_rows(args.scenario, targets, schemes, modes, args.samples, args.seed,
+    rows = _sweep_rows(args.scenario, args.targets, schemes, args.mode, args.samples, args.seed,
                        args.include_user_energy_in_budget, args.jobs)
     lines = [SWEEP_SCHEMA, SWEEP_HEADER]
     for r in rows:
@@ -179,7 +211,7 @@ def cmd_sweep(args) -> int:
         ]))
     _write_lines(os.path.join(args.out, "sweep.csv"), lines)
     for sch in schemes:
-        for mode in modes:
+        for mode in args.mode:
             pairs = [(r["target"], r["ee"]) for r in rows
                      if r["scheme"] == sch and r["mode"] == mode and r["status"] == "ok"]
             if pairs:
@@ -189,8 +221,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_energy_curve(args) -> int:
-    targets = _parse_targets(args.targets)
-    rows = _sweep_rows(args.scenario, targets, [args.scheme], ["goa"], 0, 0,
+    rows = _sweep_rows(args.scenario, args.targets, [args.scheme], ["goa"], 0, 0,
                        args.include_user_energy_in_budget, args.jobs)
     lines = [ENERGY_SCHEMA, ENERGY_HEADER]
     pairs = []
@@ -218,9 +249,6 @@ def relay_location_study(s, coeffs, target: float, deltas, subset=None,
     toward the BS and re-evaluates the exact outage at the unchanged powers.
     Row fields: delta, relays, ee, achieved exact outage, status, reason.
     """
-    from .energy import total_energy
-    from .outage import outage_exact
-
     if subset is None:
         base = dinkelbach_solve(s, coeffs, target, include_user_energy=include_user_energy)
         if not base.feasible:
@@ -247,21 +275,20 @@ def relay_location_study(s, coeffs, target: float, deltas, subset=None,
                          "pr_out_exact": None, "status": "invalid", "reason": str(exc)})
             continue
         co = build_link_coefficients(shifted)
-        pout = outage_exact(shifted, co, schedule, powers).total
-        ee = s.M * s.alpha0 * s.T * (1.0 - pout) / e.e_tot
-        rows.append({"delta": delta, "relays": schedule.theta, "ee": ee,
-                     "pr_out_exact": pout, "status": "ok", "reason": ""})
+        pout = exact_outage(shifted, co, "mdnc", schedule, powers)
+        rows.append({"delta": delta, "relays": schedule.theta,
+                     "ee": energy_efficiency(s, pout, e), "pr_out_exact": pout,
+                     "status": "ok", "reason": ""})
     return rows
 
 
 def cmd_relay_shift(args) -> int:
     s, coeffs = _load(args.scenario)
-    targets = [float(t) for t in args.targets.split(",")] if args.targets else [1e-3]
     deltas = [float(d) for d in args.deltas.split(",")]
     subset = tuple(int(j) for j in args.relays.split(",")) if args.relays else None
     lines = [SHIFT_SCHEMA, SHIFT_HEADER]
     any_ok = False
-    for target in targets:
+    for target in args.targets:
         rows = relay_location_study(s, coeffs, target, deltas, subset=subset,
                                     include_user_energy=args.include_user_energy_in_budget)
         pairs = []
@@ -317,18 +344,10 @@ def cmd_verify(args) -> int:
             return 3
         schedule, powers = sol.schedule, sol.powers
 
-    from .energy import energy_efficiency, nonc_energy, total_energy
-    from .outage import nonc_outage, outage_exact
-    if args.scheme == "mdnc":
-        analytic = outage_exact(s, coeffs, schedule, powers).total
-        e = total_energy(s, schedule, powers)
-        analytic_ee = energy_efficiency(s, analytic, e)
-        expected = [analytic]
-    else:
-        expected = nonc_outage(coeffs, schedule, powers)
-        analytic = float(np.mean(expected))
-        e = nonc_energy(s, schedule, powers)
-        analytic_ee = s.alpha0 * s.T * float(np.sum(1.0 - expected)) / e.e_tot
+    expected = np.atleast_1d(exact_outage(s, coeffs, args.scheme, schedule, powers))
+    analytic = float(np.mean(expected))
+    analytic_ee = energy_efficiency(s, expected, total_energy(s, schedule, powers, args.scheme),
+                                    args.scheme)
 
     mc = monte_carlo_outage(s, coeffs, schedule, powers,
                             McConfig(samples=args.samples, seed=args.seed), scheme=args.scheme)
@@ -384,24 +403,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Pareto sweep: EE versus target outage")
     common(p)
     p.add_argument("--scheme", choices=["mdnc", "nonc", "both"], default="mdnc")
-    p.add_argument("--mode", default="goa",
+    p.add_argument("--mode", type=_parse_modes, default="goa",
                    help="comma list from goa,brute,mc (mc verifies the goa point)")
-    p.add_argument("--targets", help="comma list or logrange:start,stop,count")
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--targets", type=_parse_targets, default=list(DEFAULT_TARGETS),
+                   help="comma list or logrange:start,stop,count")
+    p.add_argument("--samples", type=_sample_count, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("energy-curve", help="transmit-energy share versus achieved outage")
     common(p)
     p.add_argument("--scheme", choices=["mdnc", "nonc"], default="mdnc")
-    p.add_argument("--targets", help="comma list or logrange:start,stop,count")
+    p.add_argument("--targets", type=_parse_targets, default=list(DEFAULT_TARGETS),
+                   help="comma list or logrange:start,stop,count")
     p.set_defaults(func=cmd_energy_curve)
 
     p = sub.add_parser("relay-shift", help="EE versus relay displacement, fixed subset")
     common(p)
     p.add_argument("--deltas", required=True,
                    help="comma list of shifts in meters (use --deltas=-150,... for negatives)")
-    p.add_argument("--targets", help="comma list of target outages (default 1e-3)")
+    p.add_argument("--targets", type=_target_list, default=[1e-3],
+                   help="comma list of target outages (default 1e-3)")
     p.add_argument("--relays", help="comma list of relay indices (default: optimizer pick at delta 0)")
     p.set_defaults(func=cmd_relay_shift)
 
@@ -411,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relays", help="comma list of relay indices")
     p.add_argument("--user-powers", help="comma list, W")
     p.add_argument("--relay-powers", help="comma list for the selected relays, W")
-    p.add_argument("--target", type=float, default=1e-3,
+    p.add_argument("--target", type=_target, default=1e-3,
                    help="optimize at this target when no explicit point is given")
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=_sample_count, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import scheme_constants
 from .model import P_MIN, LinkCoefficients, ScenarioConfig
 from .outage import (
     PowerAllocation,
@@ -33,9 +34,9 @@ __all__ = [
     "PrimalSolution",
     "assemble_primal",
     "energy_model",
+    "outage_posynomials",
     "solve_primal",
     "gradients",
-    "scheme_constants",
 ]
 
 # Barrier schedule: weight 1, divide by 10 per stage, stop when the duality
@@ -49,27 +50,6 @@ NEWTON_TOL = 1e-12
 ARMIJO_SLOPE = 0.3
 ARMIJO_SHRINK = 0.5
 MAX_NEWTON = 200
-
-
-def scheme_constants(s: ScenarioConfig, scheme: str) -> tuple[float, float, float, float]:
-    """Per-scheme energy structure (gamma, delta0, m_slots, obj_coef).
-
-    Circuit energy of n selected relays is gamma*n + delta0; the second hop
-    occupies m_slots slots per relay (1 for MDNC, M for NoNC); obj_coef
-    scales the outage posynomial(s) inside V' (M*alpha0 for the single MDNC
-    outage, alpha0 for each per-user NoNC outage).
-    """
-    if scheme == "mdnc":
-        m = 1.0
-        obj_coef = s.M * s.alpha0
-    elif scheme == "nonc":
-        m = float(s.M)
-        obj_coef = s.alpha0
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    gamma = s.T * (s.M * s.P0_R + m * s.P0_R + s.beta * s.P_sleep_R + m * s.P0_BS)
-    delta0 = s.P_sleep_BS * s.M * s.T - s.beta * s.T * s.P_sleep_R
-    return gamma, delta0, m, obj_coef
 
 
 @dataclass
@@ -133,6 +113,16 @@ def _stacked(dim: int, *parts) -> Posynomial:
                       np.vstack([np.reshape(e, (-1, dim)) for _, e in parts]), dim)
 
 
+def outage_posynomials(coeffs: LinkCoefficients, selected, M: int, scheme: str) -> list[Posynomial]:
+    """High-SNR outage posynomial(s) over the relays in selected: the network
+    outage (MDNC) or one per user (NoNC), in the order of their targets."""
+    if scheme == "mdnc":
+        return [outage_posynomial(coeffs, selected, M)]
+    if scheme == "nonc":
+        return nonc_outage_posynomials(coeffs, selected, M)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def energy_model(s: ScenarioConfig, coeffs: LinkCoefficients, relays, scheme: str, q: float,
                  outage_pos: list[Posynomial], include_user_energy: bool = False,
                  constants: tuple[float, float] = (0.0, 0.0)) -> tuple[Posynomial, Posynomial]:
@@ -179,13 +169,8 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     n = schedule.count
     selected = schedule.theta
 
-    if scheme == "mdnc":
-        outage_pos = [outage_posynomial(coeffs, selected, s.M)]
-        targets = np.array([target])
-    else:
-        outage_pos = nonc_outage_posynomials(coeffs, selected, s.M)
-        targets = np.full(s.M, target)
-
+    outage_pos = outage_posynomials(coeffs, selected, s.M, scheme)
+    targets = np.full(len(outage_pos), target)
     gamma, delta0, m, _ = scheme_constants(s, scheme)
     lo = np.concatenate([np.full(s.M, np.log(P_MIN)), np.zeros(n)])
     caps = np.array([np.log1p(s.P_R_max / coeffs.c_g[j]) for j in selected])

@@ -26,9 +26,10 @@ from .outage import PowerAllocation, RelaySchedule, outage_approx_logdomain, pow
 
 __all__ = [
     "EnergyBreakdown",
+    "scheme_constants",
     "total_energy",
-    "nonc_energy",
     "energy_budget_ok",
+    "delivered_rate",
     "energy_efficiency",
     "subtractive_value",
     "tilde_v",
@@ -52,12 +53,38 @@ class EnergyBreakdown:
     e_data: float
 
 
-def total_energy(s: ScenarioConfig, schedule: RelaySchedule, powers: PowerAllocation) -> EnergyBreakdown:
-    """Energy of one MDNC round. Requires a nonempty schedule.
+def scheme_constants(s: ScenarioConfig, scheme: str) -> tuple[float, float, float, float]:
+    """Per-scheme energy structure (gamma, delta0, m_slots, obj_coef).
 
-    All selected relays are charged full transmit power in their second-hop
-    slot whether or not they decoded; failed relays stay in transmit mode.
+    The second hop occupies m_slots slots per relay (1 for MDNC, M for
+    NoNC), so the circuit energy of n selected relays is gamma*n + delta0;
+    obj_coef weighs each outage in the delivered rate (M*alpha0 for the
+    single MDNC outage, alpha0 for each per-user NoNC outage). Every energy
+    and EE entry point rejects an unknown scheme through it.
     """
+    if scheme == "mdnc":
+        m = 1.0
+        obj_coef = s.M * s.alpha0
+    elif scheme == "nonc":
+        m = float(s.M)
+        obj_coef = s.alpha0
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    gamma = s.T * (s.M * s.P0_R + m * s.P0_R + s.beta * s.P_sleep_R + m * s.P0_BS)
+    delta0 = s.P_sleep_BS * s.M * s.T - s.beta * s.T * s.P_sleep_R
+    return gamma, delta0, m, obj_coef
+
+
+def total_energy(s: ScenarioConfig, schedule: RelaySchedule, powers: PowerAllocation,
+                 scheme: str = "mdnc") -> EnergyBreakdown:
+    """Energy of one round of the scheme. Requires a nonempty schedule.
+
+    Each selected relay forwards for m_slots second-hop slots (one for MDNC,
+    M for NoNC). All selected relays are charged full transmit power in
+    their second-hop slots whether or not they decoded; failed relays stay
+    in transmit mode.
+    """
+    _, _, m, _ = scheme_constants(s, scheme)
     n = schedule.count
     if n == 0:
         raise ValueError("schedule selects no relays (the sleep chain needs at least one)")
@@ -66,27 +93,10 @@ def total_energy(s: ScenarioConfig, schedule: RelaySchedule, powers: PowerAlloca
     e_r1 = n * s.P0_R * s.M * T
     e_bs1 = s.P_sleep_BS * s.M * T
     p_rel = float(np.sum(schedule.u * powers.p_relay))
-    e_r2 = n * s.P0_R * T + s.delta_P * p_rel * T + (n - 1) * s.P_sleep_R * s.beta * T
-    e_bs2 = s.P0_BS * n * T
+    e_r2 = n * s.P0_R * m * T + s.delta_P * p_rel * m * T + (n - 1) * s.P_sleep_R * s.beta * T
+    e_bs2 = s.P0_BS * n * m * T
     e_tot = e_s + e_r1 + e_bs1 + e_r2 + e_bs2
-    e_data = e_s + s.delta_P * p_rel * T
-    return EnergyBreakdown(e_s, e_r1, e_bs1, e_r2, e_bs2, e_tot, e_data)
-
-
-def nonc_energy(s: ScenarioConfig, schedule: RelaySchedule, powers: PowerAllocation) -> EnergyBreakdown:
-    """Energy of one NoNC round: each selected relay forwards for M slots."""
-    n = schedule.count
-    if n == 0:
-        raise ValueError("schedule selects no relays (the sleep chain needs at least one)")
-    T = s.T
-    e_s = float(np.sum(powers.p)) * T
-    e_r1 = n * s.P0_R * s.M * T
-    e_bs1 = s.P_sleep_BS * s.M * T
-    p_rel = float(np.sum(schedule.u * powers.p_relay))
-    e_r2 = n * s.P0_R * s.M * T + s.delta_P * p_rel * s.M * T + (n - 1) * s.P_sleep_R * s.beta * T
-    e_bs2 = s.P0_BS * n * s.M * T
-    e_tot = e_s + e_r1 + e_bs1 + e_r2 + e_bs2
-    e_data = e_s + s.delta_P * p_rel * s.M * T
+    e_data = e_s + s.delta_P * p_rel * m * T
     return EnergyBreakdown(e_s, e_r1, e_bs1, e_r2, e_bs2, e_tot, e_data)
 
 
@@ -99,11 +109,23 @@ def energy_budget_ok(e: EnergyBreakdown, E0: float, include_user_energy: bool = 
     return drawn <= E0
 
 
-def energy_efficiency(s: ScenarioConfig, outage_total: float, e: EnergyBreakdown) -> float:
-    """Delivered bits per joule: M*alpha0*T*(1 - Pr_out) / E_tot."""
+def delivered_rate(s: ScenarioConfig, outage, scheme: str = "mdnc") -> float:
+    """Parametric numerator obj_coef*sum(1 - outage): M*alpha0*(1 - Pr_out)
+    for MDNC, alpha0*sum_i(1 - Pr_out,i) over the per-user outages for NoNC."""
+    _, _, _, obj_coef = scheme_constants(s, scheme)
+    return obj_coef * float(np.sum(1.0 - np.asarray(outage)))
+
+
+def energy_efficiency(s: ScenarioConfig, outage, e: EnergyBreakdown, scheme: str = "mdnc") -> float:
+    """Delivered bits per joule, obj_coef*T*sum(1 - outage)/E_tot.
+
+    outage is the scalar network outage (MDNC) or the per-user outages (NoNC).
+    """
+    _, _, _, obj_coef = scheme_constants(s, scheme)
     if e.e_tot <= 0:
         raise ValueError("total energy must be positive")
-    return s.M * s.alpha0 * s.T * (1.0 - outage_total) / e.e_tot
+    # not delivered_rate(...) * T: (obj_coef*T)*sum keeps every reported EE's last bit
+    return obj_coef * s.T * float(np.sum(1.0 - np.asarray(outage))) / e.e_tot
 
 
 def subtractive_value(q: float, s: ScenarioConfig, outage_total: float, e: EnergyBreakdown) -> float:
@@ -114,7 +136,7 @@ def subtractive_value(q: float, s: ScenarioConfig, outage_total: float, e: Energ
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    return s.M * s.alpha0 * (1.0 - outage_total) - q * e.e_tot
+    return delivered_rate(s, outage_total) - q * e.e_tot
 
 
 def tilde_v(q: float, s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,

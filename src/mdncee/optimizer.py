@@ -35,23 +35,17 @@ from .convex_solver import (
     PrimalSolution,
     assemble_primal,
     energy_model,
-    scheme_constants,
+    outage_posynomials,
     solve_primal,
 )
-from .energy import EnergyBreakdown, nonc_energy, total_energy
+from .energy import EnergyBreakdown, delivered_rate, energy_efficiency, scheme_constants, total_energy
 from .lp import solve_lp
 from .model import P_MIN, LinkCoefficients, ScenarioConfig
-from .outage import (
-    PowerAllocation,
-    RelaySchedule,
-    nonc_outage,
-    nonc_outage_posynomials,
-    outage_exact,
-    outage_posynomial,
-)
+from .outage import PowerAllocation, RelaySchedule, nonc_outage, outage_exact
 
 __all__ = [
     "CountBounds",
+    "exact_outage",
     "OACut",
     "GoaState",
     "Solution",
@@ -92,14 +86,22 @@ def _max_power_allocation(s: ScenarioConfig, schedule: RelaySchedule) -> PowerAl
     return PowerAllocation(p=np.full(s.M, s.P_S_max), p_relay=schedule.u * s.P_R_max)
 
 
+def exact_outage(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
+                 schedule: RelaySchedule, powers: PowerAllocation):
+    """Exact outage at an operating point: the network outage (MDNC, a float)
+    or the per-user outages (NoNC, an array)."""
+    if scheme == "mdnc":
+        return outage_exact(s, coeffs, schedule, powers).total
+    if scheme == "nonc":
+        return nonc_outage(coeffs, schedule, powers)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def _max_power_merit(s, coeffs, subset, scheme: str, target: float) -> float:
     """Outage-vs-target merit of a subset at full power; <= 1 means feasible."""
     schedule = RelaySchedule.from_indices(subset, s.N)
-    powers = _max_power_allocation(s, schedule)
-    if scheme == "mdnc":
-        return outage_exact(s, coeffs, schedule, powers).total / target
-    per_user = nonc_outage(coeffs, schedule, powers)
-    return float(np.max(per_user)) / target
+    outage = exact_outage(s, coeffs, scheme, schedule, _max_power_allocation(s, schedule))
+    return float(np.max(outage)) / target
 
 
 def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
@@ -170,10 +172,7 @@ class OACut:
 def _all_relay_outage(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str) -> list:
     """The master's outage posynomials over all N relays (one for MDNC, one
     per user for NoNC). They depend on neither q nor the target."""
-    full = tuple(range(s.N))
-    if scheme == "mdnc":
-        return [outage_posynomial(coeffs, full, s.M)]
-    return nonc_outage_posynomials(coeffs, full, s.M)
+    return outage_posynomials(coeffs, tuple(range(s.N)), s.M, scheme)
 
 
 class MasterModel:
@@ -186,13 +185,9 @@ class MasterModel:
                  q: float, targets: np.ndarray, include_user_energy: bool = False,
                  outage_full: list | None = None):
         self.s = s
-        self.coeffs = coeffs
-        self.scheme = scheme
         self.q = float(q)
         self.targets = np.asarray(targets, dtype=float)
-        self.include_user_energy = include_user_energy
-        gamma, delta0, m_slots, obj_coef = scheme_constants(s, scheme)
-        self.gamma, self.delta0, self.m_slots, self.obj_coef = gamma, delta0, m_slots, obj_coef
+        self.gamma, self.delta0, m_slots, _ = scheme_constants(s, scheme)
         self.dim = s.M + s.N
         full = tuple(range(s.N))
         if outage_full is None:
@@ -242,14 +237,8 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None, master: MasterM
 class GoaState:
     """Outer-approximation bookkeeping for one (q, target) inner solve."""
 
-    s: ScenarioConfig
-    coeffs: LinkCoefficients
-    scheme: str
-    q: float
-    targets: np.ndarray
     master: MasterModel
     bounds: CountBounds
-    include_user_energy: bool = False
     cuts: list[OACut] = field(default_factory=list)
     visited: list[tuple[int, ...]] = field(default_factory=list)
     ubd: float = math.inf
@@ -271,7 +260,7 @@ class GoaState:
 def _master_lp_rows(state: GoaState):
     """Assemble the master MILP's linear rows over z = [ptilde, ptilde', u, vhat]."""
     m = state.master
-    s = state.s
+    s = m.s
     M, N = s.M, s.N
     nv = M + 2 * N + 1
     iv = M + 2 * N                      # vhat column
@@ -359,7 +348,7 @@ def solve_master(state: GoaState):
     if not state.cuts:
         raise ValueError("master needs at least one cut")
     c, A, b, lb, ub = _master_lp_rows(state)
-    s = state.s
+    s = state.master.s
     u0 = s.M + s.N
     n_u = s.N
 
@@ -434,10 +423,11 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
     if not bounds.feasible:
         raise ValueError(
             f"no admissible relay count: low={bounds.low}, up={bounds.up} for target {target}")
-    targets = np.array([target]) if scheme == "mdnc" else np.full(s.M, target)
-    master = MasterModel(s, coeffs, scheme, q, targets, include_user_energy, outage_full)
-    state = GoaState(s=s, coeffs=coeffs, scheme=scheme, q=q, targets=targets,
-                     master=master, bounds=bounds, include_user_energy=include_user_energy)
+    if outage_full is None:
+        outage_full = _all_relay_outage(s, coeffs, scheme)
+    master = MasterModel(s, coeffs, scheme, q, np.full(len(outage_full), target),
+                         include_user_energy, outage_full)
+    state = GoaState(master=master, bounds=bounds)
 
     schedule = warm_schedule or RelaySchedule.from_indices(bounds.best_subset, s.N)
     for t in range(1, GOA_MAX_ITER + 1):
@@ -501,56 +491,31 @@ class Solution:
     reason: str | None = None
 
 
-def _numerator(s: ScenarioConfig, scheme: str, outage_values: np.ndarray) -> float:
-    """Delivered-bits numerator per slot-normalized objective (no T factor)."""
-    if scheme == "mdnc":
-        return s.M * s.alpha0 * (1.0 - float(outage_values[0]))
-    return s.alpha0 * float(np.sum(1.0 - outage_values))
-
-
-def _energy_of(s, scheme, schedule, powers) -> EnergyBreakdown:
-    return total_energy(s, schedule, powers) if scheme == "mdnc" else nonc_energy(s, schedule, powers)
-
-
-def _exact_outage_of(s, coeffs, scheme, schedule, powers):
-    if scheme == "mdnc":
-        return outage_exact(s, coeffs, schedule, powers).total
-    return nonc_outage(coeffs, schedule, powers)
-
-
 def _assemble_solution(s, coeffs, scheme, target, schedule, sol: PrimalSolution,
                        q: float, diagnostics: dict) -> Solution:
-    e = _energy_of(s, scheme, schedule, sol.powers)
-    exact = _exact_outage_of(s, coeffs, scheme, schedule, sol.powers)
-    if scheme == "mdnc":
-        ee = s.M * s.alpha0 * s.T * (1.0 - exact) / e.e_tot
-        approx = float(sol.outage_approx[0])
-    else:
-        ee = s.alpha0 * s.T * float(np.sum(1.0 - exact)) / e.e_tot
-        approx = sol.outage_approx.copy()
+    e = total_energy(s, schedule, sol.powers, scheme)
+    exact = exact_outage(s, coeffs, scheme, schedule, sol.powers)
+    approx = float(sol.outage_approx[0]) if scheme == "mdnc" else sol.outage_approx.copy()
     return Solution(feasible=True, scheme=scheme, target=target, schedule=schedule,
-                    powers=sol.powers, ee=ee, pr_out_exact=exact, pr_out_approx=approx,
+                    powers=sol.powers, ee=energy_efficiency(s, exact, e, scheme),
+                    pr_out_exact=exact, pr_out_approx=approx,
                     energy=e, q_star=q, diagnostics=diagnostics)
 
 
-def _initial_q(s, coeffs, scheme, target, bounds, include_user_energy) -> tuple[float, RelaySchedule]:
-    """Starting ratio from the best minimal subset at full power.
+def _max_slack_ratio(s, coeffs, schedule, target, scheme, include_user_energy) -> float | None:
+    """Starting ratio of a schedule: its bits/energy ratio at the max-slack point.
 
     Using the ratio of an admissible point keeps the q-sequence nondecreasing
-    from the first update on. Falls back to q = 0 when the max-power point
-    violates the approximate-outage cap (the first inner solve then behaves
-    as pure outage minimization).
+    from the first update on. None when even that point violates the
+    approximate-outage cap.
     """
-    schedule = RelaySchedule.from_indices(bounds.best_subset, s.N)
     pp = assemble_primal(s, coeffs, schedule, 0.0, target=target, scheme=scheme,
                          include_user_energy=include_user_energy)
     if not pp.feasible:
-        return 0.0, schedule
+        return None
     x_hi = np.clip(pp.max_slack_point, pp.lo, pp.hi)
-    powers = pp.powers(x_hi)
-    e = _energy_of(s, scheme, schedule, powers)
-    numer = _numerator(s, scheme, pp.outage_at(x_hi))
-    return max(numer / e.e_tot, 0.0), schedule
+    e = total_energy(s, schedule, pp.powers(x_hi), scheme)
+    return max(delivered_rate(s, pp.outage_at(x_hi), scheme) / e.e_tot, 0.0)
 
 
 def _dinkelbach_loop(s, scheme, inner_solve, q0: float, warm: RelaySchedule):
@@ -567,8 +532,8 @@ def _dinkelbach_loop(s, scheme, inner_solve, q0: float, warm: RelaySchedule):
     tol = DINKELBACH_TOL_REL * s.M * s.alpha0
     for theta in range(1, DINKELBACH_MAX_ITER + 1):
         schedule, sol, info = inner_solve(q, schedule)
-        e = _energy_of(s, scheme, schedule, sol.powers)
-        numer = _numerator(s, scheme, np.atleast_1d(sol.outage_approx))
+        e = total_energy(s, schedule, sol.powers, scheme)
+        numer = delivered_rate(s, sol.outage_approx, scheme)
         v = numer - q * e.e_tot
         q_history.append(q)
         v_history.append(v)
@@ -600,7 +565,10 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
 
-    q0, schedule0 = _initial_q(s, coeffs, scheme, target, bounds, include_user_energy)
+    schedule0 = RelaySchedule.from_indices(bounds.best_subset, s.N)
+    q0 = _max_slack_ratio(s, coeffs, schedule0, target, scheme, include_user_energy)
+    if q0 is None:
+        q0 = 0.0   # the first inner solve then behaves as pure outage minimization
     outage_full = _all_relay_outage(s, coeffs, scheme)
     states: list[GoaState] = []
 
@@ -652,13 +620,9 @@ def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
                               include_user_energy: bool = False) -> Solution | None:
     """q-iterations with the schedule frozen (no master): the per-subset solver
     the brute-force oracle is built on. None when the subset is infeasible."""
-    pp0 = assemble_primal(s, coeffs, schedule, 0.0, target=target, scheme=scheme,
-                          include_user_energy=include_user_energy)
-    if not pp0.feasible:
+    q0 = _max_slack_ratio(s, coeffs, schedule, target, scheme, include_user_energy)
+    if q0 is None:
         return None
-    x_hi = np.clip(pp0.max_slack_point, pp0.lo, pp0.hi)
-    powers = pp0.powers(x_hi)
-    q0 = max(_numerator(s, scheme, pp0.outage_at(x_hi)) / _energy_of(s, scheme, schedule, powers).e_tot, 0.0)
 
     sols: list[PrimalSolution] = []
 

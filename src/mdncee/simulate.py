@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .energy import nonc_energy, total_energy
+from .energy import energy_efficiency, total_energy
 from .model import LinkCoefficients, ScenarioConfig
 from .optimizer import Solution, dinkelbach_fixed_schedule, relay_count_bounds
 from .outage import PowerAllocation, RelaySchedule
@@ -148,22 +148,16 @@ def monte_carlo_outage(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Re
     and survive the second hop. NoNC: user i is in outage iff no selected
     relay carries its message through both hops (per-user frequencies).
     """
-    if scheme not in ("mdnc", "nonc"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if schedule.count == 0:
-        raise ValueError("schedule selects no relays")
+    e = total_energy(s, schedule, powers, scheme)   # rejects an unknown scheme or no relays
     thr_h, thr_g = _thresholds(s, coeffs, schedule, powers)
     fail_counts = _count_failures(thr_h, thr_g, mc, scheme == "mdnc")
 
     p_hat = fail_counts / mc.samples
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / mc.samples)
+    ee = energy_efficiency(s, p_hat, e, scheme)
     if scheme == "mdnc":
-        e = total_energy(s, schedule, powers)
-        ee = s.M * s.alpha0 * s.T * (1.0 - p_hat[0]) / e.e_tot
         return McResult(outage=float(p_hat[0]), stderr=float(stderr[0]), ee=ee,
                         samples=mc.samples, scheme=scheme)
-    e = nonc_energy(s, schedule, powers)
-    ee = s.alpha0 * s.T * float(np.sum(1.0 - p_hat)) / e.e_tot
     return McResult(outage=p_hat, stderr=stderr, ee=ee, samples=mc.samples, scheme=scheme)
 
 

@@ -296,3 +296,23 @@ def test_paper_sweep_matches_golden(tmp_path):
             got = [float(v) for v in row[col].split(";") if v]
             ref = [float(v) for v in want[col].split(";") if v]
             assert got == pytest.approx(ref, rel=1e-9, abs=0.0), (col, want["target"], want["scheme"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", SCENARIO_PATH, "--targets", "0"], "target outage 0 is not in (0, 1)"),
+    (["sweep", SCENARIO_PATH, "--targets=-1e-3"], "target outage -1e-3 is not in (0, 1)"),
+    (["sweep", SCENARIO_PATH, "--targets", "1e-3", "--mode", "goa,bogus"], "unknown mode 'bogus'"),
+    (["energy-curve", SCENARIO_PATH, "--targets", "1e-3,1.5"], "target outage 1.5 is not in (0, 1)"),
+    (["relay-shift", SCENARIO_PATH, "--deltas=0", "--targets", "0"],
+     "target outage 0 is not in (0, 1)"),
+    (["verify", SCENARIO_PATH, "--target", "0"], "target outage 0 is not in (0, 1)"),
+    (["verify", SCENARIO_PATH, "--samples", "0"], "sample count 0 is below 1"),
+], ids=["sweep-zero-target", "sweep-negative-target", "sweep-unknown-mode",
+        "energy-curve-target-above-1", "relay-shift-zero-target", "verify-zero-target",
+        "verify-zero-samples"])
+def test_bad_argument_exits_2_naming_the_value(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from mdncee.convex_solver import assemble_primal
 from mdncee.energy import (
     energy_budget_ok,
     energy_efficiency,
-    nonc_energy,
+    scheme_constants,
     subtractive_value,
     tilde_v,
     total_energy,
@@ -155,7 +156,7 @@ def test_nonc_energy_reduces_to_mdnc_for_single_user(paper_scenario, two_relay_p
                              n_h=paper_scenario.n_h[:1], N0_h=paper_scenario.N0_h[:1])
     p1 = PowerAllocation(p=[4.0], p_relay=powers.p_relay)
     a = total_energy(s1, sched, p1)
-    b = nonc_energy(s1, sched, p1)
+    b = total_energy(s1, sched, p1, "nonc")
     assert a == b
 
 
@@ -163,7 +164,7 @@ def test_nonc_energy_scales_second_hop(paper_scenario, two_relay_point):
     s = paper_scenario
     sched, powers = two_relay_point
     mdnc = total_energy(s, sched, powers)
-    nonc = nonc_energy(s, sched, powers)
+    nonc = total_energy(s, sched, powers, "nonc")
     assert nonc.e_bs2 == pytest.approx(s.M * mdnc.e_bs2, rel=1e-15)
     assert nonc.e_s == mdnc.e_s
     assert nonc.e_r1 == mdnc.e_r1
@@ -171,3 +172,35 @@ def test_nonc_energy_scales_second_hop(paper_scenario, two_relay_point):
     assert nonc.e_r2 == pytest.approx(
         n * 56.0 * s.M * T + 2.6 * 40.0 * s.M * T + (n - 1) * 39.0 * 0.1 * T, rel=1e-14)
     assert nonc.e_data == pytest.approx(mdnc.e_s + 2.6 * 40.0 * s.M * T, rel=1e-14)
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+@pytest.mark.parametrize("include_user_energy", [False, True])
+def test_energy_breakdown_matches_linear_model(paper_scenario, paper_coeffs, scheme,
+                                               include_user_energy):
+    # the per-phase breakdown sums to the linear form the solvers use,
+    # T*sum(p) + m*delta_P*T*sum(p') + gamma*n + delta0, and the budget
+    # check agrees with the primal's budget constraint, whose cap is E0
+    # plus a constant; half of E0 makes the check come out both ways
+    s = paper_scenario
+    gamma, delta0, m, _ = scheme_constants(s, scheme)
+    rng = np.random.default_rng(17)
+    seen = set()
+    for n in range(1, s.N + 1):
+        sched = RelaySchedule.from_indices(rng.choice(s.N, n, replace=False).tolist(), s.N)
+        pp = assemble_primal(s, paper_coeffs, sched, 0.0, target=1e-3, scheme=scheme,
+                             include_user_energy=include_user_energy)
+        for _ in range(20):
+            x = rng.uniform(pp.lo, pp.hi)
+            powers = pp.powers(x)
+            e = total_energy(s, sched, powers, scheme)
+            linear = (s.T * np.sum(powers.p) + m * s.delta_P * s.T * np.sum(powers.p_relay)
+                      + gamma * n + delta0)
+            assert e.e_tot == pytest.approx(linear, rel=1e-12)
+            for E0 in (s.E0, s.E0 / 2):
+                slack = pp.budget_cap - s.E0 + E0 - pp.budget_pos.value(x)
+                if abs(slack) > 1e-9 * E0:
+                    ok = energy_budget_ok(e, E0, include_user_energy)
+                    assert ok == (slack > 0)
+                    seen.add(ok)
+    assert seen == {False, True}

@@ -14,6 +14,7 @@ from mdncee.optimizer import (
     build_oa_cuts,
     dinkelbach_fixed_schedule,
     dinkelbach_solve,
+    exact_outage,
     goa_solve,
     nonc_solve,
     relay_count_bounds,
@@ -268,17 +269,16 @@ def test_fixed_schedule_counts_unconverged_primals(paper_scenario, paper_coeffs)
 
 @pytest.mark.parametrize("target", [10 ** -2.75, 1e-3], ids=["10^-2.75", "1e-3"])
 def test_newton_path_ignores_outage_term_order(paper_scenario, paper_coeffs, monkeypatch, target):
-    from mdncee import convex_solver, optimizer
+    from mdncee import convex_solver
     from mdncee.posynomial import Posynomial
 
     before = dinkelbach_solve(paper_scenario, paper_coeffs, target)
-    real = optimizer.outage_posynomial
+    real = convex_solver.outage_posynomial
 
     def reversed_terms(*args, **kwargs):
         pos = real(*args, **kwargs)
         return Posynomial(pos.coeffs[::-1], pos.expos[::-1], pos.dim)
 
-    monkeypatch.setattr(optimizer, "outage_posynomial", reversed_terms)
     monkeypatch.setattr(convex_solver, "outage_posynomial", reversed_terms)
     after = dinkelbach_solve(paper_scenario, paper_coeffs, target)
     assert after.schedule.theta == before.schedule.theta
@@ -361,20 +361,41 @@ def test_warm_children_pivot_less_than_cold_roots(paper_scenario, paper_coeffs, 
 def test_all_relay_outage_built_once_per_solve(paper_scenario, paper_coeffs, monkeypatch, scheme):
     from mdncee import optimizer
 
-    name = "outage_posynomial" if scheme == "mdnc" else "nonc_outage_posynomials"
-    real = getattr(optimizer, name)
+    real = optimizer._all_relay_outage
     builds = []
 
-    def counting(coeffs, relays, M):
-        builds.append(tuple(relays))
-        return real(coeffs, relays, M)
+    def counting(s, coeffs, scheme):
+        builds.append(tuple(range(s.N)))
+        return real(s, coeffs, scheme)
 
-    monkeypatch.setattr(optimizer, name, counting)
+    monkeypatch.setattr(optimizer, "_all_relay_outage", counting)
     sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
     assert sol.diagnostics["goa_states"] > 1
     assert builds == [(0, 1, 2, 3)]
     goa_solve(paper_scenario, paper_coeffs, sol.q_star, 1e-3, scheme=scheme)
     assert builds == [(0, 1, 2, 3)] * 2
+
+
+@pytest.mark.parametrize("scheme", ["MDNC", ""])
+@pytest.mark.parametrize("entry", ["total_energy", "energy_efficiency", "exact_outage",
+                                   "outage_posynomials", "dinkelbach_solve"])
+def test_unknown_scheme_rejected(paper_scenario, paper_coeffs, entry, scheme):
+    from mdncee.convex_solver import outage_posynomials
+    from mdncee.energy import energy_efficiency, total_energy
+
+    s = paper_scenario
+    sched = RelaySchedule.from_indices([0, 1, 2], s.N)
+    powers = PowerAllocation(p=[1.0, 1.0], p_relay=sched.u * 5.0)
+    calls = {
+        "total_energy": lambda: total_energy(s, sched, powers, scheme),
+        "energy_efficiency": lambda: energy_efficiency(s, 1e-3, total_energy(s, sched, powers),
+                                                       scheme),
+        "exact_outage": lambda: exact_outage(s, paper_coeffs, scheme, sched, powers),
+        "outage_posynomials": lambda: outage_posynomials(paper_coeffs, sched.theta, s.M, scheme),
+        "dinkelbach_solve": lambda: dinkelbach_solve(s, paper_coeffs, 1e-3, scheme=scheme),
+    }
+    with pytest.raises(ValueError, match="unknown scheme"):
+        calls[entry]()
 
 
 def test_goa_matches_brute_force_at_eight_relays():
