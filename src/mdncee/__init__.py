@@ -29,7 +29,6 @@ from .outage import (
     RelaySchedule,
     link_outage,
     nonc_outage,
-    outage_approx_logdomain,
     outage_exact,
     relay_decode_prob,
 )
@@ -37,14 +36,11 @@ from .energy import (
     EnergyBreakdown,
     energy_budget_ok,
     energy_efficiency,
-    subtractive_value,
-    tilde_v,
     total_energy,
 )
 from .convex_solver import PrimalProblem, PrimalSolution, assemble_primal, gradients, solve_primal
 from .optimizer import (
     GoaState,
-    OACut,
     Solution,
     dinkelbach_solve,
     exact_outage,
@@ -71,20 +67,16 @@ __all__ = [
     "link_outage",
     "relay_decode_prob",
     "outage_exact",
-    "outage_approx_logdomain",
     "nonc_outage",
     "EnergyBreakdown",
     "total_energy",
     "energy_budget_ok",
     "energy_efficiency",
-    "subtractive_value",
-    "tilde_v",
     "PrimalProblem",
     "PrimalSolution",
     "assemble_primal",
     "solve_primal",
     "gradients",
-    "OACut",
     "GoaState",
     "Solution",
     "relay_count_bounds",

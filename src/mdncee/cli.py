@@ -102,8 +102,26 @@ def _parse_targets(spec_text: str) -> list[float]:
     """Target outages: a comma list or logrange:start,stop,count."""
     if spec_text.startswith("logrange:"):
         start, stop, count = spec_text[len("logrange:"):].split(",")
+        if int(count) < 1:
+            raise argparse.ArgumentTypeError(f"logrange count {count} is below 1")
         return [float(t) for t in np.geomspace(_target(start), _target(stop), int(count))]
     return _target_list(spec_text)
+
+
+def _shift_list(text: str) -> list[float]:
+    """Relay shifts in meters: a comma list of numbers."""
+    try:
+        return [float(d) for d in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"shifts {text!r} are not a comma list of numbers") from None
+
+
+def _index_list(text: str) -> tuple[int, ...]:
+    """Relay indices: a comma list of integers, checked against N after loading."""
+    try:
+        return tuple(int(j) for j in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"relays {text!r} are not a comma list of integers") from None
 
 
 def _parse_modes(text: str) -> list[str]:
@@ -262,7 +280,7 @@ def relay_location_study(s, coeffs, target: float, deltas, subset=None,
                                           include_user_energy=include_user_energy)
         if fixed is None:
             return [{"delta": d, "relays": schedule.theta, "ee": None, "pr_out_exact": None,
-                     "status": "infeasible", "reason": "outage cap unreachable at delta 0"}
+                     "status": "infeasible", "reason": "no admissible power allocation at delta 0"}
                     for d in deltas]
         powers = fixed.powers
     e = total_energy(s, schedule, powers)
@@ -284,12 +302,16 @@ def relay_location_study(s, coeffs, target: float, deltas, subset=None,
 
 def cmd_relay_shift(args) -> int:
     s, coeffs = _load(args.scenario)
-    deltas = [float(d) for d in args.deltas.split(",")]
-    subset = tuple(int(j) for j in args.relays.split(",")) if args.relays else None
+    if args.relays is not None:
+        try:
+            RelaySchedule.from_indices(args.relays, s.N)
+        except ValueError as exc:
+            print(f"invalid relays: {exc}", file=sys.stderr)
+            return 2
     lines = [SHIFT_SCHEMA, SHIFT_HEADER]
     any_ok = False
     for target in args.targets:
-        rows = relay_location_study(s, coeffs, target, deltas, subset=subset,
+        rows = relay_location_study(s, coeffs, target, args.deltas, subset=args.relays,
                                     include_user_energy=args.include_user_energy_in_budget)
         pairs = []
         for r in rows:
@@ -420,11 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relay-shift", help="EE versus relay displacement, fixed subset")
     common(p)
-    p.add_argument("--deltas", required=True,
+    p.add_argument("--deltas", type=_shift_list, required=True,
                    help="comma list of shifts in meters (use --deltas=-150,... for negatives)")
     p.add_argument("--targets", type=_target_list, default=[1e-3],
                    help="comma list of target outages (default 1e-3)")
-    p.add_argument("--relays", help="comma list of relay indices (default: optimizer pick at delta 0)")
+    p.add_argument("--relays", type=_index_list,
+                   help="comma list of relay indices (default: optimizer pick at delta 0)")
     p.set_defaults(func=cmd_relay_shift)
 
     p = sub.add_parser("verify", help="Monte Carlo check at one operating point")

@@ -198,6 +198,15 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
 
     if budget.value(hi) <= budget_cap:
         x_slack = hi.copy()
+    elif budget.value(lo) >= budget_cap:
+        # even the lowest powers leave no strict budget slack: with the
+        # default budget, the circuit energy gamma*n + delta0 reaches E0
+        pp.feasible = False
+        pp.infeasible_reason = (
+            f"energy budget E0 = {s.E0:g} J not strictly met at minimum power "
+            f"for schedule {selected}")
+        pp.max_slack_point = hi.copy()
+        return pp
     else:
         # Budget binds before full power: push the outage down along the
         # steepest admissible direction instead of assuming the corner.
@@ -216,19 +225,22 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
 def _max_slack_point(pp: PrimalProblem) -> np.ndarray:
     """Minimize the aggregate relative outage subject to budget and boxes.
 
-    Used only when the budget excludes the max-power corner. The aggregate
-    sum_i Pout_i/target_i is a posynomial, so this is one more convex solve;
-    its minimizer is the constraint-slack certificate point.
+    Used only when the budget excludes the max-power corner but is strictly
+    met at the lower corner lo. The aggregate sum_i Pout_i/target_i is a
+    posynomial, so this is one more convex solve; its minimizer is the
+    constraint-slack certificate point.
     """
     agg = _stacked(pp.dim, *((pos.coeffs * (1.0 / t), pos.expos)
                              for pos, t in zip(pp.outage_pos, pp.targets)))
-    interior = 0.5 * (pp.lo + pp.hi)
-    # start strictly inside the budget: shrink relay powers toward zero
-    x = interior.copy()
-    for _ in range(80):
-        if pp.budget_pos.value(x) < pp.budget_cap:
-            break
-        x[pp.s.M:] = 0.5 * x[pp.s.M:]
+    # start strictly inside the budget: from the box midpoint, shrink the
+    # relay powers toward zero, then (when user energy counts against the
+    # budget) the user powers toward their floor
+    x = 0.5 * (pp.lo + pp.hi)
+    for block in (slice(pp.s.M, None), slice(0, pp.s.M)):
+        for _ in range(80):
+            if pp.budget_pos.value(x) < pp.budget_cap:
+                break
+            x[block] = 0.5 * (x[block] + pp.lo[block])
     res = _barrier_minimize(
         objective=agg,
         constraints=[(pp.budget_pos.value, pp.budget_pos.parts, pp.budget_cap)],

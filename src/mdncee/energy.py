@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LinkCoefficients, ScenarioConfig
-from .outage import PowerAllocation, RelaySchedule, outage_approx_logdomain, powers_from_log
+from .model import ScenarioConfig
+from .outage import PowerAllocation, RelaySchedule
 
 __all__ = [
     "EnergyBreakdown",
@@ -31,8 +31,6 @@ __all__ = [
     "energy_budget_ok",
     "delivered_rate",
     "energy_efficiency",
-    "subtractive_value",
-    "tilde_v",
 ]
 
 
@@ -126,43 +124,3 @@ def energy_efficiency(s: ScenarioConfig, outage, e: EnergyBreakdown, scheme: str
         raise ValueError("total energy must be positive")
     # not delivered_rate(...) * T: (obj_coef*T)*sum keeps every reported EE's last bit
     return obj_coef * s.T * float(np.sum(1.0 - np.asarray(outage))) / e.e_tot
-
-
-def subtractive_value(q: float, s: ScenarioConfig, outage_total: float, e: EnergyBreakdown) -> float:
-    """Parametric objective V = M*alpha0*(1 - Pr_out) - q*E_tot.
-
-    Zero exactly at q = M*alpha0*(1 - Pr_out)/E_tot; the reported bits-per-
-    joule EE is that root times T.
-    """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    return delivered_rate(s, outage_total) - q * e.e_tot
-
-
-def tilde_v(q: float, s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
-            ptilde, ptilde_relay) -> float:
-    """Working objective log(V') at a log-domain operating point.
-
-    `ptilde_relay` holds the selected relays' variables in schedule order.
-    V' = -V + M*alpha0 + q*T*delta_P*sum_j c_j, evaluated with the
-    approximate outage and the substituted relay powers; the added constant
-    absorbs the negative -c_j offsets of u_j p'_j = c_j e^(ptilde'_j) - c_j,
-    leaving a positive sum of exponential terms. At a root of V this reduces
-    to log(M*alpha0 + q*T*delta_P*sum_j c_j).
-    """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    ptilde_relay = np.asarray(ptilde_relay, dtype=float)
-    full = np.zeros(s.N)
-    full[list(schedule.theta)] = ptilde_relay
-    powers = powers_from_log(coeffs, schedule, ptilde, full)
-    pr = outage_approx_logdomain(coeffs, schedule, ptilde, ptilde_relay)
-    e = total_energy(s, schedule, powers)
-    v = subtractive_value(q, s, pr, e)
-    v_prime = -v + s.M * s.alpha0 + q * s.T * s.delta_P * float(np.sum(coeffs.c_g))
-    if v_prime <= 0:
-        raise RuntimeError(
-            f"V' = {v_prime} <= 0 at q={q}, ptilde={np.asarray(ptilde).tolist()}, "
-            f"ptilde_relay={np.asarray(ptilde_relay).tolist()}; cannot take log"
-        )
-    return float(np.log(v_prime))

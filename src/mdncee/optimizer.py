@@ -19,7 +19,8 @@ full-relay-set approximation, which does not depend on u at all (an
 unselected relay has ptilde'_j = 0, i.e. second-hop failure probability 1),
 making the constraint cuts valid for every schedule. Integer no-good rows
 exclude already-visited schedules outright, which keeps the upper/lower
-bound bookkeeping exact in floating point.
+bound bookkeeping exact in floating point. Each cut is linearized once, at
+its anchor, into fixed master rows; the master only stacks them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .outage import PowerAllocation, RelaySchedule, nonc_outage, outage_exact
 __all__ = [
     "CountBounds",
     "exact_outage",
-    "OACut",
     "GoaState",
     "Solution",
     "relay_count_bounds",
@@ -144,31 +144,6 @@ def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: floa
 # Cuts and the master model
 
 
-@dataclass(frozen=True)
-class OACut:
-    """First-order information collected at one solved (or refuted) primal.
-
-    x is the anchor in full coordinates (M user variables then N relay
-    variables, zeros for unselected relays). tilde_v/grad_tilde_v describe
-    the fixed-schedule objective (zero components on unselected relays);
-    g/grad_g describe the schedule-independent outage constraints minus
-    their targets. vprime_master/obj_grad carry the master-model objective
-    value and gradient used for the linear cuts. Infeasibility certificates
-    have feasible=False and no objective information.
-    """
-
-    iteration: int
-    schedule: tuple[int, ...]
-    x: np.ndarray
-    g: np.ndarray
-    grad_g: np.ndarray
-    feasible: bool
-    tilde_v: float | None = None
-    grad_tilde_v: np.ndarray | None = None
-    vprime_master: float | None = None
-    obj_grad: np.ndarray | None = None
-
-
 def _all_relay_outage(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str) -> list:
     """The master's outage posynomials over all N relays (one for MDNC, one
     per user for NoNC). They depend on neither q nor the target."""
@@ -201,36 +176,45 @@ class MasterModel:
         self.caps = np.log1p(s.P_R_max / coeffs.c_g)
         self.v_scale = s.M * s.alpha0    # master works in v / v_scale units
 
-    def anchor_full(self, schedule: RelaySchedule, sol_x: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.dim)
-        x[: self.s.M] = sol_x[: self.s.M]
-        for k, j in enumerate(schedule.theta):
-            x[self.s.M + j] = sol_x[self.s.M + k]
-        return x
 
+def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None,
+                  master: MasterModel) -> tuple[np.ndarray, np.ndarray]:
+    """The master rows A z <= b of one cut, over z = [ptilde, ptilde', u, vhat].
 
-def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None, master: MasterModel,
-                  iteration: int) -> OACut:
-    """Linearize objective and constraints at a solved primal point, or build
-    the infeasibility certificate cut at the maximum-slack point."""
-    schedule = pp.schedule
-    x = master.anchor_full(schedule, pp.max_slack_point if sol is None else sol.x)
-    values, grads, _ = zip(*(pos.parts(x) for pos in master.outage_full))
-    g = np.array(values) - master.targets
-    grad_g = np.vstack(grads)
-    if sol is None:
-        return OACut(iteration=iteration, schedule=schedule.theta, x=x, g=g, grad_g=grad_g,
-                     feasible=False)
-    gtv_sel = pp.vprime.log_parts(sol.x)[1]
-    gtv = np.zeros(master.dim)
-    gtv[: pp.s.M] = gtv_sel[: pp.s.M]
-    for k, j in enumerate(schedule.theta):
-        gtv[pp.s.M + j] = gtv_sel[pp.s.M + k]
-    smooth, obj_grad, _ = master.obj_smooth.parts(x)
-    vpm = smooth + master.q * (master.gamma * schedule.count + master.delta0)
-    return OACut(iteration=iteration, schedule=schedule.theta, x=x, g=g, grad_g=grad_g,
-                 feasible=True, tilde_v=sol.tilde_v, grad_tilde_v=gtv,
-                 vprime_master=vpm, obj_grad=obj_grad)
+    The anchor is the solved primal point, or the maximum-slack point of a
+    refuted schedule, lifted to all N relays (zero on unselected ones). The
+    rows linearize there, in this order: the objective (solved primals
+    only), each outage constraint minus its target, and the budget. They
+    are fixed once built; the master only stacks them.
+    """
+    s = master.s
+    u0 = s.M + s.N
+    x = np.zeros(master.dim)
+    x[[*range(s.M), *(s.M + j for j in pp.schedule.theta)]] = (
+        pp.max_slack_point if sol is None else sol.x)
+
+    def row(grad, u_coef):
+        r = np.zeros(u0 + s.N + 1)
+        r[:u0] = grad
+        r[u0:u0 + s.N] = u_coef
+        return r
+
+    rows, rhs = [], []
+    if sol is not None:
+        # vhat * v_scale >= V'(x) + q * circuit(u)
+        value, grad, _ = master.obj_smooth.parts(x)
+        r = row(grad, master.q * master.gamma)
+        r[-1] = -master.v_scale
+        rows.append(r)
+        rhs.append(float(grad @ x) - (value + master.q * master.delta0))
+    for pos, target in zip(master.outage_full, master.targets):
+        value, grad, _ = pos.parts(x)
+        rows.append(row(grad, 0.0))
+        rhs.append(float(grad @ x) - float(value - target))
+    value, grad, _ = master.budget_exp.parts(x)
+    rows.append(row(grad, master.gamma))
+    rhs.append(s.E0 - master.delta0 + master.budget_offset - value + float(grad @ x))
+    return np.array(rows), np.array(rhs)
 
 
 @dataclass
@@ -239,7 +223,7 @@ class GoaState:
 
     master: MasterModel
     bounds: CountBounds
-    cuts: list[OACut] = field(default_factory=list)
+    cuts: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)  # (A, b) blocks
     visited: list[tuple[int, ...]] = field(default_factory=list)
     ubd: float = math.inf
     lbd: float = -math.inf
@@ -258,74 +242,40 @@ class GoaState:
 
 
 def _master_lp_rows(state: GoaState):
-    """Assemble the master MILP's linear rows over z = [ptilde, ptilde', u, vhat]."""
+    """Stack the master MILP's rows over z = [ptilde, ptilde', u, vhat]: two
+    always-valid floors, the cut blocks, the no-good rows, the relay-count
+    window and the caps ptilde'_j <= cap_j * u_j."""
     m = state.master
     s = m.s
     M, N = s.M, s.N
     nv = M + 2 * N + 1
     iv = M + 2 * N                      # vhat column
     u0 = M + N
-    rows, rhs = [], []
+    u = slice(u0, u0 + N)
 
-    def new_row():
-        return np.zeros(nv)
+    # v >= q * circuit(u), and circuit(u) alone must fit the budget
+    floors = np.zeros((2, nv))
+    floors[0, u] = m.q * m.gamma
+    floors[0, iv] = -m.v_scale
+    floors[1, u] = m.gamma
 
-    # always-valid floor: v >= q * circuit(u)
-    r = new_row()
-    r[u0:u0 + N] = m.q * m.gamma
-    r[iv] = -m.v_scale
-    rows.append(r)
-    rhs.append(-m.q * m.delta0)
+    # each visited schedule S: sum_{j in S} u_j - sum_{j not in S} u_j <= |S| - 1
+    no_goods = np.zeros((len(state.visited), nv))
+    no_goods[:, u] = -1.0
+    for i, theta in enumerate(state.visited):
+        no_goods[i, [u0 + j for j in theta]] = 1.0
 
-    # always-valid budget floor: circuit(u) alone must fit
-    r = new_row()
-    r[u0:u0 + N] = m.gamma
-    rows.append(r)
-    rhs.append(s.E0 - m.delta0)
+    relays = np.arange(N)
+    tail = np.zeros((2 + N, nv))
+    tail[0, u] = 1.0
+    tail[1, u] = -1.0
+    tail[2 + relays, M + relays] = 1.0
+    tail[2 + relays, u0 + relays] = -m.caps
 
-    for cut in state.cuts:
-        if cut.feasible:
-            r = new_row()
-            r[:M + N] = cut.obj_grad
-            r[u0:u0 + N] += m.q * m.gamma
-            r[iv] = -m.v_scale
-            rows.append(r)
-            rhs.append(float(cut.obj_grad @ cut.x) - (m.obj_smooth.value(cut.x) + m.q * m.delta0))
-        for gi, ggrad in zip(cut.g, cut.grad_g):
-            r = new_row()
-            r[:M + N] = ggrad
-            rows.append(r)
-            rhs.append(float(ggrad @ cut.x) - float(gi))
-        bval, bgrad, _ = m.budget_exp.parts(cut.x)
-        r = new_row()
-        r[:M + N] = bgrad
-        r[u0:u0 + N] += m.gamma
-        rows.append(r)
-        rhs.append(s.E0 - m.delta0 + m.budget_offset - bval + float(bgrad @ cut.x))
-
-    for visited in state.visited:
-        r = new_row()
-        inside = set(visited)
-        for j in range(N):
-            r[u0 + j] = 1.0 if j in inside else -1.0
-        rows.append(r)
-        rhs.append(len(visited) - 1.0)
-
-    r = new_row()
-    r[u0:u0 + N] = 1.0
-    rows.append(r)
-    rhs.append(float(state.bounds.up))
-    r = new_row()
-    r[u0:u0 + N] = -1.0
-    rows.append(r)
-    rhs.append(-float(state.bounds.low))
-
-    for j in range(N):
-        r = new_row()
-        r[M + j] = 1.0
-        r[u0 + j] = -m.caps[j]
-        rows.append(r)
-        rhs.append(0.0)
+    A = np.vstack([floors, *(rows for rows, _ in state.cuts), no_goods, tail])
+    b = np.concatenate([[-m.q * m.delta0, s.E0 - m.delta0], *(rhs for _, rhs in state.cuts),
+                        [len(theta) - 1.0 for theta in state.visited],
+                        [float(state.bounds.up), -float(state.bounds.low)], np.zeros(N)])
 
     lb = np.concatenate([np.full(M, np.log(P_MIN)), np.zeros(N), np.zeros(N), [0.0]])
     if math.isfinite(state.ubd):
@@ -335,7 +285,7 @@ def _master_lp_rows(state: GoaState):
     ub = np.concatenate([np.full(M, np.log(s.P_S_max)), m.caps, np.ones(N), [vcap]])
     c = np.zeros(nv)
     c[iv] = 1.0
-    return c, np.array(rows), np.array(rhs), lb, ub
+    return c, A, b, lb, ub
 
 
 def solve_master(state: GoaState):
@@ -401,7 +351,8 @@ def solve_master(state: GoaState):
         return None
     u = np.round(best["x"][u0:u0 + n_u]).astype(int)
     schedule = RelaySchedule(u)
-    w = math.log(best["obj"] * state.master.v_scale)
+    # vhat = 0 (q = 0, every cut so far refuted its schedule) bounds log V' by -inf
+    w = math.log(best["obj"] * state.master.v_scale) if best["obj"] > 0 else -math.inf
     return schedule, w
 
 
@@ -434,17 +385,15 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
         state.iteration = t
         pp = assemble_primal(s, coeffs, schedule, q, target=target, scheme=scheme,
                              include_user_energy=include_user_energy)
-        if pp.feasible:
-            sol = solve_primal(pp)
+        sol = solve_primal(pp) if pp.feasible else None
+        if sol is not None:
             state.newton_total += sol.newton_iterations
             state.primal_unconverged += not sol.converged
-            state.cuts.append(build_oa_cuts(pp, sol, master, t))
             if sol.tilde_v < state.ubd:
                 state.ubd = sol.tilde_v
                 state.incumbent = sol
                 state.incumbent_schedule = schedule
-        else:
-            state.cuts.append(build_oa_cuts(pp, None, master, t))
+        state.cuts.append(build_oa_cuts(pp, sol, master))
         state.visited.append(schedule.theta)
         state.ubd_history.append(state.ubd)
 

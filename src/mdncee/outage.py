@@ -42,7 +42,6 @@ __all__ = [
     "link_outage",
     "relay_decode_prob",
     "outage_exact",
-    "outage_approx_logdomain",
     "nonc_outage",
     "outage_posynomial",
     "nonc_outage_posynomials",
@@ -276,23 +275,6 @@ def outage_posynomial(coeffs: LinkCoefficients, selected, M: int) -> Posynomial:
     expos = [e for table in tables for e in table]
     return Posynomial([c for table in tables for c in table.values()],
                       np.array(expos, dtype=float).reshape(len(expos), dim), dim)
-
-
-def outage_approx_logdomain(coeffs: LinkCoefficients, schedule: RelaySchedule,
-                            ptilde, ptilde_relay) -> float:
-    """Approximate outage in the log-domain variables.
-
-    `ptilde_relay` holds the selected relays' variables in schedule order and
-    must be >= 0 so the implied real power c_j e^(ptilde'_j) - c_j is >= 0.
-    Equals the natural-power approximation after substitution.
-    """
-    ptilde = np.asarray(ptilde, dtype=float)
-    ptilde_relay = np.asarray(ptilde_relay, dtype=float)
-    if np.any(ptilde_relay < 0):
-        raise ValueError("log-domain relay variables must be >= 0")
-    M = coeffs.c_h.shape[0]
-    pos = outage_posynomial(coeffs, schedule.theta, M)
-    return pos.value(np.concatenate([ptilde, ptilde_relay]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ The library evaluates the exact outage as a Poisson-binomial tail and builds
 the high-SNR posynomials by counting recursions. The functions here spell
 the same quantities out term by term, enumerating decode subsets Phi and
 survivor subsets psi, so the fast forms can be checked against them.
+
+The working objective log V' is spelled out here too, from the energy
+breakdown and the parametric value V rather than from the stacked V'
+posynomial the solver builds (its outage term is the library's outage
+posynomial, itself checked against the subset sums above).
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mdncee.outage import PowerAllocation, RelaySchedule
+from mdncee.energy import EnergyBreakdown, delivered_rate, total_energy
+from mdncee.model import LinkCoefficients, ScenarioConfig
+from mdncee.outage import PowerAllocation, RelaySchedule, outage_posynomial, powers_from_log
 
 
 def prob_zeta_K(schedule: RelaySchedule, rho, K: int) -> float:
@@ -158,3 +165,60 @@ def enumerated_nonc_terms(coeffs, selected, M: int) -> list[dict]:
                 terms[key] = terms.get(key, 0.0) + c
         result.append(terms)
     return result
+
+
+def outage_approx_logdomain(coeffs: LinkCoefficients, schedule: RelaySchedule,
+                            ptilde, ptilde_relay) -> float:
+    """Approximate outage in the log-domain variables.
+
+    `ptilde_relay` holds the selected relays' variables in schedule order and
+    must be >= 0 so the implied real power c_j e^(ptilde'_j) - c_j is >= 0.
+    Equals the natural-power approximation after substitution.
+    """
+    ptilde = np.asarray(ptilde, dtype=float)
+    ptilde_relay = np.asarray(ptilde_relay, dtype=float)
+    if np.any(ptilde_relay < 0):
+        raise ValueError("log-domain relay variables must be >= 0")
+    M = coeffs.c_h.shape[0]
+    pos = outage_posynomial(coeffs, schedule.theta, M)
+    return pos.value(np.concatenate([ptilde, ptilde_relay]))
+
+
+def subtractive_value(q: float, s: ScenarioConfig, outage_total: float, e: EnergyBreakdown) -> float:
+    """Parametric objective V = M*alpha0*(1 - Pr_out) - q*E_tot.
+
+    Zero exactly at q = M*alpha0*(1 - Pr_out)/E_tot; the reported bits-per-
+    joule EE is that root times T.
+    """
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    return delivered_rate(s, outage_total) - q * e.e_tot
+
+
+def tilde_v(q: float, s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
+            ptilde, ptilde_relay) -> float:
+    """Working objective log(V') at a log-domain operating point.
+
+    `ptilde_relay` holds the selected relays' variables in schedule order.
+    V' = -V + M*alpha0 + q*T*delta_P*sum_j c_j, evaluated with the
+    approximate outage and the substituted relay powers; the added constant
+    absorbs the negative -c_j offsets of u_j p'_j = c_j e^(ptilde'_j) - c_j,
+    leaving a positive sum of exponential terms. At a root of V this reduces
+    to log(M*alpha0 + q*T*delta_P*sum_j c_j).
+    """
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    ptilde_relay = np.asarray(ptilde_relay, dtype=float)
+    full = np.zeros(s.N)
+    full[list(schedule.theta)] = ptilde_relay
+    powers = powers_from_log(coeffs, schedule, ptilde, full)
+    pr = outage_approx_logdomain(coeffs, schedule, ptilde, ptilde_relay)
+    e = total_energy(s, schedule, powers)
+    v = subtractive_value(q, s, pr, e)
+    v_prime = -v + s.M * s.alpha0 + q * s.T * s.delta_P * float(np.sum(coeffs.c_g))
+    if v_prime <= 0:
+        raise RuntimeError(
+            f"V' = {v_prime} <= 0 at q={q}, ptilde={np.asarray(ptilde).tolist()}, "
+            f"ptilde_relay={np.asarray(ptilde_relay).tolist()}; cannot take log"
+        )
+    return float(np.log(v_prime))

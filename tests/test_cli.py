@@ -127,6 +127,27 @@ def test_relay_shift_invalid_delta_row(tmp_path):
     assert "invalid" in text
 
 
+def test_relay_shift_circuit_energy_over_budget_exits_3(tmp_path):
+    # at E0 = 450 J the four relays' circuit energy alone (564 J) overspends
+    cfg = tmp_path / "e450.cfg"
+    cfg.write_text(read(SCENARIO_PATH).replace("E0 = 900.0", "E0 = 450.0"))
+    assert "E0 = 450.0" in read(cfg)
+    out = tmp_path / "o"
+    assert run_cli(["relay-shift", str(cfg), "--relays", "0,1,2,3", "--deltas=0",
+                    "--out", str(out)]) == 3
+    lines = read(out / "relay_shift.csv").strip().split("\n")
+    rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
+    assert len(rows) == 1 and rows[0]["status"] == "infeasible"
+
+
+def test_relay_shift_rejects_relay_index_outside_n(tmp_path, capsys):
+    code = run_cli(["relay-shift", SCENARIO_PATH, "--deltas=0", "--relays", "0,9",
+                    "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "invalid relays: relay index 9 outside 0..3\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_passes_at_optimizer_point(tmp_path, capsys):
     out = tmp_path / "o"
     code = run_cli(["verify", SCENARIO_PATH, "--target", "1e-3",
@@ -307,9 +328,15 @@ def test_paper_sweep_matches_golden(tmp_path):
      "target outage 0 is not in (0, 1)"),
     (["verify", SCENARIO_PATH, "--target", "0"], "target outage 0 is not in (0, 1)"),
     (["verify", SCENARIO_PATH, "--samples", "0"], "sample count 0 is below 1"),
+    (["sweep", SCENARIO_PATH, "--targets", "logrange:1e-2,1e-3,0"], "logrange count 0 is below 1"),
+    (["relay-shift", SCENARIO_PATH, "--deltas=abc"],
+     "shifts 'abc' are not a comma list of numbers"),
+    (["relay-shift", SCENARIO_PATH, "--deltas=0", "--relays", "0,x"],
+     "relays '0,x' are not a comma list of integers"),
 ], ids=["sweep-zero-target", "sweep-negative-target", "sweep-unknown-mode",
         "energy-curve-target-above-1", "relay-shift-zero-target", "verify-zero-target",
-        "verify-zero-samples"])
+        "verify-zero-samples", "sweep-logrange-zero-count", "relay-shift-nonnumeric-delta",
+        "relay-shift-nonnumeric-relay"])
 def test_bad_argument_exits_2_naming_the_value(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + ["--out", str(tmp_path / "o")])

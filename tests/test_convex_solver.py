@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mdncee.convex_solver import _barrier_minimize, assemble_primal, gradients, solve_primal
+from mdncee.energy import scheme_constants
 from mdncee.outage import RelaySchedule
 from mdncee.posynomial import Posynomial
 
@@ -117,6 +120,31 @@ def test_infeasible_marker_unreachable_target(paper_scenario, paper_coeffs):
     assert pp.max_slack_point is not None
     with pytest.raises(ValueError):
         solve_primal(pp)
+
+
+@pytest.mark.parametrize("include_user_energy", [False, True])
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_infeasible_marker_circuit_energy_over_budget(paper_scenario, paper_coeffs, scheme,
+                                                      include_user_energy):
+    # the circuit energy gamma*n + delta0 of three relays alone overspends E0
+    gamma, delta0, _, _ = scheme_constants(paper_scenario, scheme)
+    s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0 - 1.0)
+    pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4), q=1000.0,
+                         target=1e-2, scheme=scheme, include_user_energy=include_user_energy)
+    assert not pp.feasible
+    assert "energy budget" in pp.infeasible_reason
+    assert np.array_equal(pp.max_slack_point, pp.hi)
+
+
+def test_max_slack_start_lowers_user_powers_under_counted_user_energy(paper_scenario,
+                                                                       paper_coeffs):
+    # 1 mJ above the circuit energy: the users at the box midpoint already
+    # overspend it, so the start point must lower the user powers as well
+    gamma, delta0, _, _ = scheme_constants(paper_scenario, "mdnc")
+    s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0 + 1e-3)
+    pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4), q=1000.0,
+                         target=1e-2, include_user_energy=True)
+    assert pp.budget_pos.value(pp.max_slack_point) < pp.budget_cap
 
 
 def test_always_feasible_at_vacuous_target(paper_scenario, paper_coeffs):

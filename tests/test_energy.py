@@ -4,16 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import outage_approx_logdomain, subtractive_value, tilde_v
 from mdncee.convex_solver import assemble_primal
 from mdncee.energy import (
     energy_budget_ok,
     energy_efficiency,
     scheme_constants,
-    subtractive_value,
-    tilde_v,
     total_energy,
 )
-from mdncee.outage import PowerAllocation, RelaySchedule, outage_approx_logdomain, powers_from_log
+from mdncee.outage import PowerAllocation, RelaySchedule, powers_from_log
 
 
 @pytest.fixture
@@ -147,6 +146,20 @@ def test_tilde_v_at_q_zero(paper_scenario, paper_coeffs):
     pr = outage_approx_logdomain(paper_coeffs, sched, ptilde, ptr)
     assert tilde_v(0.0, s, paper_coeffs, sched, ptilde, ptr) == pytest.approx(
         math.log(s.M * s.alpha0 * pr), abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.0, 350.0, 1300.0])
+def test_primal_objective_matches_tilde_v_oracle(paper_scenario, paper_coeffs, q):
+    # the solver's stacked V' posynomial against the oracle built from the
+    # energy breakdown and the parametric value V
+    rng = np.random.default_rng([43, int(q)])
+    for subset in ([0, 1], [0, 2, 3], [1, 2, 3], [0, 1, 2, 3]):
+        sched = RelaySchedule.from_indices(subset, 4)
+        pp = assemble_primal(paper_scenario, paper_coeffs, sched, q, target=1e-3)
+        for _ in range(5):
+            x = rng.uniform(pp.lo, pp.hi)
+            want = tilde_v(q, paper_scenario, paper_coeffs, sched, x[:2], x[2:])
+            assert pp.vprime.logvalue(x) == pytest.approx(want, abs=1e-12)
 
 
 def test_nonc_energy_reduces_to_mdnc_for_single_user(paper_scenario, two_relay_point):

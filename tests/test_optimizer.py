@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mdncee.convex_solver import assemble_primal, solve_primal
+from mdncee.convex_solver import assemble_primal, gradients, solve_primal
+from mdncee.energy import scheme_constants
 from mdncee.lp import solve_lp
 from mdncee.optimizer import (
     GOA_REL_TOL,
@@ -51,6 +52,19 @@ def test_count_bounds_budget_cap(paper_scenario, paper_coeffs):
     starved = dataclasses.replace(paper_scenario, E0=450.0)
     b2 = relay_count_bounds(starved, paper_coeffs, 1e-6)   # needs 4 relays, budget caps at 3
     assert not b2.feasible
+
+
+def test_circuit_energy_exactly_at_budget_gives_infeasible_solution(paper_scenario, paper_coeffs):
+    # E0 = gamma*3 + delta0: the count window admits only 3 relays, and no
+    # 3-relay schedule leaves strict budget slack, so every cut refutes its
+    # schedule and the first master runs at q = 0 with no objective row
+    gamma, delta0, _, _ = scheme_constants(paper_scenario, "mdnc")
+    s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0)
+    assert (relay_count_bounds(s, paper_coeffs, 1e-3).low,
+            relay_count_bounds(s, paper_coeffs, 1e-3).up) == (3, 3)
+    sol = dinkelbach_solve(s, paper_coeffs, 1e-3)
+    assert not sol.feasible
+    assert "master infeasible" in sol.reason
 
 
 def test_count_bounds_unreachable_target(paper_scenario, paper_coeffs):
@@ -104,41 +118,54 @@ def test_mdnc_count_lower_bound_is_tight_beyond_brute_force_size(seed, M):
 # -- cuts --------------------------------------------------------------------
 
 
+def _anchor_z(master, pp, x_sel, vhat=0.0):
+    """z = [ptilde, ptilde', u, vhat] at a primal point of pp's schedule."""
+    s = master.s
+    x = np.zeros(master.dim)
+    x[:s.M] = x_sel[:s.M]
+    x[[s.M + j for j in pp.schedule.theta]] = x_sel[s.M:]
+    return np.concatenate([x, pp.schedule.u, [vhat]])
+
+
+def _vhat_floor(master, row, rhs, z):
+    """The lower bound row <= rhs puts on vhat at z's (x, u), times v_scale."""
+    return (row[:-1] @ z[:-1] - rhs) / -row[-1] * master.v_scale
+
+
 @pytest.fixture(scope="module")
 def anchor(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1300.0, target=1e-3)
     sol = solve_primal(pp)
     master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1300.0, np.array([1e-3]))
-    return pp, sol, master, build_oa_cuts(pp, sol, master, 1)
+    return pp, sol, master, build_oa_cuts(pp, sol, master)
 
 
 def test_cut_reproduces_anchor_value(anchor):
-    pp, sol, master, cut = anchor
-    assert cut.tilde_v == sol.tilde_v
+    pp, sol, master, (A, b) = anchor
+    # rows: objective, the one MDNC outage target, budget
+    assert A.shape == (3, master.dim + master.s.N + 1)
+    vprime_master = _vhat_floor(master, A[0], b[0], _anchor_z(master, pp, sol.x))
     # the master objective evaluates the full-relay-set outage, which sits a
     # hair above the selected-set form (extra first-hop failure factors of
     # the idle relays); the offset is positive and far below the bound gap
-    assert cut.vprime_master >= math.exp(sol.tilde_v)
-    assert cut.vprime_master == pytest.approx(math.exp(sol.tilde_v), rel=1e-3)
+    assert vprime_master >= math.exp(sol.tilde_v)
+    assert vprime_master == pytest.approx(math.exp(sol.tilde_v), rel=1e-3)
 
 
 def test_cut_underestimates_objective_on_anchor_schedule(anchor):
-    pp, sol, master, cut = anchor
+    pp, sol, master, _ = anchor
+    grad_tilde_v = gradients(pp, sol.x)[0]
     rng = np.random.default_rng(13)
-    sel = list(pp.schedule.theta)
     for _ in range(100):
         x = rng.uniform(pp.lo, pp.hi)
-        cut_val = cut.tilde_v + cut.grad_tilde_v[:2] @ (x[:2] - sol.x[:2])
-        cut_val += sum(cut.grad_tilde_v[2 + j] * (x[2 + k] - sol.x[2 + k])
-                       for k, j in enumerate(sel))
+        cut_val = sol.tilde_v + grad_tilde_v @ (x - sol.x)
         assert cut_val <= pp.vprime.logvalue(x) + 1e-9
 
 
 def test_master_objective_cut_underestimates_vprime(anchor):
-    pp, sol, master, cut = anchor
+    pp, sol, master, (A, b) = anchor
     rng = np.random.default_rng(14)
-    s = master.s
     for _ in range(100):
         # random schedule within count bounds and a random admissible point
         count = int(rng.integers(2, 5))
@@ -148,8 +175,8 @@ def test_master_objective_cut_underestimates_vprime(anchor):
         for j in subset:
             x[2 + j] = rng.uniform(0.0, master.caps[j])
         vtrue = master.obj_smooth.value(x) + master.q * (master.gamma * count + master.delta0)
-        vcut = (cut.vprime_master + cut.obj_grad @ (x - cut.x)
-                + master.q * master.gamma * (count - len(cut.schedule)))
+        z = np.concatenate([x, RelaySchedule.from_indices(subset, 4).u, [0.0]])
+        vcut = _vhat_floor(master, A[0], b[0], z)
         assert vcut <= vtrue + 1e-6 * abs(vtrue)
 
 
@@ -158,8 +185,9 @@ def test_g_cut_inactive_at_slack_anchor(paper_scenario, paper_coeffs):
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=800.0, target=1e-2)
     sol = solve_primal(pp)
     master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 800.0, np.array([1e-2]))
-    cut = build_oa_cuts(pp, sol, master, 1)
-    assert np.all(cut.g < 0)
+    A, b = build_oa_cuts(pp, sol, master)
+    # row 1 is the outage row (row 0 the objective, row 2 the budget)
+    assert A[1] @ _anchor_z(master, pp, sol.x) < b[1]
 
 
 def test_infeasibility_cut_excludes_subsets_allows_supersets(paper_scenario, paper_coeffs):
@@ -168,12 +196,13 @@ def test_infeasibility_cut_excludes_subsets_allows_supersets(paper_scenario, pap
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1000.0, target=1e-4)
     assert not pp.feasible
     master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1000.0, np.array([1e-4]))
-    cut = build_oa_cuts(pp, None, master, 1)
-    x_anchor = cut.x
+    A, b = build_oa_cuts(pp, None, master)
+    # no objective row: row 0 is the outage row, row 1 the budget
+    assert A.shape[0] == 2
     # at the anchor (its own schedule, full power) the cut is violated
-    assert cut.g[0] > 0
+    assert A[0] @ _anchor_z(master, pp, pp.max_slack_point) > b[0]
     # a superset gains slack through the extra relay's variable
-    assert cut.grad_g[0][2 + 1] < 0 and cut.grad_g[0][2 + 3] < 0
+    assert A[0, 2 + 1] < 0 and A[0, 2 + 3] < 0
 
 
 # -- master problem ----------------------------------------------------------

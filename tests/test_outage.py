@@ -10,6 +10,7 @@ from conftest import SCENARIO_PATH, random_coeffs
 from oracles import (
     enumerated_nonc_terms,
     enumerated_outage_terms,
+    outage_approx_logdomain,
     outage_approx_power,
     prob_varsigma_given_zeta,
     prob_zeta_K,
@@ -21,7 +22,6 @@ from mdncee.outage import (
     link_outage,
     nonc_outage,
     nonc_outage_posynomials,
-    outage_approx_logdomain,
     outage_exact,
     outage_posynomial,
     powers_from_log,

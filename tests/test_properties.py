@@ -5,9 +5,8 @@ import dataclasses
 import numpy as np
 
 from conftest import SCENARIO_PATH
-from oracles import outage_approx_power
+from oracles import outage_approx_power, tilde_v
 from mdncee import cli
-from mdncee.energy import tilde_v
 from mdncee.model import ScenarioConfig, build_link_coefficients
 from mdncee.optimizer import dinkelbach_fixed_schedule, dinkelbach_solve
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_exact
