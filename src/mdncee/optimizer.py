@@ -21,6 +21,12 @@ making the constraint cuts valid for every schedule. Integer no-good rows
 exclude already-visited schedules outright, which keeps the upper/lower
 bound bookkeeping exact in floating point. Each cut is linearized once, at
 its anchor, into fixed master rows; the master only stacks them.
+
+No cut depends on q except through the energy term of its objective row,
+and that term is linear in q (a q-free part plus q times an energy part,
+both convex). So one master model serves every q of a parametric solve:
+each q-state starts from every earlier cut and from the no-good rows of the
+schedules refuted so far, and adds its own.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ __all__ = [
     "GoaState",
     "Solution",
     "relay_count_bounds",
+    "MasterModel",
+    "OaCut",
     "build_oa_cuts",
     "solve_master",
     "goa_solve",
@@ -105,12 +113,14 @@ def _max_power_merit(s, coeffs, subset, scheme: str, target: float) -> float:
 
 
 def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
-                       scheme: str = "mdnc") -> CountBounds:
+                       scheme: str = "mdnc", include_user_energy: bool = False) -> CountBounds:
     """Bracket the number of relays any solution can use.
 
     low: the smallest k whose best k-subset meets the outage target with every
     transmitter at maximum power (exact outage formula). up: the largest k
-    whose circuit energy alone fits the budget. The MDNC outage is a
+    whose energy at the lowest powers stays strictly inside the budget,
+    gamma*k + delta0 (+ M*T*P_MIN when user energy counts) < E0, the same
+    strict slack the fixed-schedule primal needs. The MDNC outage is a
     Poisson-binomial tail that falls in every relay's two-hop success
     probability r_j, so its best k-subset is the top k relays by r_j (lowest
     index first on ties), read from the all-relay schedule: a sort, exact at
@@ -118,9 +128,10 @@ def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: floa
     k-subsets are enumerated.
     """
     gamma, delta0, _, _ = scheme_constants(s, scheme)
+    floor = delta0 + (s.M * s.T * P_MIN if include_user_energy else 0.0)
     up = 0
     for k in range(1, s.N + 1):
-        if gamma * k + delta0 <= s.E0:
+        if gamma * k + floor < s.E0:
             up = k
     if scheme == "mdnc":
         full = RelaySchedule(np.ones(s.N, dtype=int))
@@ -151,41 +162,72 @@ def _all_relay_outage(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str) 
 
 
 class MasterModel:
-    """Shared posynomials and constants for one (scheme, q, target) master.
+    """The q-free master of one (scheme, target) solve: shared posynomials,
+    constants and the outer-approximation pool that every q-state extends.
 
-    outage_full: _all_relay_outage(s, coeffs, scheme), built here when not given.
+    V'(x, u) = obj_outage(x) + q * (obj_energy(x) + gamma*sum(u) + delta0);
+    both parts are convex in x, so a cut linearizes each once and holds for
+    every q >= 0. cuts holds every cut block built so far; refuted holds the
+    schedules whose primal was infeasible, which no q can make feasible.
     """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
-                 q: float, targets: np.ndarray, include_user_energy: bool = False,
-                 outage_full: list | None = None):
+                 target: float, include_user_energy: bool = False):
         self.s = s
-        self.q = float(q)
-        self.targets = np.asarray(targets, dtype=float)
+        self.scheme = scheme
+        self.target = float(target)
+        self.include_user_energy = include_user_energy
         self.gamma, self.delta0, m_slots, _ = scheme_constants(s, scheme)
         self.dim = s.M + s.N
         full = tuple(range(s.N))
-        if outage_full is None:
-            outage_full = _all_relay_outage(s, coeffs, scheme)
-        self.outage_full = outage_full
+        self.outage_full = _all_relay_outage(s, coeffs, scheme)
+        self.targets = np.full(len(self.outage_full), self.target)
 
-        # V'(x,u) = obj_smooth(x) + q*(gamma*sum(u) + delta0)
-        self.obj_smooth, self.budget_exp = energy_model(s, coeffs, full, scheme, q,
+        # energy_model at q = 0 keeps the outage terms only, and with no
+        # outage at q = 1 the energy terms only
+        self.obj_outage, self.budget_exp = energy_model(s, coeffs, full, scheme, 0.0,
                                                         self.outage_full, include_user_energy)
+        self.obj_energy, _ = energy_model(s, coeffs, full, scheme, 1.0, [], include_user_energy)
         self.budget_offset = m_slots * s.delta_P * s.T * float(np.sum(coeffs.c_g))
         self.caps = np.log1p(s.P_R_max / coeffs.c_g)
         self.v_scale = s.M * s.alpha0    # master works in v / v_scale units
+        self.cuts: list[OaCut] = []
+        self.refuted: list[tuple[int, ...]] = []
+
+
+@dataclass(frozen=True)
+class OaCut:
+    """One cut's master rows A z <= b over z = [ptilde, ptilde', u, vhat].
+
+    A solved primal's cut opens with its objective row, stored as the
+    q-free part (A[0], b[0]) plus the energy part (energy_row, energy_rhs)
+    that scales with q; a refuted schedule's cut has no objective row.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    energy_row: np.ndarray | None = None
+    energy_rhs: float = 0.0
+
+    def at(self, q: float) -> tuple[np.ndarray, np.ndarray]:
+        """The rows at q: objective row a0 + q*a1, rhs b0 + q*b1."""
+        if self.energy_row is None:
+            return self.A, self.b
+        A, b = self.A.copy(), self.b.copy()
+        A[0] += q * self.energy_row
+        b[0] += q * self.energy_rhs
+        return A, b
 
 
 def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None,
-                  master: MasterModel) -> tuple[np.ndarray, np.ndarray]:
-    """The master rows A z <= b of one cut, over z = [ptilde, ptilde', u, vhat].
+                  master: MasterModel) -> OaCut:
+    """The cut of one primal, over z = [ptilde, ptilde', u, vhat].
 
     The anchor is the solved primal point, or the maximum-slack point of a
     refuted schedule, lifted to all N relays (zero on unselected ones). The
     rows linearize there, in this order: the objective (solved primals
     only), each outage constraint minus its target, and the budget. They
-    are fixed once built; the master only stacks them.
+    are fixed once built and hold at every q; the master only stacks them.
     """
     s = master.s
     u0 = s.M + s.N
@@ -200,13 +242,17 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None,
         return r
 
     rows, rhs = [], []
+    energy_row, energy_rhs = None, 0.0
     if sol is not None:
-        # vhat * v_scale >= V'(x) + q * circuit(u)
-        value, grad, _ = master.obj_smooth.parts(x)
-        r = row(grad, master.q * master.gamma)
+        # vhat * v_scale >= obj_outage(x) + q * (obj_energy(x) + circuit(u))
+        value, grad, _ = master.obj_outage.parts(x)
+        r = row(grad, 0.0)
         r[-1] = -master.v_scale
         rows.append(r)
-        rhs.append(float(grad @ x) - (value + master.q * master.delta0))
+        rhs.append(float(grad @ x) - value)
+        value, grad, _ = master.obj_energy.parts(x)
+        energy_row = row(grad, master.gamma)
+        energy_rhs = float(grad @ x) - (value + master.delta0)
     for pos, target in zip(master.outage_full, master.targets):
         value, grad, _ = pos.parts(x)
         rows.append(row(grad, 0.0))
@@ -214,23 +260,32 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None,
     value, grad, _ = master.budget_exp.parts(x)
     rows.append(row(grad, master.gamma))
     rhs.append(s.E0 - master.delta0 + master.budget_offset - value + float(grad @ x))
-    return np.array(rows), np.array(rhs)
+    return OaCut(np.array(rows), np.array(rhs), energy_row, energy_rhs)
 
 
 @dataclass
 class GoaState:
-    """Outer-approximation bookkeeping for one (q, target) inner solve."""
+    """Outer-approximation bookkeeping for one q-state of a master.
+
+    The master's cuts and refuted schedules may come from earlier q-states;
+    cuts counts the cut blocks this state built and visited the schedules
+    it solved or refuted. no_goods lists every schedule the master excludes:
+    the refuted ones it started with, then visited.
+    """
 
     master: MasterModel
     bounds: CountBounds
-    cuts: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)  # (A, b) blocks
+    q: float
+    no_goods: list[tuple[int, ...]] = field(default_factory=list)
     visited: list[tuple[int, ...]] = field(default_factory=list)
+    cuts: int = 0
     ubd: float = math.inf
     lbd: float = -math.inf
     ubd_history: list[float] = field(default_factory=list)
     lbd_history: list[float] = field(default_factory=list)
     incumbent: PrimalSolution | None = None
     incumbent_schedule: RelaySchedule | None = None
+    refutation: str | None = None       # infeasible_reason of the last refuted primal
     iteration: int = 0
     newton_total: int = 0
     primal_unconverged: int = 0         # primal solves that returned converged=False
@@ -242,11 +297,12 @@ class GoaState:
 
 
 def _master_lp_rows(state: GoaState):
-    """Stack the master MILP's rows over z = [ptilde, ptilde', u, vhat]: two
-    always-valid floors, the cut blocks, the no-good rows, the relay-count
-    window and the caps ptilde'_j <= cap_j * u_j."""
+    """Stack the master MILP's rows over z = [ptilde, ptilde', u, vhat] at the
+    state's q: two always-valid floors, the cut blocks, the no-good rows, the
+    relay-count window and the caps ptilde'_j <= cap_j * u_j."""
     m = state.master
     s = m.s
+    q = state.q
     M, N = s.M, s.N
     nv = M + 2 * N + 1
     iv = M + 2 * N                      # vhat column
@@ -255,14 +311,14 @@ def _master_lp_rows(state: GoaState):
 
     # v >= q * circuit(u), and circuit(u) alone must fit the budget
     floors = np.zeros((2, nv))
-    floors[0, u] = m.q * m.gamma
+    floors[0, u] = q * m.gamma
     floors[0, iv] = -m.v_scale
     floors[1, u] = m.gamma
 
-    # each visited schedule S: sum_{j in S} u_j - sum_{j not in S} u_j <= |S| - 1
-    no_goods = np.zeros((len(state.visited), nv))
+    # each excluded schedule S: sum_{j in S} u_j - sum_{j not in S} u_j <= |S| - 1
+    no_goods = np.zeros((len(state.no_goods), nv))
     no_goods[:, u] = -1.0
-    for i, theta in enumerate(state.visited):
+    for i, theta in enumerate(state.no_goods):
         no_goods[i, [u0 + j for j in theta]] = 1.0
 
     relays = np.arange(N)
@@ -272,9 +328,10 @@ def _master_lp_rows(state: GoaState):
     tail[2 + relays, M + relays] = 1.0
     tail[2 + relays, u0 + relays] = -m.caps
 
-    A = np.vstack([floors, *(rows for rows, _ in state.cuts), no_goods, tail])
-    b = np.concatenate([[-m.q * m.delta0, s.E0 - m.delta0], *(rhs for _, rhs in state.cuts),
-                        [len(theta) - 1.0 for theta in state.visited],
+    cuts = [cut.at(q) for cut in m.cuts]
+    A = np.vstack([floors, *(rows for rows, _ in cuts), no_goods, tail])
+    b = np.concatenate([[-q * m.delta0, s.E0 - m.delta0], *(rhs for _, rhs in cuts),
+                        [len(theta) - 1.0 for theta in state.no_goods],
                         [float(state.bounds.up), -float(state.bounds.low)], np.zeros(N)])
 
     lb = np.concatenate([np.full(M, np.log(P_MIN)), np.zeros(N), np.zeros(N), [0.0]])
@@ -295,7 +352,7 @@ def solve_master(state: GoaState):
     bound), or None when no schedule can still beat the incumbent, which is
     the optimality certificate that stops the outer-approximation loop.
     """
-    if not state.cuts:
+    if not state.master.cuts:
         raise ValueError("master needs at least one cut")
     c, A, b, lb, ub = _master_lp_rows(state)
     s = state.master.s
@@ -360,25 +417,28 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
               scheme: str = "mdnc", bounds: CountBounds | None = None,
               warm_schedule: RelaySchedule | None = None,
               include_user_energy: bool = False,
-              outage_full: list | None = None) -> GoaState:
+              master: MasterModel | None = None) -> GoaState:
     """Outer-approximation loop for one fixed q: returns its final state.
 
     Alternates the fixed-schedule primal (updating the incumbent and the
     nonincreasing upper bound) with the cut master (updating the
     nondecreasing lower bound) until the bounds meet or the master proves
-    that nothing can improve on the incumbent. outage_full is handed to
-    MasterModel, so that a caller solving several q builds it once.
+    that nothing can improve on the incumbent. The state extends master's
+    pool: it starts from every cut and refuted schedule already there and
+    adds its own, so a caller solving several q passes one master to all
+    of them. Without a master, a fresh one is built.
     """
     if bounds is None:
-        bounds = relay_count_bounds(s, coeffs, target, scheme)
+        bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
     if not bounds.feasible:
         raise ValueError(
             f"no admissible relay count: low={bounds.low}, up={bounds.up} for target {target}")
-    if outage_full is None:
-        outage_full = _all_relay_outage(s, coeffs, scheme)
-    master = MasterModel(s, coeffs, scheme, q, np.full(len(outage_full), target),
-                         include_user_energy, outage_full)
-    state = GoaState(master=master, bounds=bounds)
+    if master is None:
+        master = MasterModel(s, coeffs, scheme, target, include_user_energy)
+    elif (master.scheme, master.target, master.include_user_energy) != (
+            scheme, float(target), include_user_energy):
+        raise ValueError("master was built for another scheme, target or energy budget")
+    state = GoaState(master=master, bounds=bounds, q=float(q), no_goods=list(master.refuted))
 
     schedule = warm_schedule or RelaySchedule.from_indices(bounds.best_subset, s.N)
     for t in range(1, GOA_MAX_ITER + 1):
@@ -393,8 +453,14 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
                 state.ubd = sol.tilde_v
                 state.incumbent = sol
                 state.incumbent_schedule = schedule
-        state.cuts.append(build_oa_cuts(pp, sol, master))
+        else:
+            # infeasible at every q: later states keep its no-good row
+            master.refuted.append(schedule.theta)
+            state.refutation = pp.infeasible_reason
+        master.cuts.append(build_oa_cuts(pp, sol, master))
+        state.cuts += 1
         state.visited.append(schedule.theta)
+        state.no_goods.append(schedule.theta)
         state.ubd_history.append(state.ubd)
 
         outcome = solve_master(state)
@@ -409,7 +475,7 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
             state.converged = True
             state.termination = "bound gap closed"
             break
-        if schedule.theta in state.visited:
+        if schedule.theta in state.no_goods:
             # no-good rows make this unreachable; trip loudly if numerics disagree
             state.termination = "master revisited a schedule"
             break
@@ -505,11 +571,13 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
                      scheme: str = "mdnc", include_user_energy: bool = False) -> Solution:
     """Full pipeline: count bounds, then q-iterations with a GOA inner solve.
 
-    Each new q warm-starts from the previous incumbent schedule. Returns the
-    final operating point with the exact outage re-evaluated at the returned
-    powers; the approximate-vs-exact gap is surfaced in the solution fields.
+    Each new q warm-starts from the previous incumbent schedule, and every
+    q-state extends one master model: it starts from all earlier cuts and
+    the no-goods of refuted schedules. Returns the final operating point
+    with the exact outage re-evaluated at the returned powers; the
+    approximate-vs-exact gap is surfaced in the solution fields.
     """
-    bounds = relay_count_bounds(s, coeffs, target, scheme)
+    bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
     if not bounds.feasible:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
@@ -518,19 +586,20 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     q0 = _max_slack_ratio(s, coeffs, schedule0, target, scheme, include_user_energy)
     if q0 is None:
         q0 = 0.0   # the first inner solve then behaves as pure outage minimization
-    outage_full = _all_relay_outage(s, coeffs, scheme)
+    master = MasterModel(s, coeffs, scheme, target, include_user_energy)
     states: list[GoaState] = []
 
     def inner(q, warm):
         st = goa_solve(s, coeffs, q, target, scheme=scheme, bounds=bounds,
                        warm_schedule=warm, include_user_energy=include_user_energy,
-                       outage_full=outage_full)
+                       master=master)
         states.append(st)
         if st.incumbent is None:
-            raise _InfeasibleInner(st.termination)
+            # every schedule this state tried was refuted: quote the last refutation
+            raise _InfeasibleInner(f"{st.termination}; {st.refutation}")
         info = {
             "goa_iterations": st.iteration,
-            "cuts": len(st.cuts),
+            "cuts": st.cuts,
             "newton_iterations": st.newton_total,
             "ubd_history": list(st.ubd_history),
             "lbd_history": list(st.lbd_history),
@@ -543,13 +612,15 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
         schedule, sol, diagnostics, q_final = _dinkelbach_loop(s, scheme, inner, q0, schedule0)
     except _InfeasibleInner as exc:
         return Solution(feasible=False, scheme=scheme, target=target,
-                        reason=f"no schedule satisfies the approximate outage cap: {exc}")
+                        reason=f"no feasible schedule in the relay-count window: {exc}")
     diagnostics["goa_states"] = len(states)
     diagnostics["newton_total"] = sum(st.newton_total for st in states)
     for counter in ("master_lps", "master_pivots", "master_nodes"):
         diagnostics[counter] = sum(getattr(st, counter) for st in states)
     diagnostics["primal_unconverged"] = sum(st.primal_unconverged for st in states)
-    diagnostics["cuts_total"] = sum(len(st.cuts) for st in states)
+    # q-states that ended at the iteration limit or on a revisit, with no certificate
+    diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
+    diagnostics["cuts_total"] = sum(st.cuts for st in states)
     return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)
 
 

@@ -171,7 +171,7 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     """
     if s.N > ENUM_GUARD_N:
         raise ValueError(f"brute force enumerates subsets; N = {s.N} exceeds {ENUM_GUARD_N}")
-    bounds = relay_count_bounds(s, coeffs, target, scheme)
+    bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
     if not bounds.feasible:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")

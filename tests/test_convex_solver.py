@@ -186,21 +186,23 @@ def test_line_search_failure_is_flagged():
 def test_primal_energy_model_matches_master_at_all_relays(paper_scenario, paper_coeffs, scheme,
                                                           include_user_energy):
     # the primal and the master share one energy model: at the all-relay
-    # schedule V' is the master's obj_smooth plus q*(gamma*N + delta0), and
-    # the budget constraints coincide
+    # schedule V' is the master's obj_outage + q*obj_energy plus
+    # q*(gamma*N + delta0), and the budget constraints coincide
     from mdncee.optimizer import MasterModel
 
     s = paper_scenario
     full = RelaySchedule.from_indices(range(s.N), s.N)
     rng = np.random.default_rng(41)
+    m = MasterModel(s, paper_coeffs, scheme, 1e-3, include_user_energy)
     for q in (0.0, 350.0, 1300.0):
         pp = assemble_primal(s, paper_coeffs, full, q, target=1e-3, scheme=scheme,
                              include_user_energy=include_user_energy)
-        m = MasterModel(s, paper_coeffs, scheme, q, pp.targets, include_user_energy)
         circuit = m.gamma * s.N + m.delta0
         for x in interior_points(pp, 10, int(rng.integers(1 << 30))):
             v, g, _ = pp.vprime.parts(x)
-            mv, mg, _ = m.obj_smooth.parts(x)
+            ov, og, _ = m.obj_outage.parts(x)
+            ev, eg, _ = m.obj_energy.parts(x)
+            mv, mg = ov + q * ev, og + q * eg
             assert v == pytest.approx(mv + q * circuit, rel=1e-13)
             assert g == pytest.approx(mg, rel=1e-13, abs=1e-13 * v)
             b, bg, _ = pp.budget_pos.parts(x)

@@ -55,16 +55,47 @@ def test_count_bounds_budget_cap(paper_scenario, paper_coeffs):
 
 
 def test_circuit_energy_exactly_at_budget_gives_infeasible_solution(paper_scenario, paper_coeffs):
-    # E0 = gamma*3 + delta0: the count window admits only 3 relays, and no
-    # 3-relay schedule leaves strict budget slack, so every cut refutes its
-    # schedule and the first master runs at q = 0 with no objective row
+    # E0 = gamma*3 + delta0: no 3-relay schedule leaves strict budget slack,
+    # so the count window is empty (3 relays needed, at most 2 fit) and the
+    # solvers say so before any primal runs
     gamma, delta0, _, _ = scheme_constants(paper_scenario, "mdnc")
     s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0)
     assert (relay_count_bounds(s, paper_coeffs, 1e-3).low,
-            relay_count_bounds(s, paper_coeffs, 1e-3).up) == (3, 3)
+            relay_count_bounds(s, paper_coeffs, 1e-3).up) == (3, 2)
+    sol = dinkelbach_solve(s, paper_coeffs, 1e-3)
+    assert not sol.feasible
+    assert sol.reason == "no admissible relay count (low=3, up=2)"
+
+
+def test_budget_just_above_circuit_energy_names_the_refuting_primal(paper_scenario, paper_coeffs):
+    # E0 = gamma*3 + delta0 + 0.1: 3 relays fit, but only at powers too low
+    # for the outage cap, so every cut refutes its schedule, the first master
+    # runs at q = 0 with no objective row, and the reason quotes the primal
+    gamma, delta0, _, _ = scheme_constants(paper_scenario, "mdnc")
+    s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0 + 0.1)
+    assert relay_count_bounds(s, paper_coeffs, 1e-3).up == 3
     sol = dinkelbach_solve(s, paper_coeffs, 1e-3)
     assert not sol.feasible
     assert "master infeasible" in sol.reason
+    assert "above target 1.000e-03 at maximum admissible power for schedule" in sol.reason
+
+
+def test_count_window_counts_user_energy_when_the_budget_does(paper_scenario, paper_coeffs):
+    # half the users' minimum-power energy above gamma*3 + delta0: 3 relays
+    # fit the relay-only budget but not the one that counts user energy
+    from mdncee.model import P_MIN
+    from mdncee.simulate import brute_force_optimize
+
+    gamma, delta0, _, _ = scheme_constants(paper_scenario, "mdnc")
+    s = paper_scenario
+    s = dataclasses.replace(s, E0=gamma * 3 + delta0 + 0.5 * s.M * s.T * P_MIN)
+    assert relay_count_bounds(s, paper_coeffs, 1e-3).up == 3
+    assert relay_count_bounds(s, paper_coeffs, 1e-3, include_user_energy=True).up == 2
+    for solve in (dinkelbach_solve, brute_force_optimize):
+        sol = solve(s, paper_coeffs, 1e-3, include_user_energy=True)
+        assert sol.reason == "no admissible relay count (low=3, up=2)", solve.__name__
+    with pytest.raises(ValueError, match="no admissible relay count"):
+        goa_solve(s, paper_coeffs, 500.0, 1e-3, include_user_energy=True)
 
 
 def test_count_bounds_unreachable_target(paper_scenario, paper_coeffs):
@@ -137,12 +168,13 @@ def anchor(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1300.0, target=1e-3)
     sol = solve_primal(pp)
-    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1300.0, np.array([1e-3]))
+    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-3)
     return pp, sol, master, build_oa_cuts(pp, sol, master)
 
 
 def test_cut_reproduces_anchor_value(anchor):
-    pp, sol, master, (A, b) = anchor
+    pp, sol, master, cut = anchor
+    A, b = cut.at(1300.0)
     # rows: objective, the one MDNC outage target, budget
     assert A.shape == (3, master.dim + master.s.N + 1)
     vprime_master = _vhat_floor(master, A[0], b[0], _anchor_z(master, pp, sol.x))
@@ -163,8 +195,9 @@ def test_cut_underestimates_objective_on_anchor_schedule(anchor):
         assert cut_val <= pp.vprime.logvalue(x) + 1e-9
 
 
-def test_master_objective_cut_underestimates_vprime(anchor):
-    pp, sol, master, (A, b) = anchor
+def _check_objective_row_underestimates_vprime(master, cut, q):
+    """At random (x, u), the cut's objective row formed at q stays below V' at q."""
+    A, b = cut.at(q)
     rng = np.random.default_rng(14)
     for _ in range(100):
         # random schedule within count bounds and a random admissible point
@@ -174,18 +207,32 @@ def test_master_objective_cut_underestimates_vprime(anchor):
         x[:2] = rng.uniform(np.log(1e-6), np.log(10.0), 2)
         for j in subset:
             x[2 + j] = rng.uniform(0.0, master.caps[j])
-        vtrue = master.obj_smooth.value(x) + master.q * (master.gamma * count + master.delta0)
+        vtrue = master.obj_outage.value(x) + q * (master.obj_energy.value(x)
+                                                  + master.gamma * count + master.delta0)
         z = np.concatenate([x, RelaySchedule.from_indices(subset, 4).u, [0.0]])
         vcut = _vhat_floor(master, A[0], b[0], z)
         assert vcut <= vtrue + 1e-6 * abs(vtrue)
+
+
+def test_master_objective_cut_underestimates_vprime(anchor):
+    pp, sol, master, cut = anchor
+    _check_objective_row_underestimates_vprime(master, cut, 1300.0)
+
+
+@pytest.mark.parametrize("q", [0.0, 600.0, 2600.0])
+def test_carried_objective_cut_underestimates_vprime_at_another_q(anchor, q):
+    # the cut was built from a primal solved at q = 1300; formed at any other
+    # q it still underestimates that q's V', which the carried pool relies on
+    pp, sol, master, cut = anchor
+    _check_objective_row_underestimates_vprime(master, cut, q)
 
 
 def test_g_cut_inactive_at_slack_anchor(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices(range(4), 4)
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=800.0, target=1e-2)
     sol = solve_primal(pp)
-    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 800.0, np.array([1e-2]))
-    A, b = build_oa_cuts(pp, sol, master)
+    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-2)
+    A, b = build_oa_cuts(pp, sol, master).at(800.0)
     # row 1 is the outage row (row 0 the objective, row 2 the budget)
     assert A[1] @ _anchor_z(master, pp, sol.x) < b[1]
 
@@ -195,9 +242,11 @@ def test_infeasibility_cut_excludes_subsets_allows_supersets(paper_scenario, pap
     sched = RelaySchedule.from_indices([0, 2], 4)
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1000.0, target=1e-4)
     assert not pp.feasible
-    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1000.0, np.array([1e-4]))
-    A, b = build_oa_cuts(pp, None, master)
+    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-4)
+    cut = build_oa_cuts(pp, None, master)
+    A, b = cut.at(1000.0)
     # no objective row: row 0 is the outage row, row 1 the budget
+    assert cut.energy_row is None
     assert A.shape[0] == 2
     # at the anchor (its own schedule, full power) the cut is violated
     assert A[0] @ _anchor_z(master, pp, pp.max_slack_point) > b[0]
@@ -290,6 +339,32 @@ def test_no_primal_ends_unconverged_on_paper_targets(paper_scenario, paper_coeff
         assert sol.diagnostics["primal_unconverged"] == 0, target
 
 
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_later_q_states_close_in_one_goa_iteration(paper_scenario, paper_coeffs, scheme):
+    # every q-state after the first starts from the solve's whole cut pool
+    for target in (1e-2, 1e-3, 1e-4, 1e-5):
+        sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+        inner = sol.diagnostics["inner"]
+        assert len(inner) > 1, target
+        assert [i["goa_iterations"] for i in inner[1:]] == [1] * (len(inner) - 1), target
+        assert sol.diagnostics["goa_unconverged"] == 0, target
+
+
+def test_goa_state_at_iteration_limit_is_counted(paper_scenario, paper_coeffs, monkeypatch):
+    from mdncee import optimizer
+
+    monkeypatch.setattr(optimizer, "GOA_MAX_ITER", 1)
+    sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-2)
+    assert "iteration limit" in [i["termination"] for i in sol.diagnostics["inner"]]
+    assert sol.diagnostics["goa_unconverged"] >= 1
+
+
+def test_direct_goa_call_rejects_a_master_of_another_target(paper_scenario, paper_coeffs):
+    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-3)
+    with pytest.raises(ValueError, match="another scheme, target"):
+        goa_solve(paper_scenario, paper_coeffs, 1200.0, 1e-2, master=master)
+
+
 def test_fixed_schedule_counts_unconverged_primals(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
     sol = dinkelbach_fixed_schedule(paper_scenario, paper_coeffs, sched, 1e-3)
@@ -317,14 +392,14 @@ def test_newton_path_ignores_outage_term_order(paper_scenario, paper_coeffs, mon
 
 # schedule, GOA iterations, cuts and EE of paper.cfg per (scheme, target)
 PAPER_MASTER_RESULTS = {
-    ("mdnc", 1e-2): ((0, 2), 12, 12, 783.0075496313098),
-    ("mdnc", 1e-3): ((0, 1, 2), 8, 8, 567.8600391730046),
-    ("mdnc", 1e-4): ((0, 1, 2), 8, 8, 563.9915982539757),
-    ("mdnc", 1e-5): ((0, 1, 2), 8, 8, 550.657050890315),
-    ("nonc", 1e-2): ((0,), 12, 12, 933.3897578534938),
-    ("nonc", 1e-3): ((0,), 8, 8, 902.1859586213831),
-    ("nonc", 1e-4): ((0, 2), 12, 12, 532.2684733770477),
-    ("nonc", 1e-5): ((0, 2), 12, 12, 526.9936995595244),
+    ("mdnc", 1e-2): ((0, 2), 7, 7, 783.0075496313098),
+    ("mdnc", 1e-3): ((0, 1, 2), 5, 5, 567.8600391730046),
+    ("mdnc", 1e-4): ((0, 1, 2), 5, 5, 563.9915982539757),
+    ("mdnc", 1e-5): ((0, 1, 2), 5, 5, 550.657050890315),
+    ("nonc", 1e-2): ((0,), 6, 6, 933.3897578534938),
+    ("nonc", 1e-3): ((0,), 5, 5, 902.1859586213831),
+    ("nonc", 1e-4): ((0, 2), 7, 7, 532.2684733770477),
+    ("nonc", 1e-5): ((0, 2), 7, 7, 526.9936995595244),
 }
 
 
@@ -437,6 +512,8 @@ def test_goa_matches_brute_force_at_eight_relays():
     brute = brute_force_optimize(s, coeffs, 1e-3)
     assert goa.schedule.theta == brute.schedule.theta
     assert goa.ee >= brute.ee * (1.0 - 1e-3)
+    # the second q-state starts from the first one's cuts and closes at once
+    assert [i["goa_iterations"] for i in goa.diagnostics["inner"]][1:] == [1]
 
 
 def grid_maximize_toy_ratio(s, coeffs, sched, target):
