@@ -399,6 +399,6 @@ def gradients(pp: PrimalProblem, x) -> tuple[np.ndarray, np.ndarray]:
     against central differences in the test suite.
     """
     x = np.asarray(x, dtype=float)
-    gtv = pp.vprime.log_parts(x)[1]
-    gg = np.vstack([pos.parts(x)[1] for pos in pp.outage_pos])
-    return gtv, gg
+    vprime, grad_vprime = pp.vprime.value_grad(x)
+    gg = np.vstack([pos.value_grad(x)[1] for pos in pp.outage_pos])
+    return grad_vprime / vprime, gg

@@ -56,6 +56,7 @@ __all__ = [
     "GoaState",
     "Solution",
     "relay_count_bounds",
+    "ratio_count_cap",
     "MasterModel",
     "OaCut",
     "build_oa_cuts",
@@ -64,6 +65,7 @@ __all__ = [
     "dinkelbach_solve",
     "nonc_solve",
     "dinkelbach_fixed_schedule",
+    "fixed_schedule_value",
 ]
 
 GOA_REL_TOL = 1e-6          # stop when UBD - LBD <= tol * (1 + |UBD|)
@@ -149,6 +151,24 @@ def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: floa
         if merit <= 1.0:
             return CountBounds(low=k, up=up, best_subset=subset)
     return CountBounds(low=None, up=up, best_subset=None)
+
+
+def ratio_count_cap(s: ScenarioConfig, scheme: str, q: float) -> int:
+    """The largest relay count k (0 if none) at which a schedule can still
+    reach a bits/energy ratio above q.
+
+    Every outage is positive, so the delivered rate is below M*alpha0, and
+    E_tot is the circuit energy gamma*k + delta0 plus nonnegative power
+    terms (the user share strictly positive). So every k-relay schedule's
+    ratio is below M*alpha0 / (gamma*k + delta0), which falls as k grows:
+    no schedule with more relays than the cap can beat q.
+    """
+    gamma, delta0, _, _ = scheme_constants(s, scheme)
+    cap = 0
+    for k in range(1, s.N + 1):
+        if s.M * s.alpha0 > q * (gamma * k + delta0):
+            cap = k
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +265,19 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None,
     energy_row, energy_rhs = None, 0.0
     if sol is not None:
         # vhat * v_scale >= obj_outage(x) + q * (obj_energy(x) + circuit(u))
-        value, grad, _ = master.obj_outage.parts(x)
+        value, grad = master.obj_outage.value_grad(x)
         r = row(grad, 0.0)
         r[-1] = -master.v_scale
         rows.append(r)
         rhs.append(float(grad @ x) - value)
-        value, grad, _ = master.obj_energy.parts(x)
+        value, grad = master.obj_energy.value_grad(x)
         energy_row = row(grad, master.gamma)
         energy_rhs = float(grad @ x) - (value + master.delta0)
     for pos, target in zip(master.outage_full, master.targets):
-        value, grad, _ = pos.parts(x)
+        value, grad = pos.value_grad(x)
         rows.append(row(grad, 0.0))
         rhs.append(float(grad @ x) - float(value - target))
-    value, grad, _ = master.budget_exp.parts(x)
+    value, grad = master.budget_exp.value_grad(x)
     rows.append(row(grad, master.gamma))
     rhs.append(s.E0 - master.delta0 + master.budget_offset - value + float(grad @ x))
     return OaCut(np.array(rows), np.array(rhs), energy_row, energy_rhs)
@@ -533,6 +553,15 @@ def _max_slack_ratio(s, coeffs, schedule, target, scheme, include_user_energy) -
     return max(delivered_rate(s, pp.outage_at(x_hi), scheme) / e.e_tot, 0.0)
 
 
+def _parametric_value(s: ScenarioConfig, scheme: str, schedule: RelaySchedule,
+                     sol: PrimalSolution, q: float) -> tuple[float, float]:
+    """V(q) = delivered rate - q*E_tot at a primal point (approximate outage),
+    and the point's own bits/energy ratio."""
+    e = total_energy(s, schedule, sol.powers, scheme)
+    numer = delivered_rate(s, sol.outage_approx, scheme)
+    return numer - q * e.e_tot, numer / e.e_tot
+
+
 def _dinkelbach_loop(s, scheme, inner_solve, q0: float, warm: RelaySchedule):
     """Shared q-iteration: inner_solve(q, warm) -> (schedule, PrimalSolution, info).
 
@@ -547,9 +576,7 @@ def _dinkelbach_loop(s, scheme, inner_solve, q0: float, warm: RelaySchedule):
     tol = DINKELBACH_TOL_REL * s.M * s.alpha0
     for theta in range(1, DINKELBACH_MAX_ITER + 1):
         schedule, sol, info = inner_solve(q, schedule)
-        e = total_energy(s, schedule, sol.powers, scheme)
-        numer = delivered_rate(s, sol.outage_approx, scheme)
-        v = numer - q * e.e_tot
+        v, ratio = _parametric_value(s, scheme, schedule, sol, q)
         q_history.append(q)
         v_history.append(v)
         infos.append(info)
@@ -560,8 +587,8 @@ def _dinkelbach_loop(s, scheme, inner_solve, q0: float, warm: RelaySchedule):
                 "v_history": v_history,
                 "inner": infos,
             }
-            return schedule, sol, diagnostics, numer / e.e_tot
-        q = numer / e.e_tot
+            return schedule, sol, diagnostics, ratio
+        q = ratio
     raise RuntimeError(
         f"parametric q-iteration did not converge in {DINKELBACH_MAX_ITER} rounds "
         f"(last V = {v_history[-1]:.3e}, q = {q:.6e})")
@@ -657,3 +684,17 @@ def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
     diagnostics["newton_total"] = sum(p.newton_iterations for p in sols)
     diagnostics["primal_unconverged"] = sum(not p.converged for p in sols)
     return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)
+
+
+def fixed_schedule_value(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
+                         q: float, target: float, scheme: str = "mdnc",
+                         include_user_energy: bool = False) -> float | None:
+    """max V(q) over the powers of one schedule, by one primal at q; None when
+    the schedule is infeasible. By Dinkelbach's lemma the schedule's best
+    ratio exceeds q only if this is positive."""
+    pp = assemble_primal(s, coeffs, schedule, q, target=target, scheme=scheme,
+                         include_user_energy=include_user_energy)
+    if not pp.feasible:
+        return None
+    v, _ = _parametric_value(s, scheme, schedule, solve_primal(pp), q)
+    return v

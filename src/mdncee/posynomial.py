@@ -56,6 +56,13 @@ class Posynomial:
             return 0.0
         return float(self.coeffs @ np.exp(self._exponents(x)))
 
+    def value_grad(self, x):
+        """(P, grad P) at x: the first two of parts, by the same arithmetic."""
+        if len(self.coeffs) == 0:
+            return 0.0, np.zeros(self.dim)
+        e = np.exp(self._exponents(x))
+        return float(self.coeffs @ e), (self.coeffs * e) @ self.expos
+
     def parts(self, x):
         """(P, grad P, Hessian of P) at x from one exponent evaluation."""
         if len(self.coeffs) == 0:

@@ -26,12 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .energy import energy_efficiency, total_energy
 from .model import LinkCoefficients, ScenarioConfig
-from .optimizer import Solution, dinkelbach_fixed_schedule, relay_count_bounds
+from .optimizer import (
+    Solution,
+    dinkelbach_fixed_schedule,
+    fixed_schedule_value,
+    ratio_count_cap,
+    relay_count_bounds,
+)
 from .outage import PowerAllocation, RelaySchedule
 
 __all__ = ["McConfig", "McResult", "monte_carlo_outage", "brute_force_optimize",
@@ -167,7 +174,27 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
 
     Each subset's continuous problem is convex, so the per-subset q-iteration
     is exact to solver tolerance; the winner is the subset with the highest
-    converged bits/energy ratio. Guarded to N <= 12 relays.
+    converged bits/energy ratio, and a later subset replaces it only with a
+    strictly greater q_star. Guarded to N <= 12 relays.
+
+    The q-iteration of bounds.best_subset gives the incumbent ratio q*
+    (while it and the subsets after it are infeasible, each is q-iterated
+    in turn until one is feasible). Two tests then screen the rest:
+
+    * count cut: a k-relay subset's ratio is below M*alpha0/(gamma*k +
+      delta0) (ratio_count_cap), so the counts whose bound is at most q*
+      are skipped with no primal at all;
+    * sign test (Dinkelbach): a subset can beat q* only if max V(q*) > 0,
+      so one primal at q* decides it, and only a subset with V > 0 is
+      q-iterated.
+
+    The winner's q-iteration is the same call as in plain enumeration, so
+    its solution is the same to the last bit. Two differences remain: a
+    subset better than q* by less than the primal's accuracy can be
+    skipped, and a subset that exactly ties best_subset leaves best_subset
+    the winner even when it comes first in enumeration order. diagnostics
+    counts subsets_tried (subsets whose primal was solved, as a screen or
+    a q-iteration), subsets_pruned (cut by count) and q_iterations.
     """
     if s.N > ENUM_GUARD_N:
         raise ValueError(f"brute force enumerates subsets; N = {s.N} exceeds {ENUM_GUARD_N}")
@@ -175,18 +202,44 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     if not bounds.feasible:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
-    best: Solution | None = None
-    tried = 0
+    tried = pruned = q_iterations = 0
+
+    def q_iterate(subset):
+        nonlocal q_iterations
+        sol = dinkelbach_fixed_schedule(s, coeffs, RelaySchedule.from_indices(subset, s.N),
+                                        target, scheme=scheme,
+                                        include_user_energy=include_user_energy)
+        q_iterations += sol is not None
+        return sol
+
+    def beats(subset, q):
+        """Sign test: one primal at q; False when the subset is infeasible."""
+        nonlocal tried
+        v = fixed_schedule_value(s, coeffs, RelaySchedule.from_indices(subset, s.N), q,
+                                 target, scheme, include_user_energy)
+        tried += v is not None
+        return v is not None and v > 0
+
+    best = q_iterate(bounds.best_subset)
+    tried = q_iterations                # 1 when best_subset is feasible
     for k in range(bounds.low, bounds.up + 1):
+        if best is not None and k > ratio_count_cap(s, scheme, best.q_star):
+            pruned = sum(comb(s.N, j) for j in range(k, bounds.up + 1))
+            break
         for subset in combinations(range(s.N), k):
-            schedule = RelaySchedule.from_indices(subset, s.N)
-            sol = dinkelbach_fixed_schedule(s, coeffs, schedule, target, scheme=scheme,
-                                            include_user_energy=include_user_energy)
-            tried += 1
-            if sol is not None and (best is None or sol.q_star > best.q_star):
-                best = sol
+            if subset == bounds.best_subset:
+                continue
+            if best is None:
+                best = q_iterate(subset)
+                tried += best is not None
+            elif beats(subset, best.q_star):
+                # feasibility does not depend on q, so the q-iteration runs
+                sol = q_iterate(subset)
+                if sol.q_star > best.q_star:
+                    best = sol
     if best is None:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason="every subset within the count bounds violates the approximate outage cap")
-    best.diagnostics["subsets_tried"] = tried
+    best.diagnostics.update(subsets_tried=tried, subsets_pruned=pruned,
+                            q_iterations=q_iterations)
     return best

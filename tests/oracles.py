@@ -9,6 +9,9 @@ The working objective log V' is spelled out here too, from the energy
 breakdown and the parametric value V rather than from the stacked V'
 posynomial the solver builds (its outage term is the library's outage
 posynomial, itself checked against the subset sums above).
+
+plain_brute_force is exhaustive search without screening: a full
+q-iteration on every subset in the relay-count window.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from mdncee.energy import EnergyBreakdown, delivered_rate, total_energy
 from mdncee.model import LinkCoefficients, ScenarioConfig
+from mdncee.optimizer import Solution, dinkelbach_fixed_schedule, relay_count_bounds
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_posynomial, powers_from_log
 
 
@@ -222,3 +226,21 @@ def tilde_v(q: float, s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Rel
             f"ptilde_relay={np.asarray(ptilde_relay).tolist()}; cannot take log"
         )
     return float(np.log(v_prime))
+
+
+def plain_brute_force(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
+                      scheme: str = "mdnc", include_user_energy: bool = False) -> Solution:
+    """q-iterate every subset in the count window; the first strictly greater
+    q_star wins. An empty or all-infeasible window gives feasible=False."""
+    bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
+    if not bounds.feasible:
+        return Solution(feasible=False, scheme=scheme, target=target)
+    best = None
+    for k in range(bounds.low, bounds.up + 1):
+        for subset in combinations(range(s.N), k):
+            sol = dinkelbach_fixed_schedule(s, coeffs, RelaySchedule.from_indices(subset, s.N),
+                                            target, scheme=scheme,
+                                            include_user_energy=include_user_energy)
+            if sol is not None and (best is None or sol.q_star > best.q_star):
+                best = sol
+    return best or Solution(feasible=False, scheme=scheme, target=target)

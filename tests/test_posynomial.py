@@ -29,6 +29,21 @@ def test_parts_values_equal_value_only_bitwise(paper_coeffs):
             assert pos.parts(x)[0] == pos.value(x)
 
 
+def test_value_grad_equals_parts_bitwise(paper_coeffs):
+    # cuts use value_grad where they used parts: their master rows must not move
+    rng = np.random.default_rng(13)
+    cases = [random_posynomial(rng) for _ in range(20)]
+    cases.append(outage_posynomial(paper_coeffs, (0, 1, 2, 3), 2))
+    cases.append(Posynomial([], np.zeros((0, 3)), 3))
+    for pos in cases:
+        for _ in range(10):
+            x = rng.uniform(-3.0, 3.0, pos.dim)
+            value, grad = pos.value_grad(x)
+            ref_value, ref_grad, _ = pos.parts(x)
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
 def test_parts_derivatives_match_central_differences():
     rng = np.random.default_rng(12)
     for _ in range(20):

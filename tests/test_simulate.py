@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from mdncee import simulate
+from mdncee.energy import scheme_constants
 from mdncee.model import build_link_coefficients
+from mdncee.optimizer import CountBounds, dinkelbach_fixed_schedule, ratio_count_cap
 from mdncee.outage import PowerAllocation, RelaySchedule, nonc_outage, outage_exact
 from mdncee.simulate import (
     McConfig,
@@ -12,6 +15,7 @@ from mdncee.simulate import (
     monte_carlo_outage,
     rng_for_chunk,
 )
+from oracles import plain_brute_force
 from test_properties import _random_small_scenario
 
 # Pinned generator identity (Philox 4x64): these exact streams must never
@@ -180,7 +184,6 @@ def test_mc_rejects_unknown_scheme(scheme, paper_scenario, paper_coeffs, mdnc_po
 
 
 def test_brute_force_single_relay_equals_fixed_schedule(toy_scenario, toy_coeffs):
-    from mdncee.optimizer import dinkelbach_fixed_schedule
     sol = brute_force_optimize(toy_scenario, toy_coeffs, 1e-3)
     ref = dinkelbach_fixed_schedule(toy_scenario, toy_coeffs,
                                     RelaySchedule.from_indices([0], 1), 1e-3)
@@ -220,3 +223,103 @@ def test_brute_force_enumeration_guard(paper_scenario, paper_coeffs):
     )
     with pytest.raises(ValueError, match="N = 13"):
         brute_force_optimize(big, build_link_coefficients(big), 1e-3)
+
+
+def _assert_same_answer(screened, plain):
+    """Screened and plain enumeration agree to the last bit."""
+    assert screened.feasible == plain.feasible
+    if not plain.feasible:
+        return
+    assert screened.schedule.theta == plain.schedule.theta
+    assert repr(screened.ee) == repr(plain.ee)
+    assert screened.q_star == plain.q_star
+    assert screened.powers.p.tobytes() == plain.powers.p.tobytes()
+    assert screened.powers.p_relay.tobytes() == plain.powers.p_relay.tobytes()
+
+
+@pytest.mark.parametrize("include_user_energy", [False, True])
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_screened_brute_force_equals_plain_enumeration_on_paper_cfg(
+        scheme, include_user_energy, paper_scenario, paper_coeffs):
+    for target in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        screened = brute_force_optimize(paper_scenario, paper_coeffs, target, scheme,
+                                        include_user_energy)
+        plain = plain_brute_force(paper_scenario, paper_coeffs, target, scheme,
+                                  include_user_energy)
+        _assert_same_answer(screened, plain)
+        d = screened.diagnostics
+        assert 1 <= d["q_iterations"] <= d["subsets_tried"]
+        bounds = simulate.relay_count_bounds(paper_scenario, paper_coeffs, target, scheme,
+                                             include_user_energy)
+        window = sum(math.comb(paper_scenario.N, k) for k in range(bounds.low, bounds.up + 1))
+        assert d["subsets_tried"] + d["subsets_pruned"] <= window
+
+
+# (M, N) of each random draw; the draws alternate in pairs between leaving
+# user energy out of the budget and counting it
+RANDOM_SHAPES = [(2, 4), (3, 4), (2, 5), (3, 5), (2, 6), (3, 6), (3, 7),
+                 (2, 4), (3, 4), (2, 5), (3, 5), (3, 7)]
+
+
+@pytest.mark.parametrize("draw", range(len(RANDOM_SHAPES)))
+def test_screened_brute_force_equals_plain_enumeration_on_random_scenarios(draw):
+    M, N = RANDOM_SHAPES[draw]
+    rng = np.random.default_rng([12, draw])
+    s = _random_small_scenario(rng, M=M, N=N)
+    coeffs = build_link_coefficients(s)
+    target = float(rng.choice([1e-2, 1e-3, 1e-4]))
+    include_user_energy = (draw // 2) % 2 == 1
+    for scheme in ("mdnc", "nonc"):
+        _assert_same_answer(
+            brute_force_optimize(s, coeffs, target, scheme, include_user_energy),
+            plain_brute_force(s, coeffs, target, scheme, include_user_energy))
+
+
+def test_ratio_bound_holds_for_every_feasible_fixed_schedule():
+    # q_S < M*alpha0 / (gamma*n + delta0): the bound the count cut rests on
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(12):
+        M = int(rng.integers(2, 4))
+        s = _random_small_scenario(rng, M=M, N=int(rng.integers(M, 7)))
+        coeffs = build_link_coefficients(s)
+        for scheme in ("mdnc", "nonc"):
+            gamma, delta0, _, _ = scheme_constants(s, scheme)
+            n = int(rng.integers(1, s.N + 1))
+            subset = sorted(rng.choice(s.N, size=n, replace=False).tolist())
+            sol = dinkelbach_fixed_schedule(s, coeffs, RelaySchedule.from_indices(subset, s.N),
+                                            float(rng.choice([1e-2, 1e-3])), scheme=scheme,
+                                            include_user_energy=bool(rng.integers(2)))
+            if sol is None:
+                continue
+            assert sol.q_star < s.M * s.alpha0 / (gamma * n + delta0)
+            assert ratio_count_cap(s, scheme, sol.q_star) >= n
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_ratio_count_cap_does_not_increase_with_q(scheme, paper_scenario):
+    s = paper_scenario
+    gamma, delta0, _, _ = scheme_constants(s, scheme)
+    qs = np.concatenate([[0.0], np.geomspace(1.0, 10 * s.M * s.alpha0 / (gamma + delta0), 200)])
+    caps = [ratio_count_cap(s, scheme, float(q)) for q in qs]
+    assert caps[0] == s.N and caps[-1] == 0
+    assert all(a >= b for a, b in zip(caps, caps[1:]))
+
+
+def test_brute_force_falls_back_when_best_subset_is_infeasible(monkeypatch, paper_scenario,
+                                                               paper_coeffs):
+    # a single relay cannot carry two MDNC users: the first q-iteration finds
+    # no incumbent, so subsets are q-iterated in order until one is feasible
+    real = simulate.relay_count_bounds
+
+    def infeasible_best(*args, **kwargs):
+        b = real(*args, **kwargs)
+        return CountBounds(low=b.low, up=b.up, best_subset=(0,))
+
+    monkeypatch.setattr(simulate, "relay_count_bounds", infeasible_best)
+    for target in (1e-2, 1e-4):
+        screened = brute_force_optimize(paper_scenario, paper_coeffs, target)
+        _assert_same_answer(screened, plain_brute_force(paper_scenario, paper_coeffs, target))
+        assert screened.diagnostics["q_iterations"] >= 1
