@@ -27,7 +27,7 @@ from .outage import (
     outage_posynomial,
     powers_from_log,
 )
-from .posynomial import Posynomial
+from .posynomial import Posynomial, segment_logvalues, segment_values, stacked_terms
 
 __all__ = [
     "PrimalProblem",
@@ -105,6 +105,7 @@ class PrimalSolution:
     newton_iterations: int
     barrier_stages: int
     kkt_residual: float
+    backtracks: int                     # rejected line-search trials
 
 
 def _stacked(dim: int, *parts) -> Posynomial:
@@ -232,44 +233,114 @@ def _max_slack_point(pp: PrimalProblem) -> np.ndarray:
     """
     agg = _stacked(pp.dim, *((pos.coeffs * (1.0 / t), pos.expos)
                              for pos, t in zip(pp.outage_pos, pp.targets)))
-    # start strictly inside the budget: from the box midpoint, shrink the
-    # relay powers toward zero, then (when user energy counts against the
-    # budget) the user powers toward their floor
-    x = 0.5 * (pp.lo + pp.hi)
-    for block in (slice(pp.s.M, None), slice(0, pp.s.M)):
-        for _ in range(80):
-            if pp.budget_pos.value(x) < pp.budget_cap:
-                break
-            x[block] = 0.5 * (x[block] + pp.lo[block])
-    res = _barrier_minimize(
-        objective=agg,
-        constraints=[(pp.budget_pos.value, pp.budget_pos.parts, pp.budget_cap)],
-        lo=pp.lo, hi=pp.hi, x0=x,
-    )
+
+    def starts():
+        # from the box midpoint, shrink the relay powers toward zero, then
+        # (when user energy counts against the budget) the user powers
+        # toward their floor, until the budget is strictly met
+        x = 0.5 * (pp.lo + pp.hi)
+        for block in (slice(pp.s.M, None), slice(0, pp.s.M)):
+            for _ in range(80):
+                yield x.copy()
+                x[block] = 0.5 * (x[block] + pp.lo[block])
+        yield x
+
+    res = _barrier_minimize(objective=agg, log_constraints=[],
+                            linear_constraints=[(pp.budget_pos, pp.budget_cap)],
+                            lo=pp.lo, hi=pp.hi, starts=starts())
     return res[0]
 
 
-def _barrier_value(x, lo, hi, constraints):
-    """Log-barrier value -sum log(slack) at x, or None off the strict interior.
+class _BarrierStack:
+    """The objective and every constraint of one barrier problem as one term matrix.
 
-    Each constraint is a (value, parts, cap) triple meaning value(x) < cap,
-    where parts(x) returns the value with its gradient and Hessian.
+    Segment 0 is the objective P0, minimized as log P0. Then come the log
+    constraints log P_i < cap_i and the linear constraints P_j < cap_j, with
+    the box lo < x < hi. One stacked_terms pass evaluates them all, so each
+    P here equals its standalone Posynomial value bit for bit.
     """
-    if np.any(x <= lo) or np.any(x >= hi):
-        return None
-    val = -(np.sum(np.log(hi - x)) + np.sum(np.log(x - lo)))
-    for value, _, cap in constraints:
-        g = value(x) - cap
-        if g >= 0:
+
+    def __init__(self, objective: Posynomial, log_constraints, linear_constraints, lo, hi):
+        posys = [objective] + [p for p, _ in log_constraints] + [p for p, _ in linear_constraints]
+        counts = np.array([p.n_terms for p in posys])
+        if not np.all(counts):
+            raise ValueError("barrier objective and constraints need at least one term each")
+        self.expos = np.vstack([p.expos for p in posys])
+        self.logc = np.concatenate([p.logc for p in posys])
+        self.starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+        self.segment = np.repeat(np.arange(len(posys)), counts)   # segment of each row
+        self.n_obj = counts[0]
+        self.n_log = len(log_constraints)
+        self.caps = np.array([c for _, c in log_constraints] + [c for _, c in linear_constraints],
+                             dtype=float)
+        self.lo = lo
+        self.hi = hi
+
+    def _evaluate(self, x):
+        """Objective log value, every inequality's slack (box upper, box lower,
+        constraints), the linear constraints' values and the stacked terms; None
+        off the open box, where the exponentials may overflow."""
+        box = np.concatenate((self.hi - x, x - self.lo))
+        if box.min() <= 0:
             return None
-        val -= np.log(-g)
-    return val
+        zmax, e, sums = stacked_terms(self.expos, self.logc, self.starts, x, self.segment)
+        k = 1 + self.n_log
+        values = segment_logvalues(zmax, sums)
+        values[k:] = segment_values(zmax[k:], sums[k:])
+        slack = np.concatenate((box, self.caps - values[1:]))
+        return values[0], slack, values[k:], e, sums
+
+    def value(self, x):
+        """(log objective, barrier) at x, or None off the strict interior."""
+        evaluated = self._evaluate(x)
+        if evaluated is None:
+            return None
+        fv, slack = evaluated[:2]
+        if slack.min() <= 0:
+            return None
+        return fv, -np.log(slack).sum()
+
+    def derivatives(self, x):
+        """(log objective, gradient, Hessian) and (barrier, gradient, Hessian) at an
+        interior x.
+
+        With softmax weights w per segment and means G (one row per segment),
+        log P_i has gradient G_i and Hessian A_i^T diag(w) A_i - G_i G_i^T, and
+        P_j has gradient P_j G_j and Hessian A_j^T diag(P_j w) A_j. So the
+        constraint barrier's Hessian is A^T diag(omega) A + G^T diag(d) G over
+        the constraint rows, with coef = 1/slack (log) or P/slack (linear) per
+        segment, omega = coef*w per row and d = coef^2 - coef (log) or coef^2
+        (linear).
+        """
+        fv, slack, lin, e, sums = self._evaluate(x)
+        dim = len(x)
+        n0 = self.n_obj
+        wa = (e / sums[self.segment])[:, None] * self.expos
+        means = np.add.reduceat(wa, self.starts, axis=0)
+        fg = means[0]
+        fh = self.expos[:n0].T @ wa[:n0] - fg[:, None] * fg
+
+        box = 1.0 / slack[:2 * dim]
+        coef = 1.0 / slack[2 * dim:]
+        coef[self.n_log:] *= lin
+        d = coef * coef
+        d[:self.n_log] -= coef[:self.n_log]
+        G = means[1:]
+        bg = box[:dim] - box[dim:] + coef @ G
+        bh = (self.expos[n0:].T @ (coef[self.segment[n0:] - 1, None] * wa[n0:])
+              + G.T @ (d[:, None] * G))
+        bh.flat[::dim + 1] += box[:dim] ** 2 + box[dim:] ** 2
+        return (fv, fg, fh), (-np.log(slack).sum(), bg, bh)
 
 
-def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0):
+def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints, lo, hi, starts):
     """Minimize log(objective(x)) over the box and the constraints.
 
-    Returns (x, newton_iterations, barrier_stages, kkt_residual, exhausted).
+    log_constraints holds (posynomial, cap) pairs meaning log P(x) < cap,
+    linear_constraints pairs meaning P(x) < cap. The barrier starts from the
+    first of the candidate points in starts that is strictly feasible.
+    Returns (x, newton_iterations, barrier_stages, kkt_residual, exhausted,
+    backtracks), backtracks counting rejected line-search trials.
     Implements the pinned schedule: barrier weight mu from 1 by factors of
     10 until (#inequalities)*mu < GAP_TOL, damped Newton inside. A stage
     ends when lambda^2/2 (half the squared Newton decrement) is at most
@@ -282,34 +353,24 @@ def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
+    stack = _BarrierStack(objective, log_constraints, linear_constraints, lo, hi)
+    for x in starts:
+        x = np.asarray(x, dtype=float)
+        if stack.value(x) is not None:
+            break
+    else:
+        raise RuntimeError("no candidate barrier start point is strictly feasible")
+    x = x.copy()
     dim = len(x)
-    m_ineq = 2 * dim + len(constraints)
+    m_ineq = 2 * dim + len(stack.caps)
     eps = np.finfo(float).eps
-
-    def evaluate(x):
-        """Objective (log V, gradient, Hessian) and barrier (value, gradient, Hessian)."""
-        su = hi - x
-        sl = x - lo
-        bv = -(np.sum(np.log(su)) + np.sum(np.log(sl)))
-        bg = 1.0 / su - 1.0 / sl
-        bh = np.diag(1.0 / su**2 + 1.0 / sl**2)
-        for _, parts, cap in constraints:
-            v, gg, gh = parts(x)
-            g = v - cap
-            bv -= np.log(-g)
-            bg += gg / (-g)
-            bh += gh / (-g) + np.outer(gg, gg) / g**2
-        return objective.log_parts(x), (bv, bg, bh)
-
-    if _barrier_value(x, lo, hi, constraints) is None:
-        raise RuntimeError("barrier start point is not strictly feasible")
 
     mu = 1.0
     newton_total = 0
+    backtracks = 0
     stages = 0
     exhausted = False
-    (fv, fg, fh), (bv, bg, bh) = evaluate(x)
+    (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
     while True:
         stages += 1
         t = 1.0 / mu
@@ -325,20 +386,22 @@ def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0):
             if decrement2 / 2.0 <= max(NEWTON_TOL, eps * (abs(t * fv) + abs(bv))):
                 break
             # backtracking: stay strictly feasible, then Armijo
+            slope = float(grad @ step)
             alpha = 1.0
             while alpha > 1e-14:
                 xn = x + alpha * step
-                bn = _barrier_value(xn, lo, hi, constraints)
-                if bn is not None and (t * objective.logvalue(xn) + bn
-                                       <= base + ARMIJO_SLOPE * alpha * float(grad @ step)):
+                trial = stack.value(xn)
+                if trial is not None and (t * trial[0] + trial[1]
+                                          <= base + ARMIJO_SLOPE * alpha * slope):
                     break
+                backtracks += 1
                 alpha *= ARMIJO_SHRINK
             else:
                 exhausted = True   # no acceptable step above the round-off floor
                 break
             x = xn
             newton_total += 1
-            (fv, fg, fh), (bv, bg, bh) = evaluate(x)
+            (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
         else:
             exhausted = True   # Newton budget spent before reaching tolerance
         if m_ineq * mu < GAP_TOL:
@@ -347,7 +410,7 @@ def _barrier_minimize(objective: Posynomial, constraints, lo, hi, x0):
 
     # KKT stationarity residual of the original problem at the final iterate
     kkt = float(np.linalg.norm(fg + mu * bg))
-    return x, newton_total, stages, kkt, exhausted
+    return x, newton_total, stages, kkt, exhausted, backtracks
 
 
 def solve_primal(pp: PrimalProblem) -> PrimalSolution:
@@ -360,23 +423,20 @@ def solve_primal(pp: PrimalProblem) -> PrimalSolution:
     if not pp.feasible:
         raise ValueError(f"primal problem is infeasible: {pp.infeasible_reason}")
 
-    constraints = [(pos.logvalue, pos.log_parts, np.log(t))
-                   for pos, t in zip(pp.outage_pos, pp.targets)]
-    constraints.append((pp.budget_pos.value, pp.budget_pos.parts, pp.budget_cap))
-
     span = pp.hi - pp.lo
-    x0 = 0.5 * (pp.lo + pp.hi)
     anchor = np.clip(pp.max_slack_point, pp.lo + 1e-9 * span, pp.hi - 1e-9 * span)
 
-    for _ in range(200):
-        if _barrier_value(x0, pp.lo, pp.hi, constraints) is not None:
-            break
-        x0 = 0.5 * (x0 + anchor)
-    else:
-        raise RuntimeError("could not find a strictly feasible start despite feasibility pre-check")
+    def starts():
+        x0 = 0.5 * (pp.lo + pp.hi)
+        for _ in range(200):
+            yield x0
+            x0 = 0.5 * (x0 + anchor)
 
-    x, newton_total, stages, kkt, exhausted = _barrier_minimize(
-        objective=pp.vprime, constraints=constraints, lo=pp.lo, hi=pp.hi, x0=x0,
+    x, newton_total, stages, kkt, exhausted, backtracks = _barrier_minimize(
+        objective=pp.vprime,
+        log_constraints=[(pos, np.log(t)) for pos, t in zip(pp.outage_pos, pp.targets)],
+        linear_constraints=[(pp.budget_pos, pp.budget_cap)],
+        lo=pp.lo, hi=pp.hi, starts=starts(),
     )
 
     ptilde, ptr = pp.split(x)
@@ -387,7 +447,7 @@ def solve_primal(pp: PrimalProblem) -> PrimalSolution:
         x=x, ptilde=ptilde, ptilde_relay=ptr, powers=powers, tilde_v=tv,
         vprime=float(np.exp(tv)), outage_approx=out, converged=not exhausted,
         newton_iterations=newton_total, barrier_stages=stages,
-        kkt_residual=kkt,
+        kkt_residual=kkt, backtracks=backtracks,
     )
 
 

@@ -308,6 +308,7 @@ class GoaState:
     refutation: str | None = None       # infeasible_reason of the last refuted primal
     iteration: int = 0
     newton_total: int = 0
+    backtracks: int = 0                 # rejected line-search trials of its primals
     primal_unconverged: int = 0         # primal solves that returned converged=False
     master_lps: int = 0
     master_pivots: int = 0
@@ -468,6 +469,7 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
         sol = solve_primal(pp) if pp.feasible else None
         if sol is not None:
             state.newton_total += sol.newton_iterations
+            state.backtracks += sol.backtracks
             state.primal_unconverged += not sol.converged
             if sol.tilde_v < state.ubd:
                 state.ubd = sol.tilde_v
@@ -642,6 +644,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
                         reason=f"no feasible schedule in the relay-count window: {exc}")
     diagnostics["goa_states"] = len(states)
     diagnostics["newton_total"] = sum(st.newton_total for st in states)
+    diagnostics["backtracks"] = sum(st.backtracks for st in states)
     for counter in ("master_lps", "master_pivots", "master_nodes"):
         diagnostics[counter] = sum(getattr(st, counter) for st in states)
     diagnostics["primal_unconverged"] = sum(st.primal_unconverged for st in states)
@@ -682,6 +685,7 @@ def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
 
     schedule, sol, diagnostics, q_final = _dinkelbach_loop(s, scheme, inner, q0, schedule)
     diagnostics["newton_total"] = sum(p.newton_iterations for p in sols)
+    diagnostics["backtracks"] = sum(p.backtracks for p in sols)
     diagnostics["primal_unconverged"] = sum(not p.converged for p in sols)
     return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)
 

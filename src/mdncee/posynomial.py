@@ -11,19 +11,58 @@ The class is a term matrix and its evaluator, with no algebra: builders
 assemble the coefficient vector and exponent rows directly (the outage
 terms by counting recursions, the energy terms by stacking rows), and
 evaluation treats repeated rows as a sum, so nothing needs merging.
+
+All evaluation goes through one evaluator, `stacked_terms`, over a stack of
+posynomials: their exponent rows one under another, their log-coefficients,
+and the row where each one (a segment) starts. The barrier solver stacks an
+objective and its constraints and pays one exponent pass per iterate; a
+Posynomial is a stack of one segment. Each segment is shifted by its own
+largest exponent, so P = exp(zmax) * sum exp(z - zmax) and
+log P = zmax + log sum exp(z - zmax). The exponents come from a row-by-row
+`einsum` and the sums from `reduceat`, whose results do not depend on what
+else is stacked: a posynomial's value inside a stack equals its standalone
+value bit for bit. A BLAS matrix-vector product (`A @ x`) does not promise
+that, and in practice its last bits change with the rows around a row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Posynomial"]
+__all__ = ["Posynomial", "segment_logvalues", "segment_values", "stacked_terms"]
+
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+
+
+def stacked_terms(expos, logc, starts, x, segment=None):
+    """Shifted term exponentials of stacked posynomials at x.
+
+    Segment s holds rows starts[s] up to the next start (or the end); every
+    segment must be nonempty. segment, the segment of each row, is needed
+    when there is more than one. Returns (zmax, e, sums): the largest
+    exponent z = a_k . x + log coef_k of each segment, e = exp(z - zmax)
+    per row with its own segment's zmax, and the sum of e over each segment.
+    """
+    z = np.einsum("ij,j->i", expos, x) + logc
+    zmax = np.maximum.reduceat(z, starts)
+    e = np.exp(z - (zmax if segment is None else zmax[segment]))
+    return zmax, e, np.add.reduceat(e, starts)
+
+
+def segment_values(zmax, sums):
+    """P per segment from stacked_terms' zmax and sums."""
+    return np.exp(zmax) * sums
+
+
+def segment_logvalues(zmax, sums):
+    """log P per segment from stacked_terms' zmax and sums."""
+    return zmax + np.log(sums)
 
 
 class Posynomial:
     """Immutable positive combination of exponentials exp(a_k . x)."""
 
-    __slots__ = ("coeffs", "expos", "dim")
+    __slots__ = ("coeffs", "expos", "logc", "dim")
 
     def __init__(self, coeffs, expos, dim: int | None = None):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -39,49 +78,45 @@ class Posynomial:
         keep = coeffs > 0
         self.coeffs = coeffs[keep]
         self.expos = expos[keep]
+        self.logc = np.log(self.coeffs)
         self.dim = dim
 
     @property
     def n_terms(self) -> int:
         return len(self.coeffs)
 
-    # -- evaluation ---------------------------------------------------------
+    # -- evaluation: one-segment calls of stacked_terms ---------------------
 
-    def _exponents(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.expos @ x
+    def _terms(self, x):
+        return stacked_terms(self.expos, self.logc, _ONE_SEGMENT, np.asarray(x, dtype=float))
 
     def value(self, x) -> float:
         if len(self.coeffs) == 0:
             return 0.0
-        return float(self.coeffs @ np.exp(self._exponents(x)))
+        zmax, _, total = self._terms(x)
+        return float(segment_values(zmax, total)[0])
 
     def value_grad(self, x):
         """(P, grad P) at x: the first two of parts, by the same arithmetic."""
         if len(self.coeffs) == 0:
             return 0.0, np.zeros(self.dim)
-        e = np.exp(self._exponents(x))
-        return float(self.coeffs @ e), (self.coeffs * e) @ self.expos
+        zmax, e, total = self._terms(x)
+        return float(segment_values(zmax, total)[0]), (np.exp(zmax) * e) @ self.expos
 
     def parts(self, x):
         """(P, grad P, Hessian of P) at x from one exponent evaluation."""
         if len(self.coeffs) == 0:
             return 0.0, np.zeros(self.dim), np.zeros((self.dim, self.dim))
-        e = np.exp(self._exponents(x))
-        t = self.coeffs * e
-        return float(self.coeffs @ e), t @ self.expos, self.expos.T @ (t[:, None] * self.expos)
-
-    def _shifted_terms(self, x):
-        # log-sum-exp with max shift so extreme exponents stay in range
-        z = self._exponents(x) + np.log(self.coeffs)
-        zmax = np.max(z)
-        return zmax, np.exp(z - zmax)
+        zmax, e, total = self._terms(x)
+        t = np.exp(zmax) * e
+        return (float(segment_values(zmax, total)[0]), t @ self.expos,
+                self.expos.T @ (t[:, None] * self.expos))
 
     def logvalue(self, x) -> float:
         if len(self.coeffs) == 0:
             return -np.inf
-        zmax, e = self._shifted_terms(x)
-        return float(zmax + np.log(np.sum(e)))
+        zmax, _, total = self._terms(x)
+        return float(segment_logvalues(zmax, total)[0])
 
     def log_parts(self, x):
         """(log P, its gradient, its Hessian) at x from one exponent evaluation.
@@ -91,12 +126,11 @@ class Posynomial:
         """
         if len(self.coeffs) == 0:
             raise ValueError("log of an empty posynomial")
-        zmax, e = self._shifted_terms(x)
-        total = np.sum(e)
+        zmax, e, total = self._terms(x)
         w = e / total
         mean = w @ self.expos
         hess = self.expos.T @ (w[:, None] * self.expos) - np.outer(mean, mean)
-        return float(zmax + np.log(total)), mean, hess
+        return float(segment_logvalues(zmax, total)[0]), mean, hess
 
     def __repr__(self):
         return f"Posynomial({self.n_terms} terms, dim={self.dim})"

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mdncee import convex_solver
 from mdncee.convex_solver import _barrier_minimize, assemble_primal, gradients, solve_primal
 from mdncee.energy import scheme_constants
 from mdncee.outage import RelaySchedule
@@ -162,23 +163,67 @@ def test_nonc_primal_per_user_caps(paper_scenario, paper_coeffs):
     assert np.all(sol.outage_approx <= 1e-3 * (1 + 1e-9))
 
 
-def test_line_search_failure_is_flagged():
-    # the constraint admits x0 alone, so every backtracking trial is
+def test_line_search_failure_is_flagged(monkeypatch):
+    # the barrier admits x0 alone, so every backtracking trial is
     # rejected: the stage must end unconverged, not pass as converged
     x0 = np.array([0.3])
-
-    def value(x):
-        return -1.0 if np.array_equal(x, x0) else 1.0
-
-    def parts(x):
-        return value(x), np.zeros(1), np.zeros((1, 1))
-
+    interior_value = convex_solver._BarrierStack.value
+    monkeypatch.setattr(convex_solver._BarrierStack, "value",
+                        lambda self, x: interior_value(self, x) if np.array_equal(x, x0) else None)
     objective = Posynomial([1.0, 1.0], [[1.0], [-1.0]])
-    x, newton, _, _, exhausted = _barrier_minimize(
-        objective, [(value, parts, 0.0)], lo=[-1.0], hi=[1.0], x0=x0)
+    x, newton, _, _, exhausted, _ = _barrier_minimize(
+        objective, [], [], lo=[-1.0], hi=[1.0], starts=[x0])
     assert newton == 0
     assert np.array_equal(x, x0)
     assert exhausted
+
+
+def barrier_stack(pp):
+    """The stacked barrier problem that solve_primal minimizes."""
+    return convex_solver._BarrierStack(
+        pp.vprime, [(pos, np.log(t)) for pos, t in zip(pp.outage_pos, pp.targets)],
+        [(pp.budget_pos, pp.budget_cap)], pp.lo, pp.hi)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e4])
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_barrier_merit_derivatives_match_central_differences(paper_scenario, paper_coeffs,
+                                                             scheme, t):
+    # the Newton step uses t*(log V')'' + barrier'' from the stacked kernel;
+    # check that merit's gradient and Hessian against its own values
+    pp = assemble_primal(paper_scenario, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4),
+                         q=1300.0, target=1e-3, scheme=scheme)
+    stack = barrier_stack(pp)
+
+    def merit(x):
+        fv, bv = stack.value(x)
+        return t * fv + bv
+
+    def merit_grad(x):
+        (_, fg, _), (_, bg, _) = stack.derivatives(x)
+        return t * fg + bg
+
+    # points between the optimum and the box midpoint pulled toward the
+    # max-slack point, both strictly feasible, so all of them are
+    start = 0.5 * (pp.lo + pp.hi)
+    while stack.value(start) is None:
+        start = 0.5 * (start + pp.max_slack_point)
+    x_opt = solve_primal(pp).x
+    points = [x_opt + a * (start - x_opt) for a in np.linspace(0.05, 0.95, 8)]
+    for x in points:
+        (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
+        assert (fv, bv) == stack.value(x)
+        grad, hess = t * fg + bg, t * fh + bh
+        # a wider step for the merit's values, which reach 1e5 at t = 1e4
+        fd_grad = np.array([(merit(x + e) - merit(x - e)) / 2e-4 for e in 1e-4 * np.eye(pp.dim)])
+        fd_hess = np.array([(merit_grad(x + e) - merit_grad(x - e)) / 2e-6
+                            for e in 1e-6 * np.eye(pp.dim)])
+        # round-off of the differences scales with the merit's two terms, not
+        # with their sum, which is near zero close to the optimum
+        grad_scale = t * np.linalg.norm(fg) + np.linalg.norm(bg)
+        hess_scale = t * np.linalg.norm(fh) + np.linalg.norm(bh)
+        assert np.linalg.norm(fd_grad - grad) <= 1e-6 * grad_scale
+        assert np.linalg.norm(fd_hess - hess) <= 1e-6 * hess_scale
 
 
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])

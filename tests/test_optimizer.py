@@ -371,6 +371,27 @@ def test_fixed_schedule_counts_unconverged_primals(paper_scenario, paper_coeffs)
     assert sol.diagnostics["primal_unconverged"] == 0
 
 
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_backtracks_sum_the_primals(paper_scenario, paper_coeffs, monkeypatch, scheme):
+    from mdncee import optimizer
+
+    seen = []
+
+    def recording(pp):
+        sol = solve_primal(pp)
+        seen.append(sol.backtracks)
+        return sol
+
+    monkeypatch.setattr(optimizer, "solve_primal", recording)
+    sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
+    assert sol.diagnostics["backtracks"] == sum(seen) > 0
+    seen.clear()
+    sched = RelaySchedule.from_indices([0, 1, 2], 4)
+    sol = dinkelbach_fixed_schedule(paper_scenario, paper_coeffs, sched, 1e-3, scheme=scheme)
+    assert len(seen) > 1
+    assert sol.diagnostics["backtracks"] == sum(seen)
+
+
 @pytest.mark.parametrize("target", [10 ** -2.75, 1e-3], ids=["10^-2.75", "1e-3"])
 def test_newton_path_ignores_outage_term_order(paper_scenario, paper_coeffs, monkeypatch, target):
     from mdncee import convex_solver

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mdncee.outage import outage_posynomial
-from mdncee.posynomial import Posynomial
+from mdncee.posynomial import Posynomial, segment_logvalues, segment_values, stacked_terms
 
 
 def random_posynomial(rng, dim=4, terms=7):
@@ -63,3 +63,36 @@ def test_parts_of_empty_posynomial():
     assert value == 0.0
     assert np.array_equal(grad, np.zeros(3))
     assert np.array_equal(hess, np.zeros((3, 3)))
+
+
+def test_stacked_segments_equal_standalone_bitwise(paper_coeffs):
+    # the barrier evaluates its objective and constraints as one stack, and
+    # its interior test must agree with Posynomial.value/logvalue to the bit
+    rng = np.random.default_rng(14)
+    points = 0
+    for _ in range(40):
+        dim = int(rng.integers(3, 13))
+        stack = [Posynomial(rng.lognormal(0.0, 2.0, size=terms),
+                            rng.integers(-3, 4, size=(terms, dim)), dim)
+                 for terms in rng.integers(1, 201, size=rng.integers(2, 6))]
+        if dim >= 6:
+            outage = outage_posynomial(paper_coeffs, (0, 1, 2, 3), 2)
+            stack.append(Posynomial(outage.coeffs, np.pad(outage.expos, ((0, 0), (0, dim - 6))),
+                                    dim))
+        order = rng.permutation(len(stack))
+        stack = [stack[k] for k in order]
+        expos = np.vstack([pos.expos for pos in stack])
+        logc = np.concatenate([pos.logc for pos in stack])
+        counts = [pos.n_terms for pos in stack]
+        starts = np.cumsum([0] + counts[:-1])
+        segment = np.repeat(np.arange(len(stack)), counts)
+        for _ in range(2):
+            x = rng.uniform(-3.0, 3.0, dim)
+            zmax, _, sums = stacked_terms(expos, logc, starts, x, segment)
+            logvalues = segment_logvalues(zmax, sums)
+            values = segment_values(zmax, sums)
+            for k, pos in enumerate(stack):
+                assert logvalues[k] == pos.logvalue(x)
+                assert values[k] == pos.value(x)
+            points += 1
+    assert points >= 50
