@@ -47,7 +47,6 @@ from .optimizer import (
     goa_solve,
     nonc_solve,
     relay_count_bounds,
-    solve_master,
 )
 from .simulate import McConfig, McResult, brute_force_optimize, monte_carlo_outage
 
@@ -80,7 +79,6 @@ __all__ = [
     "GoaState",
     "Solution",
     "relay_count_bounds",
-    "solve_master",
     "goa_solve",
     "dinkelbach_solve",
     "exact_outage",

@@ -141,6 +141,14 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _job_count(text: str) -> int:
+    """Sweep worker count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"job count {text} is below 1")
+    return value
+
+
 def _solve_row(args):
     """One sweep cell; top-level so process pools can dispatch it."""
     scenario_path, target, scheme, mode, samples, seed, include_user = args
@@ -204,8 +212,10 @@ def _write_plotdata(outdir, name, pairs):
 def _sweep_rows(scenario_path, targets, schemes, modes, samples, seed, include_user, jobs):
     tasks = [(scenario_path, t, sch, mode, samples, seed, include_user)
              for t in targets for sch in schemes for mode in modes]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers up front: never more than there are tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_solve_row, tasks))
     else:
         rows = [_solve_row(t) for t in tasks]
@@ -420,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--include-user-energy-in-budget", action="store_true",
                        help="count user transmit energy against the E0 budget")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+        p.add_argument("--jobs", type=_job_count, default=1,
+                       help="parallel sweep workers (at most one per sweep point)")
 
     p = sub.add_parser("sweep", help="Pareto sweep: EE versus target outage")
     common(p)

@@ -28,6 +28,13 @@ feasible. solve_lp(..., warm=parent) rebuilds the initial right-hand side
 for the new data, maps it through B^-1 (the final tableau's slack block) and
 continues the dual simplex from the parent's basis. A branch-and-bound child,
 which fixes one variable, re-solves in a few pivots.
+
+Appended rows. warm may also come from an LP over only the first k rows of
+A. Each appended row is reduced against the basic structural columns, and
+its slack enters the basis: the slack has no cost, so every reduced cost is
+unchanged and the extended basis is still dual feasible. The dual simplex
+then continues as above. This is how an outer-approximation tree adds a new
+cut to an open node without re-solving it cold.
 """
 
 from __future__ import annotations
@@ -100,11 +107,36 @@ def _dual_simplex(tableau: np.ndarray, basis: np.ndarray) -> tuple[str, int]:
     raise RuntimeError("simplex iteration limit exceeded (cycling?)")
 
 
+def _append_rows(warm: LpResult, rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """warm's tableau and basis grown by the equilibrated y-space rows.
+
+    Constraint rows come before the n box rows, so the new slack columns go
+    between the old row slacks and the box slacks; the new rows go last,
+    each with its own slack basic.
+    """
+    m_old = len(warm.basis)
+    k, a = m_old - n, len(rows)
+    m = m_old + a
+    tableau = np.zeros((m + 1, n + m + 1))
+    keep = np.concatenate([np.arange(n + k), np.arange(n + k + a, n + m + 1)])
+    tableau[np.ix_(np.r_[:m_old, m], keep)] = warm.tableau
+    new = tableau[m_old:m]
+    new[:, :n] = rows
+    new[:, n + k:n + k + a] = np.eye(a)
+    # eliminate the basic structural columns: the new rows then read in the
+    # extended basis, and B^-1 is again the tableau's slack block
+    slots = np.flatnonzero(warm.basis < n)
+    new -= rows[:, warm.basis[slots]] @ tableau[slots]
+    basis = np.where(warm.basis < n + k, warm.basis, warm.basis + a)
+    return tableau, np.concatenate([basis, np.arange(n + k, n + k + a)])
+
+
 def solve_lp(c, A, b, lb, ub, warm: LpResult | None = None) -> LpResult:
     """Minimize c.x subject to A x <= b and lb <= x <= ub (all finite boxes).
 
-    warm: an optimal result of an LP with the same c and A, whose basis the
-    dual simplex continues from.
+    warm: an optimal result of an LP with the same c and the same leading
+    rows of A (all of them, or all but some appended at the end), whose basis
+    the dual simplex continues from.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -131,8 +163,12 @@ def solve_lp(c, A, b, lb, ub, warm: LpResult | None = None) -> LpResult:
         tableau[-1, :n] = c * sign
         basis = np.arange(n, n + m)
     else:
-        tableau = warm.tableau.copy()
-        basis = warm.basis.copy()
+        k = len(warm.basis) - n
+        if k == len(A):
+            tableau = warm.tableau.copy()
+            basis = warm.basis.copy()
+        else:
+            tableau, basis = _append_rows(warm, A[k:] * sign / scale[k:len(A), None], n)
         tableau[:m, -1] = tableau[:m, n:n + m] @ rhs0
 
     status, pivots = _dual_simplex(tableau, basis)

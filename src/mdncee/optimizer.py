@@ -5,10 +5,10 @@ powers) is solved by nesting three loops:
 
 * outermost, the parametric update of q = bits/(J*slot) until the
   subtractive objective V(q) has its root (fractional programming);
-* per q, a generalized outer-approximation loop alternating a convex primal
-  (powers for a fixed schedule; barrier-Newton) with a mixed-integer linear
-  master over accumulated first-order cuts (branch-and-bound over the
-  in-repo simplex);
+* per q, one branch-and-bound tree over the linear master of accumulated
+  first-order cuts (LP/NLP-based outer approximation on the in-repo dual
+  simplex): each integral node solves a convex primal (powers for a fixed
+  schedule; barrier-Newton) and appends its cut to the open tree;
 * relay-count bounds precomputed from the exact outage at maximum power and
   from the circuit-energy budget prune the master's search space.
 
@@ -46,7 +46,7 @@ from .convex_solver import (
     solve_primal,
 )
 from .energy import EnergyBreakdown, delivered_rate, energy_efficiency, scheme_constants, total_energy
-from .lp import solve_lp
+from .lp import LpResult, solve_lp
 from .model import P_MIN, LinkCoefficients, ScenarioConfig
 from .outage import PowerAllocation, RelaySchedule, nonc_outage, outage_exact
 
@@ -60,7 +60,6 @@ __all__ = [
     "MasterModel",
     "OaCut",
     "build_oa_cuts",
-    "solve_master",
     "goa_solve",
     "dinkelbach_solve",
     "nonc_solve",
@@ -68,8 +67,7 @@ __all__ = [
     "fixed_schedule_value",
 ]
 
-GOA_REL_TOL = 1e-6          # stop when UBD - LBD <= tol * (1 + |UBD|)
-IMPROVE_EPS_REL = 1e-9      # strict-improvement margin on the master's w
+GOA_REL_TOL = 1e-6          # prune a schedule whose bound is within tol * (1 + |UBD|) of UBD
 DINKELBACH_TOL_REL = 1e-6   # |V(q)| <= tol * M * alpha0
 DINKELBACH_MAX_ITER = 50
 GOA_MAX_ITER = 120
@@ -187,8 +185,8 @@ class MasterModel:
 
     V'(x, u) = obj_outage(x) + q * (obj_energy(x) + gamma*sum(u) + delta0);
     both parts are convex in x, so a cut linearizes each once and holds for
-    every q >= 0. cuts holds every cut block built so far; refuted holds the
-    schedules whose primal was infeasible, which no q can make feasible.
+    every q >= 0. cuts holds every cut block built so far, in creation
+    order; a refuted one's schedule was infeasible, which no q can change.
     """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
@@ -212,12 +210,12 @@ class MasterModel:
         self.caps = np.log1p(s.P_R_max / coeffs.c_g)
         self.v_scale = s.M * s.alpha0    # master works in v / v_scale units
         self.cuts: list[OaCut] = []
-        self.refuted: list[tuple[int, ...]] = []
 
 
 @dataclass(frozen=True)
 class OaCut:
-    """One cut's master rows A z <= b over z = [ptilde, ptilde', u, vhat].
+    """One cut's master rows A z <= b over z = [ptilde, ptilde', u, vhat],
+    built by the primal of schedule theta.
 
     A solved primal's cut opens with its objective row, stored as the
     q-free part (A[0], b[0]) plus the energy part (energy_row, energy_rhs)
@@ -226,12 +224,17 @@ class OaCut:
 
     A: np.ndarray
     b: np.ndarray
+    theta: tuple[int, ...]
     energy_row: np.ndarray | None = None
     energy_rhs: float = 0.0
 
+    @property
+    def refuted(self) -> bool:
+        return self.energy_row is None
+
     def at(self, q: float) -> tuple[np.ndarray, np.ndarray]:
         """The rows at q: objective row a0 + q*a1, rhs b0 + q*b1."""
-        if self.energy_row is None:
+        if self.refuted:
             return self.A, self.b
         A, b = self.A.copy(), self.b.copy()
         A[0] += q * self.energy_row
@@ -280,23 +283,24 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None,
     value, grad = master.budget_exp.value_grad(x)
     rows.append(row(grad, master.gamma))
     rhs.append(s.E0 - master.delta0 + master.budget_offset - value + float(grad @ x))
-    return OaCut(np.array(rows), np.array(rhs), energy_row, energy_rhs)
+    return OaCut(np.array(rows), np.array(rhs), pp.schedule.theta, energy_row, energy_rhs)
 
 
 @dataclass
 class GoaState:
     """Outer-approximation bookkeeping for one q-state of a master.
 
-    The master's cuts and refuted schedules may come from earlier q-states;
-    cuts counts the cut blocks this state built and visited the schedules
-    it solved or refuted. no_goods lists every schedule the master excludes:
-    the refuted ones it started with, then visited.
+    The master's cuts may come from earlier q-states: carried counts the
+    cut blocks the state started with, cuts the blocks it built and visited
+    the schedules it solved or refuted, one primal each. iteration counts
+    those primals; lbd_history holds the tree's bound as each schedule after
+    the first was picked.
     """
 
     master: MasterModel
     bounds: CountBounds
     q: float
-    no_goods: list[tuple[int, ...]] = field(default_factory=list)
+    carried: int = 0
     visited: list[tuple[int, ...]] = field(default_factory=list)
     cuts: int = 0
     ubd: float = math.inf
@@ -317,10 +321,36 @@ class GoaState:
     termination: str = ""
 
 
+def _vcap(state: GoaState) -> float:
+    """The cap on vhat: a schedule whose master bound reaches it cannot beat
+    the incumbent by more than GOA_REL_TOL, so the tree prunes it."""
+    if math.isfinite(state.ubd):
+        return math.exp(state.ubd - GOA_REL_TOL * (1.0 + abs(state.ubd))) / state.master.v_scale
+    return 1e9
+
+
+def _cut_rows(state: GoaState, cut: OaCut, no_good: bool):
+    """One cut block at the state's q, then, when the master excludes the
+    cut's schedule S, its no-good row
+    sum_{j in S} u_j - sum_{j not in S} u_j <= |S| - 1."""
+    A, b = cut.at(state.q)
+    if not no_good:
+        return A, b
+    s = state.master.s
+    u0 = s.M + s.N
+    row = np.zeros(A.shape[1])
+    row[u0:u0 + s.N] = -1.0
+    row[[u0 + j for j in cut.theta]] = 1.0
+    return np.vstack([A, row]), np.append(b, len(cut.theta) - 1.0)
+
+
 def _master_lp_rows(state: GoaState):
-    """Stack the master MILP's rows over z = [ptilde, ptilde', u, vhat] at the
-    state's q: two always-valid floors, the cut blocks, the no-good rows, the
-    relay-count window and the caps ptilde'_j <= cap_j * u_j."""
+    """The master LP over z = [ptilde, ptilde', u, vhat] at the state's q, in
+    creation order: two always-valid floors, the relay-count window, the caps
+    ptilde'_j <= cap_j * u_j, then every cut block, each followed by its
+    schedule's no-good row when the state excludes that schedule (every
+    schedule it visited and every refuted one). A new cut's rows are thus
+    always a suffix. vhat's upper bound is the state's cap."""
     m = state.master
     s = m.s
     q = state.q
@@ -329,109 +359,46 @@ def _master_lp_rows(state: GoaState):
     iv = M + 2 * N                      # vhat column
     u0 = M + N
     u = slice(u0, u0 + N)
-
-    # v >= q * circuit(u), and circuit(u) alone must fit the budget
-    floors = np.zeros((2, nv))
-    floors[0, u] = q * m.gamma
-    floors[0, iv] = -m.v_scale
-    floors[1, u] = m.gamma
-
-    # each excluded schedule S: sum_{j in S} u_j - sum_{j not in S} u_j <= |S| - 1
-    no_goods = np.zeros((len(state.no_goods), nv))
-    no_goods[:, u] = -1.0
-    for i, theta in enumerate(state.no_goods):
-        no_goods[i, [u0 + j for j in theta]] = 1.0
-
     relays = np.arange(N)
-    tail = np.zeros((2 + N, nv))
-    tail[0, u] = 1.0
-    tail[1, u] = -1.0
-    tail[2 + relays, M + relays] = 1.0
-    tail[2 + relays, u0 + relays] = -m.caps
 
-    cuts = [cut.at(q) for cut in m.cuts]
-    A = np.vstack([floors, *(rows for rows, _ in cuts), no_goods, tail])
-    b = np.concatenate([[-q * m.delta0, s.E0 - m.delta0], *(rhs for _, rhs in cuts),
-                        [len(theta) - 1.0 for theta in state.no_goods],
-                        [float(state.bounds.up), -float(state.bounds.low)], np.zeros(N)])
+    fixed = np.zeros((4 + N, nv))
+    # v >= q * circuit(u), and circuit(u) alone must fit the budget
+    fixed[0, u] = q * m.gamma
+    fixed[0, iv] = -m.v_scale
+    fixed[1, u] = m.gamma
+    fixed[2, u] = 1.0
+    fixed[3, u] = -1.0
+    fixed[4 + relays, M + relays] = 1.0
+    fixed[4 + relays, u0 + relays] = -m.caps
+    blocks = [_cut_rows(state, cut, i >= state.carried or cut.refuted)
+              for i, cut in enumerate(m.cuts)]
+    A = np.vstack([fixed, *(rows for rows, _ in blocks)])
+    b = np.concatenate([[-q * m.delta0, s.E0 - m.delta0,
+                         float(state.bounds.up), -float(state.bounds.low)], np.zeros(N),
+                        *(rhs for _, rhs in blocks)])
 
     lb = np.concatenate([np.full(M, np.log(P_MIN)), np.zeros(N), np.zeros(N), [0.0]])
-    if math.isfinite(state.ubd):
-        vcap = math.exp(state.ubd - IMPROVE_EPS_REL * abs(state.ubd)) / m.v_scale
-    else:
-        vcap = 1e9
-    ub = np.concatenate([np.full(M, np.log(s.P_S_max)), m.caps, np.ones(N), [vcap]])
+    ub = np.concatenate([np.full(M, np.log(s.P_S_max)), m.caps, np.ones(N), [_vcap(state)]])
     c = np.zeros(nv)
     c[iv] = 1.0
     return c, A, b, lb, ub
 
 
-def solve_master(state: GoaState):
-    """Solve the master MILP by branch-and-bound on the relay variables.
+@dataclass
+class _Node:
+    """An open node of the master tree: its box on u and the LP it last
+    solved, with the number of master rows and the vhat cap that LP saw."""
 
-    Returns (schedule, w) with w = log of the master optimum (the new lower
-    bound), or None when no schedule can still beat the incumbent, which is
-    the optimality certificate that stops the outer-approximation loop.
-    """
-    if not state.master.cuts:
-        raise ValueError("master needs at least one cut")
-    c, A, b, lb, ub = _master_lp_rows(state)
-    s = state.master.s
-    u0 = s.M + s.N
-    n_u = s.N
+    lo: np.ndarray
+    hi: np.ndarray
+    lp: LpResult
+    rows: int
+    vcap: float
 
-    best: dict = {"obj": math.inf, "x": None}
 
-    def relaxation(lo_u, hi_u, warm=None):
-        res = solve_lp(c, A, b,
-                       np.concatenate([lb[:u0], lo_u, lb[u0 + n_u:]]),
-                       np.concatenate([ub[:u0], hi_u, ub[u0 + n_u:]]), warm=warm)
-        state.master_lps += 1
-        state.master_pivots += res.pivots
-        return res
-
-    def recurse(lo_u, hi_u, res):
-        """Explore the node whose relaxation res was solved by the caller."""
-        state.master_nodes += 1
-        if res.objective >= best["obj"] - 1e-12 * (1.0 + abs(best["obj"])):
-            return
-        u = res.x[u0:u0 + n_u]
-        frac = np.abs(u - np.round(u))
-        undecided = np.where((frac > 1e-6) & (lo_u < hi_u))[0]
-        if len(undecided) == 0:
-            u_int = np.clip(np.round(u).astype(int), lo_u.astype(int), hi_u.astype(int))
-            # with every u_j already fixed the leaf LP is the node's own
-            leaf = res if np.array_equal(lo_u, hi_u) else relaxation(u_int, u_int, res)
-            if leaf.status == "optimal" and leaf.objective < best["obj"]:
-                best["obj"] = leaf.objective
-                best["x"] = leaf.x
-            return
-        # branch on the fractional u_j closest to 1/2, lowest index on ties
-        scores = np.abs(u[undecided] - 0.5)
-        j = int(undecided[np.argmin(scores)])
-        children = []
-        for value in (0, 1):
-            lo_c, hi_c = lo_u.copy(), hi_u.copy()
-            lo_c[j] = hi_c[j] = value
-            child = relaxation(lo_c, hi_c, res)
-            if child.status == "optimal":
-                children.append((child.objective, value, lo_c, hi_c, child))
-        res.tableau = None              # the children were its last warm starts
-        children.sort(key=lambda t: (t[0], t[1]))
-        for _, _, lo_c, hi_c, child in children:
-            recurse(lo_c, hi_c, child)
-
-    lo_root, hi_root = np.zeros(n_u), np.ones(n_u)
-    root = relaxation(lo_root, hi_root)
-    if root.status == "optimal":
-        recurse(lo_root, hi_root, root)
-    if best["x"] is None:
-        return None
-    u = np.round(best["x"][u0:u0 + n_u]).astype(int)
-    schedule = RelaySchedule(u)
+def _log_bound(vhat: float, master: MasterModel) -> float:
     # vhat = 0 (q = 0, every cut so far refuted its schedule) bounds log V' by -inf
-    w = math.log(best["obj"] * state.master.v_scale) if best["obj"] > 0 else -math.inf
-    return schedule, w
+    return math.log(vhat * master.v_scale) if vhat > 0 else -math.inf
 
 
 def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: float,
@@ -439,15 +406,19 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
               warm_schedule: RelaySchedule | None = None,
               include_user_energy: bool = False,
               master: MasterModel | None = None) -> GoaState:
-    """Outer-approximation loop for one fixed q: returns its final state.
+    """Outer approximation for one fixed q as one branch-and-bound tree
+    (LP/NLP-based, Quesada and Grossmann 1992): returns the final state.
 
-    Alternates the fixed-schedule primal (updating the incumbent and the
-    nonincreasing upper bound) with the cut master (updating the
-    nondecreasing lower bound) until the bounds meet or the master proves
-    that nothing can improve on the incumbent. The state extends master's
-    pool: it starts from every cut and refuted schedule already there and
-    adds its own, so a caller solving several q passes one master to all
-    of them. Without a master, a fresh one is built.
+    The warm schedule's primal comes first. Then one depth-first tree over
+    the master's LP relaxation: at each integral node the schedule's primal
+    updates the incumbent and the nonincreasing upper bound, its cut block
+    and no-good row are appended to the master, and the node goes back on
+    the stack. An open node whose LP predates the last rows or the last
+    cap re-solves warm from its own tableau. The tree prunes every node
+    whose bound reaches vhat's cap, so an exhausted tree certifies the
+    incumbent. The state extends master's pool: it starts from every cut
+    already there and adds its own, so a caller solving several q passes one
+    master to all of them. Without a master, a fresh one is built.
     """
     if bounds is None:
         bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
@@ -459,11 +430,12 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
     elif (master.scheme, master.target, master.include_user_energy) != (
             scheme, float(target), include_user_energy):
         raise ValueError("master was built for another scheme, target or energy budget")
-    state = GoaState(master=master, bounds=bounds, q=float(q), no_goods=list(master.refuted))
+    state = GoaState(master=master, bounds=bounds, q=float(q), carried=len(master.cuts))
+    u0, n_u = s.M + s.N, s.N
 
-    schedule = warm_schedule or RelaySchedule.from_indices(bounds.best_subset, s.N)
-    for t in range(1, GOA_MAX_ITER + 1):
-        state.iteration = t
+    def visit(schedule: RelaySchedule) -> OaCut:
+        """One primal; its cut joins the pool."""
+        state.iteration += 1
         pp = assemble_primal(s, coeffs, schedule, q, target=target, scheme=scheme,
                              include_user_energy=include_user_energy)
         sol = solve_primal(pp) if pp.feasible else None
@@ -477,32 +449,67 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
                 state.incumbent_schedule = schedule
         else:
             # infeasible at every q: later states keep its no-good row
-            master.refuted.append(schedule.theta)
             state.refutation = pp.infeasible_reason
-        master.cuts.append(build_oa_cuts(pp, sol, master))
+        cut = build_oa_cuts(pp, sol, master)
+        master.cuts.append(cut)
         state.cuts += 1
         state.visited.append(schedule.theta)
-        state.no_goods.append(schedule.theta)
         state.ubd_history.append(state.ubd)
+        return cut
 
-        outcome = solve_master(state)
-        if outcome is None:
-            state.converged = state.incumbent is not None
-            state.termination = "master infeasible (no remaining schedule can improve)"
-            break
-        schedule, w = outcome
-        state.lbd = w
-        state.lbd_history.append(w)
-        if math.isfinite(state.ubd) and state.ubd - state.lbd <= GOA_REL_TOL * (1.0 + abs(state.ubd)):
-            state.converged = True
-            state.termination = "bound gap closed"
-            break
-        if schedule.theta in state.no_goods:
-            # no-good rows make this unreachable; trip loudly if numerics disagree
-            state.termination = "master revisited a schedule"
-            break
-    else:
-        state.termination = "iteration limit"
+    visit(warm_schedule or RelaySchedule.from_indices(bounds.best_subset, s.N))
+    c, A, b, lb, ub = _master_lp_rows(state)
+
+    def relax(lo_u, hi_u, warm=None) -> _Node:
+        res = solve_lp(c, A, b,
+                       np.concatenate([lb[:u0], lo_u, lb[u0 + n_u:]]),
+                       np.concatenate([ub[:u0], hi_u, ub[u0 + n_u:]]), warm=warm)
+        state.master_lps += 1
+        state.master_pivots += res.pivots
+        return _Node(lo_u, hi_u, res, len(b), ub[-1])
+
+    stack = [relax(np.zeros(n_u), np.ones(n_u))]
+    while stack:
+        node = stack.pop()
+        if node.rows < len(b) or node.vcap != ub[-1]:
+            node = relax(node.lo, node.hi, node.lp)
+        state.master_nodes += 1
+        res = node.lp
+        if res.status != "optimal" or res.objective >= ub[-1]:
+            continue
+        u = res.x[u0:u0 + n_u]
+        frac = np.abs(u - np.round(u))
+        undecided = np.flatnonzero((frac > 1e-6) & (node.lo < node.hi))
+        if len(undecided) == 0:
+            if state.iteration >= GOA_MAX_ITER:
+                state.termination = "iteration limit"
+                return state
+            state.lbd = _log_bound(min(n.lp.objective for n in (*stack, node)), master)
+            state.lbd_history.append(state.lbd)
+            u_int = np.clip(np.round(u).astype(int), node.lo.astype(int), node.hi.astype(int))
+            rows, rhs = _cut_rows(state, visit(RelaySchedule(u_int)), no_good=True)
+            A = np.vstack([A, rows])
+            b = np.concatenate([b, rhs])
+            ub[-1] = _vcap(state)
+            stack.append(node)
+            continue
+        # branch on the fractional u_j closest to 1/2, lowest index on ties
+        j = int(undecided[np.argmin(np.abs(u[undecided] - 0.5))])
+        children = []
+        for value in (0, 1):
+            lo_c, hi_c = node.lo.copy(), node.hi.copy()
+            lo_c[j] = hi_c[j] = value
+            child = relax(lo_c, hi_c, res)
+            if child.lp.status == "optimal":
+                children.append((child.lp.objective, value, child))
+        # the lower bound is popped first, value 0 on ties
+        children.sort(key=lambda t: (t[0], t[1]))
+        stack.extend(child for _, _, child in reversed(children))
+    state.converged = state.incumbent is not None
+    state.termination = "master infeasible (no remaining schedule can improve)"
+    if state.converged:
+        # every schedule left has a master bound at or above the cap
+        state.lbd = _log_bound(ub[-1], master)
     return state
 
 
@@ -648,7 +655,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     for counter in ("master_lps", "master_pivots", "master_nodes"):
         diagnostics[counter] = sum(getattr(st, counter) for st in states)
     diagnostics["primal_unconverged"] = sum(st.primal_unconverged for st in states)
-    # q-states that ended at the iteration limit or on a revisit, with no certificate
+    # q-states that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
     diagnostics["cuts_total"] = sum(st.cuts for st in states)
     return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)

@@ -333,13 +333,40 @@ def test_paper_sweep_matches_golden(tmp_path):
      "shifts 'abc' are not a comma list of numbers"),
     (["relay-shift", SCENARIO_PATH, "--deltas=0", "--relays", "0,x"],
      "relays '0,x' are not a comma list of integers"),
+    (["sweep", SCENARIO_PATH, "--targets", "1e-3", "--jobs", "0"], "job count 0 is below 1"),
 ], ids=["sweep-zero-target", "sweep-negative-target", "sweep-unknown-mode",
         "energy-curve-target-above-1", "relay-shift-zero-target", "verify-zero-target",
         "verify-zero-samples", "sweep-logrange-zero-count", "relay-shift-nonnumeric-delta",
-        "relay-shift-nonnumeric-relay"])
+        "relay-shift-nonnumeric-relay", "sweep-zero-jobs"])
 def test_bad_argument_exits_2_naming_the_value(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs, workers", [(1, None), (2, 2), (10000, 4)])
+def test_sweep_pool_never_exceeds_the_task_count(jobs, workers, tmp_path, monkeypatch):
+    # a recorder in place of the pool: it maps in this process and forks nothing
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    argv = ["sweep", SCENARIO_PATH, "--scheme", "both", "--mode", "goa,brute",
+            "--targets", "1e-2", "--jobs", str(jobs), "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    assert created == ([] if workers is None else [workers])
+    assert len(parse_sweep(read(tmp_path / "sweep.csv"))) == 4

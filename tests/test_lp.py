@@ -188,3 +188,55 @@ def test_bland_switch_ends_a_cycling_master_solve(monkeypatch):
     assert ref.status == 0
     assert again.objective == pytest.approx(ref.fun, rel=1e-9)
     assert again.objective == pytest.approx(solve_lp(c, A, b, lo, hi).objective, rel=1e-9)
+
+
+def test_warm_start_with_appended_rows_matches_scipy_and_cold():
+    # an outer-approximation tree node: solved over the first k rows, then
+    # re-solved from its own basis once 1-4 rows (a new cut) are appended,
+    # sometimes with one box changed too
+    rng = np.random.default_rng(1992)
+    kinds = {"rows": 0, "rows+bound": 0, "infeasible": 0}
+    for _ in range(400):
+        c, A, b, lb, ub = _random_lp(rng)
+        n = len(c)
+        k = int(rng.integers(0, len(b) + 1))
+        parent = solve_lp(c, A[:k], b[:k], lb, ub)
+        if parent.status != "optimal":
+            continue
+        a = int(rng.integers(1, 5))
+        extra = rng.normal(size=(a, n)) * rng.choice([1e-3, 1.0, 1e3], size=(a, 1))
+        # mostly cuts through the parent's optimum, sometimes far past it
+        shift = rng.uniform(-1, 2, a) * np.where(rng.random(a) < 0.15, 50.0, 1.0)
+        A2 = np.vstack([A[:k], extra])
+        b2 = np.concatenate([b[:k], extra @ parent.x - shift])
+        lo, hi = lb.copy(), ub.copy()
+        if rng.random() < 0.5:
+            j = int(rng.integers(n))
+            lo[j] = hi[j] = rng.choice([lb[j], ub[j], rng.uniform(lb[j], ub[j])])
+            kinds["rows+bound"] += 1
+        else:
+            kinds["rows"] += 1
+        ours = solve_lp(c, A2, b2, lo, hi, warm=parent)
+        ref = reference(c, A2, b2, lo, hi)
+        kinds["infeasible"] += ref.status == 2
+        _assert_same_outcome(ours, ref, solve_lp(c, A2, b2, lo, hi), A2, b2)
+        if ours.status == "optimal":
+            # the grown tableau is itself a warm start for the next append
+            again = solve_lp(c, A2, b2, lo, hi, warm=ours)
+            assert again.pivots == 0
+            assert again.objective == pytest.approx(ours.objective, rel=1e-12, abs=1e-12)
+    assert kinds["rows"] > 50 and kinds["rows+bound"] > 50 and kinds["infeasible"] > 10
+
+
+def test_appended_row_that_cuts_off_the_optimum_pivots_from_the_warm_basis():
+    # min x + y on [0,1]^2 with x + y >= 0.5, then x >= 0.8 appended: the
+    # warm re-solve starts at the parent's vertex and needs only the new row
+    c, lb, ub = [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]
+    parent = solve_lp(c, [[-1.0, -1.0]], [-0.5], lb, ub)
+    assert parent.objective == pytest.approx(0.5, abs=1e-12)
+    A, b = [[-1.0, -1.0], [-1.0, 0.0]], [-0.5, -0.8]
+    child = solve_lp(c, A, b, lb, ub, warm=parent)
+    assert child.status == "optimal"
+    assert child.objective == pytest.approx(0.8, abs=1e-12)
+    assert child.x == pytest.approx([0.8, 0.0], abs=1e-12)
+    assert child.pivots == 1

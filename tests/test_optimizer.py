@@ -19,7 +19,6 @@ from mdncee.optimizer import (
     goa_solve,
     nonc_solve,
     relay_count_bounds,
-    solve_master,
 )
 from mdncee.model import build_link_coefficients
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_exact
@@ -257,34 +256,46 @@ def test_infeasibility_cut_excludes_subsets_allows_supersets(paper_scenario, pap
 # -- master problem ----------------------------------------------------------
 
 
-def test_master_matches_exhaustive_enumeration(paper_scenario, paper_coeffs):
-    target = 1e-3
-    q = 1300.0
-    state = goa_solve(paper_scenario, paper_coeffs, q, target)
-    # rebuild the final master and compare against brute enumeration over all
-    # binary vectors obeying count bounds and the accumulated no-goods
+def _assert_tree_certifies_by_enumeration(state):
+    """An exhausted tree is a certificate: over the final master rows, every
+    admissible schedule the state did not visit has a fixed-u LP that is
+    infeasible or whose bound reaches vhat's cap."""
+    assert state.converged
+    assert state.termination == "master infeasible (no remaining schedule can improve)"
     c, A, b, lb, ub = _master_lp_rows(state)
-    u0 = paper_scenario.M + paper_scenario.N
-    best = None
-    for bits in range(16):
-        u = np.array([(bits >> j) & 1 for j in range(4)])
-        if not state.bounds.low <= u.sum() <= state.bounds.up:
-            continue
-        if tuple(np.flatnonzero(u)) in state.visited:
-            continue
-        lbn, ubn = lb.copy(), ub.copy()
-        lbn[u0:u0 + 4] = u
-        ubn[u0:u0 + 4] = u
-        res = solve_lp(c, A, b, lbn, ubn)
-        if res.status == "optimal" and (best is None or res.objective < best):
-            best = res.objective
-    outcome = solve_master(state)
-    if best is None:
-        assert outcome is None
-    else:
-        assert outcome is not None
-        _, w = outcome
-        assert w == pytest.approx(math.log(best * state.master.v_scale), abs=1e-7)
+    s = state.master.s
+    u0 = s.M + s.N
+    vcap = ub[-1]
+    assert vcap == pytest.approx(math.exp(state.ubd - GOA_REL_TOL * (1 + abs(state.ubd)))
+                                 / state.master.v_scale, rel=1e-15)
+    ub[-1] = 1e9                        # lift the cap: each schedule's own bound is checked
+    checked = 0
+    for k in range(state.bounds.low, state.bounds.up + 1):
+        for subset in combinations(range(s.N), k):
+            if subset in state.visited:
+                continue
+            u = RelaySchedule.from_indices(subset, s.N).u
+            lbn, ubn = lb.copy(), ub.copy()
+            lbn[u0:u0 + s.N] = u
+            ubn[u0:u0 + s.N] = u
+            res = solve_lp(c, A, b, lbn, ubn)
+            assert res.status == "infeasible" or res.objective >= vcap * (1 - 1e-9), subset
+            checked += 1
+    assert checked > 0
+
+
+def test_master_matches_exhaustive_enumeration(paper_scenario, paper_coeffs):
+    _assert_tree_certifies_by_enumeration(goa_solve(paper_scenario, paper_coeffs, 1300.0, 1e-3))
+
+
+def test_master_matches_exhaustive_enumeration_at_eight_relays():
+    # the N = 8, M = 2 scenario that bench/workloads.random_scenario draws from seed [1, 8, 2],
+    # at its first Dinkelbach q
+    s = _random_small_scenario(np.random.default_rng([1, 8, 2]), M=2, N=8)
+    coeffs = build_link_coefficients(s)
+    state = goa_solve(s, coeffs, 1172.8, 1e-3)
+    assert state.iteration > 10
+    _assert_tree_certifies_by_enumeration(state)
 
 
 def test_goa_never_revisits_and_bounds_monotone(paper_scenario, paper_coeffs):
@@ -428,7 +439,7 @@ PAPER_MASTER_RESULTS = {
 def test_master_solves_each_lp_once(paper_scenario, paper_coeffs, monkeypatch, scheme):
     from mdncee import optimizer
 
-    real_lp, real_master = optimizer.solve_lp, optimizer.solve_master
+    real_lp, real_goa = optimizer.solve_lp, optimizer.goa_solve
     seen: set = set()
     repeats = []
 
@@ -439,12 +450,12 @@ def test_master_solves_each_lp_once(paper_scenario, paper_coeffs, monkeypatch, s
         seen.add(key)
         return real_lp(c, A, b, lb, ub, warm=warm)
 
-    def fresh_master(state):
+    def fresh_tree(*args, **kwargs):
         seen.clear()
-        return real_master(state)
+        return real_goa(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "solve_lp", recording_lp)
-    monkeypatch.setattr(optimizer, "solve_master", fresh_master)
+    monkeypatch.setattr(optimizer, "goa_solve", fresh_tree)
     for target in (1e-2, 1e-3, 1e-4, 1e-5):
         sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
         assert repeats == [], f"{len(repeats)} repeated master LPs at {target:g}"
@@ -469,14 +480,15 @@ def test_warm_children_pivot_less_than_cold_roots(paper_scenario, paper_coeffs, 
         return res
 
     monkeypatch.setattr(optimizer, "solve_lp", recording_lp)
-    lps = total = 0
+    lps = total = trees = 0
     for target in (1e-2, 1e-3, 1e-4, 1e-5):
         sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
         lps += sol.diagnostics["master_lps"]
         total += sol.diagnostics["master_pivots"]
-    # every master solves its root cold and every other LP from its parent
-    assert len(pivots["cold"]) == sum(PAPER_MASTER_RESULTS[scheme, t][1] for t in
-                                      (1e-2, 1e-3, 1e-4, 1e-5))
+        trees += sol.diagnostics["goa_states"]
+    # each q-state's tree solves its root cold and every other LP warm, from
+    # its parent's tableau or, after new rows or a lower cap, from its own
+    assert len(pivots["cold"]) == trees
     assert lps == len(pivots["cold"]) + len(pivots["warm"])
     assert total == sum(pivots["cold"]) + sum(pivots["warm"])
     assert np.mean(pivots["warm"]) < np.mean(pivots["cold"])
