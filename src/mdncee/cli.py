@@ -30,7 +30,7 @@ from .model import ScenarioError, apply_relay_shift, build_link_coefficients, lo
 from .energy import energy_efficiency, total_energy
 from .optimizer import dinkelbach_fixed_schedule, dinkelbach_solve, exact_outage
 from .outage import PowerAllocation, RelaySchedule
-from .simulate import McConfig, brute_force_optimize, monte_carlo_outage
+from .simulate import MAX_SAMPLES, McConfig, brute_force_optimize, monte_carlo_outage
 
 SWEEP_SCHEMA = "# mdncee-sweep-v1"
 ENERGY_SCHEMA = "# mdncee-energy-curve-v1"
@@ -134,10 +134,20 @@ def _parse_modes(text: str) -> list[str]:
 
 
 def _sample_count(text: str) -> int:
-    """Monte Carlo sample count: an integer of at least 1."""
+    """Monte Carlo sample count: an integer from 1 to MAX_SAMPLES."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"sample count {text} is below 1")
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"sample count {text} is above {MAX_SAMPLES}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """Monte Carlo seed: an integer in [0, 2^64), the Philox key's first word."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {text} is not in [0, 2^64)")
     return value
 
 
@@ -386,10 +396,16 @@ def cmd_verify(args) -> int:
     emp = _scalar_outage(mc.outage)
     # One binomial z-test per indicator: the NoNC users share relay->BS
     # links, so their mean has no simple variance; test each user instead.
+    # An analytic outage of exactly 0 or 1 admits only that outcome: any
+    # other observed count is infinitely many sigmas away.
     z_scores = []
     for p, observed in zip(expected, np.atleast_1d(mc.outage)):
         sigma = math.sqrt(p * (1.0 - p) / args.samples)
-        z_scores.append((float(observed) - p) / sigma if sigma > 0 else 0.0)
+        gap = float(observed) - p
+        if sigma > 0:
+            z_scores.append(gap / sigma)
+        else:
+            z_scores.append(math.copysign(math.inf, gap) if gap else 0.0)
     z = max(z_scores, key=abs)
     # Bonferroni: the two-sided level of |z| <= 3 is split over the tests,
     # so one test (MDNC) passes exactly when |z| <= 3.
@@ -441,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=_parse_targets, default=list(DEFAULT_TARGETS),
                    help="comma list or logrange:start,stop,count")
     p.add_argument("--samples", type=_sample_count, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("energy-curve", help="transmit-energy share versus achieved outage")
@@ -470,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_target, default=1e-3,
                    help="optimize at this target when no explicit point is given")
     p.add_argument("--samples", type=_sample_count, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
     return parser
 

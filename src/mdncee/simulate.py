@@ -15,15 +15,20 @@ pinned by reference output vectors in the test suite.
 The sampling kernel works chunk by chunk (CHUNK samples, the last chunk
 partial). Each chunk draws the first-hop gains, shape (take, M, n) in C
 order, and then the second-hop gains, shape (take, n), from that chunk's
-generator. Its outage event counts are exact integers, pinned bit for bit
-by golden counts in the test suite. Memory is bounded by one chunk's
-buffers, allocated once per call and reused: float draws of
-min(CHUNK, samples) * (M + 1) * n values, two boolean masks of
-min(CHUNK, samples) * n and two per-sample arrays.
+generator, BLOCK samples at a time. Each first-hop block is reduced at once
+to a boolean mask kept for the chunk, and each second-hop block is counted
+against it. The chunks run on a thread pool of min(usable CPUs, chunks)
+threads; their outage event counts are exact integers, summed in any
+order, so they do not depend on the thread count and are pinned bit for
+bit by golden counts in the test suite. Memory is bounded per thread by
+one block's float draws, BLOCK * (M + 1) * n values, boolean blocks of
+BLOCK * M * n and BLOCK * n, and the chunk's first-hop mask, CHUNK * n
+booleans (MDNC) or CHUNK * M * n (NoNC).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -42,9 +47,11 @@ from .optimizer import (
 from .outage import PowerAllocation, RelaySchedule
 
 __all__ = ["McConfig", "McResult", "monte_carlo_outage", "brute_force_optimize",
-           "CHUNK", "rng_for_chunk"]
+           "CHUNK", "MAX_SAMPLES", "rng_for_chunk"]
 
 CHUNK = 1 << 17
+BLOCK = 1 << 13
+MAX_SAMPLES = CHUNK << 32   # chunk indices fill the key's low 32 bits
 ENUM_GUARD_N = 12
 
 
@@ -57,8 +64,13 @@ class McConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("sample count must be >= 1")
+        # out-of-range keys would wrap onto another substream's draws
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"sample count {self.samples} is not in [1, {MAX_SAMPLES}]")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed {self.seed} is not in [0, 2^64)")
+        if not 0 <= self.stream < 1 << 32:
+            raise ValueError(f"stream {self.stream} is not in [0, 2^32)")
 
 
 @dataclass(frozen=True)
@@ -75,8 +87,9 @@ class McResult:
 
 def rng_for_chunk(seed: int, stream: int, chunk: int) -> np.random.Generator:
     """Philox generator for one substream chunk; key = (seed, stream<<32 | chunk)."""
-    key = np.array([seed % (1 << 64), ((stream % (1 << 32)) << 32) | (chunk % (1 << 32))],
-                   dtype=np.uint64)
+    if not (0 <= seed < 1 << 64 and 0 <= stream < 1 << 32 and 0 <= chunk < 1 << 32):
+        raise ValueError(f"Philox key out of range: seed {seed}, stream {stream}, chunk {chunk}")
+    key = np.array([seed, (stream << 32) | chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -95,56 +108,93 @@ def _thresholds(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySche
     return thr_h, thr_g
 
 
+def _worker_count(chunks: int) -> int:
+    """Threads for a call of that many chunks: min(usable CPUs, chunks)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, chunks)
+
+
+def _chunk_failures(thr_h: np.ndarray, thr_g: np.ndarray, mc: McConfig, mdnc: bool,
+                    chunk: int) -> np.ndarray:
+    """Outage event counts of one chunk, drawn from its own generator.
+
+    The first-hop gains x_h (take, M, n) and then the second-hop gains x_g
+    (take, n) are drawn BLOCK samples at a time into block buffers (one
+    generator filled in sequence gives the same values as one fill). Each
+    first-hop block is reduced at once to the chunk's boolean mask: relay
+    decodes every user, (take, n), for MDNC; user-relay link up,
+    (take, M, n), for NoNC. The second-hop blocks are then ANDed and
+    counted against it.
+    """
+    M, n = thr_h.shape
+    take = min(CHUNK, mc.samples - chunk * CHUNK)
+    rng = rng_for_chunk(mc.seed, mc.stream, chunk)
+    size = min(BLOCK, take)
+    x_h = np.empty((size, M, n))
+    x_g = np.empty((size, n))
+    link_buf = np.empty((size, M, n), dtype=bool)
+    hop2_buf = np.empty((size, n), dtype=bool)
+    hop1 = np.empty((take, n) if mdnc else (take, M, n), dtype=bool)
+    # thresholds already absorb the link means
+    for lo in range(0, take, size):
+        xh = x_h[:take - lo]
+        b = len(xh)
+        rng.standard_exponential(out=xh)
+        if mdnc:
+            link = np.greater_equal(xh, thr_h, out=link_buf[:b])
+            ok = hop1[lo:lo + b]
+            ok[:] = link[:, 0, :]
+            for i in range(1, M):
+                ok &= link[:, i, :]
+        else:
+            np.greater_equal(xh, thr_h, out=hop1[lo:lo + b])
+    fail_counts = np.zeros(1 if mdnc else M, dtype=np.int64)
+    for lo in range(0, take, size):
+        xg = x_g[:take - lo]
+        b = len(xg)
+        rng.standard_exponential(out=xg)
+        hop2 = np.greater_equal(xg, thr_g, out=hop2_buf[:b])
+        if mdnc:
+            # count the relays that decode every user and survive hop 2
+            hop2 &= hop1[lo:lo + b]
+            count = hop2[:, 0].astype(np.min_scalar_type(n))
+            for j in range(1, n):
+                count += hop2[:, j]
+            fail_counts[0] += np.count_nonzero(count < M)
+        else:
+            # user i is carried when some relay passes both of its hops
+            link = np.logical_and(hop1[lo:lo + b], hop2[:, None, :], out=link_buf[:b])
+            carried = link[:, :, 0].copy()
+            for j in range(1, n):
+                carried |= link[:, :, j]
+            fail_counts += b - np.count_nonzero(carried, axis=0)
+    return fail_counts
+
+
 def _count_failures(thr_h: np.ndarray, thr_g: np.ndarray, mc: McConfig,
                     mdnc: bool) -> np.ndarray:
     """Outage event counts over mc.samples draws: [MDNC] or one per user (NoNC).
 
-    Each chunk refills the same unit-mean exponential buffers, first-hop
-    gains x_h (take, M, n) and then second-hop gains x_g (take, n), and
-    reduces them column by column into (take, n) masks.
+    The chunks run on a thread pool of _worker_count threads (numpy's
+    generator fills and ufuncs release the GIL); their integer counts are
+    summed, so the result does not depend on the thread count.
     """
-    M, n = thr_h.shape
-    size = min(CHUNK, mc.samples)
-    x_h = np.empty((size, M, n))
-    x_g = np.empty((size, n))
-    hop2_buf = np.empty((size, n), dtype=bool)
-    link_buf = np.empty((size, n), dtype=bool)
-    flag_buf = np.empty(size, dtype=bool)
-    if mdnc:
-        count_buf = np.empty(size, dtype=np.min_scalar_type(n))
-    fail_counts = np.zeros(1 if mdnc else M, dtype=np.int64)
-    done = 0
-    chunk_index = 0
-    while done < mc.samples:
-        take = min(CHUNK, mc.samples - done)
-        rng = rng_for_chunk(mc.seed, mc.stream, chunk_index)
-        # thresholds already absorb the link means
-        xh, xg = x_h[:take], x_g[:take]
-        rng.standard_exponential(out=xh)
-        rng.standard_exponential(out=xg)
-        hop2, link, flag = hop2_buf[:take], link_buf[:take], flag_buf[:take]
-        np.greater_equal(xg, thr_g, out=hop2)
-        if mdnc:
-            # hop2 becomes "relay decodes every user and survives hop 2"
-            for i in range(M):
-                hop2 &= np.greater_equal(xh[:, i, :], thr_h[i], out=link)
-            count = count_buf[:take]
-            count[:] = hop2[:, 0]
-            for j in range(1, n):
-                count += hop2[:, j]
-            fail_counts[0] += np.count_nonzero(np.less(count, M, out=flag))
-        else:
-            # user i is carried when some relay passes both of its hops
-            for i in range(M):
-                np.greater_equal(xh[:, i, :], thr_h[i], out=link)
-                link &= hop2
-                flag[:] = link[:, 0]
-                for j in range(1, n):
-                    flag |= link[:, j]
-                fail_counts[i] += take - np.count_nonzero(flag)
-        done += take
-        chunk_index += 1
-    return fail_counts
+    chunks = range(-(-mc.samples // CHUNK))
+    workers = _worker_count(len(chunks))
+
+    def count(chunk):
+        return _chunk_failures(thr_h, thr_g, mc, mdnc, chunk)
+
+    if workers == 1:
+        return sum(map(count, chunks))
+    # imported here: concurrent.futures imports logging, about 7 ms that
+    # every importer of mdncee would pay, simulating or not
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(count, chunks))
 
 
 def monte_carlo_outage(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,

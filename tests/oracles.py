@@ -12,6 +12,10 @@ posynomial, itself checked against the subset sums above).
 
 plain_brute_force is exhaustive search without screening: a full
 q-iteration on every subset in the relay-count window.
+
+whole_chunk_failures is the Monte Carlo kernel without blocks or threads:
+each chunk's gains in one fill per hop and the outage rules as array
+reductions.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from mdncee.energy import EnergyBreakdown, delivered_rate, total_energy
 from mdncee.model import LinkCoefficients, ScenarioConfig
 from mdncee.optimizer import Solution, dinkelbach_fixed_schedule, relay_count_bounds
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_posynomial, powers_from_log
+from mdncee.simulate import CHUNK, McConfig, rng_for_chunk
 
 
 def prob_zeta_K(schedule: RelaySchedule, rho, K: int) -> float:
@@ -244,3 +249,22 @@ def plain_brute_force(s: ScenarioConfig, coeffs: LinkCoefficients, target: float
             if sol is not None and (best is None or sol.q_star > best.q_star):
                 best = sol
     return best or Solution(feasible=False, scheme=scheme, target=target)
+
+
+def whole_chunk_failures(thr_h: np.ndarray, thr_g: np.ndarray, mc: McConfig,
+                         mdnc: bool) -> np.ndarray:
+    """Outage event counts, [MDNC] or one per user (NoNC), over mc.samples draws."""
+    M, n = thr_h.shape
+    fails = np.zeros(1 if mdnc else M, dtype=np.int64)
+    for chunk in range(-(-mc.samples // CHUNK)):
+        take = min(CHUNK, mc.samples - chunk * CHUNK)
+        rng = rng_for_chunk(mc.seed, mc.stream, chunk)
+        hop1 = rng.standard_exponential((take, M, n)) >= thr_h
+        hop2 = rng.standard_exponential((take, n)) >= thr_g
+        if mdnc:
+            # fewer than M relays decode every user and survive hop 2
+            fails[0] += np.count_nonzero((hop1.all(axis=1) & hop2).sum(axis=1) < M)
+        else:
+            # no relay passes both hops of the user
+            fails += np.count_nonzero(~(hop1 & hop2[:, None, :]).any(axis=2), axis=0)
+    return fails

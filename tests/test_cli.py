@@ -7,7 +7,7 @@ import pytest
 from conftest import SCENARIO_PATH
 from mdncee import cli
 from mdncee.optimizer import Solution
-from mdncee.simulate import McResult
+from mdncee.simulate import MAX_SAMPLES, McResult
 
 
 def run_cli(argv):
@@ -186,6 +186,31 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 4
 
 
+def test_verify_fails_a_certain_analytic_value_that_the_simulation_contradicts(
+        tmp_path, monkeypatch):
+    # an analytic outage of exactly 0 has no binomial spread: the thousands
+    # of outages simulated at this point must fail it, not pass with z = 0
+    monkeypatch.setattr(cli, "exact_outage", lambda *args: 0.0)
+    code = run_cli(["verify", SCENARIO_PATH, "--relays", "0,1,2,3",
+                    "--user-powers", "0.05,0.05", "--relay-powers", "0.1,0.1,0.1,0.1",
+                    "--samples", "100000", "--seed", "3", "--out", str(tmp_path)])
+    report = json.loads(read(tmp_path / "verify.json"))
+    assert code == 4
+    assert report["pass"] is False
+    assert report["empirical"]["outage"] > 0.01 and report["z_score"] == float("inf")
+
+
+def test_verify_passes_a_certain_outage_that_the_simulation_confirms(tmp_path):
+    # zero relay power: outage is 1 on both sides, with no spread to test
+    code = run_cli(["verify", SCENARIO_PATH, "--relays", "0,1",
+                    "--user-powers", "0.7,0.7", "--relay-powers", "0,0",
+                    "--samples", "1000", "--out", str(tmp_path)])
+    report = json.loads(read(tmp_path / "verify.json"))
+    assert code == 0
+    assert report["analytic"]["outage"] == report["empirical"]["outage"] == 1.0
+    assert report["z_score"] == 0.0
+
+
 def test_verify_passes_budget_switch_to_solver(monkeypatch, tmp_path):
     seen = {}
 
@@ -334,10 +359,16 @@ def test_paper_sweep_matches_golden(tmp_path):
     (["relay-shift", SCENARIO_PATH, "--deltas=0", "--relays", "0,x"],
      "relays '0,x' are not a comma list of integers"),
     (["sweep", SCENARIO_PATH, "--targets", "1e-3", "--jobs", "0"], "job count 0 is below 1"),
+    (["verify", SCENARIO_PATH, "--seed=-1"], "seed -1 is not in [0, 2^64)"),
+    (["sweep", SCENARIO_PATH, "--targets", "1e-3", "--seed", str(1 << 64)],
+     f"seed {1 << 64} is not in [0, 2^64)"),
+    (["verify", SCENARIO_PATH, "--samples", str(MAX_SAMPLES + 1)],
+     f"sample count {MAX_SAMPLES + 1} is above {MAX_SAMPLES}"),
 ], ids=["sweep-zero-target", "sweep-negative-target", "sweep-unknown-mode",
         "energy-curve-target-above-1", "relay-shift-zero-target", "verify-zero-target",
         "verify-zero-samples", "sweep-logrange-zero-count", "relay-shift-nonnumeric-delta",
-        "relay-shift-nonnumeric-relay", "sweep-zero-jobs"])
+        "relay-shift-nonnumeric-relay", "sweep-zero-jobs", "verify-negative-seed",
+        "sweep-seed-2^64", "verify-samples-above-max"])
 def test_bad_argument_exits_2_naming_the_value(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + ["--out", str(tmp_path / "o")])

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from mdncee.simulate import (
     monte_carlo_outage,
     rng_for_chunk,
 )
-from oracles import plain_brute_force
+from oracles import plain_brute_force, whole_chunk_failures
 from test_properties import _random_small_scenario
 
 # Pinned generator identity (Philox 4x64): these exact streams must never
@@ -174,6 +176,99 @@ def test_mc_failure_counts_are_pinned(case, paper_scenario):
                                      scheme=case[-4:])
             counts = np.rint(np.atleast_1d(res.outage) * samples).astype(int).tolist()
             assert counts == expected, (samples, seed, stream)
+
+
+def _golden_thresholds(case, paper):
+    s, relays, p, p_relay = _golden_point(case, paper)
+    sched = RelaySchedule.from_indices(relays, s.N)
+    return simulate._thresholds(s, build_link_coefficients(s), sched,
+                                PowerAllocation(p=p, p_relay=p_relay))
+
+
+def _pin_workers(monkeypatch, workers):
+    """Fix the kernel's thread count and record the threads that ran its chunks."""
+    threads = set()
+    chunk_failures = simulate._chunk_failures
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return chunk_failures(*args)
+
+    monkeypatch.setattr(simulate, "_worker_count", lambda chunks: workers)
+    monkeypatch.setattr(simulate, "_chunk_failures", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_mc_counts_do_not_depend_on_the_worker_count(workers, monkeypatch, paper_scenario):
+    threads = _pin_workers(monkeypatch, workers)
+    before = threading.active_count()
+    for case in sorted(GOLDEN_COUNTS):
+        thr_h, thr_g = _golden_thresholds(case, paper_scenario)
+        for (seed, stream), expected in zip(GOLDEN_SEEDS, GOLDEN_COUNTS[case][300_001]):
+            counts = simulate._count_failures(thr_h, thr_g, McConfig(300_001, seed, stream),
+                                              case.endswith("mdnc"))
+            assert counts.tolist() == expected, (case, seed, stream)
+        # a chunk boundary and a partial last block
+        mc = McConfig(simulate.CHUNK + 3 * simulate.BLOCK + 17, seed=4, stream=1)
+        assert (simulate._count_failures(thr_h, thr_g, mc, case.endswith("mdnc")).tolist()
+                == whole_chunk_failures(thr_h, thr_g, mc, case.endswith("mdnc")).tolist())
+    assert threading.active_count() == before
+    assert (threads == {threading.get_ident()}) == (workers == 1)
+
+
+@pytest.mark.parametrize("M, n, mdnc", [(1, 1, True), (1, 3, False), (2, 1, False),
+                                        (2, 5, True), (3, 4, True), (3, 9, False)])
+def test_mc_kernel_equals_whole_chunk_oracle(M, n, mdnc):
+    # random thresholds, with a link that always holds and, when a relay
+    # can be spared, a relay whose second hop always fails
+    rng = np.random.default_rng([15, M, n])
+    thr_h = rng.uniform(0.0, 1.5, (M, n))
+    thr_g = rng.uniform(0.0, 1.5, n)
+    thr_h[0, 0] = 0.0
+    if n > M:
+        thr_g[-1] = np.inf
+    mc = McConfig(2 * simulate.CHUNK + simulate.BLOCK + 5, seed=int(rng.integers(1 << 40)))
+    counts = simulate._count_failures(thr_h, thr_g, mc, mdnc)
+    assert counts.tolist() == whole_chunk_failures(thr_h, thr_g, mc, mdnc).tolist()
+    assert 0 < counts.min() and counts.max() < mc.samples
+
+
+def test_mc_memory_is_bounded_by_blocks(monkeypatch, paper_scenario):
+    # two threads on the N = 8 golden point: whole-chunk float draws alone
+    # would take 2 * CHUNK * (M + 1) * n * 8 bytes = 50 MB (26 MB on one thread)
+    _pin_workers(monkeypatch, 2)
+    thr_h, thr_g = _golden_thresholds("n8-mdnc", paper_scenario)
+    tracemalloc.start()
+    try:
+        simulate._count_failures(thr_h, thr_g, McConfig(1 << 20), True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"samples": 0}, "sample count 0 is not in"),
+    ({"samples": simulate.MAX_SAMPLES + 1}, f"sample count {simulate.MAX_SAMPLES + 1} is not in"),
+    ({"seed": -1}, "seed -1 is not in [0, 2^64)"),
+    ({"seed": 1 << 64}, f"seed {1 << 64} is not in [0, 2^64)"),
+    ({"stream": -1}, "stream -1 is not in [0, 2^32)"),
+    ({"stream": 1 << 32}, f"stream {1 << 32} is not in [0, 2^32)"),
+])
+def test_mc_config_rejects_keys_that_would_alias(kwargs, message):
+    # at the edges of these ranges the Philox key used to wrap: stream 2^32
+    # drew stream 0's numbers and seed -1 those of seed 2^64 - 1
+    with pytest.raises(ValueError) as exc:
+        McConfig(**kwargs)
+    assert message in str(exc.value)
+    McConfig(samples=simulate.MAX_SAMPLES, seed=(1 << 64) - 1, stream=(1 << 32) - 1)
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (1 << 64, 0, 0), (0, 1 << 32, 0), (0, 0, 1 << 32)])
+def test_rng_rejects_key_parts_out_of_range(key):
+    with pytest.raises(ValueError, match="Philox key out of range"):
+        rng_for_chunk(*key)
 
 
 @pytest.mark.parametrize("scheme", ["MDNC", "noNC", "", "mdnc "])
