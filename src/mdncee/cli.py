@@ -73,6 +73,11 @@ def _scalar_outage(value) -> float | None:
     return float(np.mean(arr))
 
 
+def _finite_or_none(value: float) -> float | None:
+    """A z-score for strict JSON: an unbounded one becomes null."""
+    return value if math.isfinite(value) else None
+
+
 def _load(path):
     s = load_scenario(path)
     violations = validate_scenario(s)
@@ -173,7 +178,7 @@ def _solve_row(args):
     solver = brute_force_optimize if mode == "brute" else dinkelbach_solve
     try:
         sol = solver(s, coeffs, target, scheme=scheme, include_user_energy=include_user)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         row["status"] = "failed"
         row["reason"] = str(exc)
         return row
@@ -397,7 +402,8 @@ def cmd_verify(args) -> int:
     # One binomial z-test per indicator: the NoNC users share relay->BS
     # links, so their mean has no simple variance; test each user instead.
     # An analytic outage of exactly 0 or 1 admits only that outcome: any
-    # other observed count is infinitely many sigmas away.
+    # other observed count is infinitely many sigmas away, which the report
+    # writes as null.
     z_scores = []
     for p, observed in zip(expected, np.atleast_1d(mc.outage)):
         sigma = math.sqrt(p * (1.0 - p) / args.samples)
@@ -421,14 +427,14 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "analytic": {"outage": analytic, "ee": analytic_ee},
         "empirical": {"outage": emp, "stderr": _scalar_outage(mc.stderr), "ee": mc.ee},
-        "z_score": z,
+        "z_score": _finite_or_none(z),
         "pass": bool(passed),
         "expected_events": expected_events,
         "few_events": min(expected_events) < MIN_EXPECTED_EVENTS,
     }
     if args.scheme == "nonc":
-        report["z_scores"] = z_scores
-    text = json.dumps(report, indent=2, sort_keys=True)
+        report["z_scores"] = [_finite_or_none(v) for v in z_scores]
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         _write_lines(os.path.join(args.out, "verify.json"), [text])
     print(text)

@@ -33,7 +33,7 @@ __all__ = [
     "PrimalProblem",
     "PrimalSolution",
     "assemble_primal",
-    "energy_model",
+    "log_power_model",
     "outage_posynomials",
     "solve_primal",
     "gradients",
@@ -124,33 +124,28 @@ def outage_posynomials(coeffs: LinkCoefficients, selected, M: int, scheme: str) 
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def energy_model(s: ScenarioConfig, coeffs: LinkCoefficients, relays, scheme: str, q: float,
-                 outage_pos: list[Posynomial], include_user_energy: bool = False,
-                 constants: tuple[float, float] = (0.0, 0.0)) -> tuple[Posynomial, Posynomial]:
-    """V' and the grid-energy budget over x = (ptilde_1..M, ptilde'_j for j in relays).
+def log_power_model(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
+                    include_user_energy: bool = False):
+    """Energy weights, budget weights and box over all M + N log powers
+    x = (ptilde_1..M, ptilde'_1..N): (energy, budget, lo, hi).
 
-    V' = constants[0] + q*T*sum_i e^(ptilde_i)
-         + q*m*delta_P*T*sum_j c_j e^(ptilde'_j) + obj_coef*sum(outage_pos);
-    budget = constants[1] + m*delta_P*T*sum_j c_j e^(ptilde'_j), plus
-    T*sum_i e^(ptilde_i) when user energy counts against E0. The -c_j
-    offsets of the substituted relay powers are left to the caller's
-    constants and caps. The fixed-schedule primal passes its selected
-    relays and constant rows; the master passes all N relays and no
-    constants, its circuit energy being linear in u.
+    The power-dependent energy is sum_k energy_k e^(x_k): T per user and
+    m*delta_P*T*c_j per relay, whose substituted power c_j(e^(ptilde'_j) - 1)
+    leaves a -c_j offset that callers fold into their constants and caps.
+    The grid-energy budget draws budget_k e^(x_k): the relay weights, plus
+    the user weights when user energy counts against E0. The box holds each
+    user power in [P_MIN, P_S_max] and each relay power in [0, P_R_max].
+    The primal takes the users' and its selected relays' entries, the
+    master all of them.
     """
-    _, _, m, obj_coef = scheme_constants(s, scheme)
-    c_g = coeffs.c_g[list(relays)]
-    dim = s.M + len(c_g)
-    eye = np.eye(dim)
-    zero = np.zeros(dim)
-    users, relay = eye[:s.M], eye[s.M:]
-    vprime = _stacked(dim, ([constants[0]], zero),
-                      (np.full(s.M, q * s.T), users), (q * m * s.delta_P * s.T * c_g, relay),
-                      *((obj_coef * pos.coeffs, pos.expos) for pos in outage_pos))
-    budget_parts = [([constants[1]], zero), (m * s.delta_P * s.T * c_g, relay)]
-    if include_user_energy:
-        budget_parts.append((np.full(s.M, s.T), users))
-    return vprime, _stacked(dim, *budget_parts)
+    _, _, m, _ = scheme_constants(s, scheme)
+    relay = m * s.delta_P * s.T * coeffs.c_g
+    users = np.full(s.M, s.T)
+    energy = np.concatenate([users, relay])
+    budget = np.concatenate([users if include_user_energy else np.zeros(s.M), relay])
+    lo = np.concatenate([np.full(s.M, np.log(P_MIN)), np.zeros(s.N)])
+    hi = np.concatenate([np.full(s.M, np.log(s.P_S_max)), np.log1p(s.P_R_max / coeffs.c_g)])
+    return energy, budget, lo, hi
 
 
 def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
@@ -172,20 +167,23 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
 
     outage_pos = outage_posynomials(coeffs, selected, s.M, scheme)
     targets = np.full(len(outage_pos), target)
-    gamma, delta0, m, _ = scheme_constants(s, scheme)
-    lo = np.concatenate([np.full(s.M, np.log(P_MIN)), np.zeros(n)])
-    caps = np.array([np.log1p(s.P_R_max / coeffs.c_g[j]) for j in selected])
-    hi = np.concatenate([np.full(s.M, np.log(s.P_S_max)), caps])
+    gamma, delta0, _, obj_coef = scheme_constants(s, scheme)
+    energy, budget_w, lo, hi = log_power_model(s, coeffs, scheme, include_user_energy)
+    keep = np.r_[np.arange(s.M), s.M + np.array(selected, dtype=int)]
+    lo, hi = lo[keep], hi[keep]
+    dim = len(keep)
+    zero, eye = np.zeros(dim), np.eye(dim)
+    relay = energy[s.M:]
 
     # The -c_j offsets of the substituted relay powers move into the budget
     # cap; in V' the unselected relays keep their c_j, as at ptilde'_j = 0 in
     # the master's all-relay model.
-    vp_const = (q * (gamma * n + delta0)
-                + q * m * s.T * s.delta_P * float(np.sum(coeffs.c_g))
-                - q * m * s.T * s.delta_P * float(np.sum(coeffs.c_g[list(selected)])))
-    vprime, budget = energy_model(s, coeffs, selected, scheme, q, outage_pos, include_user_energy,
-                                  constants=(vp_const, gamma * n + delta0))
-    budget_cap = s.E0 + m * s.delta_P * s.T * float(np.sum(coeffs.c_g[list(selected)]))
+    unselected = float(np.sum(np.delete(relay, list(selected))))
+    vprime = _stacked(dim, ([q * (gamma * n + delta0 + unselected)], zero),
+                      (q * energy[keep], eye),
+                      *((obj_coef * pos.coeffs, pos.expos) for pos in outage_pos))
+    budget = _stacked(dim, ([gamma * n + delta0], zero), (budget_w[keep], eye))
+    budget_cap = s.E0 + float(np.sum(relay[list(selected)]))
     pp = PrimalProblem(s=s, coeffs=coeffs, schedule=schedule, q=q, scheme=scheme,
                        targets=targets, lo=lo, hi=hi, vprime=vprime,
                        outage_pos=outage_pos, budget_pos=budget, budget_cap=budget_cap,
@@ -455,8 +453,9 @@ def gradients(pp: PrimalProblem, x) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of tilde V and of g = Pr_out - target at x.
 
     Returns (grad_tilde_v, grad_g) with grad_g one row per outage constraint
-    (a single row for MDNC). Used for outer-approximation cuts and checked
-    against central differences in the test suite.
+    (a single row for MDNC). Checked against central differences in the
+    test suite; the master's cuts linearize its own all-relay outage
+    posynomials instead (optimizer.build_oa_cuts).
     """
     x = np.asarray(x, dtype=float)
     vprime, grad_vprime = pp.vprime.value_grad(x)

@@ -41,7 +41,7 @@ from .convex_solver import (
     PrimalProblem,
     PrimalSolution,
     assemble_primal,
-    energy_model,
+    log_power_model,
     outage_posynomials,
     solve_primal,
 )
@@ -173,20 +173,18 @@ def ratio_count_cap(s: ScenarioConfig, scheme: str, q: float) -> int:
 # Cuts and the master model
 
 
-def _all_relay_outage(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str) -> list:
-    """The master's outage posynomials over all N relays (one for MDNC, one
-    per user for NoNC). They depend on neither q nor the target."""
-    return outage_posynomials(coeffs, tuple(range(s.N)), s.M, scheme)
-
-
 class MasterModel:
     """The q-free master of one (scheme, target) solve: shared posynomials,
     constants and the outer-approximation pool that every q-state extends.
 
-    V'(x, u) = obj_outage(x) + q * (obj_energy(x) + gamma*sum(u) + delta0);
-    both parts are convex in x, so a cut linearizes each once and holds for
-    every q >= 0. cuts holds every cut block built so far, in creation
-    order; a refuted one's schedule was infeasible, which no q can change.
+    V'(x, u) = obj_coef*sum(outage_full(x)) + q*(energy . e^x + gamma*sum(u)
+    + delta0) over the all-relay log powers x, where outage_full depends on
+    neither q nor the target (an unselected relay sits at ptilde'_j = 0).
+    Both parts are convex in x, so a cut linearizes each once and holds for
+    every q >= 0. The budget draws budget . e^x + gamma*sum(u) + delta0
+    against E0 plus the relays' -c_j offsets. cuts holds every cut block
+    built so far, in creation order; a refuted one's schedule was
+    infeasible, which no q can change.
     """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
@@ -195,19 +193,12 @@ class MasterModel:
         self.scheme = scheme
         self.target = float(target)
         self.include_user_energy = include_user_energy
-        self.gamma, self.delta0, m_slots, _ = scheme_constants(s, scheme)
+        self.gamma, self.delta0, _, self.obj_coef = scheme_constants(s, scheme)
         self.dim = s.M + s.N
-        full = tuple(range(s.N))
-        self.outage_full = _all_relay_outage(s, coeffs, scheme)
-        self.targets = np.full(len(self.outage_full), self.target)
-
-        # energy_model at q = 0 keeps the outage terms only, and with no
-        # outage at q = 1 the energy terms only
-        self.obj_outage, self.budget_exp = energy_model(s, coeffs, full, scheme, 0.0,
-                                                        self.outage_full, include_user_energy)
-        self.obj_energy, _ = energy_model(s, coeffs, full, scheme, 1.0, [], include_user_energy)
-        self.budget_offset = m_slots * s.delta_P * s.T * float(np.sum(coeffs.c_g))
-        self.caps = np.log1p(s.P_R_max / coeffs.c_g)
+        self.outage_full = outage_posynomials(coeffs, tuple(range(s.N)), s.M, scheme)
+        self.energy, self.budget, self.lo, self.hi = log_power_model(
+            s, coeffs, scheme, include_user_energy)
+        self.budget_offset = float(np.sum(self.energy[s.M:]))
         self.v_scale = s.M * s.alpha0    # master works in v / v_scale units
         self.cuts: list[OaCut] = []
 
@@ -264,25 +255,30 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None,
         r[u0:u0 + s.N] = u_coef
         return r
 
+    # each outage posynomial is evaluated once: its rows and the objective's
+    # outage part share the value and gradient
+    outage = [pos.value_grad(x) for pos in master.outage_full]
+    ex = np.exp(x)
     rows, rhs = [], []
     energy_row, energy_rhs = None, 0.0
     if sol is not None:
-        # vhat * v_scale >= obj_outage(x) + q * (obj_energy(x) + circuit(u))
-        value, grad = master.obj_outage.value_grad(x)
+        # vhat * v_scale >= obj_coef*sum(outage) + q * (energy . e^x + circuit(u))
+        value = master.obj_coef * sum(v for v, _ in outage)
+        grad = master.obj_coef * sum(g for _, g in outage)
         r = row(grad, 0.0)
         r[-1] = -master.v_scale
         rows.append(r)
         rhs.append(float(grad @ x) - value)
-        value, grad = master.obj_energy.value_grad(x)
+        # an energy term w*e^x is its own gradient
+        grad = master.energy * ex
         energy_row = row(grad, master.gamma)
-        energy_rhs = float(grad @ x) - (value + master.delta0)
-    for pos, target in zip(master.outage_full, master.targets):
-        value, grad = pos.value_grad(x)
+        energy_rhs = float(grad @ x) - (float(np.sum(grad)) + master.delta0)
+    for value, grad in outage:
         rows.append(row(grad, 0.0))
-        rhs.append(float(grad @ x) - float(value - target))
-    value, grad = master.budget_exp.value_grad(x)
+        rhs.append(float(grad @ x) - float(value - master.target))
+    grad = master.budget * ex
     rows.append(row(grad, master.gamma))
-    rhs.append(s.E0 - master.delta0 + master.budget_offset - value + float(grad @ x))
+    rhs.append(s.E0 - master.delta0 + master.budget_offset - float(np.sum(grad)) + float(grad @ x))
     return OaCut(np.array(rows), np.array(rhs), pp.schedule.theta, energy_row, energy_rhs)
 
 
@@ -291,10 +287,12 @@ class GoaState:
     """Outer-approximation bookkeeping for one q-state of a master.
 
     The master's cuts may come from earlier q-states: carried counts the
-    cut blocks the state started with, cuts the blocks it built and visited
-    the schedules it solved or refuted, one primal each. iteration counts
-    those primals; lbd_history holds the tree's bound as each schedule after
-    the first was picked.
+    cut blocks the state started with. A visit is a solved primal or a
+    refuted schedule (its assembled primal is infeasible, so no barrier
+    solve runs), and each builds one cut block: iteration counts the visits
+    and so the state's cut blocks, and visited lists their schedules.
+    lbd_history holds the tree's bound as each schedule after the first
+    was picked.
     """
 
     master: MasterModel
@@ -302,7 +300,6 @@ class GoaState:
     q: float
     carried: int = 0
     visited: list[tuple[int, ...]] = field(default_factory=list)
-    cuts: int = 0
     ubd: float = math.inf
     lbd: float = -math.inf
     ubd_history: list[float] = field(default_factory=list)
@@ -369,7 +366,7 @@ def _master_lp_rows(state: GoaState):
     fixed[2, u] = 1.0
     fixed[3, u] = -1.0
     fixed[4 + relays, M + relays] = 1.0
-    fixed[4 + relays, u0 + relays] = -m.caps
+    fixed[4 + relays, u0 + relays] = -m.hi[M:]
     blocks = [_cut_rows(state, cut, i >= state.carried or cut.refuted)
               for i, cut in enumerate(m.cuts)]
     A = np.vstack([fixed, *(rows for rows, _ in blocks)])
@@ -377,8 +374,8 @@ def _master_lp_rows(state: GoaState):
                          float(state.bounds.up), -float(state.bounds.low)], np.zeros(N),
                         *(rhs for _, rhs in blocks)])
 
-    lb = np.concatenate([np.full(M, np.log(P_MIN)), np.zeros(N), np.zeros(N), [0.0]])
-    ub = np.concatenate([np.full(M, np.log(s.P_S_max)), m.caps, np.ones(N), [_vcap(state)]])
+    lb = np.concatenate([m.lo, np.zeros(N), [0.0]])
+    ub = np.concatenate([m.hi, np.ones(N), [_vcap(state)]])
     c = np.zeros(nv)
     c[iv] = 1.0
     return c, A, b, lb, ub
@@ -434,7 +431,7 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
     u0, n_u = s.M + s.N, s.N
 
     def visit(schedule: RelaySchedule) -> OaCut:
-        """One primal; its cut joins the pool."""
+        """One solved or refuted schedule; its cut joins the pool."""
         state.iteration += 1
         pp = assemble_primal(s, coeffs, schedule, q, target=target, scheme=scheme,
                              include_user_energy=include_user_energy)
@@ -452,7 +449,6 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
             state.refutation = pp.infeasible_reason
         cut = build_oa_cuts(pp, sol, master)
         master.cuts.append(cut)
-        state.cuts += 1
         state.visited.append(schedule.theta)
         state.ubd_history.append(state.ubd)
         return cut
@@ -635,7 +631,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
             raise _InfeasibleInner(f"{st.termination}; {st.refutation}")
         info = {
             "goa_iterations": st.iteration,
-            "cuts": st.cuts,
+            "cuts": st.iteration,
             "newton_iterations": st.newton_total,
             "ubd_history": list(st.ubd_history),
             "lbd_history": list(st.lbd_history),
@@ -657,7 +653,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     diagnostics["primal_unconverged"] = sum(st.primal_unconverged for st in states)
     # q-states that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
-    diagnostics["cuts_total"] = sum(st.cuts for st in states)
+    diagnostics["cuts_total"] = sum(st.iteration for st in states)
     return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)
 
 

@@ -4,13 +4,16 @@ A Posynomial here is P(x) = sum_k coef_k * exp(a_k . x) with coef_k > 0 and
 integer exponent rows a_k. In the log-transformed power variables every
 quantity the solver touches -- the approximated outage probability, the
 substituted energy, the shifted subtractive objective -- takes this form, so
-log P is a log-sum-exp of affine functions and therefore convex. Values,
-gradients and Hessians of both P and log P are analytic.
+log P is a log-sum-exp of affine functions and therefore convex.
 
 The class is a term matrix and its evaluator, with no algebra: builders
 assemble the coefficient vector and exponent rows directly (the outage
 terms by counting recursions, the energy terms by stacking rows), and
-evaluation treats repeated rows as a sum, so nothing needs merging.
+evaluation treats repeated rows as a sum, so nothing needs merging. A
+Posynomial gives P, log P and (P, grad P), the last for the master's
+cuts. The barrier's gradients and Hessians of log P and P come from the
+stacked terms in convex_solver._BarrierStack; an energy term w*e^(x_k) is
+its own gradient, so the master's energy rows need no posynomial at all.
 
 All evaluation goes through one evaluator, `stacked_terms`, over a stack of
 posynomials: their exponent rows one under another, their log-coefficients,
@@ -97,40 +100,17 @@ class Posynomial:
         return float(segment_values(zmax, total)[0])
 
     def value_grad(self, x):
-        """(P, grad P) at x: the first two of parts, by the same arithmetic."""
+        """(P, grad P) at x from one exponent evaluation; P equals value(x) bit for bit."""
         if len(self.coeffs) == 0:
             return 0.0, np.zeros(self.dim)
         zmax, e, total = self._terms(x)
         return float(segment_values(zmax, total)[0]), (np.exp(zmax) * e) @ self.expos
-
-    def parts(self, x):
-        """(P, grad P, Hessian of P) at x from one exponent evaluation."""
-        if len(self.coeffs) == 0:
-            return 0.0, np.zeros(self.dim), np.zeros((self.dim, self.dim))
-        zmax, e, total = self._terms(x)
-        t = np.exp(zmax) * e
-        return (float(segment_values(zmax, total)[0]), t @ self.expos,
-                self.expos.T @ (t[:, None] * self.expos))
 
     def logvalue(self, x) -> float:
         if len(self.coeffs) == 0:
             return -np.inf
         zmax, _, total = self._terms(x)
         return float(segment_logvalues(zmax, total)[0])
-
-    def log_parts(self, x):
-        """(log P, its gradient, its Hessian) at x from one exponent evaluation.
-
-        With softmax weights w over the terms, the gradient is A^T w and the
-        Hessian A^T diag(w) A - (A^T w)(A^T w)^T, PSD by construction.
-        """
-        if len(self.coeffs) == 0:
-            raise ValueError("log of an empty posynomial")
-        zmax, e, total = self._terms(x)
-        w = e / total
-        mean = w @ self.expos
-        hess = self.expos.T @ (w[:, None] * self.expos) - np.outer(mean, mean)
-        return float(segment_logvalues(zmax, total)[0]), mean, hess
 
     def __repr__(self):
         return f"Posynomial({self.n_terms} terms, dim={self.dim})"

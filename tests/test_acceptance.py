@@ -137,6 +137,11 @@ def _fd_hessian(grad_fn, x, h=1e-5):
     return 0.5 * (H + H.T)
 
 
+def _log_gradient(pos, x):
+    value, grad = pos.value_grad(x)
+    return grad / value
+
+
 def test_criterion_05_convexity_certificates(paper_scenario, paper_coeffs):
     start = time.time()
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
@@ -146,8 +151,8 @@ def test_criterion_05_convexity_certificates(paper_scenario, paper_coeffs):
     min_eig = np.inf
     for _ in range(100):
         x = rng.uniform(pp.lo + 0.02 * span, pp.hi - 0.02 * span)
-        h_tv = _fd_hessian(lambda z: pp.vprime.log_parts(z)[1], x)
-        h_out = _fd_hessian(lambda z: pp.outage_pos[0].log_parts(z)[1], x)
+        h_tv = _fd_hessian(lambda z: gradients(pp, z)[0], x)
+        h_out = _fd_hessian(lambda z: _log_gradient(pp.outage_pos[0], z), x)
         min_eig = min(min_eig, np.linalg.eigvalsh(h_tv).min(), np.linalg.eigvalsh(h_out).min())
     elapsed = time.time() - start
     record(5, min_eig >= -1e-8 and elapsed < 60.0,

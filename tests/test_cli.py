@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -17,6 +18,14 @@ def run_cli(argv):
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def strict_json(text):
+    """Parse JSON as RFC 8259 does: no NaN, Infinity or -Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def parse_sweep(text):
@@ -194,10 +203,21 @@ def test_verify_fails_a_certain_analytic_value_that_the_simulation_contradicts(
     code = run_cli(["verify", SCENARIO_PATH, "--relays", "0,1,2,3",
                     "--user-powers", "0.05,0.05", "--relay-powers", "0.1,0.1,0.1,0.1",
                     "--samples", "100000", "--seed", "3", "--out", str(tmp_path)])
-    report = json.loads(read(tmp_path / "verify.json"))
+    report = strict_json(read(tmp_path / "verify.json"))
     assert code == 4
     assert report["pass"] is False
-    assert report["empirical"]["outage"] > 0.01 and report["z_score"] == float("inf")
+    assert report["empirical"]["outage"] > 0.01 and report["z_score"] is None
+
+
+def test_verify_writes_unbounded_user_z_scores_as_null(tmp_path, monkeypatch):
+    # NoNC lists one z-score per user; each unbounded one is null too
+    monkeypatch.setattr(cli, "exact_outage", lambda *args: np.zeros(2))
+    code = run_cli(["verify", SCENARIO_PATH, "--scheme", "nonc", "--relays", "0,1,2,3",
+                    "--user-powers", "0.05,0.05", "--relay-powers", "0.1,0.1,0.1,0.1",
+                    "--samples", "100000", "--seed", "3", "--out", str(tmp_path)])
+    report = strict_json(read(tmp_path / "verify.json"))
+    assert code == 4
+    assert report["z_score"] is None and report["z_scores"] == [None, None]
 
 
 def test_verify_passes_a_certain_outage_that_the_simulation_confirms(tmp_path):
@@ -240,6 +260,26 @@ def test_failed_solve_becomes_row_and_sweep_continues(monkeypatch, tmp_path):
     assert rows["0.01"]["status"] == "ok"
     assert rows["0.001"]["status"] == "failed"
     assert rows["0.001"]["reason"] == "parametric q-iteration did not converge in 60 rounds"
+
+
+def test_brute_force_guard_becomes_a_failed_row(paper_scenario, tmp_path):
+    # brute force refuses N > 12 with a ValueError: the sweep writes a
+    # failed row quoting it instead of dying without a sweep.csv
+    from mdncee.model import dump_scenario
+
+    cols = [j % paper_scenario.N for j in range(13)]
+    big = dataclasses.replace(
+        paper_scenario, N=13,
+        **{name: getattr(paper_scenario, name)[:, cols] for name in ("sigma_h", "d_h", "n_h", "N0_h")},
+        **{name: getattr(paper_scenario, name)[cols] for name in ("sigma_g", "d_g", "n_g", "N0_g")})
+    path = tmp_path / "n13.cfg"
+    dump_scenario(big, path)
+    out = tmp_path / "o"
+    code = run_cli(["sweep", str(path), "--mode", "brute", "--targets", "1e-3", "--out", str(out)])
+    rows = parse_sweep(read(out / "sweep.csv"))
+    assert code == 3
+    assert [(r["mode"], r["status"]) for r in rows] == [("brute", "failed")]
+    assert rows[0]["reason"] == "brute force enumerates subsets; N = 13 exceeds 12"
 
 
 @pytest.mark.parametrize("point", [

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_loose_target_interior_stationarity(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1300.0, target=0.9999)
     sol = solve_primal(pp)
-    assert np.linalg.norm(pp.vprime.log_parts(sol.x)[1]) <= 1e-7
+    assert np.linalg.norm(gradients(pp, sol.x)[0]) <= 1e-7
 
 
 def test_tightening_target_raises_optimum(paper_scenario, paper_coeffs):
@@ -230,28 +231,28 @@ def test_barrier_merit_derivatives_match_central_differences(paper_scenario, pap
 @pytest.mark.parametrize("include_user_energy", [False, True])
 def test_primal_energy_model_matches_master_at_all_relays(paper_scenario, paper_coeffs, scheme,
                                                           include_user_energy):
-    # the primal and the master share one energy model: at the all-relay
-    # schedule V' is the master's obj_outage + q*obj_energy plus
-    # q*(gamma*N + delta0), and the budget constraints coincide
-    from mdncee.optimizer import MasterModel
+    # the primal and the master read one log_power_model: at the all-relay
+    # schedule, a cut anchored at x has an objective row at q that is V' and
+    # its gradient there (u = 1 adds the circuit energy), and a budget row
+    # that is the primal's budget slack and its gradient
+    from mdncee.optimizer import MasterModel, build_oa_cuts
 
     s = paper_scenario
     full = RelaySchedule.from_indices(range(s.N), s.N)
+    dim = s.M + s.N
+    ones = np.ones(s.N)
     rng = np.random.default_rng(41)
     m = MasterModel(s, paper_coeffs, scheme, 1e-3, include_user_energy)
     for q in (0.0, 350.0, 1300.0):
         pp = assemble_primal(s, paper_coeffs, full, q, target=1e-3, scheme=scheme,
                              include_user_energy=include_user_energy)
-        circuit = m.gamma * s.N + m.delta0
         for x in interior_points(pp, 10, int(rng.integers(1 << 30))):
-            v, g, _ = pp.vprime.parts(x)
-            ov, og, _ = m.obj_outage.parts(x)
-            ev, eg, _ = m.obj_energy.parts(x)
-            mv, mg = ov + q * ev, og + q * eg
-            assert v == pytest.approx(mv + q * circuit, rel=1e-13)
-            assert g == pytest.approx(mg, rel=1e-13, abs=1e-13 * v)
-            b, bg, _ = pp.budget_pos.parts(x)
-            mb, mbg, _ = m.budget_exp.parts(x)
-            assert b - pp.budget_cap == pytest.approx(
-                mb + circuit - s.E0 - m.budget_offset, rel=1e-12, abs=1e-12 * s.E0)
-            assert bg == pytest.approx(mbg, rel=1e-13)
+            # build_oa_cuts reads only the solution's point
+            A, b = build_oa_cuts(pp, SimpleNamespace(x=x), m).at(q)
+            v, g = pp.vprime.value_grad(x)
+            assert A[0, :dim] @ x + A[0, dim:dim + s.N] @ ones - b[0] == pytest.approx(v, rel=1e-13)
+            assert A[0, :dim] == pytest.approx(g, rel=1e-13, abs=1e-13 * v)
+            bv, bg = pp.budget_pos.value_grad(x)
+            assert A[-1, :dim] @ x + A[-1, dim:dim + s.N] @ ones - b[-1] == pytest.approx(
+                bv - pp.budget_cap, rel=1e-12, abs=1e-12 * s.E0)
+            assert A[-1, :dim] == pytest.approx(bg, rel=1e-13)

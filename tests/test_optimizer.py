@@ -205,9 +205,9 @@ def _check_objective_row_underestimates_vprime(master, cut, q):
         x = np.zeros(master.dim)
         x[:2] = rng.uniform(np.log(1e-6), np.log(10.0), 2)
         for j in subset:
-            x[2 + j] = rng.uniform(0.0, master.caps[j])
-        vtrue = master.obj_outage.value(x) + q * (master.obj_energy.value(x)
-                                                  + master.gamma * count + master.delta0)
+            x[2 + j] = rng.uniform(master.lo[2 + j], master.hi[2 + j])
+        vtrue = (master.obj_coef * sum(pos.value(x) for pos in master.outage_full)
+                 + q * (master.energy @ np.exp(x) + master.gamma * count + master.delta0))
         z = np.concatenate([x, RelaySchedule.from_indices(subset, 4).u, [0.0]])
         vcut = _vhat_floor(master, A[0], b[0], z)
         assert vcut <= vtrue + 1e-6 * abs(vtrue)
@@ -498,19 +498,57 @@ def test_warm_children_pivot_less_than_cold_roots(paper_scenario, paper_coeffs, 
 def test_all_relay_outage_built_once_per_solve(paper_scenario, paper_coeffs, monkeypatch, scheme):
     from mdncee import optimizer
 
-    real = optimizer._all_relay_outage
+    # the master's posynomials are the optimizer's only outage_posynomials
+    # call; the primals build theirs in convex_solver
+    real = optimizer.outage_posynomials
     builds = []
 
-    def counting(s, coeffs, scheme):
-        builds.append(tuple(range(s.N)))
-        return real(s, coeffs, scheme)
+    def counting(coeffs, selected, M, scheme):
+        builds.append(tuple(selected))
+        return real(coeffs, selected, M, scheme)
 
-    monkeypatch.setattr(optimizer, "_all_relay_outage", counting)
+    monkeypatch.setattr(optimizer, "outage_posynomials", counting)
     sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
     assert sol.diagnostics["goa_states"] > 1
     assert builds == [(0, 1, 2, 3)]
     goa_solve(paper_scenario, paper_coeffs, sol.q_star, 1e-3, scheme=scheme)
     assert builds == [(0, 1, 2, 3)] * 2
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_each_cut_evaluates_each_outage_posynomial_once(paper_scenario, paper_coeffs,
+                                                        monkeypatch, scheme):
+    # a cut's objective row reuses its outage rows' values and gradients,
+    # and its energy and budget rows are closed form
+    from mdncee import optimizer
+    from mdncee.posynomial import Posynomial
+
+    real_value_grad, real_build = Posynomial.value_grad, optimizer.build_oa_cuts
+    calls = [0]
+    per_cut = []
+
+    def counting_value_grad(self, x):
+        calls[0] += 1
+        return real_value_grad(self, x)
+
+    def counting_build(pp, sol, master):
+        calls[0] = 0
+        cut = real_build(pp, sol, master)
+        per_cut.append((calls[0], len(master.outage_full), cut.refuted))
+        return cut
+
+    monkeypatch.setattr(Posynomial, "value_grad", counting_value_grad)
+    monkeypatch.setattr(optimizer, "build_oa_cuts", counting_build)
+    for target in (1e-2, 1e-3, 1e-4):
+        dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+    # and a refuted schedule's cut: no schedule meets a 1e-12 target
+    full = RelaySchedule.from_indices(range(paper_scenario.N), paper_scenario.N)
+    pp = assemble_primal(paper_scenario, paper_coeffs, full, 0.0, target=1e-12, scheme=scheme)
+    assert not pp.feasible
+    optimizer.build_oa_cuts(pp, None, MasterModel(paper_scenario, paper_coeffs, scheme, 1e-12))
+    assert per_cut and all(n == outage for n, outage, _ in per_cut)
+    assert {outage for _, outage, _ in per_cut} == {1 if scheme == "mdnc" else paper_scenario.M}
+    assert {refuted for _, _, refuted in per_cut} == {False, True}
 
 
 @pytest.mark.parametrize("scheme", ["MDNC", ""])

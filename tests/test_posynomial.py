@@ -16,53 +16,33 @@ def central_diff(f, x, h=1e-6):
     return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(len(x))]).T
 
 
-def test_parts_values_equal_value_only_bitwise(paper_coeffs):
-    # Armijo compares a base value from log_parts with trial values from
-    # logvalue, so the two must agree to the last bit
+def test_value_grad_value_equals_value_bitwise(paper_coeffs):
+    # a cut's outage rows and its objective row share one value_grad call:
+    # its value must be the value the primal's feasibility test reads
     rng = np.random.default_rng(11)
-    cases = [random_posynomial(rng) for _ in range(20)]
-    cases.append(outage_posynomial(paper_coeffs, (0, 1, 2, 3), 2))
-    for pos in cases:
-        for _ in range(10):
-            x = rng.uniform(-3.0, 3.0, pos.dim)
-            assert pos.log_parts(x)[0] == pos.logvalue(x)
-            assert pos.parts(x)[0] == pos.value(x)
-
-
-def test_value_grad_equals_parts_bitwise(paper_coeffs):
-    # cuts use value_grad where they used parts: their master rows must not move
-    rng = np.random.default_rng(13)
     cases = [random_posynomial(rng) for _ in range(20)]
     cases.append(outage_posynomial(paper_coeffs, (0, 1, 2, 3), 2))
     cases.append(Posynomial([], np.zeros((0, 3)), 3))
     for pos in cases:
         for _ in range(10):
             x = rng.uniform(-3.0, 3.0, pos.dim)
-            value, grad = pos.value_grad(x)
-            ref_value, ref_grad, _ = pos.parts(x)
-            assert value == ref_value
-            assert grad.tobytes() == ref_grad.tobytes()
+            assert pos.value_grad(x)[0] == pos.value(x)
 
 
-def test_parts_derivatives_match_central_differences():
+def test_value_grad_matches_central_differences():
     rng = np.random.default_rng(12)
     for _ in range(20):
         pos = random_posynomial(rng)
         x = rng.uniform(-1.0, 1.0, pos.dim)
-        value, grad, hess = pos.parts(x)
+        value, grad = pos.value_grad(x)
         assert grad == pytest.approx(central_diff(pos.value, x), rel=1e-6, abs=1e-6 * value)
-        fd_hess = central_diff(lambda z: pos.parts(z)[1], x)
-        assert hess == pytest.approx(fd_hess, rel=1e-6, abs=1e-6 * value)
-        _, lgrad, lhess = pos.log_parts(x)
-        assert lgrad == pytest.approx(central_diff(pos.logvalue, x), abs=1e-7)
-        assert lhess == pytest.approx(central_diff(lambda z: pos.log_parts(z)[1], x), abs=1e-7)
-
-
-def test_parts_of_empty_posynomial():
-    value, grad, hess = Posynomial([], np.zeros((0, 3)), 3).parts(np.ones(3))
+        # grad log P = grad P / P
+        assert grad / value == pytest.approx(central_diff(pos.logvalue, x), abs=1e-7)
+    empty = Posynomial([], np.zeros((0, 3)), 3)
+    value, grad = empty.value_grad(np.ones(3))
     assert value == 0.0
     assert np.array_equal(grad, np.zeros(3))
-    assert np.array_equal(hess, np.zeros((3, 3)))
+    assert np.array_equal(central_diff(empty.value, np.ones(3)), np.zeros(3))
 
 
 def test_stacked_segments_equal_standalone_bitwise(paper_coeffs):
