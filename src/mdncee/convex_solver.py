@@ -273,11 +273,18 @@ class _BarrierStack:
                              dtype=float)
         self.lo = lo
         self.hi = hi
+        self._last = None                 # (point, evaluation) of the last interior point
 
     def _evaluate(self, x):
         """Objective log value, every inequality's slack (box upper, box lower,
         constraints), the linear constraints' values and the stacked terms; None
-        off the open box, where the exponentials may overflow."""
+        off the open box, where the exponentials may overflow.
+
+        The last interior evaluation is kept: a Newton iterate is the line
+        search's accepted trial, so derivatives there reuse value's pass.
+        """
+        if self._last is not None and np.array_equal(self._last[0], x):
+            return self._last[1]
         box = np.concatenate((self.hi - x, x - self.lo))
         if box.min() <= 0:
             return None
@@ -286,7 +293,9 @@ class _BarrierStack:
         values = segment_logvalues(zmax, sums)
         values[k:] = segment_values(zmax[k:], sums[k:])
         slack = np.concatenate((box, self.caps - values[1:]))
-        return values[0], slack, values[k:], e, sums
+        evaluated = values[0], slack, values[k:], e, sums
+        self._last = np.array(x, dtype=float), evaluated
+        return evaluated
 
     def value(self, x):
         """(log objective, barrier) at x, or None off the strict interior."""
@@ -344,8 +353,9 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
     ends when lambda^2/2 (half the squared Newton decrement) is at most
     max(NEWTON_TOL, eps*(|t*log objective| + |barrier|)), with t = 1/mu and
     eps the machine epsilon: below that round-off floor of the merit the
-    Armijo test cannot tell a step from noise. Each iterate is evaluated
-    once with derivatives; line-search trials are evaluated by value only.
+    Armijo test cannot tell a step from noise. Each point is evaluated
+    once: line-search trials by value, and the accepted trial's terms are
+    reused for its derivatives.
     exhausted is set when a stage spends MAX_NEWTON steps or backtracking
     finds no acceptable step.
     """
