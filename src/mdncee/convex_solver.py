@@ -42,11 +42,18 @@ __all__ = [
 # Barrier schedule: weight 1, divide by 10 per stage, stop when the duality
 # gap bound (#constraints * weight) drops below GAP_TOL.
 GAP_TOL = 1e-7
-# A stage stops when half the squared Newton decrement (the predicted
+# The last stage stops when half the squared Newton decrement (the predicted
 # decrease of the merit t*log objective + barrier) is at most NEWTON_TOL or
 # the merit's round-off floor eps*(|t*log objective| + |barrier|), whichever
-# is larger: the Armijo test cannot resolve a smaller decrease.
+# is larger: the Armijo test cannot resolve a smaller decrease. It then takes
+# the full Newton step it just computed, so its point does not depend on the
+# path that reached it.
 NEWTON_TOL = 1e-12
+# An earlier stage only warm-starts the next one, so it stops at
+# lambda^2/2 <= 1/8, i.e. lambda <= 1/2: for the self-concordant merit its
+# gap to the center is then at most lambda^2 = 1/4 (Boyd and Vandenberghe,
+# Convex Optimization, 2004, sections 9.6.3 and 11.3.3).
+CENTERING_TOL = 0.125
 ARMIJO_SLOPE = 0.3
 ARMIJO_SHRINK = 0.5
 MAX_NEWTON = 200
@@ -92,7 +99,17 @@ class PrimalProblem:
 
 @dataclass
 class PrimalSolution:
-    """Solver output at one schedule: optimum, powers, and diagnostics."""
+    """Solver output at one schedule: optimum, powers, and diagnostics.
+
+    kkt_residual is ||grad log V' + mu * grad barrier|| at the final barrier
+    weight mu, the stationarity residual of the last stage's center. It is
+    no convergence flag: where a box bound is active, the slack hi - x is
+    about mu / |d log V'/dx|, its round-off is eps*|hi| absolute, and
+    mu / (hi - x) carries that relative error into the residual. So it
+    stays large however tightly the last stage is centered: 4.0e-5 on the
+    benchmark's pool_scenario(0), NoNC at 1e-3, schedule (0, 2), with the
+    first user at P_S_max.
+    """
 
     x: np.ndarray
     ptilde: np.ndarray
@@ -351,11 +368,14 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
     Implements the pinned schedule: barrier weight mu from 1 by factors of
     10 until (#inequalities)*mu < GAP_TOL, damped Newton inside. A stage
     ends when lambda^2/2 (half the squared Newton decrement) is at most
-    max(NEWTON_TOL, eps*(|t*log objective| + |barrier|)), with t = 1/mu and
-    eps the machine epsilon: below that round-off floor of the merit the
-    Armijo test cannot tell a step from noise. Each point is evaluated
-    once: line-search trials by value, and the accepted trial's terms are
-    reused for its derivatives.
+    max(tol, eps*(|t*log objective| + |barrier|)), with t = 1/mu and eps
+    the machine epsilon: below that round-off floor of the merit the Armijo
+    test cannot tell a step from noise. tol is CENTERING_TOL in the stages
+    that only warm-start the next one and NEWTON_TOL in the last, which
+    certifies the gap. When the last stage meets its test it takes the full
+    Newton step just computed, if that step stays strictly feasible, and
+    counts it. Each point is evaluated once: line-search trials by value,
+    and the accepted trial's terms are reused for its derivatives.
     exhausted is set when a stage spends MAX_NEWTON steps or backtracking
     finds no acceptable step.
     """
@@ -382,6 +402,8 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
     while True:
         stages += 1
         t = 1.0 / mu
+        last = m_ineq * mu < GAP_TOL
+        tol = NEWTON_TOL if last else CENTERING_TOL
         for inner in range(MAX_NEWTON):
             grad = t * fg + bg
             hess = t * fh + bh
@@ -391,7 +413,11 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
                 step = np.linalg.solve(hess + 1e-10 * np.trace(hess) * np.eye(dim), -grad)
             decrement2 = float(-grad @ step)
             base = t * fv + bv
-            if decrement2 / 2.0 <= max(NEWTON_TOL, eps * (abs(t * fv) + abs(bv))):
+            if decrement2 / 2.0 <= max(tol, eps * (abs(t * fv) + abs(bv))):
+                if last and stack.value(x + step) is not None:
+                    x = x + step
+                    newton_total += 1
+                    (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
                 break
             # backtracking: stay strictly feasible, then Armijo
             slope = float(grad @ step)
@@ -412,7 +438,7 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
             (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
         else:
             exhausted = True   # Newton budget spent before reaching tolerance
-        if m_ineq * mu < GAP_TOL:
+        if last:
             break
         mu /= 10.0
 

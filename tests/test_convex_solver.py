@@ -67,6 +67,46 @@ def test_solver_reaches_kkt_tolerance(primal):
     assert sol.outage_approx[0] == pytest.approx(1e-3, rel=1e-4)
 
 
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_every_paper_primal_reaches_kkt_tolerance(paper_scenario, paper_coeffs, monkeypatch,
+                                                  scheme):
+    # every primal that dinkelbach_solve runs on paper.cfg at 1e-2..1e-5
+    # ends stationary: the last stage's full Newton step moves it off the
+    # round-off floor that the line search alone stops at
+    from mdncee import optimizer
+
+    solutions = []
+
+    def recorded(pp):
+        solutions.append(solve_primal(pp))
+        return solutions[-1]
+
+    monkeypatch.setattr(optimizer, "solve_primal", recorded)
+    for target in (1e-2, 1e-3, 1e-4, 1e-5):
+        optimizer.dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+    assert len(solutions) >= 4
+    for sol in solutions:
+        assert sol.converged
+        assert sol.kkt_residual <= 1e-6
+
+
+@pytest.mark.parametrize("scheme, relays, q", [("mdnc", [0, 1, 2], 1300.0),
+                                               ("nonc", [0, 2], 1500.0)])
+def test_answer_does_not_depend_on_intermediate_centering(paper_scenario, paper_coeffs,
+                                                          monkeypatch, scheme, relays, q):
+    # loose early stages reach the same final point as stages centered to
+    # NEWTON_TOL, in at most 0.6 times the Newton steps
+    pp = assemble_primal(paper_scenario, paper_coeffs, RelaySchedule.from_indices(relays, 4),
+                         q=q, target=1e-3, scheme=scheme)
+    default = solve_primal(pp)
+    monkeypatch.setattr(convex_solver, "CENTERING_TOL", convex_solver.NEWTON_TOL)
+    tight = solve_primal(pp)
+    assert default.converged and tight.converged
+    assert default.x == pytest.approx(tight.x, rel=1e-10)
+    assert default.tilde_v == pytest.approx(tight.tilde_v, rel=1e-12)
+    assert default.newton_iterations <= 0.6 * tight.newton_iterations
+
+
 def test_solver_deterministic(primal):
     a = solve_primal(primal)
     b = solve_primal(primal)
