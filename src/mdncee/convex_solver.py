@@ -290,15 +290,15 @@ class _BarrierStack:
                              dtype=float)
         self.lo = lo
         self.hi = hi
-        self._last = None                 # (point, evaluation) of the last interior point
+        self._last = None                 # (point, evaluation) last made inside the box
 
     def _evaluate(self, x):
         """Objective log value, every inequality's slack (box upper, box lower,
         constraints), the linear constraints' values and the stacked terms; None
         off the open box, where the exponentials may overflow.
 
-        The last interior evaluation is kept: a Newton iterate is the line
-        search's accepted trial, so derivatives there reuse value's pass.
+        The last evaluation inside the box is kept: a Newton iterate is the
+        line search's accepted trial, so derivatives there reuse value's pass.
         """
         if self._last is not None and np.array_equal(self._last[0], x):
             return self._last[1]
