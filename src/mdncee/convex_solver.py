@@ -78,7 +78,7 @@ class PrimalProblem:
     budget_cap: float                   # budget_pos(x) <= budget_cap
     feasible: bool
     infeasible_reason: str | None = None
-    max_slack_point: np.ndarray | None = None   # argmin of outage over the box (cut anchor)
+    max_slack_point: np.ndarray | None = None   # least worst relative outage (start anchor)
 
     @property
     def dim(self) -> int:
@@ -172,8 +172,9 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
 
     The outage cap is monotone decreasing in every power, so the max-power
     corner minimizes it; if even that corner misses the target (with the
-    budget honored), the problem is marked infeasible and the minimizing
-    point is kept as the certificate anchor for an infeasibility cut.
+    budget honored), the problem is marked infeasible. Otherwise the point
+    that minimizes the worst relative outage within the budget is kept as
+    the primal's start anchor.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -209,7 +210,6 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     if n < s.M and scheme == "mdnc":
         pp.feasible = False
         pp.infeasible_reason = f"schedule selects {n} < M = {s.M} relays; outage is certain"
-        pp.max_slack_point = hi.copy()
         return pp
 
     if budget.value(hi) <= budget_cap:
@@ -221,7 +221,6 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
         pp.infeasible_reason = (
             f"energy budget E0 = {s.E0:g} J not strictly met at minimum power "
             f"for schedule {selected}")
-        pp.max_slack_point = hi.copy()
         return pp
     else:
         # Budget binds before full power: push the outage down along the
@@ -239,31 +238,44 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
 
 
 def _max_slack_point(pp: PrimalProblem) -> np.ndarray:
-    """Minimize the aggregate relative outage subject to budget and boxes.
+    """Minimize the worst relative outage max_i Pout_i/target_i subject to
+    budget and boxes.
 
     Used only when the budget excludes the max-power corner but is strictly
-    met at the lower corner lo. The aggregate sum_i Pout_i/target_i is a
-    posynomial, so this is one more convex solve; its minimizer is the
-    constraint-slack certificate point.
+    met at the lower corner lo. The schedule is feasible exactly when this
+    minimum is at most 1. In epigraph form it is one more convex solve over
+    (x, sigma): minimize e^sigma subject to log(Pout_i(x) e^(-sigma)) <=
+    log target_i per outage, and the budget. Every outage falls in every
+    power, so the worst ratio lies between its values at hi and at lo, and
+    sigma's box is their logs widened by 1.
     """
-    agg = _stacked(pp.dim, *((pos.coeffs * (1.0 / t), pos.expos)
-                             for pos, t in zip(pp.outage_pos, pp.targets)))
+    dim = pp.dim
+    worst = [np.log(np.max(pp.outage_at(x) / pp.targets)) for x in (pp.hi, pp.lo)]
+    lo, hi = np.append(pp.lo, worst[0] - 1.0), np.append(pp.hi, worst[1] + 1.0)
+
+    def lifted(pos, sigma):
+        return Posynomial(pos.coeffs, np.hstack([pos.expos, np.full((pos.n_terms, 1), sigma)]),
+                          dim + 1)
 
     def starts():
         # from the box midpoint, shrink the relay powers toward zero, then
         # (when user energy counts against the budget) the user powers
-        # toward their floor, until the budget is strictly met
-        x = 0.5 * (pp.lo + pp.hi)
-        for block in (slice(pp.s.M, None), slice(0, pp.s.M)):
+        # toward their floor, until the budget is strictly met; sigma sits
+        # above the worst ratio anywhere in the box
+        x = np.append(0.5 * (pp.lo + pp.hi), hi[-1] - 0.5)
+        for block in (slice(pp.s.M, dim), slice(0, pp.s.M)):
             for _ in range(80):
                 yield x.copy()
-                x[block] = 0.5 * (x[block] + pp.lo[block])
+                x[block] = 0.5 * (x[block] + lo[block])
         yield x
 
-    res = _barrier_minimize(objective=agg, log_constraints=[],
-                            linear_constraints=[(pp.budget_pos, pp.budget_cap)],
-                            lo=pp.lo, hi=pp.hi, starts=starts())
-    return res[0]
+    res = _barrier_minimize(
+        objective=Posynomial([1.0], np.eye(dim + 1)[-1:], dim + 1),
+        log_constraints=[(lifted(pos, -1.0), np.log(t))
+                         for pos, t in zip(pp.outage_pos, pp.targets)],
+        linear_constraints=[(lifted(pp.budget_pos, 0.0), pp.budget_cap)],
+        lo=lo, hi=hi, starts=starts())
+    return res[0][:dim]
 
 
 class _BarrierStack:

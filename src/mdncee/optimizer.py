@@ -26,7 +26,8 @@ No cut depends on q except through the energy term of its objective row,
 and that term is linear in q (a q-free part plus q times an energy part,
 both convex). So one master model serves every q of a parametric solve:
 each q-state starts from every earlier cut and from the no-good rows of the
-schedules refuted so far, and adds its own.
+schedules refuted so far, and adds its own. A refuted schedule (its primal
+is infeasible, which no q changes) adds its no-good row only.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ __all__ = [
 GOA_REL_TOL = 1e-6          # prune a schedule whose bound is within tol * (1 + |UBD|) of UBD
 DINKELBACH_TOL_REL = 1e-6   # |V(q)| <= tol * M * alpha0
 DINKELBACH_MAX_ITER = 50
-GOA_MAX_ITER = 120
+GOA_MAX_ITER = 120          # solved primals per q-state; refuted visits cost one row and no solve
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +183,9 @@ class MasterModel:
     neither q nor the target (an unselected relay sits at ptilde'_j = 0).
     Both parts are convex in x, so a cut linearizes each once and holds for
     every q >= 0. The budget draws budget . e^x + gamma*sum(u) + delta0
-    against E0 plus the relays' -c_j offsets. cuts holds every cut block
-    built so far, in creation order; a refuted one's schedule was
-    infeasible, which no q can change.
+    against E0 plus the relays' -c_j offsets. cuts holds the cut block of
+    every primal solved so far, in creation order; refuted lists the
+    schedules whose primal was infeasible, which no q can change.
     """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
@@ -201,53 +202,46 @@ class MasterModel:
         self.budget_offset = float(np.sum(self.energy[s.M:]))
         self.v_scale = s.M * s.alpha0    # master works in v / v_scale units
         self.cuts: list[OaCut] = []
+        self.refuted: list[tuple[int, ...]] = []
 
 
 @dataclass(frozen=True)
 class OaCut:
     """One cut's master rows A z <= b over z = [ptilde, ptilde', u, vhat],
-    built by the primal of schedule theta.
+    built by the solved primal of schedule theta.
 
-    A solved primal's cut opens with its objective row, stored as the
-    q-free part (A[0], b[0]) plus the energy part (energy_row, energy_rhs)
-    that scales with q; a refuted schedule's cut has no objective row.
+    The cut opens with its objective row, stored as the q-free part
+    (A[0], b[0]) plus the energy part (energy_row, energy_rhs) that scales
+    with q.
     """
 
     A: np.ndarray
     b: np.ndarray
     theta: tuple[int, ...]
-    energy_row: np.ndarray | None = None
-    energy_rhs: float = 0.0
-
-    @property
-    def refuted(self) -> bool:
-        return self.energy_row is None
+    energy_row: np.ndarray
+    energy_rhs: float
 
     def at(self, q: float) -> tuple[np.ndarray, np.ndarray]:
         """The rows at q: objective row a0 + q*a1, rhs b0 + q*b1."""
-        if self.refuted:
-            return self.A, self.b
         A, b = self.A.copy(), self.b.copy()
         A[0] += q * self.energy_row
         b[0] += q * self.energy_rhs
         return A, b
 
 
-def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None,
-                  master: MasterModel) -> OaCut:
-    """The cut of one primal, over z = [ptilde, ptilde', u, vhat].
+def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution, master: MasterModel) -> OaCut:
+    """The cut of one solved primal, over z = [ptilde, ptilde', u, vhat].
 
-    The anchor is the solved primal point, or the maximum-slack point of a
-    refuted schedule, lifted to all N relays (zero on unselected ones). The
-    rows linearize there, in this order: the objective (solved primals
-    only), each outage constraint minus its target, and the budget. They
-    are fixed once built and hold at every q; the master only stacks them.
+    The anchor is the primal point, lifted to all N relays (zero on
+    unselected ones). The rows linearize there, in this order: the
+    objective, each outage constraint minus its target, and the budget.
+    They are fixed once built and hold at every q; the master only stacks
+    them.
     """
     s = master.s
     u0 = s.M + s.N
     x = np.zeros(master.dim)
-    x[[*range(s.M), *(s.M + j for j in pp.schedule.theta)]] = (
-        pp.max_slack_point if sol is None else sol.x)
+    x[[*range(s.M), *(s.M + j for j in pp.schedule.theta)]] = sol.x
 
     def row(grad, u_coef):
         r = np.zeros(u0 + s.N + 1)
@@ -259,20 +253,16 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution | None,
     # outage part share the value and gradient
     outage = [pos.value_grad(x) for pos in master.outage_full]
     ex = np.exp(x)
-    rows, rhs = [], []
-    energy_row, energy_rhs = None, 0.0
-    if sol is not None:
-        # vhat * v_scale >= obj_coef*sum(outage) + q * (energy . e^x + circuit(u))
-        value = master.obj_coef * sum(v for v, _ in outage)
-        grad = master.obj_coef * sum(g for _, g in outage)
-        r = row(grad, 0.0)
-        r[-1] = -master.v_scale
-        rows.append(r)
-        rhs.append(float(grad @ x) - value)
-        # an energy term w*e^x is its own gradient
-        grad = master.energy * ex
-        energy_row = row(grad, master.gamma)
-        energy_rhs = float(grad @ x) - (float(np.sum(grad)) + master.delta0)
+    # vhat * v_scale >= obj_coef*sum(outage) + q * (energy . e^x + circuit(u))
+    value = master.obj_coef * sum(v for v, _ in outage)
+    grad = master.obj_coef * sum(g for _, g in outage)
+    r = row(grad, 0.0)
+    r[-1] = -master.v_scale
+    rows, rhs = [r], [float(grad @ x) - value]
+    # an energy term w*e^x is its own gradient
+    grad = master.energy * ex
+    energy_row = row(grad, master.gamma)
+    energy_rhs = float(grad @ x) - (float(np.sum(grad)) + master.delta0)
     for value, grad in outage:
         rows.append(row(grad, 0.0))
         rhs.append(float(grad @ x) - float(value - master.target))
@@ -287,10 +277,10 @@ class GoaState:
     """Outer-approximation bookkeeping for one q-state of a master.
 
     The master's cuts may come from earlier q-states: carried counts the
-    cut blocks the state started with. A visit is a solved primal or a
-    refuted schedule (its assembled primal is infeasible, so no barrier
-    solve runs), and each builds one cut block: iteration counts the visits
-    and so the state's cut blocks, and visited lists their schedules.
+    cut blocks the state started with. A visit is a solved primal, which
+    builds one cut block, or a refuted schedule (its assembled primal is
+    infeasible, so no barrier solve runs), which joins master.refuted:
+    iteration counts the visits and visited lists their schedules.
     lbd_history holds the tree's bound as each schedule after the first
     was picked.
     """
@@ -326,28 +316,24 @@ def _vcap(state: GoaState) -> float:
     return 1e9
 
 
-def _cut_rows(state: GoaState, cut: OaCut, no_good: bool):
-    """One cut block at the state's q, then, when the master excludes the
-    cut's schedule S, its no-good row
+def _no_good(master: MasterModel, theta: tuple[int, ...]):
+    """The no-good row that excludes schedule S = theta from the master:
     sum_{j in S} u_j - sum_{j not in S} u_j <= |S| - 1."""
-    A, b = cut.at(state.q)
-    if not no_good:
-        return A, b
-    s = state.master.s
+    s = master.s
     u0 = s.M + s.N
-    row = np.zeros(A.shape[1])
+    row = np.zeros(u0 + s.N + 1)
     row[u0:u0 + s.N] = -1.0
-    row[[u0 + j for j in cut.theta]] = 1.0
-    return np.vstack([A, row]), np.append(b, len(cut.theta) - 1.0)
+    row[[u0 + j for j in theta]] = 1.0
+    return row[None, :], np.array([len(theta) - 1.0])
 
 
 def _master_lp_rows(state: GoaState):
-    """The master LP over z = [ptilde, ptilde', u, vhat] at the state's q, in
-    creation order: two always-valid floors, the relay-count window, the caps
-    ptilde'_j <= cap_j * u_j, then every cut block, each followed by its
-    schedule's no-good row when the state excludes that schedule (every
-    schedule it visited and every refuted one). A new cut's rows are thus
-    always a suffix. vhat's upper bound is the state's cap."""
+    """The master LP over z = [ptilde, ptilde', u, vhat] at the state's q:
+    two always-valid floors, the relay-count window, the caps
+    ptilde'_j <= cap_j * u_j, then every cut block, followed by its
+    schedule's no-good row when this state solved that schedule, then one
+    no-good row per refuted schedule. The tree appends each visit's rows
+    as a suffix. vhat's upper bound is the state's cap."""
     m = state.master
     s = m.s
     q = state.q
@@ -367,8 +353,12 @@ def _master_lp_rows(state: GoaState):
     fixed[3, u] = -1.0
     fixed[4 + relays, M + relays] = 1.0
     fixed[4 + relays, u0 + relays] = -m.hi[M:]
-    blocks = [_cut_rows(state, cut, i >= state.carried or cut.refuted)
-              for i, cut in enumerate(m.cuts)]
+    blocks = []
+    for i, cut in enumerate(m.cuts):
+        blocks.append(cut.at(q))
+        if i >= state.carried:
+            blocks.append(_no_good(m, cut.theta))
+    blocks += [_no_good(m, theta) for theta in m.refuted]
     A = np.vstack([fixed, *(rows for rows, _ in blocks)])
     b = np.concatenate([[-q * m.delta0, s.E0 - m.delta0,
                          float(state.bounds.up), -float(state.bounds.low)], np.zeros(N),
@@ -394,7 +384,7 @@ class _Node:
 
 
 def _log_bound(vhat: float, master: MasterModel) -> float:
-    # vhat = 0 (q = 0, every cut so far refuted its schedule) bounds log V' by -inf
+    # vhat = 0 (q = 0, every schedule so far refuted) bounds log V' by -inf
     return math.log(vhat * master.v_scale) if vhat > 0 else -math.inf
 
 
@@ -409,13 +399,14 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
     The warm schedule's primal comes first. Then one depth-first tree over
     the master's LP relaxation: at each integral node the schedule's primal
     updates the incumbent and the nonincreasing upper bound, its cut block
-    and no-good row are appended to the master, and the node goes back on
-    the stack. An open node whose LP predates the last rows or the last
-    cap re-solves warm from its own tableau. The tree prunes every node
-    whose bound reaches vhat's cap, so an exhausted tree certifies the
-    incumbent. The state extends master's pool: it starts from every cut
-    already there and adds its own, so a caller solving several q passes one
-    master to all of them. Without a master, a fresh one is built.
+    and no-good row (a refuted schedule's no-good row alone) are appended
+    to the master, and the node goes back on the stack. An open node whose
+    LP predates the last rows or the last cap re-solves warm from its own
+    tableau. The tree prunes every node whose bound reaches vhat's cap, so
+    an exhausted tree certifies the incumbent. The state extends master's
+    pool: it starts from every cut already there and adds its own, so a
+    caller solving several q passes one master to all of them. Without a
+    master, a fresh one is built.
     """
     if bounds is None:
         bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
@@ -430,13 +421,19 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
     state = GoaState(master=master, bounds=bounds, q=float(q), carried=len(master.cuts))
     u0, n_u = s.M + s.N, s.N
 
-    def visit(schedule: RelaySchedule) -> OaCut:
-        """One solved or refuted schedule; its cut joins the pool."""
+    def visit(schedule: RelaySchedule):
+        """One solved or refuted schedule: its master row blocks at this q."""
         state.iteration += 1
+        state.visited.append(schedule.theta)
         pp = assemble_primal(s, coeffs, schedule, q, target=target, scheme=scheme,
                              include_user_energy=include_user_energy)
-        sol = solve_primal(pp) if pp.feasible else None
-        if sol is not None:
+        blocks = [_no_good(master, schedule.theta)]
+        if not pp.feasible:
+            # infeasible at every q: later states keep its no-good row
+            state.refutation = pp.infeasible_reason
+            master.refuted.append(schedule.theta)
+        else:
+            sol = solve_primal(pp)
             state.newton_total += sol.newton_iterations
             state.backtracks += sol.backtracks
             state.primal_unconverged += not sol.converged
@@ -444,14 +441,10 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
                 state.ubd = sol.tilde_v
                 state.incumbent = sol
                 state.incumbent_schedule = schedule
-        else:
-            # infeasible at every q: later states keep its no-good row
-            state.refutation = pp.infeasible_reason
-        cut = build_oa_cuts(pp, sol, master)
-        master.cuts.append(cut)
-        state.visited.append(schedule.theta)
+            master.cuts.append(build_oa_cuts(pp, sol, master))
+            blocks.insert(0, master.cuts[-1].at(q))
         state.ubd_history.append(state.ubd)
-        return cut
+        return blocks
 
     visit(warm_schedule or RelaySchedule.from_indices(bounds.best_subset, s.N))
     c, A, b, lb, ub = _master_lp_rows(state)
@@ -477,15 +470,15 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
         frac = np.abs(u - np.round(u))
         undecided = np.flatnonzero((frac > 1e-6) & (node.lo < node.hi))
         if len(undecided) == 0:
-            if state.iteration >= GOA_MAX_ITER:
+            if len(master.cuts) - state.carried >= GOA_MAX_ITER:
                 state.termination = "iteration limit"
                 return state
             state.lbd = _log_bound(min(n.lp.objective for n in (*stack, node)), master)
             state.lbd_history.append(state.lbd)
             u_int = np.clip(np.round(u).astype(int), node.lo.astype(int), node.hi.astype(int))
-            rows, rhs = _cut_rows(state, visit(RelaySchedule(u_int)), no_good=True)
-            A = np.vstack([A, rows])
-            b = np.concatenate([b, rhs])
+            blocks = visit(RelaySchedule(u_int))
+            A = np.vstack([A, *(rows for rows, _ in blocks)])
+            b = np.concatenate([b, *(rhs for _, rhs in blocks)])
             ub[-1] = _vcap(state)
             stack.append(node)
             continue

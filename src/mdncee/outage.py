@@ -143,8 +143,8 @@ class OutageBreakdown:
     hops. It splits by the number K of fully-decoding relays: pr_A = P(K < M)
     (too few relays decode) and pr_B = P(K >= M, S < M) = total - pr_A,
     floored at 0, so total == pr_A + pr_B. zeta[K] is the probability that
-    exactly K selected relays decode everything. pr_e_h and pr_e_g are the
-    per-link failure probabilities (pr_e_g[j] = 1 for unselected relays).
+    exactly K selected relays decode everything. pr_e_g holds the relay-to-BS
+    link failure probabilities (pr_e_g[j] = 1 for unselected relays).
     certain_outage flags schedules with fewer than M relays, for which the BS
     can never collect M codewords.
     """
@@ -153,23 +153,17 @@ class OutageBreakdown:
     pr_B: float
     total: float
     zeta: np.ndarray
-    pr_e_h: np.ndarray
     pr_e_g: np.ndarray
     rho: np.ndarray
     certain_outage: bool = False
 
 
-def _per_link_failures(s: ScenarioConfig, coeffs: LinkCoefficients,
-                       schedule: RelaySchedule, powers: PowerAllocation):
-    pr_e_h = np.empty((s.M, s.N))
-    for i in range(s.M):
-        for j in range(s.N):
-            pr_e_h[i, j] = link_outage(coeffs.c_h[i, j], powers.p[i])
-    pr_e_g = np.array([
+def _relay_link_failures(s: ScenarioConfig, coeffs: LinkCoefficients,
+                         schedule: RelaySchedule, powers: PowerAllocation) -> np.ndarray:
+    return np.array([
         link_outage(coeffs.c_g[j], powers.p_relay[j] if schedule.u[j] else 0.0)
         for j in range(s.N)
     ])
-    return pr_e_h, pr_e_g
 
 
 def _poisson_binomial(r) -> np.ndarray:
@@ -196,19 +190,19 @@ def outage_exact(s: ScenarioConfig, coeffs: LinkCoefficients,
     """
     if schedule.count == 0:
         raise ValueError("schedule selects no relays")
-    pr_e_h, pr_e_g = _per_link_failures(s, coeffs, schedule, powers)
+    pr_e_g = _relay_link_failures(s, coeffs, schedule, powers)
     rho = np.array([relay_decode_prob(coeffs.c_h[:, j], powers.p) for j in schedule.theta])
     zeta = _poisson_binomial(rho)
 
     if schedule.count < s.M:
         return OutageBreakdown(pr_A=1.0, pr_B=0.0, total=1.0, zeta=zeta,
-                               pr_e_h=pr_e_h, pr_e_g=pr_e_g, rho=rho, certain_outage=True)
+                               pr_e_g=pr_e_g, rho=rho, certain_outage=True)
 
     r = rho * (1.0 - pr_e_g[list(schedule.theta)])
     pr_A = math.fsum(zeta[:s.M])
     pr_B = max(math.fsum(_poisson_binomial(r)[:s.M]) - pr_A, 0.0)
     return OutageBreakdown(pr_A=pr_A, pr_B=pr_B, total=pr_A + pr_B, zeta=zeta,
-                           pr_e_h=pr_e_h, pr_e_g=pr_e_g, rho=rho)
+                           pr_e_g=pr_e_g, rho=rho)
 
 
 # ---------------------------------------------------------------------------

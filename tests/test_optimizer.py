@@ -79,6 +79,27 @@ def test_budget_just_above_circuit_energy_names_the_refuting_primal(paper_scenar
     assert "above target 1.000e-03 at maximum admissible power for schedule" in sol.reason
 
 
+def test_nonc_schedule_feasible_for_its_worst_user_is_not_refuted(paper_scenario, paper_coeffs):
+    # with user energy in a tight budget, the max-power corner overspends E0,
+    # so the feasibility test runs at the budget's best point. Schedule (0,)
+    # meets 6.4e-3 for both users there (worst ratio about 0.99), but the
+    # point that minimizes the users' summed relative outage leaves the
+    # second user at 6.47e-3
+    from mdncee.simulate import brute_force_optimize
+
+    s = dataclasses.replace(paper_scenario, E0=266.167)
+    pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0], 4), 0.0,
+                         target=6.4e-3, scheme="nonc", include_user_energy=True)
+    assert pp.budget_pos.value(pp.hi) > pp.budget_cap
+    assert pp.feasible
+    assert np.all(pp.outage_at(pp.max_slack_point) <= 6.4e-3)
+    for solve in (dinkelbach_solve, brute_force_optimize):
+        sol = solve(s, paper_coeffs, 6.4e-3, scheme="nonc", include_user_energy=True)
+        assert sol.feasible, solve.__name__
+        assert sol.schedule.theta == (0,)
+        assert sol.ee == pytest.approx(933.345, rel=1e-6)
+
+
 def test_count_window_counts_user_energy_when_the_budget_does(paper_scenario, paper_coeffs):
     # half the users' minimum-power energy above gamma*3 + delta0: 3 relays
     # fit the relay-only budget but not the one that counts user energy
@@ -236,21 +257,43 @@ def test_g_cut_inactive_at_slack_anchor(paper_scenario, paper_coeffs):
     assert A[1] @ _anchor_z(master, pp, sol.x) < b[1]
 
 
-def test_infeasibility_cut_excludes_subsets_allows_supersets(paper_scenario, paper_coeffs):
+def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, monkeypatch):
     # the 2-relay subset (0, 2) cannot reach 1e-4 even at full power
-    sched = RelaySchedule.from_indices([0, 2], 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1000.0, target=1e-4)
-    assert not pp.feasible
-    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-4)
-    cut = build_oa_cuts(pp, None, master)
-    A, b = cut.at(1000.0)
-    # no objective row: row 0 is the outage row, row 1 the budget
-    assert cut.energy_row is None
-    assert A.shape[0] == 2
-    # at the anchor (its own schedule, full power) the cut is violated
-    assert A[0] @ _anchor_z(master, pp, pp.max_slack_point) > b[0]
-    # a superset gains slack through the extra relay's variable
-    assert A[0, 2 + 1] < 0 and A[0, 2 + 3] < 0
+    from mdncee import optimizer
+
+    s = paper_scenario
+    assert not assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 2], 4), q=1000.0,
+                               target=1e-4).feasible
+    rows = []
+    real_lp = optimizer.solve_lp
+
+    def recording_lp(c, A, b, lb, ub, warm=None):
+        rows.append((A.copy(), b.copy()))
+        return real_lp(c, A, b, lb, ub, warm=warm)
+
+    monkeypatch.setattr(optimizer, "solve_lp", recording_lp)
+    master = MasterModel(s, paper_coeffs, "mdnc", 1e-4)
+    state = goa_solve(s, paper_coeffs, 1000.0, 1e-4, master=master,
+                      warm_schedule=RelaySchedule.from_indices([0, 2], 4))
+    assert master.refuted[0] == (0, 2)
+    # the root LP holds the 4 + N fixed rows and the refuted schedule's row
+    A, b = rows[0]
+    assert A.shape[0] == 4 + s.N + 1
+    u0 = s.M + s.N
+    for k in range(s.N + 1):
+        for subset in combinations(range(s.N), k):
+            u = RelaySchedule.from_indices(subset, s.N).u
+            assert (A[-1, u0:u0 + s.N] @ u <= b[-1]) == (subset != (0, 2)), subset
+    # each later visit appends its rows: one if refuted, else a cut block
+    # (objective, outage, budget) and its no-good row
+    sizes = sorted({len(b) for _, b in rows})
+    grown = [after - before for before, after in zip(sizes, sizes[1:])]
+    assert grown == [1 if theta in master.refuted else 4 for theta in state.visited[1:]]
+    # a later q-state on the same master keeps the row and never visits (0, 2)
+    later = goa_solve(s, paper_coeffs, 1200.0, 1e-4, master=master)
+    _, A2, b2, _, _ = _master_lp_rows(later)
+    assert any(np.array_equal(r, A[-1]) and rhs == b[-1] for r, rhs in zip(A2, b2))
+    assert (0, 2) not in later.visited
 
 
 # -- master problem ----------------------------------------------------------
@@ -534,21 +577,15 @@ def test_each_cut_evaluates_each_outage_posynomial_once(paper_scenario, paper_co
     def counting_build(pp, sol, master):
         calls[0] = 0
         cut = real_build(pp, sol, master)
-        per_cut.append((calls[0], len(master.outage_full), cut.refuted))
+        per_cut.append((calls[0], len(master.outage_full)))
         return cut
 
     monkeypatch.setattr(Posynomial, "value_grad", counting_value_grad)
     monkeypatch.setattr(optimizer, "build_oa_cuts", counting_build)
     for target in (1e-2, 1e-3, 1e-4):
         dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
-    # and a refuted schedule's cut: no schedule meets a 1e-12 target
-    full = RelaySchedule.from_indices(range(paper_scenario.N), paper_scenario.N)
-    pp = assemble_primal(paper_scenario, paper_coeffs, full, 0.0, target=1e-12, scheme=scheme)
-    assert not pp.feasible
-    optimizer.build_oa_cuts(pp, None, MasterModel(paper_scenario, paper_coeffs, scheme, 1e-12))
-    assert per_cut and all(n == outage for n, outage, _ in per_cut)
-    assert {outage for _, outage, _ in per_cut} == {1 if scheme == "mdnc" else paper_scenario.M}
-    assert {refuted for _, _, refuted in per_cut} == {False, True}
+    assert per_cut and all(n == outage for n, outage in per_cut)
+    assert {outage for _, outage in per_cut} == {1 if scheme == "mdnc" else paper_scenario.M}
 
 
 @pytest.mark.parametrize("scheme", ["MDNC", ""])
@@ -573,18 +610,37 @@ def test_unknown_scheme_rejected(paper_scenario, paper_coeffs, entry, scheme):
         calls[entry]()
 
 
-def test_goa_matches_brute_force_at_eight_relays():
-    # the N = 8, M = 2 scenario that bench/workloads.random_scenario draws from seed [1, 8, 2]
+@pytest.mark.parametrize("M,scheme", [(2, "mdnc"), (3, "mdnc"), (3, "nonc")])
+def test_goa_matches_brute_force_at_eight_relays(M, scheme):
+    # the N = 8 scenario that bench/workloads.random_scenario draws from seed
+    # [1, 8, M]; at M = 3 most first-state visits refute their schedule
     from mdncee.simulate import brute_force_optimize
 
-    s = _random_small_scenario(np.random.default_rng([1, 8, 2]), M=2, N=8)
+    s = _random_small_scenario(np.random.default_rng([1, 8, M]), M=M, N=8)
+    coeffs = build_link_coefficients(s)
+    goa = dinkelbach_solve(s, coeffs, 1e-3, scheme=scheme)
+    brute = brute_force_optimize(s, coeffs, 1e-3, scheme=scheme)
+    assert goa.schedule.theta == brute.schedule.theta
+    assert goa.ee >= brute.ee * (1.0 - 1e-3)
+    assert goa.diagnostics["goa_unconverged"] == 0
+    if scheme == "mdnc":
+        # the second q-state starts from the first one's cuts and closes at once
+        assert [i["goa_iterations"] for i in goa.diagnostics["inner"]][1:] == [1]
+
+
+def test_goa_certifies_brute_force_answer_at_ten_relays():
+    # (M, N) = (3, 10) MDNC: the first q-state refutes most of the 4-relay
+    # schedules it visits; a refutation costs one master row and does not
+    # count toward GOA_MAX_ITER, so every tree closes with a certificate
+    from mdncee.simulate import brute_force_optimize
+
+    s = _random_small_scenario(np.random.default_rng([1, 10, 3]), M=3, N=10)
     coeffs = build_link_coefficients(s)
     goa = dinkelbach_solve(s, coeffs, 1e-3)
     brute = brute_force_optimize(s, coeffs, 1e-3)
+    assert goa.diagnostics["goa_unconverged"] == 0
     assert goa.schedule.theta == brute.schedule.theta
-    assert goa.ee >= brute.ee * (1.0 - 1e-3)
-    # the second q-state starts from the first one's cuts and closes at once
-    assert [i["goa_iterations"] for i in goa.diagnostics["inner"]][1:] == [1]
+    assert goa.ee == pytest.approx(brute.ee, rel=1e-9)
 
 
 def grid_maximize_toy_ratio(s, coeffs, sched, target):
