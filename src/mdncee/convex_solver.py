@@ -62,17 +62,19 @@ MAX_NEWTON = 200
 @dataclass
 class PrimalProblem:
     """Assembled fixed-schedule problem: min log V'(x) subject to outage,
-    budget and box constraints, all posynomial-backed."""
+    budget and box constraints, all posynomial-backed. Only the objective
+    depends on q, so one problem serves every q: vprime(q) builds it."""
 
     s: ScenarioConfig
     coeffs: LinkCoefficients
     schedule: RelaySchedule
-    q: float
     scheme: str
     targets: np.ndarray                 # one outage cap (MDNC) or M per-user caps (NoNC)
     lo: np.ndarray                      # box lower bounds on x
     hi: np.ndarray                      # box upper bounds on x
-    vprime: Posynomial                  # objective inside: tilde V = log vprime
+    circuit: float                      # V' constant (circuit energy, unselected c_j), times q
+    energy: np.ndarray                  # V' weights on e^x, times q
+    obj_coef: float                     # V' weight of the outage posynomials
     outage_pos: list[Posynomial]        # constraint posynomial(s), same order as targets
     budget_pos: Posynomial              # grid energy draw, exponential part + constants
     budget_cap: float                   # budget_pos(x) <= budget_cap
@@ -84,17 +86,19 @@ class PrimalProblem:
     def dim(self) -> int:
         return len(self.lo)
 
-    def split(self, x):
-        return np.asarray(x[: self.s.M]), np.asarray(x[self.s.M:])
-
     def powers(self, x) -> PowerAllocation:
-        ptilde, ptr = self.split(x)
         full = np.zeros(self.s.N)
-        full[list(self.schedule.theta)] = ptr
-        return powers_from_log(self.coeffs, self.schedule, ptilde, full)
+        full[list(self.schedule.theta)] = x[self.s.M:]
+        return powers_from_log(self.coeffs, self.schedule, x[:self.s.M], full)
 
     def outage_at(self, x) -> np.ndarray:
         return np.array([pos.value(x) for pos in self.outage_pos])
+
+    def vprime(self, q: float) -> Posynomial:
+        """V'(x) at q, whose log is the objective tilde V."""
+        return _stacked(self.dim, ([q * self.circuit], np.zeros(self.dim)),
+                        (q * self.energy, np.eye(self.dim)),
+                        *((self.obj_coef * pos.coeffs, pos.expos) for pos in self.outage_pos))
 
 
 @dataclass
@@ -111,12 +115,9 @@ class PrimalSolution:
     first user at P_S_max.
     """
 
-    x: np.ndarray
-    ptilde: np.ndarray
-    ptilde_relay: np.ndarray            # selected relays only, schedule order
+    x: np.ndarray                       # (ptilde_1..M, ptilde' of the selected relays)
     powers: PowerAllocation
     tilde_v: float
-    vprime: float
     outage_approx: np.ndarray
     converged: bool
     newton_iterations: int
@@ -166,7 +167,7 @@ def log_power_model(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
 
 
 def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
-                    q: float, target: float | None = None, scheme: str = "mdnc",
+                    target: float, scheme: str = "mdnc",
                     include_user_energy: bool = False) -> PrimalProblem:
     """Build the fixed-schedule problem and pre-check feasibility.
 
@@ -174,12 +175,10 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     corner minimizes it; if even that corner misses the target (with the
     budget honored), the problem is marked infeasible. Otherwise the point
     that minimizes the worst relative outage within the budget is kept as
-    the primal's start anchor.
+    the primal's start anchor. No q enters: the constraints, the
+    feasibility test and the anchor hold at every q, and solve_primal takes
+    the q.
     """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if target is None:
-        target = s.pr_out_target
     n = schedule.count
     selected = schedule.theta
 
@@ -190,20 +189,17 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     keep = np.r_[np.arange(s.M), s.M + np.array(selected, dtype=int)]
     lo, hi = lo[keep], hi[keep]
     dim = len(keep)
-    zero, eye = np.zeros(dim), np.eye(dim)
     relay = energy[s.M:]
 
     # The -c_j offsets of the substituted relay powers move into the budget
     # cap; in V' the unselected relays keep their c_j, as at ptilde'_j = 0 in
     # the master's all-relay model.
     unselected = float(np.sum(np.delete(relay, list(selected))))
-    vprime = _stacked(dim, ([q * (gamma * n + delta0 + unselected)], zero),
-                      (q * energy[keep], eye),
-                      *((obj_coef * pos.coeffs, pos.expos) for pos in outage_pos))
-    budget = _stacked(dim, ([gamma * n + delta0], zero), (budget_w[keep], eye))
+    budget = _stacked(dim, ([gamma * n + delta0], np.zeros(dim)), (budget_w[keep], np.eye(dim)))
     budget_cap = s.E0 + float(np.sum(relay[list(selected)]))
-    pp = PrimalProblem(s=s, coeffs=coeffs, schedule=schedule, q=q, scheme=scheme,
-                       targets=targets, lo=lo, hi=hi, vprime=vprime,
+    pp = PrimalProblem(s=s, coeffs=coeffs, schedule=schedule, scheme=scheme,
+                       targets=targets, lo=lo, hi=hi, circuit=gamma * n + delta0 + unselected,
+                       energy=energy[keep], obj_coef=obj_coef,
                        outage_pos=outage_pos, budget_pos=budget, budget_cap=budget_cap,
                        feasible=True)
 
@@ -459,15 +455,18 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
     return x, newton_total, stages, kkt, exhausted, backtracks
 
 
-def solve_primal(pp: PrimalProblem) -> PrimalSolution:
-    """Solve the assembled problem to duality gap below GAP_TOL.
+def solve_primal(pp: PrimalProblem, q: float) -> PrimalSolution:
+    """Solve the assembled problem at q >= 0 to duality gap below GAP_TOL.
 
     Deterministic given its inputs: fixed start (box midpoint, bisected
     toward the max-slack corner until strictly feasible), fixed barrier and
     line-search rules.
     """
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     if not pp.feasible:
         raise ValueError(f"primal problem is infeasible: {pp.infeasible_reason}")
+    vprime = pp.vprime(q)
 
     span = pp.hi - pp.lo
     anchor = np.clip(pp.max_slack_point, pp.lo + 1e-9 * span, pp.hi - 1e-9 * span)
@@ -479,26 +478,21 @@ def solve_primal(pp: PrimalProblem) -> PrimalSolution:
             x0 = 0.5 * (x0 + anchor)
 
     x, newton_total, stages, kkt, exhausted, backtracks = _barrier_minimize(
-        objective=pp.vprime,
+        objective=vprime,
         log_constraints=[(pos, np.log(t)) for pos, t in zip(pp.outage_pos, pp.targets)],
         linear_constraints=[(pp.budget_pos, pp.budget_cap)],
         lo=pp.lo, hi=pp.hi, starts=starts(),
     )
 
-    ptilde, ptr = pp.split(x)
-    powers = pp.powers(x)
-    out = pp.outage_at(x)
-    tv = pp.vprime.logvalue(x)
     return PrimalSolution(
-        x=x, ptilde=ptilde, ptilde_relay=ptr, powers=powers, tilde_v=tv,
-        vprime=float(np.exp(tv)), outage_approx=out, converged=not exhausted,
-        newton_iterations=newton_total, barrier_stages=stages,
+        x=x, powers=pp.powers(x), tilde_v=vprime.logvalue(x), outage_approx=pp.outage_at(x),
+        converged=not exhausted, newton_iterations=newton_total, barrier_stages=stages,
         kkt_residual=kkt, backtracks=backtracks,
     )
 
 
-def gradients(pp: PrimalProblem, x) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of tilde V and of g = Pr_out - target at x.
+def gradients(pp: PrimalProblem, q: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradients of tilde V at q and of g = Pr_out - target at x.
 
     Returns (grad_tilde_v, grad_g) with grad_g one row per outage constraint
     (a single row for MDNC). Checked against central differences in the
@@ -506,6 +500,6 @@ def gradients(pp: PrimalProblem, x) -> tuple[np.ndarray, np.ndarray]:
     posynomials instead (optimizer.build_oa_cuts).
     """
     x = np.asarray(x, dtype=float)
-    vprime, grad_vprime = pp.vprime.value_grad(x)
+    vprime, grad_vprime = pp.vprime(q).value_grad(x)
     gg = np.vstack([pos.value_grad(x)[1] for pos in pp.outage_pos])
     return grad_vprime / vprime, gg

@@ -216,16 +216,24 @@ def load_scenario(path) -> ScenarioConfig:
     if missing:
         raise ScenarioError(f"{path}: missing field(s) {', '.join(missing)}")
 
+    def convert(name, kind):
+        # M and N must be integer literals: int() would truncate N = 4.5
+        try:
+            if kind is int and type(raw[name]) is not int:
+                raise ValueError("not an integer literal")
+            return np.asarray(raw[name], dtype=float) if kind is np.ndarray else kind(raw[name])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{path}: bad value {raw[name]!r} for {name!r}: {exc}") from exc
+
     if "T" not in raw:
         # Default slot length: one codeword of X_bits bits at rate alpha0.
         if "X_bits" not in raw:
             raise ScenarioError(f"{path}: give either T or X_bits (slot = X_bits/alpha0 seconds)")
-        raw["T"] = float(raw["X_bits"]) / float(raw["alpha0"])
-    raw.pop("X_bits", None)
+        raw["T"] = convert("X_bits", float) / convert("alpha0", float)
 
-    kwargs = {n: int(raw[n]) for n in _SCALARS_INT}
-    kwargs.update({n: float(raw[n]) for n in _SCALARS})
-    kwargs.update({n: np.asarray(raw[n], dtype=float) for n in _ARRAYS})
+    kwargs = {n: convert(n, int) for n in _SCALARS_INT}
+    kwargs.update({n: convert(n, float) for n in _SCALARS})
+    kwargs.update({n: convert(n, np.ndarray) for n in _ARRAYS})
     return ScenarioConfig(**kwargs)
 
 

@@ -295,7 +295,7 @@ class GoaState:
     ubd_history: list[float] = field(default_factory=list)
     lbd_history: list[float] = field(default_factory=list)
     incumbent: PrimalSolution | None = None
-    incumbent_schedule: RelaySchedule | None = None
+    incumbent_problem: PrimalProblem | None = None
     refutation: str | None = None       # infeasible_reason of the last refuted primal
     iteration: int = 0
     newton_total: int = 0
@@ -390,23 +390,25 @@ def _log_bound(vhat: float, master: MasterModel) -> float:
 
 def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: float,
               scheme: str = "mdnc", bounds: CountBounds | None = None,
-              warm_schedule: RelaySchedule | None = None,
+              warm: PrimalProblem | None = None,
               include_user_energy: bool = False,
               master: MasterModel | None = None) -> GoaState:
     """Outer approximation for one fixed q as one branch-and-bound tree
     (LP/NLP-based, Quesada and Grossmann 1992): returns the final state.
 
-    The warm schedule's primal comes first. Then one depth-first tree over
-    the master's LP relaxation: at each integral node the schedule's primal
-    updates the incumbent and the nonincreasing upper bound, its cut block
-    and no-good row (a refuted schedule's no-good row alone) are appended
-    to the master, and the node goes back on the stack. An open node whose
-    LP predates the last rows or the last cap re-solves warm from its own
-    tableau. The tree prunes every node whose bound reaches vhat's cap, so
-    an exhausted tree certifies the incumbent. The state extends master's
-    pool: it starts from every cut already there and adds its own, so a
-    caller solving several q passes one master to all of them. Without a
-    master, a fresh one is built.
+    The warm problem comes first: a problem assembled for this scenario,
+    target and scheme, solved here at q (by default, best_subset's). Then
+    one depth-first tree over the master's LP relaxation: at each integral
+    node the schedule's problem is assembled and its primal updates the
+    incumbent (kept with its problem) and the nonincreasing upper bound,
+    its cut block and no-good row (a refuted schedule's no-good row alone)
+    are appended to the master, and the node goes back on the stack. An
+    open node whose LP predates the last rows or the last cap re-solves
+    warm from its own tableau. The tree prunes every node whose bound
+    reaches vhat's cap, so an exhausted tree certifies the incumbent. The
+    state extends master's pool: it starts from every cut already there
+    and adds its own, so a caller solving several q passes one master to
+    all of them. Without a master, a fresh one is built.
     """
     if bounds is None:
         bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
@@ -421,32 +423,34 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
     state = GoaState(master=master, bounds=bounds, q=float(q), carried=len(master.cuts))
     u0, n_u = s.M + s.N, s.N
 
-    def visit(schedule: RelaySchedule):
+    def assemble(schedule: RelaySchedule) -> PrimalProblem:
+        return assemble_primal(s, coeffs, schedule, target, scheme, include_user_energy)
+
+    def visit(pp: PrimalProblem):
         """One solved or refuted schedule: its master row blocks at this q."""
+        theta = pp.schedule.theta
         state.iteration += 1
-        state.visited.append(schedule.theta)
-        pp = assemble_primal(s, coeffs, schedule, q, target=target, scheme=scheme,
-                             include_user_energy=include_user_energy)
-        blocks = [_no_good(master, schedule.theta)]
+        state.visited.append(theta)
+        blocks = [_no_good(master, theta)]
         if not pp.feasible:
             # infeasible at every q: later states keep its no-good row
             state.refutation = pp.infeasible_reason
-            master.refuted.append(schedule.theta)
+            master.refuted.append(theta)
         else:
-            sol = solve_primal(pp)
+            sol = solve_primal(pp, q)
             state.newton_total += sol.newton_iterations
             state.backtracks += sol.backtracks
             state.primal_unconverged += not sol.converged
             if sol.tilde_v < state.ubd:
                 state.ubd = sol.tilde_v
                 state.incumbent = sol
-                state.incumbent_schedule = schedule
+                state.incumbent_problem = pp
             master.cuts.append(build_oa_cuts(pp, sol, master))
             blocks.insert(0, master.cuts[-1].at(q))
         state.ubd_history.append(state.ubd)
         return blocks
 
-    visit(warm_schedule or RelaySchedule.from_indices(bounds.best_subset, s.N))
+    visit(warm or assemble(RelaySchedule.from_indices(bounds.best_subset, s.N)))
     c, A, b, lb, ub = _master_lp_rows(state)
 
     def relax(lo_u, hi_u, warm=None) -> _Node:
@@ -476,7 +480,7 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
             state.lbd = _log_bound(min(n.lp.objective for n in (*stack, node)), master)
             state.lbd_history.append(state.lbd)
             u_int = np.clip(np.round(u).astype(int), node.lo.astype(int), node.hi.astype(int))
-            blocks = visit(RelaySchedule(u_int))
+            blocks = visit(assemble(RelaySchedule(u_int)))
             A = np.vstack([A, *(rows for rows, _ in blocks)])
             b = np.concatenate([b, *(rhs for _, rhs in blocks)])
             ub[-1] = _vcap(state)
@@ -524,57 +528,53 @@ class Solution:
     reason: str | None = None
 
 
-def _assemble_solution(s, coeffs, scheme, target, schedule, sol: PrimalSolution,
-                       q: float, diagnostics: dict) -> Solution:
-    e = total_energy(s, schedule, sol.powers, scheme)
-    exact = exact_outage(s, coeffs, scheme, schedule, sol.powers)
-    approx = float(sol.outage_approx[0]) if scheme == "mdnc" else sol.outage_approx.copy()
-    return Solution(feasible=True, scheme=scheme, target=target, schedule=schedule,
-                    powers=sol.powers, ee=energy_efficiency(s, exact, e, scheme),
+def _assemble_solution(pp: PrimalProblem, sol: PrimalSolution, target: float, q: float,
+                       diagnostics: dict) -> Solution:
+    e = total_energy(pp.s, pp.schedule, sol.powers, pp.scheme)
+    exact = exact_outage(pp.s, pp.coeffs, pp.scheme, pp.schedule, sol.powers)
+    approx = float(sol.outage_approx[0]) if pp.scheme == "mdnc" else sol.outage_approx.copy()
+    return Solution(feasible=True, scheme=pp.scheme, target=target, schedule=pp.schedule,
+                    powers=sol.powers, ee=energy_efficiency(pp.s, exact, e, pp.scheme),
                     pr_out_exact=exact, pr_out_approx=approx,
                     energy=e, q_star=q, diagnostics=diagnostics)
 
 
-def _max_slack_ratio(s, coeffs, schedule, target, scheme, include_user_energy) -> float | None:
-    """Starting ratio of a schedule: its bits/energy ratio at the max-slack point.
+def _max_slack_ratio(pp: PrimalProblem) -> float:
+    """Starting ratio of a feasible problem: its bits/energy ratio at the
+    max-slack point.
 
     Using the ratio of an admissible point keeps the q-sequence nondecreasing
-    from the first update on. None when even that point violates the
-    approximate-outage cap.
+    from the first update on.
     """
-    pp = assemble_primal(s, coeffs, schedule, 0.0, target=target, scheme=scheme,
-                         include_user_energy=include_user_energy)
-    if not pp.feasible:
-        return None
     x_hi = np.clip(pp.max_slack_point, pp.lo, pp.hi)
-    e = total_energy(s, schedule, pp.powers(x_hi), scheme)
-    return max(delivered_rate(s, pp.outage_at(x_hi), scheme) / e.e_tot, 0.0)
+    e = total_energy(pp.s, pp.schedule, pp.powers(x_hi), pp.scheme)
+    return max(delivered_rate(pp.s, pp.outage_at(x_hi), pp.scheme) / e.e_tot, 0.0)
 
 
-def _parametric_value(s: ScenarioConfig, scheme: str, schedule: RelaySchedule,
-                     sol: PrimalSolution, q: float) -> tuple[float, float]:
+def _parametric_value(pp: PrimalProblem, sol: PrimalSolution, q: float) -> tuple[float, float]:
     """V(q) = delivered rate - q*E_tot at a primal point (approximate outage),
     and the point's own bits/energy ratio."""
-    e = total_energy(s, schedule, sol.powers, scheme)
-    numer = delivered_rate(s, sol.outage_approx, scheme)
+    e = total_energy(pp.s, pp.schedule, sol.powers, pp.scheme)
+    numer = delivered_rate(pp.s, sol.outage_approx, pp.scheme)
     return numer - q * e.e_tot, numer / e.e_tot
 
 
-def _dinkelbach_loop(s, scheme, inner_solve, q0: float, warm: RelaySchedule):
-    """Shared q-iteration: inner_solve(q, warm) -> (schedule, PrimalSolution, info).
+def _dinkelbach_loop(inner_solve, q0: float, warm: PrimalProblem):
+    """Shared q-iteration: inner_solve(q, warm) -> (PrimalProblem, PrimalSolution,
+    info), warm the previous incumbent's problem, which no q-state assembles again.
 
     Stops when the inner maximum of V(q) is within tolerance of zero; the
     reported q is then the incumbent's own bits/energy ratio.
     """
     q = q0
-    schedule = warm
+    pp = warm
     q_history: list[float] = []
     v_history: list[float] = []
     infos: list[dict] = []
-    tol = DINKELBACH_TOL_REL * s.M * s.alpha0
+    tol = DINKELBACH_TOL_REL * warm.s.M * warm.s.alpha0
     for theta in range(1, DINKELBACH_MAX_ITER + 1):
-        schedule, sol, info = inner_solve(q, schedule)
-        v, ratio = _parametric_value(s, scheme, schedule, sol, q)
+        pp, sol, info = inner_solve(q, pp)
+        v, ratio = _parametric_value(pp, sol, q)
         q_history.append(q)
         v_history.append(v)
         infos.append(info)
@@ -585,7 +585,7 @@ def _dinkelbach_loop(s, scheme, inner_solve, q0: float, warm: RelaySchedule):
                 "v_history": v_history,
                 "inner": infos,
             }
-            return schedule, sol, diagnostics, ratio
+            return pp, sol, diagnostics, ratio
         q = ratio
     raise RuntimeError(
         f"parametric q-iteration did not converge in {DINKELBACH_MAX_ITER} rounds "
@@ -596,27 +596,27 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
                      scheme: str = "mdnc", include_user_energy: bool = False) -> Solution:
     """Full pipeline: count bounds, then q-iterations with a GOA inner solve.
 
-    Each new q warm-starts from the previous incumbent schedule, and every
-    q-state extends one master model: it starts from all earlier cuts and
-    the no-goods of refuted schedules. Returns the final operating point
-    with the exact outage re-evaluated at the returned powers; the
-    approximate-vs-exact gap is surfaced in the solution fields.
+    Each new q warm-starts from the previous incumbent's problem, assembled
+    once, and every q-state extends one master model: it starts from all
+    earlier cuts and the no-goods of refuted schedules. Returns the final
+    operating point with the exact outage re-evaluated at the returned
+    powers; the approximate-vs-exact gap is surfaced in the solution fields.
     """
     bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
     if not bounds.feasible:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
 
-    schedule0 = RelaySchedule.from_indices(bounds.best_subset, s.N)
-    q0 = _max_slack_ratio(s, coeffs, schedule0, target, scheme, include_user_energy)
-    if q0 is None:
-        q0 = 0.0   # the first inner solve then behaves as pure outage minimization
+    pp0 = assemble_primal(s, coeffs, RelaySchedule.from_indices(bounds.best_subset, s.N),
+                          target, scheme, include_user_energy)
+    # infeasible: the first inner solve then behaves as pure outage minimization
+    q0 = _max_slack_ratio(pp0) if pp0.feasible else 0.0
     master = MasterModel(s, coeffs, scheme, target, include_user_energy)
     states: list[GoaState] = []
 
     def inner(q, warm):
         st = goa_solve(s, coeffs, q, target, scheme=scheme, bounds=bounds,
-                       warm_schedule=warm, include_user_energy=include_user_energy,
+                       warm=warm, include_user_energy=include_user_energy,
                        master=master)
         states.append(st)
         if st.incumbent is None:
@@ -631,10 +631,10 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
             "visited": list(st.visited),
             "termination": st.termination,
         }
-        return st.incumbent_schedule, st.incumbent, info
+        return st.incumbent_problem, st.incumbent, info
 
     try:
-        schedule, sol, diagnostics, q_final = _dinkelbach_loop(s, scheme, inner, q0, schedule0)
+        pp, sol, diagnostics, q_final = _dinkelbach_loop(inner, q0, pp0)
     except _InfeasibleInner as exc:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no feasible schedule in the relay-count window: {exc}")
@@ -647,7 +647,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     # q-states that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
     diagnostics["cuts_total"] = sum(st.iteration for st in states)
-    return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)
+    return _assemble_solution(pp, sol, target, q_final, diagnostics)
 
 
 class _InfeasibleInner(Exception):
@@ -665,25 +665,24 @@ def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
                               schedule: RelaySchedule, target: float, scheme: str = "mdnc",
                               include_user_energy: bool = False) -> Solution | None:
     """q-iterations with the schedule frozen (no master): the per-subset solver
-    the brute-force oracle is built on. None when the subset is infeasible."""
-    q0 = _max_slack_ratio(s, coeffs, schedule, target, scheme, include_user_energy)
-    if q0 is None:
+    the brute-force oracle is built on. The schedule's problem is assembled
+    once and solved at each q. None when the subset is infeasible."""
+    pp = assemble_primal(s, coeffs, schedule, target, scheme, include_user_energy)
+    if not pp.feasible:
         return None
 
     sols: list[PrimalSolution] = []
 
     def inner(q, warm):
-        pp = assemble_primal(s, coeffs, schedule, q, target=target, scheme=scheme,
-                             include_user_energy=include_user_energy)
-        sol = solve_primal(pp)
+        sol = solve_primal(pp, q)
         sols.append(sol)
-        return schedule, sol, {"newton_iterations": sol.newton_iterations}
+        return pp, sol, {"newton_iterations": sol.newton_iterations}
 
-    schedule, sol, diagnostics, q_final = _dinkelbach_loop(s, scheme, inner, q0, schedule)
+    _, sol, diagnostics, q_final = _dinkelbach_loop(inner, _max_slack_ratio(pp), pp)
     diagnostics["newton_total"] = sum(p.newton_iterations for p in sols)
     diagnostics["backtracks"] = sum(p.backtracks for p in sols)
     diagnostics["primal_unconverged"] = sum(not p.converged for p in sols)
-    return _assemble_solution(s, coeffs, scheme, target, schedule, sol, q_final, diagnostics)
+    return _assemble_solution(pp, sol, target, q_final, diagnostics)
 
 
 def fixed_schedule_value(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
@@ -692,9 +691,8 @@ def fixed_schedule_value(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: 
     """max V(q) over the powers of one schedule, by one primal at q; None when
     the schedule is infeasible. By Dinkelbach's lemma the schedule's best
     ratio exceeds q only if this is positive."""
-    pp = assemble_primal(s, coeffs, schedule, q, target=target, scheme=scheme,
-                         include_user_energy=include_user_energy)
+    pp = assemble_primal(s, coeffs, schedule, target, scheme, include_user_energy)
     if not pp.feasible:
         return None
-    v, _ = _parametric_value(s, scheme, schedule, solve_primal(pp), q)
+    v, _ = _parametric_value(pp, solve_primal(pp, q), q)
     return v

@@ -1,10 +1,21 @@
 import os
+import tempfile
 
 import pytest
 
 from mdncee.model import ScenarioConfig, build_link_coefficients, load_scenario
 
 SCENARIO_PATH = os.path.join(os.path.dirname(__file__), "..", "scenarios", "paper.cfg")
+
+# Hypothesis keeps its example database and constants cache in a temporary
+# home that is removed at exit, so a test run writes nothing into the checkout
+try:
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:     # only the property tests need hypothesis
+    pass
+else:
+    _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="mdncee-hypothesis-")
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

@@ -145,13 +145,13 @@ def _log_gradient(pos, x):
 def test_criterion_05_convexity_certificates(paper_scenario, paper_coeffs):
     start = time.time()
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1300.0, target=1e-3)
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-3)
     rng = np.random.default_rng(505)
     span = pp.hi - pp.lo
     min_eig = np.inf
     for _ in range(100):
         x = rng.uniform(pp.lo + 0.02 * span, pp.hi - 0.02 * span)
-        h_tv = _fd_hessian(lambda z: gradients(pp, z)[0], x)
+        h_tv = _fd_hessian(lambda z: gradients(pp, 1300.0, z)[0], x)
         h_out = _fd_hessian(lambda z: _log_gradient(pp.outage_pos[0], z), x)
         min_eig = min(min_eig, np.linalg.eigvalsh(h_tv).min(), np.linalg.eigvalsh(h_out).min())
     elapsed = time.time() - start
@@ -162,20 +162,21 @@ def test_criterion_05_convexity_certificates(paper_scenario, paper_coeffs):
 def test_criterion_06_gradient_correctness(paper_scenario, paper_coeffs):
     start = time.time()
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1300.0, target=1e-3)
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-3)
+    vprime = pp.vprime(1300.0)
     rng = np.random.default_rng(606)
     span = pp.hi - pp.lo
     worst = 0.0
     h = 1e-6
     for _ in range(100):
         x = rng.uniform(pp.lo + 0.02 * span, pp.hi - 0.02 * span)
-        gtv, gg = gradients(pp, x)
+        gtv, gg = gradients(pp, 1300.0, x)
         fd_tv = np.zeros(pp.dim)
         fd_g = np.zeros(pp.dim)
         for k in range(pp.dim):
             e = np.zeros(pp.dim)
             e[k] = h
-            fd_tv[k] = (pp.vprime.logvalue(x + e) - pp.vprime.logvalue(x - e)) / (2 * h)
+            fd_tv[k] = (vprime.logvalue(x + e) - vprime.logvalue(x - e)) / (2 * h)
             fd_g[k] = (pp.outage_pos[0].value(x + e) - pp.outage_pos[0].value(x - e)) / (2 * h)
         worst = max(worst,
                     np.linalg.norm(fd_tv - gtv) / np.linalg.norm(gtv),

@@ -78,6 +78,29 @@ def test_invalid_scenario_exits_2(tmp_path):
     assert run_cli(["sweep", str(bad), "--targets", "1e-3", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("line, malformed", [
+    ("N = 4", "N = 4.5"),
+    ("P_S_max = 10.0", 'P_S_max = "ten"'),
+    ("sigma_g = [5.0213, 4.6821, 3.4823, 0.8667]", 'sigma_g = "abc"'),
+], ids=["N", "P_S_max", "sigma_g"])
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_malformed_scenario_value_exits_2_naming_the_field(tmp_path, capsys, line, malformed,
+                                                           command):
+    # int() once loaded N = 4.5 as N = 4, and a string where a number
+    # belongs escaped as a bare ValueError with exit code 1
+    from mdncee.model import ScenarioError, load_scenario
+
+    field = line.split(" = ")[0]
+    lines = read(SCENARIO_PATH).split("\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(malformed if x.split("#")[0].strip() == line else x for x in lines))
+    with pytest.raises(ScenarioError, match=f"for '{field}'"):
+        load_scenario(bad)
+    assert run_cli([command, str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and f"for '{field}'" in err
+
+
 def test_all_targets_infeasible_exits_3(tmp_path):
     assert run_cli(["sweep", SCENARIO_PATH, "--targets", "1e-12",
                     "--out", str(tmp_path / "o")]) == 3

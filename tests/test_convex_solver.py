@@ -14,7 +14,10 @@ from mdncee.posynomial import Posynomial
 @pytest.fixture(scope="module")
 def primal(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
-    return assemble_primal(paper_scenario, paper_coeffs, sched, q=1300.0, target=1e-3)
+    return assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-3)
+
+
+Q = 1300.0   # the q the primal fixture is solved at
 
 
 def interior_points(pp, count, seed):
@@ -26,14 +29,15 @@ def interior_points(pp, count, seed):
 def test_gradients_match_central_differences(primal):
     pp = primal
     h = 1e-6
+    vprime = pp.vprime(Q)
     for x in interior_points(pp, 25, 7):
-        gtv, gg = gradients(pp, x)
+        gtv, gg = gradients(pp, Q, x)
         fd_tv = np.zeros(pp.dim)
         fd_g = np.zeros(pp.dim)
         for k in range(pp.dim):
             e = np.zeros(pp.dim)
             e[k] = h
-            fd_tv[k] = (pp.vprime.logvalue(x + e) - pp.vprime.logvalue(x - e)) / (2 * h)
+            fd_tv[k] = (vprime.logvalue(x + e) - vprime.logvalue(x - e)) / (2 * h)
             fd_g[k] = (pp.outage_pos[0].value(x + e) - pp.outage_pos[0].value(x - e)) / (2 * h)
         assert np.linalg.norm(fd_tv - gtv) <= 1e-5 * np.linalg.norm(gtv)
         assert np.linalg.norm(fd_g - gg[0]) <= 1e-5 * np.linalg.norm(gg[0])
@@ -43,21 +47,21 @@ def test_gradient_zero_on_unselected_relay(paper_scenario, paper_coeffs):
     # variables of unselected relays are eliminated: the gradient vector has
     # exactly M + count entries, nothing for the relay that is off
     sched = RelaySchedule.from_indices([0, 3], 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=900.0, target=1e-2)
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-2)
     x = 0.5 * (pp.lo + pp.hi)
-    gtv, gg = gradients(pp, x)
+    gtv, gg = gradients(pp, 900.0, x)
     assert gtv.shape == (paper_scenario.M + 2,)
     assert gg.shape == (1, paper_scenario.M + 2)
 
 
 def test_gradient_of_outage_nonpositive_at_max_power(primal):
     pp = primal
-    gtv, gg = gradients(pp, pp.hi)
+    gtv, gg = gradients(pp, Q, pp.hi)
     assert np.all(gg[0] <= 0)
 
 
 def test_solver_reaches_kkt_tolerance(primal):
-    sol = solve_primal(primal)
+    sol = solve_primal(primal, Q)
     assert sol.converged
     assert sol.kkt_residual <= 1e-7
     assert np.all(sol.x >= primal.lo) and np.all(sol.x <= primal.hi)
@@ -77,8 +81,8 @@ def test_every_paper_primal_reaches_kkt_tolerance(paper_scenario, paper_coeffs, 
 
     solutions = []
 
-    def recorded(pp):
-        solutions.append(solve_primal(pp))
+    def recorded(pp, q):
+        solutions.append(solve_primal(pp, q))
         return solutions[-1]
 
     monkeypatch.setattr(optimizer, "solve_primal", recorded)
@@ -97,10 +101,10 @@ def test_answer_does_not_depend_on_intermediate_centering(paper_scenario, paper_
     # loose early stages reach the same final point as stages centered to
     # NEWTON_TOL, in at most 0.6 times the Newton steps
     pp = assemble_primal(paper_scenario, paper_coeffs, RelaySchedule.from_indices(relays, 4),
-                         q=q, target=1e-3, scheme=scheme)
-    default = solve_primal(pp)
+                         target=1e-3, scheme=scheme)
+    default = solve_primal(pp, q)
     monkeypatch.setattr(convex_solver, "CENTERING_TOL", convex_solver.NEWTON_TOL)
-    tight = solve_primal(pp)
+    tight = solve_primal(pp, q)
     assert default.converged and tight.converged
     assert default.x == pytest.approx(tight.x, rel=1e-10)
     assert default.tilde_v == pytest.approx(tight.tilde_v, rel=1e-12)
@@ -108,8 +112,8 @@ def test_answer_does_not_depend_on_intermediate_centering(paper_scenario, paper_
 
 
 def test_solver_deterministic(primal):
-    a = solve_primal(primal)
-    b = solve_primal(primal)
+    a = solve_primal(primal, Q)
+    b = solve_primal(primal, Q)
     assert np.array_equal(a.x, b.x)
     assert a.tilde_v == b.tilde_v
     assert a.newton_iterations == b.newton_iterations
@@ -117,24 +121,25 @@ def test_solver_deterministic(primal):
 
 def test_loose_target_interior_stationarity(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1300.0, target=0.9999)
-    sol = solve_primal(pp)
-    assert np.linalg.norm(gradients(pp, sol.x)[0]) <= 1e-7
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=0.9999)
+    sol = solve_primal(pp, 1300.0)
+    assert np.linalg.norm(gradients(pp, 1300.0, sol.x)[0]) <= 1e-7
 
 
 def test_tightening_target_raises_optimum(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
     values = []
     for target in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5):
-        pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1300.0, target=target)
-        values.append(solve_primal(pp).tilde_v)
+        pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=target)
+        values.append(solve_primal(pp, 1300.0).tilde_v)
     assert values == sorted(values)
 
 
 def test_toy_matches_dense_grid(toy_scenario, toy_coeffs):
     sched = RelaySchedule.from_indices([0], 1)
-    pp = assemble_primal(toy_scenario, toy_coeffs, sched, q=3000.0, target=1e-3)
-    sol = solve_primal(pp)
+    pp = assemble_primal(toy_scenario, toy_coeffs, sched, target=1e-3)
+    sol = solve_primal(pp, 3000.0)
+    vprime = pp.vprime(3000.0)
     grid = np.linspace(0.0, 1.0, 401)
     best = np.inf
     for a in grid:
@@ -143,25 +148,25 @@ def test_toy_matches_dense_grid(toy_scenario, toy_coeffs):
             x1 = pp.lo[1] + b * (pp.hi[1] - pp.lo[1])
             x = np.array([x0, x1])
             if pp.outage_pos[0].value(x) <= 1e-3 and pp.budget_pos.value(x) <= pp.budget_cap:
-                best = min(best, pp.vprime.logvalue(x))
+                best = min(best, vprime.logvalue(x))
     assert sol.tilde_v <= best + 1e-4 * abs(best)
     assert sol.tilde_v == pytest.approx(best, rel=1e-4)
 
 
 def test_infeasible_marker_below_relay_minimum(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([2], 4)   # 1 < M = 2 relays
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1000.0, target=1e-3)
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-3)
     assert not pp.feasible
     assert "relays" in pp.infeasible_reason
 
 
 def test_infeasible_marker_unreachable_target(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 2], 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1000.0, target=1e-6)
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-6)
     assert not pp.feasible
     assert pp.max_slack_point is not None
     with pytest.raises(ValueError):
-        solve_primal(pp)
+        solve_primal(pp, 1000.0)
 
 
 @pytest.mark.parametrize("include_user_energy", [False, True])
@@ -171,7 +176,7 @@ def test_infeasible_marker_circuit_energy_over_budget(paper_scenario, paper_coef
     # the circuit energy gamma*n + delta0 of three relays alone overspends E0
     gamma, delta0, _, _ = scheme_constants(paper_scenario, scheme)
     s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0 - 1.0)
-    pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4), q=1000.0,
+    pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4),
                          target=1e-2, scheme=scheme, include_user_energy=include_user_energy)
     assert not pp.feasible
     assert "energy budget" in pp.infeasible_reason
@@ -183,23 +188,22 @@ def test_max_slack_start_lowers_user_powers_under_counted_user_energy(paper_scen
     # overspend it, so the start point must lower the user powers as well
     gamma, delta0, _, _ = scheme_constants(paper_scenario, "mdnc")
     s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0 + 1e-3)
-    pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4), q=1000.0,
+    pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4),
                          target=1e-2, include_user_energy=True)
     assert pp.budget_pos.value(pp.max_slack_point) < pp.budget_cap
 
 
 def test_always_feasible_at_vacuous_target(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 2], 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1000.0, target=0.999999)
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=0.999999)
     assert pp.feasible
 
 
 def test_nonc_primal_per_user_caps(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 2], 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1500.0, target=1e-3,
-                         scheme="nonc")
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-3, scheme="nonc")
     assert len(pp.outage_pos) == paper_scenario.M
-    sol = solve_primal(pp)
+    sol = solve_primal(pp, 1500.0)
     assert np.all(sol.outage_approx <= 1e-3 * (1 + 1e-9))
 
 
@@ -218,10 +222,10 @@ def test_line_search_failure_is_flagged(monkeypatch):
     assert exhausted
 
 
-def barrier_stack(pp):
-    """The stacked barrier problem that solve_primal minimizes."""
+def barrier_stack(pp, q):
+    """The stacked barrier problem that solve_primal minimizes at q."""
     return convex_solver._BarrierStack(
-        pp.vprime, [(pos, np.log(t)) for pos, t in zip(pp.outage_pos, pp.targets)],
+        pp.vprime(q), [(pos, np.log(t)) for pos, t in zip(pp.outage_pos, pp.targets)],
         [(pp.budget_pos, pp.budget_cap)], pp.lo, pp.hi)
 
 
@@ -232,8 +236,8 @@ def test_barrier_merit_derivatives_match_central_differences(paper_scenario, pap
     # the Newton step uses t*(log V')'' + barrier'' from the stacked kernel;
     # check that merit's gradient and Hessian against its own values
     pp = assemble_primal(paper_scenario, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4),
-                         q=1300.0, target=1e-3, scheme=scheme)
-    stack = barrier_stack(pp)
+                         target=1e-3, scheme=scheme)
+    stack = barrier_stack(pp, 1300.0)
 
     def merit(x):
         fv, bv = stack.value(x)
@@ -248,7 +252,7 @@ def test_barrier_merit_derivatives_match_central_differences(paper_scenario, pap
     start = 0.5 * (pp.lo + pp.hi)
     while stack.value(start) is None:
         start = 0.5 * (start + pp.max_slack_point)
-    x_opt = solve_primal(pp).x
+    x_opt = solve_primal(pp, 1300.0).x
     points = [x_opt + a * (start - x_opt) for a in np.linspace(0.05, 0.95, 8)]
     for x in points:
         (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
@@ -283,12 +287,12 @@ def test_primal_energy_model_matches_master_at_all_relays(paper_scenario, paper_
     rng = np.random.default_rng(41)
     m = MasterModel(s, paper_coeffs, scheme, 1e-3, include_user_energy)
     for q in (0.0, 350.0, 1300.0):
-        pp = assemble_primal(s, paper_coeffs, full, q, target=1e-3, scheme=scheme,
+        pp = assemble_primal(s, paper_coeffs, full, target=1e-3, scheme=scheme,
                              include_user_energy=include_user_energy)
         for x in interior_points(pp, 10, int(rng.integers(1 << 30))):
             # build_oa_cuts reads only the solution's point
             A, b = build_oa_cuts(pp, SimpleNamespace(x=x), m).at(q)
-            v, g = pp.vprime.value_grad(x)
+            v, g = pp.vprime(q).value_grad(x)
             assert A[0, :dim] @ x + A[0, dim:dim + s.N] @ ones - b[0] == pytest.approx(v, rel=1e-13)
             assert A[0, :dim] == pytest.approx(g, rel=1e-13, abs=1e-13 * v)
             bv, bg = pp.budget_pos.value_grad(x)

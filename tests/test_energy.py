@@ -155,11 +155,11 @@ def test_primal_objective_matches_tilde_v_oracle(paper_scenario, paper_coeffs, q
     rng = np.random.default_rng([43, int(q)])
     for subset in ([0, 1], [0, 2, 3], [1, 2, 3], [0, 1, 2, 3]):
         sched = RelaySchedule.from_indices(subset, 4)
-        pp = assemble_primal(paper_scenario, paper_coeffs, sched, q, target=1e-3)
+        pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-3)
         for _ in range(5):
             x = rng.uniform(pp.lo, pp.hi)
             want = tilde_v(q, paper_scenario, paper_coeffs, sched, x[:2], x[2:])
-            assert pp.vprime.logvalue(x) == pytest.approx(want, abs=1e-12)
+            assert pp.vprime(q).logvalue(x) == pytest.approx(want, abs=1e-12)
 
 
 def test_nonc_energy_reduces_to_mdnc_for_single_user(paper_scenario, two_relay_point):
@@ -201,7 +201,7 @@ def test_energy_breakdown_matches_linear_model(paper_scenario, paper_coeffs, sch
     seen = set()
     for n in range(1, s.N + 1):
         sched = RelaySchedule.from_indices(rng.choice(s.N, n, replace=False).tolist(), s.N)
-        pp = assemble_primal(s, paper_coeffs, sched, 0.0, target=1e-3, scheme=scheme,
+        pp = assemble_primal(s, paper_coeffs, sched, target=1e-3, scheme=scheme,
                              include_user_energy=include_user_energy)
         for _ in range(20):
             x = rng.uniform(pp.lo, pp.hi)

@@ -88,7 +88,7 @@ def test_nonc_schedule_feasible_for_its_worst_user_is_not_refuted(paper_scenario
     from mdncee.simulate import brute_force_optimize
 
     s = dataclasses.replace(paper_scenario, E0=266.167)
-    pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0], 4), 0.0,
+    pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0], 4),
                          target=6.4e-3, scheme="nonc", include_user_energy=True)
     assert pp.budget_pos.value(pp.hi) > pp.budget_cap
     assert pp.feasible
@@ -186,8 +186,8 @@ def _vhat_floor(master, row, rhs, z):
 @pytest.fixture(scope="module")
 def anchor(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=1300.0, target=1e-3)
-    sol = solve_primal(pp)
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-3)
+    sol = solve_primal(pp, 1300.0)
     master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-3)
     return pp, sol, master, build_oa_cuts(pp, sol, master)
 
@@ -207,12 +207,13 @@ def test_cut_reproduces_anchor_value(anchor):
 
 def test_cut_underestimates_objective_on_anchor_schedule(anchor):
     pp, sol, master, _ = anchor
-    grad_tilde_v = gradients(pp, sol.x)[0]
+    grad_tilde_v = gradients(pp, 1300.0, sol.x)[0]
+    vprime = pp.vprime(1300.0)
     rng = np.random.default_rng(13)
     for _ in range(100):
         x = rng.uniform(pp.lo, pp.hi)
         cut_val = sol.tilde_v + grad_tilde_v @ (x - sol.x)
-        assert cut_val <= pp.vprime.logvalue(x) + 1e-9
+        assert cut_val <= vprime.logvalue(x) + 1e-9
 
 
 def _check_objective_row_underestimates_vprime(master, cut, q):
@@ -249,8 +250,8 @@ def test_carried_objective_cut_underestimates_vprime_at_another_q(anchor, q):
 
 def test_g_cut_inactive_at_slack_anchor(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices(range(4), 4)
-    pp = assemble_primal(paper_scenario, paper_coeffs, sched, q=800.0, target=1e-2)
-    sol = solve_primal(pp)
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-2)
+    sol = solve_primal(pp, 800.0)
     master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-2)
     A, b = build_oa_cuts(pp, sol, master).at(800.0)
     # row 1 is the outage row (row 0 the objective, row 2 the budget)
@@ -262,8 +263,8 @@ def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, 
     from mdncee import optimizer
 
     s = paper_scenario
-    assert not assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 2], 4), q=1000.0,
-                               target=1e-4).feasible
+    refuted = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 2], 4), target=1e-4)
+    assert not refuted.feasible
     rows = []
     real_lp = optimizer.solve_lp
 
@@ -273,8 +274,7 @@ def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, 
 
     monkeypatch.setattr(optimizer, "solve_lp", recording_lp)
     master = MasterModel(s, paper_coeffs, "mdnc", 1e-4)
-    state = goa_solve(s, paper_coeffs, 1000.0, 1e-4, master=master,
-                      warm_schedule=RelaySchedule.from_indices([0, 2], 4))
+    state = goa_solve(s, paper_coeffs, 1000.0, 1e-4, master=master, warm=refuted)
     assert master.refuted[0] == (0, 2)
     # the root LP holds the 4 + N fixed rows and the refuted schedule's row
     A, b = rows[0]
@@ -431,8 +431,8 @@ def test_backtracks_sum_the_primals(paper_scenario, paper_coeffs, monkeypatch, s
 
     seen = []
 
-    def recording(pp):
-        sol = solve_primal(pp)
+    def recording(pp, q):
+        sol = solve_primal(pp, q)
         seen.append(sol.backtracks)
         return sol
 
@@ -476,6 +476,34 @@ PAPER_MASTER_RESULTS = {
     ("nonc", 1e-4): ((0, 2), 7, 7, 532.2684733770477),
     ("nonc", 1e-5): ((0, 2), 7, 7, 526.9936995595244),
 }
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_each_schedule_is_assembled_once_per_solve(paper_scenario, paper_coeffs, monkeypatch,
+                                                   scheme):
+    # only the objective depends on q, so a solve assembles each schedule it
+    # visits once: best_subset serves both q0 and the first visit, and a
+    # later q-state's warm visit reuses the incumbent's problem
+    from mdncee import optimizer
+
+    assembled = []
+    real = optimizer.assemble_primal
+
+    def counting(*args, **kwargs):
+        pp = real(*args, **kwargs)
+        assembled.append(pp.schedule.theta)
+        return pp
+
+    monkeypatch.setattr(optimizer, "assemble_primal", counting)
+    sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
+    visited = {theta for info in sol.diagnostics["inner"] for theta in info["visited"]}
+    assert len(sol.diagnostics["inner"]) > 1
+    assert sorted(assembled) == sorted(visited)
+    assembled.clear()
+    sched = RelaySchedule.from_indices([0, 1, 2], 4)
+    sol = dinkelbach_fixed_schedule(paper_scenario, paper_coeffs, sched, 1e-3, scheme=scheme)
+    assert sol.diagnostics["dinkelbach_iterations"] > 1
+    assert assembled == [(0, 1, 2)]
 
 
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
@@ -682,10 +710,10 @@ def test_dinkelbach_toy_matches_grid_maximization(toy_scenario, toy_coeffs):
 def test_vacuous_target_gives_unconstrained_optimum(toy_scenario, toy_coeffs):
     sched = RelaySchedule.from_indices([0], 1)
     sol = dinkelbach_fixed_schedule(toy_scenario, toy_coeffs, sched, 0.999999)
-    pp = assemble_primal(toy_scenario, toy_coeffs, sched, sol.q_star, target=0.999999)
+    pp = assemble_primal(toy_scenario, toy_coeffs, sched, target=0.999999)
     from mdncee.convex_solver import gradients
     x = np.concatenate([np.log(sol.powers.p), np.log1p(sol.powers.p_relay / toy_coeffs.c_g)])
-    gtv, _ = gradients(pp, x)
+    gtv, _ = gradients(pp, sol.q_star, x)
     at_cap = np.isclose(x, pp.hi, atol=1e-6)
     assert np.all((np.abs(gtv) <= 1e-5) | at_cap)
 

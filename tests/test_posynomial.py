@@ -49,8 +49,8 @@ def test_value_grad_equals_parts_bitwise(paper_scenario, paper_coeffs):
     s = paper_scenario
     sched = RelaySchedule.from_indices(range(s.N), s.N)
     for scheme in ("mdnc", "nonc"):
-        pp = assemble_primal(s, paper_coeffs, sched, q=800.0, target=1e-2, scheme=scheme)
-        sol = solve_primal(pp)
+        pp = assemble_primal(s, paper_coeffs, sched, target=1e-2, scheme=scheme)
+        sol = solve_primal(pp, 800.0)
         master = MasterModel(s, paper_coeffs, scheme, 1e-2)
         cut = build_oa_cuts(pp, sol, master)
         x = sol.x    # every relay is selected, so the anchor needs no lifting
