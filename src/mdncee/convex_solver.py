@@ -113,6 +113,10 @@ class PrimalSolution:
     stays large however tightly the last stage is centered: 4.0e-5 on the
     benchmark's pool_scenario(0), NoNC at 1e-3, schedule (0, 2), with the
     first user at P_S_max.
+
+    A solve given a cutoff may stop early, with lower_bound set: x is
+    then a strictly feasible point of an earlier barrier stage, not the
+    optimum, and converged only says that no stage it ran was exhausted.
     """
 
     x: np.ndarray                       # (ptilde_1..M, ptilde' of the selected relays)
@@ -124,6 +128,7 @@ class PrimalSolution:
     barrier_stages: int
     kkt_residual: float
     backtracks: int                     # rejected line-search trials
+    lower_bound: float | None = None    # bound on the optimal tilde_v when stopped at a cutoff
 
 
 def _stacked(dim: int, *parts) -> Posynomial:
@@ -305,10 +310,13 @@ class _BarrierStack:
         constraints), the linear constraints' values and the stacked terms; None
         off the open box, where the exponentials may overflow.
 
-        The last evaluation inside the box is kept: a Newton iterate is the
-        line search's accepted trial, so derivatives there reuse value's pass.
+        The last evaluation inside the box is kept with the array it was made
+        at: a Newton iterate is the line search's accepted trial, the very
+        array value saw, so derivatives there reuse value's pass. A hit is
+        tested by identity, which is exact because no iterate is ever
+        mutated in place: every new point is a new array.
         """
-        if self._last is not None and np.array_equal(self._last[0], x):
+        if self._last is not None and self._last[0] is x:
             return self._last[1]
         box = np.concatenate((self.hi - x, x - self.lo))
         if box.min() <= 0:
@@ -319,7 +327,7 @@ class _BarrierStack:
         values[k:] = segment_values(zmax[k:], sums[k:])
         slack = np.concatenate((box, self.caps - values[1:]))
         evaluated = values[0], slack, values[k:], e, sums
-        self._last = np.array(x, dtype=float), evaluated
+        self._last = x, evaluated
         return evaluated
 
     def value(self, x):
@@ -364,28 +372,54 @@ class _BarrierStack:
         bh.flat[::dim + 1] += box[:dim] ** 2 + box[dim:] ** 2
         return (fv, fg, fh), (-np.log(slack).sum(), bg, bh)
 
+    def lower_bound(self, x, mu, fv, fg, bg) -> float:
+        """A lower bound on min log P0 over the constraints and the closed
+        box, from an interior x, the barrier weight mu and derivatives(x).
 
-def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints, lo, hi, starts):
+        Weak duality (Boyd and Vandenberghe, Convex Optimization, 2004,
+        sections 5.2 and 11.2): each constraint f_i < 0 takes the multiplier
+        mu/slack_i > 0, and the box stays a hard constraint. The Lagrangian
+        L(z) = log P0(z) + sum_i mu*f_i(z)/slack_i is convex, so its minimum
+        over the box is at least L(x) + min over the box of g.(z - x), with
+        g = grad L(x), and a linear function takes its minimum over a box at
+        one end of every coordinate. L(x) = log P0(x) - n_c*mu, since
+        f_i(x) = -slack_i, and g is fg plus mu times the barrier gradient bg
+        without its box terms. The bound holds at any interior x, centered
+        or not.
+        """
+        g = fg + mu * (bg - 1.0 / (self.hi - x) + 1.0 / (x - self.lo))
+        return float(fv - len(self.caps) * mu
+                     + np.minimum(g * (self.lo - x), g * (self.hi - x)).sum())
+
+
+def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints, lo, hi, starts,
+                      cutoff: float | None = None):
     """Minimize log(objective(x)) over the box and the constraints.
 
     log_constraints holds (posynomial, cap) pairs meaning log P(x) < cap,
     linear_constraints pairs meaning P(x) < cap. The barrier starts from the
     first of the candidate points in starts that is strictly feasible.
     Returns (x, newton_iterations, barrier_stages, kkt_residual, exhausted,
-    backtracks), backtracks counting rejected line-search trials.
-    Implements the pinned schedule: barrier weight mu from 1 by factors of
-    10 until (#inequalities)*mu < GAP_TOL, damped Newton inside. A stage
-    ends when lambda^2/2 (half the squared Newton decrement) is at most
-    max(tol, eps*(|t*log objective| + |barrier|)), with t = 1/mu and eps
-    the machine epsilon: below that round-off floor of the merit the Armijo
-    test cannot tell a step from noise. tol is CENTERING_TOL in the stages
-    that only warm-start the next one and NEWTON_TOL in the last, which
-    certifies the gap. When the last stage meets its test it takes the full
-    Newton step just computed, if that step stays strictly feasible, and
-    counts it. Each point is evaluated once: line-search trials by value,
-    and the accepted trial's terms are reused for its derivatives.
+    backtracks, lower_bound), backtracks counting rejected line-search
+    trials. Implements the pinned schedule: barrier weight mu from 1 by
+    factors of 10 until (#inequalities)*mu < GAP_TOL, damped Newton inside.
+    A stage ends when lambda^2/2 (half the squared Newton decrement) is at
+    most max(tol, eps*(|t*log objective| + |barrier|)), with t = 1/mu and
+    eps the machine epsilon: below that round-off floor of the merit the
+    Armijo test cannot tell a step from noise. tol is CENTERING_TOL in the
+    stages that only warm-start the next one and NEWTON_TOL in the last,
+    which certifies the gap. When the last stage meets its test it takes the
+    full Newton step just computed, if that step stays strictly feasible,
+    and counts it. Each point is evaluated once: line-search trials by
+    value, and the accepted trial's terms are reused for its derivatives.
     exhausted is set when a stage spends MAX_NEWTON steps or backtracking
     finds no acceptable step.
+
+    With a cutoff, every stage but the last ends with the duality bound of
+    _BarrierStack.lower_bound at its point; once that bound reaches the
+    cutoff, the optimum cannot lie below it, and the solve stops there and
+    returns the bound as lower_bound (None when it ran to the end). Without
+    a stop, the iterates are the same as without a cutoff.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -396,7 +430,6 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
             break
     else:
         raise RuntimeError("no candidate barrier start point is strictly feasible")
-    x = x.copy()
     dim = len(x)
     m_ineq = 2 * dim + len(stack.caps)
     eps = np.finfo(float).eps
@@ -406,6 +439,7 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
     backtracks = 0
     stages = 0
     exhausted = False
+    lower = None
     (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
     while True:
         stages += 1
@@ -422,10 +456,12 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
             decrement2 = float(-grad @ step)
             base = t * fv + bv
             if decrement2 / 2.0 <= max(tol, eps * (abs(t * fv) + abs(bv))):
-                if last and stack.value(x + step) is not None:
-                    x = x + step
-                    newton_total += 1
-                    (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
+                if last:
+                    xn = x + step
+                    if stack.value(xn) is not None:
+                        x = xn
+                        newton_total += 1
+                        (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
                 break
             # backtracking: stay strictly feasible, then Armijo
             slope = float(grad @ step)
@@ -448,19 +484,29 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
             exhausted = True   # Newton budget spent before reaching tolerance
         if last:
             break
+        if cutoff is not None:
+            bound = stack.lower_bound(x, mu, fv, fg, bg)
+            if bound >= cutoff:
+                lower = bound
+                break
         mu /= 10.0
 
     # KKT stationarity residual of the original problem at the final iterate
     kkt = float(np.linalg.norm(fg + mu * bg))
-    return x, newton_total, stages, kkt, exhausted, backtracks
+    return x, newton_total, stages, kkt, exhausted, backtracks, lower
 
 
-def solve_primal(pp: PrimalProblem, q: float) -> PrimalSolution:
+def solve_primal(pp: PrimalProblem, q: float, cutoff: float | None = None) -> PrimalSolution:
     """Solve the assembled problem at q >= 0 to duality gap below GAP_TOL.
 
     Deterministic given its inputs: fixed start (box midpoint, bisected
     toward the max-slack corner until strictly feasible), fixed barrier and
-    line-search rules.
+    line-search rules. With a cutoff on log V', the solve stops after the
+    first barrier stage whose duality bound on the optimum reaches it (see
+    _barrier_minimize): the returned point is strictly feasible, and
+    lower_bound holds the bound, so the schedule's optimal tilde_v at q is
+    at least cutoff. A solve that does not stop returns the same solution
+    as one without a cutoff.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -477,17 +523,17 @@ def solve_primal(pp: PrimalProblem, q: float) -> PrimalSolution:
             yield x0
             x0 = 0.5 * (x0 + anchor)
 
-    x, newton_total, stages, kkt, exhausted, backtracks = _barrier_minimize(
+    x, newton_total, stages, kkt, exhausted, backtracks, lower = _barrier_minimize(
         objective=vprime,
         log_constraints=[(pos, np.log(t)) for pos, t in zip(pp.outage_pos, pp.targets)],
         linear_constraints=[(pp.budget_pos, pp.budget_cap)],
-        lo=pp.lo, hi=pp.hi, starts=starts(),
+        lo=pp.lo, hi=pp.hi, starts=starts(), cutoff=cutoff,
     )
 
     return PrimalSolution(
         x=x, powers=pp.powers(x), tilde_v=vprime.logvalue(x), outage_approx=pp.outage_at(x),
         converged=not exhausted, newton_iterations=newton_total, barrier_stages=stages,
-        kkt_residual=kkt, backtracks=backtracks,
+        kkt_residual=kkt, backtracks=backtracks, lower_bound=lower,
     )
 
 

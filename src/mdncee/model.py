@@ -229,7 +229,11 @@ def load_scenario(path) -> ScenarioConfig:
         # Default slot length: one codeword of X_bits bits at rate alpha0.
         if "X_bits" not in raw:
             raise ScenarioError(f"{path}: give either T or X_bits (slot = X_bits/alpha0 seconds)")
-        raw["T"] = convert("X_bits", float) / convert("alpha0", float)
+        alpha0 = convert("alpha0", float)
+        if not alpha0 > 0:
+            raise ScenarioError(f"{path}: bad value {raw['alpha0']!r} for 'alpha0': "
+                                "the slot T = X_bits/alpha0 needs a positive rate")
+        raw["T"] = convert("X_bits", float) / alpha0
 
     kwargs = {n: convert(n, int) for n in _SCALARS_INT}
     kwargs.update({n: convert(n, float) for n in _SCALARS})

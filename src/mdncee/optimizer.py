@@ -185,7 +185,9 @@ class MasterModel:
     every q >= 0. The budget draws budget . e^x + gamma*sum(u) + delta0
     against E0 plus the relays' -c_j offsets. cuts holds the cut block of
     every primal solved so far, in creation order; refuted lists the
-    schedules whose primal was infeasible, which no q can change.
+    schedules whose primal was infeasible, which no q can change. problems
+    keeps every assembled schedule's PrimalProblem, which holds no q, so a
+    later q-state's revisit reuses it.
     """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
@@ -203,6 +205,7 @@ class MasterModel:
         self.v_scale = s.M * s.alpha0    # master works in v / v_scale units
         self.cuts: list[OaCut] = []
         self.refuted: list[tuple[int, ...]] = []
+        self.problems: dict[tuple[int, ...], PrimalProblem] = {}
 
 
 @dataclass(frozen=True)
@@ -236,7 +239,9 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution, master: MasterModel) -
     unselected ones). The rows linearize there, in this order: the
     objective, each outage constraint minus its target, and the budget.
     They are fixed once built and hold at every q; the master only stacks
-    them.
+    them. Every row linearizes a convex function of x, so it underestimates
+    that function at any anchor: a primal stopped at its cutoff anchors a
+    valid cut too.
     """
     s = master.s
     u0 = s.M + s.N
@@ -280,7 +285,10 @@ class GoaState:
     cut blocks the state started with. A visit is a solved primal, which
     builds one cut block, or a refuted schedule (its assembled primal is
     infeasible, so no barrier solve runs), which joins master.refuted:
-    iteration counts the visits and visited lists their schedules.
+    iteration counts the visits and visited lists their schedules. A primal
+    stopped at the tree's cap (primal_stopped) is a solved primal whose
+    schedule cannot beat the incumbent: it builds its cut block but never
+    becomes the incumbent.
     lbd_history holds the tree's bound as each schedule after the first
     was picked.
     """
@@ -300,7 +308,8 @@ class GoaState:
     iteration: int = 0
     newton_total: int = 0
     backtracks: int = 0                 # rejected line-search trials of its primals
-    primal_unconverged: int = 0         # primal solves that returned converged=False
+    primal_unconverged: int = 0         # primal solves that ran to the end with converged=False
+    primal_stopped: int = 0             # primal solves stopped at the cap by their duality bound
     master_lps: int = 0
     master_pivots: int = 0
     master_nodes: int = 0               # branch-and-bound nodes entered
@@ -308,12 +317,20 @@ class GoaState:
     termination: str = ""
 
 
+def _log_cap(state: GoaState) -> float | None:
+    """The cap in log V' units, None before an incumbent exists: a schedule
+    whose optimum reaches it cannot beat the incumbent by more than
+    GOA_REL_TOL."""
+    if math.isfinite(state.ubd):
+        return state.ubd - GOA_REL_TOL * (1.0 + abs(state.ubd))
+    return None
+
+
 def _vcap(state: GoaState) -> float:
     """The cap on vhat: a schedule whose master bound reaches it cannot beat
     the incumbent by more than GOA_REL_TOL, so the tree prunes it."""
-    if math.isfinite(state.ubd):
-        return math.exp(state.ubd - GOA_REL_TOL * (1.0 + abs(state.ubd))) / state.master.v_scale
-    return 1e9
+    cap = _log_cap(state)
+    return 1e9 if cap is None else math.exp(cap) / state.master.v_scale
 
 
 def _no_good(master: MasterModel, theta: tuple[int, ...]):
@@ -399,16 +416,21 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
     The warm problem comes first: a problem assembled for this scenario,
     target and scheme, solved here at q (by default, best_subset's). Then
     one depth-first tree over the master's LP relaxation: at each integral
-    node the schedule's problem is assembled and its primal updates the
-    incumbent (kept with its problem) and the nonincreasing upper bound,
-    its cut block and no-good row (a refuted schedule's no-good row alone)
-    are appended to the master, and the node goes back on the stack. An
-    open node whose LP predates the last rows or the last cap re-solves
-    warm from its own tableau. The tree prunes every node whose bound
-    reaches vhat's cap, so an exhausted tree certifies the incumbent. The
-    state extends master's pool: it starts from every cut already there
-    and adds its own, so a caller solving several q passes one master to
-    all of them. Without a master, a fresh one is built.
+    node the schedule's problem is taken from master.problems, or assembled
+    and kept there, and its primal updates the incumbent (kept with its
+    problem) and the nonincreasing upper bound, its cut block and no-good
+    row (a refuted schedule's no-good row alone) are appended to the
+    master, and the node goes back on the stack. Once an incumbent exists,
+    each primal runs with the cap as its cutoff and stops as soon as its
+    duality bound shows the schedule cannot beat the incumbent; the
+    stopped point anchors the cut block, and the schedule's no-good row
+    excludes it from this tree. An open node whose LP predates the last
+    rows or the last cap re-solves warm from its own tableau. The tree
+    prunes every node whose bound reaches vhat's cap, so an exhausted tree
+    certifies the incumbent. The state extends master's pool: it starts
+    from every cut already there and adds its own, so a caller solving
+    several q passes one master to all of them. Without a master, a fresh
+    one is built.
     """
     if bounds is None:
         bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
@@ -424,11 +446,15 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
     u0, n_u = s.M + s.N, s.N
 
     def assemble(schedule: RelaySchedule) -> PrimalProblem:
-        return assemble_primal(s, coeffs, schedule, target, scheme, include_user_energy)
+        pp = master.problems.get(schedule.theta)
+        if pp is None:
+            pp = assemble_primal(s, coeffs, schedule, target, scheme, include_user_energy)
+        return pp
 
     def visit(pp: PrimalProblem):
         """One solved or refuted schedule: its master row blocks at this q."""
         theta = pp.schedule.theta
+        master.problems.setdefault(theta, pp)
         state.iteration += 1
         state.visited.append(theta)
         blocks = [_no_good(master, theta)]
@@ -437,14 +463,18 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
             state.refutation = pp.infeasible_reason
             master.refuted.append(theta)
         else:
-            sol = solve_primal(pp, q)
+            sol = solve_primal(pp, q, cutoff=_log_cap(state))
             state.newton_total += sol.newton_iterations
             state.backtracks += sol.backtracks
-            state.primal_unconverged += not sol.converged
-            if sol.tilde_v < state.ubd:
-                state.ubd = sol.tilde_v
-                state.incumbent = sol
-                state.incumbent_problem = pp
+            if sol.lower_bound is not None:
+                # its optimum reaches the cap, whatever tilde_v the stopped point has
+                state.primal_stopped += 1
+            else:
+                state.primal_unconverged += not sol.converged
+                if sol.tilde_v < state.ubd:
+                    state.ubd = sol.tilde_v
+                    state.incumbent = sol
+                    state.incumbent_problem = pp
             master.cuts.append(build_oa_cuts(pp, sol, master))
             blocks.insert(0, master.cuts[-1].at(q))
         state.ubd_history.append(state.ubd)
@@ -644,6 +674,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     for counter in ("master_lps", "master_pivots", "master_nodes"):
         diagnostics[counter] = sum(getattr(st, counter) for st in states)
     diagnostics["primal_unconverged"] = sum(st.primal_unconverged for st in states)
+    diagnostics["primal_stopped"] = sum(st.primal_stopped for st in states)
     # q-states that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
     diagnostics["cuts_total"] = sum(st.iteration for st in states)
@@ -687,12 +718,26 @@ def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
 
 def fixed_schedule_value(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
                          q: float, target: float, scheme: str = "mdnc",
-                         include_user_energy: bool = False) -> float | None:
-    """max V(q) over the powers of one schedule, by one primal at q; None when
-    the schedule is infeasible. By Dinkelbach's lemma the schedule's best
-    ratio exceeds q only if this is positive."""
+                         include_user_energy: bool = False) -> tuple[float, bool] | None:
+    """max V(q) over the powers of one schedule, by one primal at q, and
+    whether that primal stopped; None when the schedule is infeasible. By
+    Dinkelbach's lemma the schedule's best ratio exceeds q only if max V(q)
+    is positive.
+
+    V(q) = obj_coef*K - V'(x) + q*W, with K the number of outages and W the
+    summed energy weights of all relays (log_power_model), so max V(q) <= 0
+    exactly when the optimal log V' is at least log(obj_coef*K + q*W). The
+    primal takes that level as its cutoff. When it stops there, the value
+    returned is the bound obj_coef*K + q*W - exp(lower_bound) <= 0 on max
+    V(q), not max V(q) itself.
+    """
     pp = assemble_primal(s, coeffs, schedule, target, scheme, include_user_energy)
     if not pp.feasible:
         return None
-    v, _ = _parametric_value(pp, solve_primal(pp, q), q)
-    return v
+    energy, _, _, _ = log_power_model(s, coeffs, scheme, include_user_energy)
+    zero = pp.obj_coef * len(pp.outage_pos) + q * float(np.sum(energy[s.M:]))
+    sol = solve_primal(pp, q, cutoff=math.log(zero))
+    if sol.lower_bound is not None:
+        return zero - math.exp(sol.lower_bound), True
+    v, _ = _parametric_value(pp, sol, q)
+    return v, False

@@ -236,7 +236,9 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
       are skipped with no primal at all;
     * sign test (Dinkelbach): a subset can beat q* only if max V(q*) > 0,
       so one primal at q* decides it, and only a subset with V > 0 is
-      q-iterated.
+      q-iterated. The primal stops early once its duality bound shows
+      max V(q*) <= 0 (fixed_schedule_value), which leaves the decision
+      unchanged.
 
     The winner's q-iteration is the same call as in plain enumeration, so
     its solution is the same to the last bit. Two differences remain: a
@@ -244,7 +246,8 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     skipped, and a subset that exactly ties best_subset leaves best_subset
     the winner even when it comes first in enumeration order. diagnostics
     counts subsets_tried (subsets whose primal was solved, as a screen or
-    a q-iteration), subsets_pruned (cut by count) and q_iterations.
+    a q-iteration), subsets_pruned (cut by count), q_iterations and
+    primal_stopped (sign tests whose primal stopped at its bound).
     """
     if s.N > ENUM_GUARD_N:
         raise ValueError(f"brute force enumerates subsets; N = {s.N} exceeds {ENUM_GUARD_N}")
@@ -252,7 +255,7 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     if not bounds.feasible:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
-    tried = pruned = q_iterations = 0
+    tried = pruned = q_iterations = stopped = 0
 
     def q_iterate(subset):
         nonlocal q_iterations
@@ -264,11 +267,14 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
 
     def beats(subset, q):
         """Sign test: one primal at q; False when the subset is infeasible."""
-        nonlocal tried
-        v = fixed_schedule_value(s, coeffs, RelaySchedule.from_indices(subset, s.N), q,
-                                 target, scheme, include_user_energy)
-        tried += v is not None
-        return v is not None and v > 0
+        nonlocal tried, stopped
+        res = fixed_schedule_value(s, coeffs, RelaySchedule.from_indices(subset, s.N), q,
+                                   target, scheme, include_user_energy)
+        if res is None:
+            return False
+        tried += 1
+        stopped += res[1]
+        return res[0] > 0
 
     best = q_iterate(bounds.best_subset)
     tried = q_iterations                # 1 when best_subset is feasible
@@ -291,5 +297,5 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason="every subset within the count bounds violates the approximate outage cap")
     best.diagnostics.update(subsets_tried=tried, subsets_pruned=pruned,
-                            q_iterations=q_iterations)
+                            q_iterations=q_iterations, primal_stopped=stopped)
     return best

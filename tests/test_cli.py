@@ -101,6 +101,23 @@ def test_malformed_scenario_value_exits_2_naming_the_field(tmp_path, capsys, lin
     assert err.startswith("scenario error:") and f"for '{field}'" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_zero_alpha0_without_slot_exits_2_naming_alpha0(tmp_path, capsys, command):
+    # with X_bits and no T, the default slot T = X_bits/alpha0 once divided
+    # by zero: a bare ZeroDivisionError with exit code 1
+    from mdncee.model import ScenarioError, load_scenario
+
+    text = read(SCENARIO_PATH)
+    assert "alpha0 = 300e3" in text and "\nT = " not in text
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace("alpha0 = 300e3", "alpha0 = 0"))
+    with pytest.raises(ScenarioError, match="for 'alpha0'"):
+        load_scenario(bad)
+    assert run_cli([command, str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and "for 'alpha0'" in err
+
+
 def test_all_targets_infeasible_exits_3(tmp_path):
     assert run_cli(["sweep", SCENARIO_PATH, "--targets", "1e-12",
                     "--out", str(tmp_path / "o")]) == 3

@@ -74,24 +74,29 @@ def test_solver_reaches_kkt_tolerance(primal):
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
 def test_every_paper_primal_reaches_kkt_tolerance(paper_scenario, paper_coeffs, monkeypatch,
                                                   scheme):
-    # every primal that dinkelbach_solve runs on paper.cfg at 1e-2..1e-5
-    # ends stationary: the last stage's full Newton step moves it off the
-    # round-off floor that the line search alone stops at
+    # every primal that dinkelbach_solve runs on paper.cfg at 1e-2..1e-5 to
+    # the end ends stationary: the last stage's full Newton step moves it
+    # off the round-off floor that the line search alone stops at; a primal
+    # stopped at its cutoff has a duality bound at or above that cutoff
     from mdncee import optimizer
 
     solutions = []
 
-    def recorded(pp, q):
-        solutions.append(solve_primal(pp, q))
-        return solutions[-1]
+    def recorded(pp, q, cutoff=None):
+        solutions.append((solve_primal(pp, q, cutoff=cutoff), cutoff))
+        return solutions[-1][0]
 
     monkeypatch.setattr(optimizer, "solve_primal", recorded)
     for target in (1e-2, 1e-3, 1e-4, 1e-5):
         optimizer.dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
-    assert len(solutions) >= 4
-    for sol in solutions:
+    ran = [sol for sol, _ in solutions if sol.lower_bound is None]
+    stopped = [(sol, cutoff) for sol, cutoff in solutions if sol.lower_bound is not None]
+    assert len(ran) >= 4 and stopped
+    for sol in ran:
         assert sol.converged
         assert sol.kkt_residual <= 1e-6
+    for sol, cutoff in stopped:
+        assert sol.lower_bound >= cutoff
 
 
 @pytest.mark.parametrize("scheme, relays, q", [("mdnc", [0, 1, 2], 1300.0),
@@ -215,7 +220,7 @@ def test_line_search_failure_is_flagged(monkeypatch):
     monkeypatch.setattr(convex_solver._BarrierStack, "value",
                         lambda self, x: interior_value(self, x) if np.array_equal(x, x0) else None)
     objective = Posynomial([1.0, 1.0], [[1.0], [-1.0]])
-    x, newton, _, _, exhausted, _ = _barrier_minimize(
+    x, newton, _, _, exhausted, _, _ = _barrier_minimize(
         objective, [], [], lo=[-1.0], hi=[1.0], starts=[x0])
     assert newton == 0
     assert np.array_equal(x, x0)

@@ -394,13 +394,40 @@ def test_no_primal_ends_unconverged_on_paper_targets(paper_scenario, paper_coeff
 
 
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
-def test_later_q_states_close_in_one_goa_iteration(paper_scenario, paper_coeffs, scheme):
-    # every q-state after the first starts from the solve's whole cut pool
+def test_later_q_states_close_in_one_goa_iteration(paper_scenario, paper_coeffs, monkeypatch,
+                                                  scheme):
+    # every q-state after the first starts from the solve's whole cut pool,
+    # so it visits only its warm incumbent and schedules whose earlier
+    # primal stopped at its bound (that cut is anchored at the stopped
+    # point, not at the schedule's optimum)
+    from mdncee import optimizer
+
+    stopped = set()
+    states = []                         # (schedules stopped before the state, state)
+    real_goa = optimizer.goa_solve
+
+    def recording(pp, q, cutoff=None):
+        sol = solve_primal(pp, q, cutoff=cutoff)
+        if sol.lower_bound is not None:
+            stopped.add(pp.schedule.theta)
+        return sol
+
+    def tracked(*args, **kwargs):
+        before = set(stopped)
+        states.append((before, real_goa(*args, **kwargs)))
+        return states[-1][1]
+
+    monkeypatch.setattr(optimizer, "solve_primal", recording)
+    monkeypatch.setattr(optimizer, "goa_solve", tracked)
     for target in (1e-2, 1e-3, 1e-4, 1e-5):
+        stopped.clear()
+        states.clear()
         sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
-        inner = sol.diagnostics["inner"]
-        assert len(inner) > 1, target
-        assert [i["goa_iterations"] for i in inner[1:]] == [1] * (len(inner) - 1), target
+        assert len(states) > 1, target
+        for (_, prev), (before, st) in zip(states, states[1:]):
+            warm, *rest = st.visited
+            assert warm == prev.incumbent_problem.schedule.theta, target
+            assert all(theta in before for theta in rest), target
         assert sol.diagnostics["goa_unconverged"] == 0, target
 
 
@@ -431,8 +458,8 @@ def test_backtracks_sum_the_primals(paper_scenario, paper_coeffs, monkeypatch, s
 
     seen = []
 
-    def recording(pp, q):
-        sol = solve_primal(pp, q)
+    def recording(pp, q, cutoff=None):
+        sol = solve_primal(pp, q, cutoff=cutoff)
         seen.append(sol.backtracks)
         return sol
 
@@ -444,6 +471,143 @@ def test_backtracks_sum_the_primals(paper_scenario, paper_coeffs, monkeypatch, s
     sol = dinkelbach_fixed_schedule(paper_scenario, paper_coeffs, sched, 1e-3, scheme=scheme)
     assert len(seen) > 1
     assert sol.diagnostics["backtracks"] == sum(seen)
+
+
+def _drop_cutoff(pp, q, cutoff=None):
+    """solve_primal as it ran before the cutoff: every primal to the end."""
+    return solve_primal(pp, q)
+
+
+PAPER_TARGETS = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_stopped_primal_bound_lies_below_its_full_solve(paper_scenario, paper_coeffs,
+                                                        monkeypatch, scheme):
+    # the duality bound a primal stops at never exceeds the schedule's
+    # optimum: a re-solve without the cutoff reaches tilde_v >= lower_bound,
+    # and lower_bound >= cutoff is why it stopped; GOA's visits and brute
+    # force's sign tests on paper.cfg, and GOA on the N = 8 scenarios
+    from mdncee import optimizer
+    from mdncee.simulate import brute_force_optimize
+
+    calls = []
+
+    def recording(pp, q, cutoff=None):
+        sol = solve_primal(pp, q, cutoff=cutoff)
+        calls.append((pp, q, cutoff, sol))
+        return sol
+
+    monkeypatch.setattr(optimizer, "solve_primal", recording)
+    for target in PAPER_TARGETS:
+        dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+        brute_force_optimize(paper_scenario, paper_coeffs, target, scheme=scheme)
+    for M in (2, 3):
+        s = _random_small_scenario(np.random.default_rng([1, 8, M]), M=M, N=8)
+        dinkelbach_solve(s, build_link_coefficients(s), 1e-3, scheme=scheme)
+    stopped = [(pp, q, cutoff, sol) for pp, q, cutoff, sol in calls if sol.lower_bound is not None]
+    assert len(stopped) >= 10
+    for pp, q, cutoff, sol in stopped:
+        full = solve_primal(pp, q)
+        assert full.lower_bound is None and full.converged
+        assert full.tilde_v >= sol.lower_bound >= cutoff
+        assert sol.newton_iterations < full.newton_iterations
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_stopped_primal_never_becomes_the_incumbent(paper_scenario, paper_coeffs, monkeypatch,
+                                                    scheme):
+    # a stopped primal's point need not be its schedule's optimum, so its
+    # tilde_v says nothing about the incumbent: even a stopped solution
+    # claiming a tilde_v below UBD leaves UBD and the incumbent alone
+    from mdncee import optimizer
+
+    before = [dinkelbach_solve(paper_scenario, paper_coeffs, t, scheme=scheme)
+              for t in PAPER_TARGETS]
+    stopped = []
+
+    def claiming(pp, q, cutoff=None):
+        sol = solve_primal(pp, q, cutoff=cutoff)
+        if sol.lower_bound is None:
+            return sol
+        stopped.append(sol)
+        return dataclasses.replace(sol, tilde_v=cutoff - 10.0)
+
+    monkeypatch.setattr(optimizer, "solve_primal", claiming)
+    for target, want in zip(PAPER_TARGETS, before):
+        got = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+        assert got.schedule.theta == want.schedule.theta
+        assert got.ee == want.ee
+        assert ([i["ubd_history"] for i in got.diagnostics["inner"]]
+                == [i["ubd_history"] for i in want.diagnostics["inner"]])
+        assert got.diagnostics["primal_stopped"] == want.diagnostics["primal_stopped"]
+    assert stopped
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+@pytest.mark.parametrize("include_user_energy", [False, True])
+def test_parametric_value_is_zero_level_minus_vprime(paper_scenario, paper_coeffs, scheme,
+                                                     include_user_energy):
+    # V(q) = obj_coef*K - V'(x) + q*W, with K outages and W the summed relay
+    # energy weights: the identity behind the sign test's cutoff
+    # log(obj_coef*K + q*W), where max V(q) turns nonpositive
+    from mdncee.convex_solver import log_power_model
+    from mdncee.optimizer import _parametric_value
+
+    s = paper_scenario
+    energy, _, _, _ = log_power_model(s, paper_coeffs, scheme, include_user_energy)
+    W = float(np.sum(energy[s.M:]))
+    for relays in ((0,), (0, 2), (0, 1, 2), (0, 1, 2, 3)):
+        pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices(relays, s.N), 1e-3,
+                             scheme, include_user_energy)
+        if not pp.feasible:
+            continue
+        for q in (0.0, 600.0, 1300.0, 2600.0):
+            sol = solve_primal(pp, q)
+            zero = pp.obj_coef * len(pp.outage_pos) + q * W
+            v, _ = _parametric_value(pp, sol, q)
+            assert v == pytest.approx(zero - pp.vprime(q).value(sol.x), rel=1e-12,
+                                      abs=1e-12 * zero)
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_sign_test_stop_keeps_brute_force_answer(paper_scenario, paper_coeffs, monkeypatch,
+                                                 scheme):
+    # a sign test stopped at the V(q*) = 0 level decides as the full primal
+    # would: same winner, same EE to the bit, same subsets tried
+    from mdncee import optimizer
+    from mdncee.simulate import brute_force_optimize
+
+    def run():
+        return [brute_force_optimize(paper_scenario, paper_coeffs, t, scheme=scheme)
+                for t in PAPER_TARGETS]
+
+    screened = run()
+    monkeypatch.setattr(optimizer, "solve_primal", _drop_cutoff)
+    full = run()
+    for a, b in zip(screened, full):
+        assert a.schedule.theta == b.schedule.theta
+        assert a.ee == b.ee
+        for counter in ("subsets_tried", "subsets_pruned", "q_iterations"):
+            assert a.diagnostics[counter] == b.diagnostics[counter]
+        assert b.diagnostics["primal_stopped"] == 0
+    assert sum(a.diagnostics["primal_stopped"] for a in screened) > 0
+
+
+def test_cutoff_at_least_halves_goa_newton_steps(paper_scenario, paper_coeffs, monkeypatch):
+    # the stop must keep firing: over paper.cfg 1e-2..1e-5 and both schemes,
+    # GOA takes at most 0.7x the Newton steps it takes with every primal
+    # run to the end (about 0.5x when this was written)
+    from mdncee import optimizer
+
+    def newton_total():
+        return sum(dinkelbach_solve(paper_scenario, paper_coeffs, t, scheme=scheme)
+                   .diagnostics["newton_total"]
+                   for t in PAPER_TARGETS for scheme in ("mdnc", "nonc"))
+
+    with_cutoff = newton_total()
+    monkeypatch.setattr(optimizer, "solve_primal", _drop_cutoff)
+    assert with_cutoff <= 0.7 * newton_total()
 
 
 @pytest.mark.parametrize("target", [10 ** -2.75, 1e-3], ids=["10^-2.75", "1e-3"])
@@ -471,7 +635,7 @@ PAPER_MASTER_RESULTS = {
     ("mdnc", 1e-3): ((0, 1, 2), 5, 5, 567.8600391730046),
     ("mdnc", 1e-4): ((0, 1, 2), 5, 5, 563.9915982539757),
     ("mdnc", 1e-5): ((0, 1, 2), 5, 5, 550.657050890315),
-    ("nonc", 1e-2): ((0,), 6, 6, 933.3897578534938),
+    ("nonc", 1e-2): ((0,), 7, 7, 933.3897578534938),
     ("nonc", 1e-3): ((0,), 5, 5, 902.1859586213831),
     ("nonc", 1e-4): ((0, 2), 7, 7, 532.2684733770477),
     ("nonc", 1e-5): ((0, 2), 7, 7, 526.9936995595244),
@@ -482,8 +646,10 @@ PAPER_MASTER_RESULTS = {
 def test_each_schedule_is_assembled_once_per_solve(paper_scenario, paper_coeffs, monkeypatch,
                                                    scheme):
     # only the objective depends on q, so a solve assembles each schedule it
-    # visits once: best_subset serves both q0 and the first visit, and a
-    # later q-state's warm visit reuses the incumbent's problem
+    # visits once: best_subset serves both q0 and the first visit, a later
+    # q-state's warm visit reuses the incumbent's problem, and its other
+    # visits (at NoNC 1e-2, a schedule whose first primal stopped at its
+    # bound) reuse the problem kept on the master
     from mdncee import optimizer
 
     assembled = []
@@ -495,10 +661,16 @@ def test_each_schedule_is_assembled_once_per_solve(paper_scenario, paper_coeffs,
         return pp
 
     monkeypatch.setattr(optimizer, "assemble_primal", counting)
-    sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
-    visited = {theta for info in sol.diagnostics["inner"] for theta in info["visited"]}
-    assert len(sol.diagnostics["inner"]) > 1
-    assert sorted(assembled) == sorted(visited)
+    for target in (1e-3, 1e-2):
+        assembled.clear()
+        sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+        inner = sol.diagnostics["inner"]
+        visited = {theta for info in inner for theta in info["visited"]}
+        assert len(inner) > 1
+        assert sorted(assembled) == sorted(visited), target
+        revisits = [theta for k, info in enumerate(inner) for theta in info["visited"][1:]
+                    if any(theta in before["visited"] for before in inner[:k])]
+        assert bool(revisits) == ((scheme, target) == ("nonc", 1e-2)), target
     assembled.clear()
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
     sol = dinkelbach_fixed_schedule(paper_scenario, paper_coeffs, sched, 1e-3, scheme=scheme)
