@@ -38,7 +38,7 @@ from .energy import (
     energy_efficiency,
     total_energy,
 )
-from .convex_solver import PrimalProblem, PrimalSolution, assemble_primal, gradients, solve_primal
+from .convex_solver import PrimalProblem, PrimalSolution, assemble_primal, solve_primal
 from .optimizer import (
     GoaState,
     Solution,
@@ -75,7 +75,6 @@ __all__ = [
     "PrimalSolution",
     "assemble_primal",
     "solve_primal",
-    "gradients",
     "GoaState",
     "Solution",
     "relay_count_bounds",

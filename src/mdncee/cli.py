@@ -18,6 +18,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -41,11 +42,14 @@ VERIFY_SCHEMA = "mdncee-verify-v1"
 # sets few_events. The benchmark sizes its Monte Carlo runs to the same floor.
 MIN_EXPECTED_EVENTS = 1000
 
-SWEEP_HEADER = ("target,scheme,mode,relays,count,p_users,p_relays,ee,pr_out_exact,"
-                "pr_out_approx,pr_out_mc,mc_stderr,e_tot,e_data,q_star,dinkelbach_iters,"
-                "goa_iters,cuts,newton_iters,status,reason")
-ENERGY_HEADER = "target,scheme,achieved_pr_out,e_data,e_tot,relays,count,max_user_power,status,reason"
-SHIFT_HEADER = "delta,target,relays,ee,pr_out_exact,status,reason"
+# Each table's columns, in order: its header and the row keys of its cells.
+SWEEP_COLUMNS = ("target", "scheme", "mode", "relays", "count", "p_users", "p_relays", "ee",
+                 "pr_out_exact", "pr_out_approx", "pr_out_mc", "mc_stderr", "e_tot", "e_data",
+                 "q_star", "dinkelbach_iters", "goa_iters", "cuts", "newton_iters", "status",
+                 "reason")
+ENERGY_COLUMNS = ("target", "scheme", "achieved_pr_out", "e_data", "e_tot", "relays", "count",
+                  "max_user_power", "status", "reason")
+SHIFT_COLUMNS = ("delta", "target", "relays", "ee", "pr_out_exact", "status", "reason")
 
 DEFAULT_TARGETS = tuple(np.geomspace(1e-2, 5e-6, 14))
 
@@ -58,10 +62,19 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _fmt_list(values) -> str:
-    if values is None:
-        return ""
-    return ";".join(_fmt(v) for v in np.atleast_1d(values))
+def _cell(value) -> str:
+    """One CSV cell: text with its commas made semicolons, a sequence as a
+    semicolon list, a number with 12 significant digits, None empty."""
+    if isinstance(value, str):
+        return value.replace(",", ";")
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return ";".join(_fmt(v) for v in np.atleast_1d(value))
+    return _fmt(value)
+
+
+def _table(schema: str, columns, rows) -> list[str]:
+    """A CSV table's lines: schema, header, then one line per row dict."""
+    return [schema, ",".join(columns)] + [",".join(_cell(r[c]) for c in columns) for r in rows]
 
 
 def _scalar_outage(value) -> float | None:
@@ -78,11 +91,13 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _load(path):
+def _load(path, user_energy_in_budget: bool):
+    """The validated scenario, carrying the budget rule, and its link coefficients."""
     s = load_scenario(path)
     violations = validate_scenario(s)
     if violations:
         raise ScenarioError("invalid scenario:\n  " + "\n  ".join(violations))
+    s = dataclasses.replace(s, user_energy_in_budget=user_energy_in_budget)
     return s, build_link_coefficients(s)
 
 
@@ -167,17 +182,12 @@ def _job_count(text: str) -> int:
 def _solve_row(args):
     """One sweep cell; top-level so process pools can dispatch it."""
     scenario_path, target, scheme, mode, samples, seed, include_user = args
-    s, coeffs = _load(scenario_path)
-    row = {
-        "target": target, "scheme": scheme, "mode": mode, "status": "ok", "reason": "",
-        "relays": None, "count": None, "p_users": None, "p_relays": None, "ee": None,
-        "pr_out_exact": None, "pr_out_approx": None, "pr_out_mc": None, "mc_stderr": None,
-        "e_tot": None, "e_data": None, "q_star": None, "dinkelbach_iters": None,
-        "goa_iters": None, "cuts": None, "newton_iters": None,
-    }
+    s, coeffs = _load(scenario_path, include_user)
+    row = dict.fromkeys(SWEEP_COLUMNS)
+    row.update(target=target, scheme=scheme, mode=mode, status="ok", reason="")
     solver = brute_force_optimize if mode == "brute" else dinkelbach_solve
     try:
-        sol = solver(s, coeffs, target, scheme=scheme, include_user_energy=include_user)
+        sol = solver(s, coeffs, target, scheme=scheme)
     except (RuntimeError, ValueError) as exc:
         row["status"] = "failed"
         row["reason"] = str(exc)
@@ -242,17 +252,7 @@ def cmd_sweep(args) -> int:
     schemes = ["mdnc", "nonc"] if args.scheme == "both" else [args.scheme]
     rows = _sweep_rows(args.scenario, args.targets, schemes, args.mode, args.samples, args.seed,
                        args.include_user_energy_in_budget, args.jobs)
-    lines = [SWEEP_SCHEMA, SWEEP_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r["target"]), r["scheme"], r["mode"], _fmt_list(r["relays"]),
-            _fmt(r["count"]), _fmt_list(r["p_users"]), _fmt_list(r["p_relays"]),
-            _fmt(r["ee"]), _fmt(r["pr_out_exact"]), _fmt(r["pr_out_approx"]),
-            _fmt(r["pr_out_mc"]), _fmt(r["mc_stderr"]), _fmt(r["e_tot"]), _fmt(r["e_data"]),
-            _fmt(r["q_star"]), _fmt(r["dinkelbach_iters"]), _fmt(r["goa_iters"]),
-            _fmt(r["cuts"]), _fmt(r["newton_iters"]), r["status"], r["reason"].replace(",", ";"),
-        ]))
-    _write_lines(os.path.join(args.out, "sweep.csv"), lines)
+    _write_lines(os.path.join(args.out, "sweep.csv"), _table(SWEEP_SCHEMA, SWEEP_COLUMNS, rows))
     for sch in schemes:
         for mode in args.mode:
             pairs = [(r["target"], r["ee"]) for r in rows
@@ -266,25 +266,18 @@ def cmd_sweep(args) -> int:
 def cmd_energy_curve(args) -> int:
     rows = _sweep_rows(args.scenario, args.targets, [args.scheme], ["goa"], 0, 0,
                        args.include_user_energy_in_budget, args.jobs)
-    lines = [ENERGY_SCHEMA, ENERGY_HEADER]
-    pairs = []
     for r in rows:
-        max_p = None if r["p_users"] is None else float(np.max(r["p_users"]))
-        lines.append(",".join([
-            _fmt(r["target"]), r["scheme"], _fmt(r["pr_out_exact"]), _fmt(r["e_data"]),
-            _fmt(r["e_tot"]), _fmt_list(r["relays"]), _fmt(r["count"]), _fmt(max_p),
-            r["status"], r["reason"].replace(",", ";"),
-        ]))
-        if r["status"] == "ok":
-            pairs.append((r["pr_out_exact"], r["e_data"]))
-    _write_lines(os.path.join(args.out, "energy_curve.csv"), lines)
+        r["achieved_pr_out"] = r["pr_out_exact"]
+        r["max_user_power"] = None if r["p_users"] is None else float(np.max(r["p_users"]))
+    pairs = [(r["pr_out_exact"], r["e_data"]) for r in rows if r["status"] == "ok"]
+    _write_lines(os.path.join(args.out, "energy_curve.csv"),
+                 _table(ENERGY_SCHEMA, ENERGY_COLUMNS, rows))
     if pairs:
         _write_plotdata(args.out, f"edata_vs_outage_{args.scheme}", pairs)
     return 0 if pairs else 3
 
 
-def relay_location_study(s, coeffs, target: float, deltas, subset=None,
-                         include_user_energy: bool = False):
+def relay_location_study(s, coeffs, target: float, deltas, subset=None):
     """EE versus relay displacement for a fixed selection-plus-power design.
 
     The design (relay subset and transmit powers) is the optimizer's solution
@@ -293,7 +286,7 @@ def relay_location_study(s, coeffs, target: float, deltas, subset=None,
     Row fields: delta, relays, ee, achieved exact outage, status, reason.
     """
     if subset is None:
-        base = dinkelbach_solve(s, coeffs, target, include_user_energy=include_user_energy)
+        base = dinkelbach_solve(s, coeffs, target)
         if not base.feasible:
             return [{"delta": d, "relays": None, "ee": None, "pr_out_exact": None,
                      "status": "infeasible", "reason": "no feasible base selection"}
@@ -301,8 +294,7 @@ def relay_location_study(s, coeffs, target: float, deltas, subset=None,
         schedule, powers = base.schedule, base.powers
     else:
         schedule = RelaySchedule.from_indices(subset, s.N)
-        fixed = dinkelbach_fixed_schedule(s, coeffs, schedule, target,
-                                          include_user_energy=include_user_energy)
+        fixed = dinkelbach_fixed_schedule(s, coeffs, schedule, target)
         if fixed is None:
             return [{"delta": d, "relays": schedule.theta, "ee": None, "pr_out_exact": None,
                      "status": "infeasible", "reason": "no admissible power allocation at delta 0"}
@@ -326,30 +318,23 @@ def relay_location_study(s, coeffs, target: float, deltas, subset=None,
 
 
 def cmd_relay_shift(args) -> int:
-    s, coeffs = _load(args.scenario)
+    s, coeffs = _load(args.scenario, args.include_user_energy_in_budget)
     if args.relays is not None:
         try:
             RelaySchedule.from_indices(args.relays, s.N)
         except ValueError as exc:
             print(f"invalid relays: {exc}", file=sys.stderr)
             return 2
-    lines = [SHIFT_SCHEMA, SHIFT_HEADER]
-    any_ok = False
+    rows = []
     for target in args.targets:
-        rows = relay_location_study(s, coeffs, target, args.deltas, subset=args.relays,
-                                    include_user_energy=args.include_user_energy_in_budget)
-        pairs = []
-        for r in rows:
-            lines.append(",".join([
-                _fmt(r["delta"]), _fmt(target), _fmt_list(r["relays"]), _fmt(r["ee"]),
-                _fmt(r["pr_out_exact"]), r["status"], r["reason"].replace(",", ";")]))
-            if r["status"] == "ok":
-                any_ok = True
-                pairs.append((r["delta"], r["ee"]))
+        study = relay_location_study(s, coeffs, target, args.deltas, subset=args.relays)
+        rows += [{**r, "target": target} for r in study]
+        pairs = [(r["delta"], r["ee"]) for r in study if r["status"] == "ok"]
         if pairs:
             _write_plotdata(args.out, f"ee_vs_delta_target{target:g}", pairs)
-    _write_lines(os.path.join(args.out, "relay_shift.csv"), lines)
-    return 0 if any_ok else 3
+    _write_lines(os.path.join(args.out, "relay_shift.csv"),
+                 _table(SHIFT_SCHEMA, SHIFT_COLUMNS, rows))
+    return 0 if any(r["status"] == "ok" for r in rows) else 3
 
 
 def _explicit_point(s, args):
@@ -375,7 +360,7 @@ def _explicit_point(s, args):
 
 
 def cmd_verify(args) -> int:
-    s, coeffs = _load(args.scenario)
+    s, coeffs = _load(args.scenario, args.include_user_energy_in_budget)
     if args.relays:
         try:
             schedule, powers = _explicit_point(s, args)
@@ -383,8 +368,7 @@ def cmd_verify(args) -> int:
             print(f"invalid point: {exc}", file=sys.stderr)
             return 2
     else:
-        sol = dinkelbach_solve(s, coeffs, args.target, scheme=args.scheme,
-                               include_user_energy=args.include_user_energy_in_budget)
+        sol = dinkelbach_solve(s, coeffs, args.target, scheme=args.scheme)
         if not sol.feasible:
             print(json.dumps({"schema": VERIFY_SCHEMA, "status": "infeasible",
                               "reason": sol.reason}, indent=2))

@@ -36,7 +36,6 @@ __all__ = [
     "log_power_model",
     "outage_posynomials",
     "solve_primal",
-    "gradients",
 ]
 
 # Barrier schedule: weight 1, divide by 10 per stage, stop when the duality
@@ -147,8 +146,7 @@ def outage_posynomials(coeffs: LinkCoefficients, selected, M: int, scheme: str) 
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def log_power_model(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
-                    include_user_energy: bool = False):
+def log_power_model(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str):
     """Energy weights, budget weights and box over all M + N log powers
     x = (ptilde_1..M, ptilde'_1..N): (energy, budget, lo, hi).
 
@@ -156,7 +154,7 @@ def log_power_model(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
     m*delta_P*T*c_j per relay, whose substituted power c_j(e^(ptilde'_j) - 1)
     leaves a -c_j offset that callers fold into their constants and caps.
     The grid-energy budget draws budget_k e^(x_k): the relay weights, plus
-    the user weights when user energy counts against E0. The box holds each
+    the user weights when s.user_energy_in_budget. The box holds each
     user power in [P_MIN, P_S_max] and each relay power in [0, P_R_max].
     The primal takes the users' and its selected relays' entries, the
     master all of them.
@@ -165,15 +163,14 @@ def log_power_model(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
     relay = m * s.delta_P * s.T * coeffs.c_g
     users = np.full(s.M, s.T)
     energy = np.concatenate([users, relay])
-    budget = np.concatenate([users if include_user_energy else np.zeros(s.M), relay])
+    budget = np.concatenate([users if s.user_energy_in_budget else np.zeros(s.M), relay])
     lo = np.concatenate([np.full(s.M, np.log(P_MIN)), np.zeros(s.N)])
     hi = np.concatenate([np.full(s.M, np.log(s.P_S_max)), np.log1p(s.P_R_max / coeffs.c_g)])
     return energy, budget, lo, hi
 
 
 def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
-                    target: float, scheme: str = "mdnc",
-                    include_user_energy: bool = False) -> PrimalProblem:
+                    target: float, scheme: str = "mdnc") -> PrimalProblem:
     """Build the fixed-schedule problem and pre-check feasibility.
 
     The outage cap is monotone decreasing in every power, so the max-power
@@ -190,7 +187,7 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     outage_pos = outage_posynomials(coeffs, selected, s.M, scheme)
     targets = np.full(len(outage_pos), target)
     gamma, delta0, _, obj_coef = scheme_constants(s, scheme)
-    energy, budget_w, lo, hi = log_power_model(s, coeffs, scheme, include_user_energy)
+    energy, budget_w, lo, hi = log_power_model(s, coeffs, scheme)
     keep = np.r_[np.arange(s.M), s.M + np.array(selected, dtype=int)]
     lo, hi = lo[keep], hi[keep]
     dim = len(keep)
@@ -535,17 +532,3 @@ def solve_primal(pp: PrimalProblem, q: float, cutoff: float | None = None) -> Pr
         converged=not exhausted, newton_iterations=newton_total, barrier_stages=stages,
         kkt_residual=kkt, backtracks=backtracks, lower_bound=lower,
     )
-
-
-def gradients(pp: PrimalProblem, q: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of tilde V at q and of g = Pr_out - target at x.
-
-    Returns (grad_tilde_v, grad_g) with grad_g one row per outage constraint
-    (a single row for MDNC). Checked against central differences in the
-    test suite; the master's cuts linearize its own all-relay outage
-    posynomials instead (optimizer.build_oa_cuts).
-    """
-    x = np.asarray(x, dtype=float)
-    vprime, grad_vprime = pp.vprime(q).value_grad(x)
-    gg = np.vstack([pos.value_grad(x)[1] for pos in pp.outage_pos])
-    return grad_vprime / vprime, gg

@@ -75,6 +75,9 @@ class ScenarioConfig:
     delta_P: float           # load-dependent power slope (dimensionless)
     E0: float                # relay+BS energy budget per round (J)
     pr_out_target: float     # default target outage probability, in (0,1)
+    # E0 also bounds the users' transmit energy: a run option, not a
+    # scenario-file key (read by log_power_model and relay_count_bounds)
+    user_energy_in_budget: bool = False
 
     def __post_init__(self):
         for name in ("sigma_h", "d_h", "n_h", "N0_h"):

@@ -114,13 +114,13 @@ def _max_power_merit(s, coeffs, subset, scheme: str, target: float) -> float:
 
 
 def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
-                       scheme: str = "mdnc", include_user_energy: bool = False) -> CountBounds:
+                       scheme: str = "mdnc") -> CountBounds:
     """Bracket the number of relays any solution can use.
 
     low: the smallest k whose best k-subset meets the outage target with every
     transmitter at maximum power (exact outage formula). up: the largest k
     whose energy at the lowest powers stays strictly inside the budget,
-    gamma*k + delta0 (+ M*T*P_MIN when user energy counts) < E0, the same
+    gamma*k + delta0 (+ M*T*P_MIN when s.user_energy_in_budget) < E0, the same
     strict slack the fixed-schedule primal needs. The MDNC outage is a
     Poisson-binomial tail that falls in every relay's two-hop success
     probability r_j, so its best k-subset is the top k relays by r_j (lowest
@@ -129,7 +129,7 @@ def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: floa
     k-subsets are enumerated.
     """
     gamma, delta0, _, _ = scheme_constants(s, scheme)
-    floor = delta0 + (s.M * s.T * P_MIN if include_user_energy else 0.0)
+    floor = delta0 + (s.M * s.T * P_MIN if s.user_energy_in_budget else 0.0)
     up = 0
     for k in range(1, s.N + 1):
         if gamma * k + floor < s.E0:
@@ -175,7 +175,8 @@ def ratio_count_cap(s: ScenarioConfig, scheme: str, q: float) -> int:
 
 
 class MasterModel:
-    """The q-free master of one (scheme, target) solve: shared posynomials,
+    """The q-free master of one (scheme, target) solve, and the whole
+    description of its trees: the relay-count window, shared posynomials,
     constants and the outer-approximation pool that every q-state extends.
 
     V'(x, u) = obj_coef*sum(outage_full(x)) + q*(energy . e^x + gamma*sum(u)
@@ -186,26 +187,38 @@ class MasterModel:
     against E0 plus the relays' -c_j offsets. cuts holds the cut block of
     every primal solved so far, in creation order; refuted lists the
     schedules whose primal was infeasible, which no q can change. problems
-    keeps every assembled schedule's PrimalProblem, which holds no q, so a
-    later q-state's revisit reuses it.
+    keeps every schedule's PrimalProblem, which holds no q, so a later
+    q-state's revisit reuses it. bounds must be feasible: an empty window
+    leaves no tree to grow.
     """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
-                 target: float, include_user_energy: bool = False):
+                 target: float, bounds: CountBounds):
+        if not bounds.feasible:
+            raise ValueError(
+                f"no admissible relay count: low={bounds.low}, up={bounds.up} for target {target}")
         self.s = s
+        self.coeffs = coeffs
         self.scheme = scheme
         self.target = float(target)
-        self.include_user_energy = include_user_energy
+        self.bounds = bounds
         self.gamma, self.delta0, _, self.obj_coef = scheme_constants(s, scheme)
         self.dim = s.M + s.N
         self.outage_full = outage_posynomials(coeffs, tuple(range(s.N)), s.M, scheme)
-        self.energy, self.budget, self.lo, self.hi = log_power_model(
-            s, coeffs, scheme, include_user_energy)
+        self.energy, self.budget, self.lo, self.hi = log_power_model(s, coeffs, scheme)
         self.budget_offset = float(np.sum(self.energy[s.M:]))
         self.v_scale = s.M * s.alpha0    # master works in v / v_scale units
         self.cuts: list[OaCut] = []
         self.refuted: list[tuple[int, ...]] = []
         self.problems: dict[tuple[int, ...], PrimalProblem] = {}
+
+    def problem(self, schedule: RelaySchedule) -> PrimalProblem:
+        """The schedule's problem, assembled on first use and kept."""
+        pp = self.problems.get(schedule.theta)
+        if pp is None:
+            pp = assemble_primal(self.s, self.coeffs, schedule, self.target, self.scheme)
+            self.problems[schedule.theta] = pp
+        return pp
 
 
 @dataclass(frozen=True)
@@ -294,7 +307,6 @@ class GoaState:
     """
 
     master: MasterModel
-    bounds: CountBounds
     q: float
     carried: int = 0
     visited: list[tuple[int, ...]] = field(default_factory=list)
@@ -378,7 +390,7 @@ def _master_lp_rows(state: GoaState):
     blocks += [_no_good(m, theta) for theta in m.refuted]
     A = np.vstack([fixed, *(rows for rows, _ in blocks)])
     b = np.concatenate([[-q * m.delta0, s.E0 - m.delta0,
-                         float(state.bounds.up), -float(state.bounds.low)], np.zeros(N),
+                         float(m.bounds.up), -float(m.bounds.low)], np.zeros(N),
                         *(rhs for _, rhs in blocks)])
 
     lb = np.concatenate([m.lo, np.zeros(N), [0.0]])
@@ -405,56 +417,34 @@ def _log_bound(vhat: float, master: MasterModel) -> float:
     return math.log(vhat * master.v_scale) if vhat > 0 else -math.inf
 
 
-def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: float,
-              scheme: str = "mdnc", bounds: CountBounds | None = None,
-              warm: PrimalProblem | None = None,
-              include_user_energy: bool = False,
-              master: MasterModel | None = None) -> GoaState:
+def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) -> GoaState:
     """Outer approximation for one fixed q as one branch-and-bound tree
     (LP/NLP-based, Quesada and Grossmann 1992): returns the final state.
 
-    The warm problem comes first: a problem assembled for this scenario,
-    target and scheme, solved here at q (by default, best_subset's). Then
-    one depth-first tree over the master's LP relaxation: at each integral
-    node the schedule's problem is taken from master.problems, or assembled
-    and kept there, and its primal updates the incumbent (kept with its
-    problem) and the nonincreasing upper bound, its cut block and no-good
-    row (a refuted schedule's no-good row alone) are appended to the
-    master, and the node goes back on the stack. Once an incumbent exists,
-    each primal runs with the cap as its cutoff and stops as soon as its
-    duality bound shows the schedule cannot beat the incumbent; the
-    stopped point anchors the cut block, and the schedule's no-good row
-    excludes it from this tree. An open node whose LP predates the last
-    rows or the last cap re-solves warm from its own tableau. The tree
-    prunes every node whose bound reaches vhat's cap, so an exhausted tree
-    certifies the incumbent. The state extends master's pool: it starts
-    from every cut already there and adds its own, so a caller solving
-    several q passes one master to all of them. Without a master, a fresh
-    one is built.
+    The warm problem comes first: one of master.problems, solved here at q
+    (by default, the count window's best_subset's). Then one depth-first
+    tree over the master's LP relaxation: at each integral node the
+    schedule's problem comes from master.problem, and its primal updates
+    the incumbent (kept with its problem) and the nonincreasing upper
+    bound, its cut block and no-good row (a refuted schedule's no-good row
+    alone) are appended to the master, and the node goes back on the
+    stack. Once an incumbent exists, each primal runs with the cap as its
+    cutoff and stops as soon as its duality bound shows the schedule cannot
+    beat the incumbent; the stopped point anchors the cut block, and the
+    schedule's no-good row excludes it from this tree. An open node whose
+    LP predates the last rows or the last cap re-solves warm from its own
+    tableau. The tree prunes every node whose bound reaches vhat's cap, so
+    an exhausted tree certifies the incumbent. The state extends master's
+    pool: it starts from every cut already there and adds its own, so a
+    caller solving several q passes one master to all of them.
     """
-    if bounds is None:
-        bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
-    if not bounds.feasible:
-        raise ValueError(
-            f"no admissible relay count: low={bounds.low}, up={bounds.up} for target {target}")
-    if master is None:
-        master = MasterModel(s, coeffs, scheme, target, include_user_energy)
-    elif (master.scheme, master.target, master.include_user_energy) != (
-            scheme, float(target), include_user_energy):
-        raise ValueError("master was built for another scheme, target or energy budget")
-    state = GoaState(master=master, bounds=bounds, q=float(q), carried=len(master.cuts))
+    s = master.s
+    state = GoaState(master=master, q=float(q), carried=len(master.cuts))
     u0, n_u = s.M + s.N, s.N
-
-    def assemble(schedule: RelaySchedule) -> PrimalProblem:
-        pp = master.problems.get(schedule.theta)
-        if pp is None:
-            pp = assemble_primal(s, coeffs, schedule, target, scheme, include_user_energy)
-        return pp
 
     def visit(pp: PrimalProblem):
         """One solved or refuted schedule: its master row blocks at this q."""
         theta = pp.schedule.theta
-        master.problems.setdefault(theta, pp)
         state.iteration += 1
         state.visited.append(theta)
         blocks = [_no_good(master, theta)]
@@ -480,7 +470,7 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
         state.ubd_history.append(state.ubd)
         return blocks
 
-    visit(warm or assemble(RelaySchedule.from_indices(bounds.best_subset, s.N)))
+    visit(warm or master.problem(RelaySchedule.from_indices(master.bounds.best_subset, s.N)))
     c, A, b, lb, ub = _master_lp_rows(state)
 
     def relax(lo_u, hi_u, warm=None) -> _Node:
@@ -510,7 +500,7 @@ def goa_solve(s: ScenarioConfig, coeffs: LinkCoefficients, q: float, target: flo
             state.lbd = _log_bound(min(n.lp.objective for n in (*stack, node)), master)
             state.lbd_history.append(state.lbd)
             u_int = np.clip(np.round(u).astype(int), node.lo.astype(int), node.hi.astype(int))
-            blocks = visit(assemble(RelaySchedule(u_int)))
+            blocks = visit(master.problem(RelaySchedule(u_int)))
             A = np.vstack([A, *(rows for rows, _ in blocks)])
             b = np.concatenate([b, *(rhs for _, rhs in blocks)])
             ub[-1] = _vcap(state)
@@ -623,7 +613,7 @@ def _dinkelbach_loop(inner_solve, q0: float, warm: PrimalProblem):
 
 
 def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
-                     scheme: str = "mdnc", include_user_energy: bool = False) -> Solution:
+                     scheme: str = "mdnc") -> Solution:
     """Full pipeline: count bounds, then q-iterations with a GOA inner solve.
 
     Each new q warm-starts from the previous incumbent's problem, assembled
@@ -632,22 +622,19 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     operating point with the exact outage re-evaluated at the returned
     powers; the approximate-vs-exact gap is surfaced in the solution fields.
     """
-    bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
+    bounds = relay_count_bounds(s, coeffs, target, scheme)
     if not bounds.feasible:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
 
-    pp0 = assemble_primal(s, coeffs, RelaySchedule.from_indices(bounds.best_subset, s.N),
-                          target, scheme, include_user_energy)
+    master = MasterModel(s, coeffs, scheme, target, bounds)
+    pp0 = master.problem(RelaySchedule.from_indices(bounds.best_subset, s.N))
     # infeasible: the first inner solve then behaves as pure outage minimization
     q0 = _max_slack_ratio(pp0) if pp0.feasible else 0.0
-    master = MasterModel(s, coeffs, scheme, target, include_user_energy)
     states: list[GoaState] = []
 
     def inner(q, warm):
-        st = goa_solve(s, coeffs, q, target, scheme=scheme, bounds=bounds,
-                       warm=warm, include_user_energy=include_user_energy,
-                       master=master)
+        st = goa_solve(master, q, warm)
         states.append(st)
         if st.incumbent is None:
             # every schedule this state tried was refuted: quote the last refutation
@@ -685,20 +672,18 @@ class _InfeasibleInner(Exception):
     pass
 
 
-def nonc_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
-               include_user_energy: bool = False) -> Solution:
+def nonc_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float) -> Solution:
     """NoNC baseline through the same pipeline, per-user outage caps."""
-    return dinkelbach_solve(s, coeffs, target, scheme="nonc",
-                            include_user_energy=include_user_energy)
+    return dinkelbach_solve(s, coeffs, target, scheme="nonc")
 
 
 def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
-                              schedule: RelaySchedule, target: float, scheme: str = "mdnc",
-                              include_user_energy: bool = False) -> Solution | None:
+                              schedule: RelaySchedule, target: float,
+                              scheme: str = "mdnc") -> Solution | None:
     """q-iterations with the schedule frozen (no master): the per-subset solver
     the brute-force oracle is built on. The schedule's problem is assembled
     once and solved at each q. None when the subset is infeasible."""
-    pp = assemble_primal(s, coeffs, schedule, target, scheme, include_user_energy)
+    pp = assemble_primal(s, coeffs, schedule, target, scheme)
     if not pp.feasible:
         return None
 
@@ -717,8 +702,8 @@ def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
 
 
 def fixed_schedule_value(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
-                         q: float, target: float, scheme: str = "mdnc",
-                         include_user_energy: bool = False) -> tuple[float, bool] | None:
+                         q: float, target: float,
+                         scheme: str = "mdnc") -> tuple[float, bool] | None:
     """max V(q) over the powers of one schedule, by one primal at q, and
     whether that primal stopped; None when the schedule is infeasible. By
     Dinkelbach's lemma the schedule's best ratio exceeds q only if max V(q)
@@ -731,10 +716,10 @@ def fixed_schedule_value(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: 
     returned is the bound obj_coef*K + q*W - exp(lower_bound) <= 0 on max
     V(q), not max V(q) itself.
     """
-    pp = assemble_primal(s, coeffs, schedule, target, scheme, include_user_energy)
+    pp = assemble_primal(s, coeffs, schedule, target, scheme)
     if not pp.feasible:
         return None
-    energy, _, _, _ = log_power_model(s, coeffs, scheme, include_user_energy)
+    energy, _, _, _ = log_power_model(s, coeffs, scheme)
     zero = pp.obj_coef * len(pp.outage_pos) + q * float(np.sum(energy[s.M:]))
     sol = solve_primal(pp, q, cutoff=math.log(zero))
     if sol.lower_bound is not None:

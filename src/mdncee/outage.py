@@ -45,7 +45,6 @@ __all__ = [
     "nonc_outage",
     "outage_posynomial",
     "nonc_outage_posynomials",
-    "powers_to_log",
     "powers_from_log",
 ]
 
@@ -93,19 +92,9 @@ class PowerAllocation:
             raise ValueError("relay powers must satisfy 0 <= p'_j <= u_j * P_R_max")
 
 
-def powers_to_log(coeffs: LinkCoefficients, schedule: RelaySchedule, powers: PowerAllocation):
-    """Map natural powers to the log-domain variables (ptilde, ptilde_relay).
-
-    ptilde_i = ln p_i; ptilde'_j solves u_j p'_j = c_j e^(ptilde'_j) - c_j, so
-    ptilde'_j = ln(1 + u_j p'_j / c_j) (0 for unselected relays).
-    """
-    ptilde = np.log(powers.p)
-    ptilde_relay = np.log1p(schedule.u * powers.p_relay / coeffs.c_g)
-    return ptilde, ptilde_relay
-
-
 def powers_from_log(coeffs: LinkCoefficients, schedule: RelaySchedule, ptilde, ptilde_relay) -> PowerAllocation:
-    """Inverse of powers_to_log; round-trips to relative 1e-12."""
+    """Natural powers from the log-domain variables: p_i = e^(ptilde_i), and
+    p'_j = c_j (e^(ptilde'_j) - 1) on selected relays, 0 elsewhere."""
     p = np.exp(np.asarray(ptilde, dtype=float))
     p_relay = coeffs.c_g * np.expm1(np.asarray(ptilde_relay, dtype=float)) * schedule.u
     return PowerAllocation(p=p, p_relay=p_relay)

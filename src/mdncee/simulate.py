@@ -219,7 +219,7 @@ def monte_carlo_outage(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Re
 
 
 def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
-                         scheme: str = "mdnc", include_user_energy: bool = False) -> Solution:
+                         scheme: str = "mdnc") -> Solution:
     """Enumerate every relay subset within the count bounds and keep the best.
 
     Each subset's continuous problem is convex, so the per-subset q-iteration
@@ -251,7 +251,7 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     """
     if s.N > ENUM_GUARD_N:
         raise ValueError(f"brute force enumerates subsets; N = {s.N} exceeds {ENUM_GUARD_N}")
-    bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
+    bounds = relay_count_bounds(s, coeffs, target, scheme)
     if not bounds.feasible:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
@@ -260,8 +260,7 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     def q_iterate(subset):
         nonlocal q_iterations
         sol = dinkelbach_fixed_schedule(s, coeffs, RelaySchedule.from_indices(subset, s.N),
-                                        target, scheme=scheme,
-                                        include_user_energy=include_user_energy)
+                                        target, scheme=scheme)
         q_iterations += sol is not None
         return sol
 
@@ -269,7 +268,7 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
         """Sign test: one primal at q; False when the subset is infeasible."""
         nonlocal tried, stopped
         res = fixed_schedule_value(s, coeffs, RelaySchedule.from_indices(subset, s.N), q,
-                                   target, scheme, include_user_energy)
+                                   target, scheme)
         if res is None:
             return False
         tried += 1

@@ -54,3 +54,9 @@ def random_coeffs(rng, M, N, scale=1e-3):
         c_h=scale * rng.lognormal(0.0, 0.7, size=(M, N)),
         c_g=scale * rng.lognormal(0.0, 0.7, size=N),
     )
+
+
+def master_for(s, coeffs, target, scheme="mdnc"):
+    """The master of one (scheme, target) solve over its relay-count window."""
+    from mdncee.optimizer import MasterModel, relay_count_bounds
+    return MasterModel(s, coeffs, scheme, target, relay_count_bounds(s, coeffs, target, scheme))

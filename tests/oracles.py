@@ -10,6 +10,10 @@ breakdown and the parametric value V rather than from the stacked V'
 posynomial the solver builds (its outage term is the library's outage
 posynomial, itself checked against the subset sums above).
 
+powers_to_log maps natural powers to the log-domain variables, the inverse
+of the library's powers_from_log, and log_gradient is grad log P from a
+posynomial's own value and gradient.
+
 plain_brute_force is exhaustive search without screening: a full
 q-iteration on every subset in the relay-count window.
 
@@ -176,6 +180,24 @@ def enumerated_nonc_terms(coeffs, selected, M: int) -> list[dict]:
     return result
 
 
+def log_gradient(pos, x) -> np.ndarray:
+    """Gradient of log P at x, from the posynomial's own value and gradient:
+    grad log V' at q is log_gradient(pp.vprime(q), x)."""
+    value, grad = pos.value_grad(x)
+    return grad / value
+
+
+def powers_to_log(coeffs: LinkCoefficients, schedule: RelaySchedule, powers: PowerAllocation):
+    """Natural powers to the log-domain variables (ptilde, ptilde_relay).
+
+    ptilde_i = ln p_i; ptilde'_j solves u_j p'_j = c_j e^(ptilde'_j) - c_j, so
+    ptilde'_j = ln(1 + u_j p'_j / c_j) (0 for unselected relays).
+    """
+    ptilde = np.log(powers.p)
+    ptilde_relay = np.log1p(schedule.u * powers.p_relay / coeffs.c_g)
+    return ptilde, ptilde_relay
+
+
 def outage_approx_logdomain(coeffs: LinkCoefficients, schedule: RelaySchedule,
                             ptilde, ptilde_relay) -> float:
     """Approximate outage in the log-domain variables.
@@ -234,18 +256,17 @@ def tilde_v(q: float, s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Rel
 
 
 def plain_brute_force(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
-                      scheme: str = "mdnc", include_user_energy: bool = False) -> Solution:
+                      scheme: str = "mdnc") -> Solution:
     """q-iterate every subset in the count window; the first strictly greater
     q_star wins. An empty or all-infeasible window gives feasible=False."""
-    bounds = relay_count_bounds(s, coeffs, target, scheme, include_user_energy)
+    bounds = relay_count_bounds(s, coeffs, target, scheme)
     if not bounds.feasible:
         return Solution(feasible=False, scheme=scheme, target=target)
     best = None
     for k in range(bounds.low, bounds.up + 1):
         for subset in combinations(range(s.N), k):
             sol = dinkelbach_fixed_schedule(s, coeffs, RelaySchedule.from_indices(subset, s.N),
-                                            target, scheme=scheme,
-                                            include_user_energy=include_user_energy)
+                                            target, scheme=scheme)
             if sol is not None and (best is None or sol.q_star > best.q_star):
                 best = sol
     return best or Solution(feasible=False, scheme=scheme, target=target)

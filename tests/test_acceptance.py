@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_PATH, random_coeffs
-from oracles import outage_approx_power, prob_varsigma_given_zeta, prob_zeta_K
+from oracles import log_gradient, outage_approx_power, prob_varsigma_given_zeta, prob_zeta_K
 from test_outage import enumerate_outage, outage_exact_toy
 from test_optimizer import grid_maximize_toy_ratio
 
 from mdncee import cli
-from mdncee.convex_solver import assemble_primal, gradients
+from mdncee.convex_solver import assemble_primal
 from mdncee.optimizer import dinkelbach_fixed_schedule, dinkelbach_solve, nonc_solve
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_exact
 from mdncee.simulate import McConfig, brute_force_optimize, monte_carlo_outage
@@ -137,11 +137,6 @@ def _fd_hessian(grad_fn, x, h=1e-5):
     return 0.5 * (H + H.T)
 
 
-def _log_gradient(pos, x):
-    value, grad = pos.value_grad(x)
-    return grad / value
-
-
 def test_criterion_05_convexity_certificates(paper_scenario, paper_coeffs):
     start = time.time()
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
@@ -151,8 +146,8 @@ def test_criterion_05_convexity_certificates(paper_scenario, paper_coeffs):
     min_eig = np.inf
     for _ in range(100):
         x = rng.uniform(pp.lo + 0.02 * span, pp.hi - 0.02 * span)
-        h_tv = _fd_hessian(lambda z: gradients(pp, 1300.0, z)[0], x)
-        h_out = _fd_hessian(lambda z: _log_gradient(pp.outage_pos[0], z), x)
+        h_tv = _fd_hessian(lambda z: log_gradient(pp.vprime(1300.0), z), x)
+        h_out = _fd_hessian(lambda z: log_gradient(pp.outage_pos[0], z), x)
         min_eig = min(min_eig, np.linalg.eigvalsh(h_tv).min(), np.linalg.eigvalsh(h_out).min())
     elapsed = time.time() - start
     record(5, min_eig >= -1e-8 and elapsed < 60.0,
@@ -170,7 +165,8 @@ def test_criterion_06_gradient_correctness(paper_scenario, paper_coeffs):
     h = 1e-6
     for _ in range(100):
         x = rng.uniform(pp.lo + 0.02 * span, pp.hi - 0.02 * span)
-        gtv, gg = gradients(pp, 1300.0, x)
+        gtv = log_gradient(vprime, x)
+        gg = [pos.value_grad(x)[1] for pos in pp.outage_pos]
         fd_tv = np.zeros(pp.dim)
         fd_g = np.zeros(pp.dim)
         for k in range(pp.dim):

@@ -274,24 +274,60 @@ def test_verify_passes_a_certain_outage_that_the_simulation_confirms(tmp_path):
 def test_verify_passes_budget_switch_to_solver(monkeypatch, tmp_path):
     seen = {}
 
-    def solver(s, coeffs, target, scheme="mdnc", include_user_energy=False):
-        seen["include_user_energy"] = include_user_energy
+    def solver(s, coeffs, target, scheme="mdnc"):
+        seen["user_energy_in_budget"] = s.user_energy_in_budget
         return Solution(feasible=False, scheme=scheme, target=target, reason="stub")
 
     monkeypatch.setattr(cli, "dinkelbach_solve", solver)
     code = run_cli(["verify", SCENARIO_PATH, "--target", "1e-3",
                     "--include-user-energy-in-budget", "--out", str(tmp_path)])
     assert code == 3
-    assert seen == {"include_user_energy": True}
+    assert seen == {"user_energy_in_budget": True}
+
+
+@pytest.mark.parametrize("flag", [[], ["--include-user-energy-in-budget"]])
+def test_sweep_passes_budget_rule_to_every_solver(monkeypatch, tmp_path, flag):
+    seen = []
+
+    def solver(s, coeffs, target, scheme="mdnc"):
+        seen.append(s.user_energy_in_budget)
+        return Solution(feasible=False, scheme=scheme, target=target, reason="stub")
+
+    monkeypatch.setattr(cli, "dinkelbach_solve", solver)
+    monkeypatch.setattr(cli, "brute_force_optimize", solver)
+    code = run_cli(["sweep", SCENARIO_PATH, "--mode", "goa,brute", "--targets", "1e-2,1e-3",
+                    *flag, "--out", str(tmp_path)])
+    assert code == 3
+    assert seen == [bool(flag)] * 4
+
+
+def test_relay_shift_keeps_budget_rule_on_every_shifted_scenario(monkeypatch, tmp_path):
+    seen = []
+    real_shift, real_fixed = cli.apply_relay_shift, cli.dinkelbach_fixed_schedule
+
+    def shift(s, delta):
+        shifted = real_shift(s, delta)
+        seen.append(shifted.user_energy_in_budget)
+        return shifted
+
+    def fixed(s, coeffs, schedule, target, scheme="mdnc"):
+        seen.append(s.user_energy_in_budget)
+        return real_fixed(s, coeffs, schedule, target, scheme=scheme)
+
+    monkeypatch.setattr(cli, "apply_relay_shift", shift)
+    monkeypatch.setattr(cli, "dinkelbach_fixed_schedule", fixed)
+    assert run_cli(["relay-shift", SCENARIO_PATH, "--relays", "0,1,2", "--deltas=-25,0,25",
+                    "--include-user-energy-in-budget", "--out", str(tmp_path)]) == 0
+    assert seen == [True] * 4
 
 
 def test_failed_solve_becomes_row_and_sweep_continues(monkeypatch, tmp_path):
     real = cli.dinkelbach_solve
 
-    def solver(s, coeffs, target, scheme="mdnc", include_user_energy=False):
+    def solver(s, coeffs, target, scheme="mdnc"):
         if target < 5e-3:
             raise RuntimeError("parametric q-iteration did not converge in 60 rounds")
-        return real(s, coeffs, target, scheme=scheme, include_user_energy=include_user_energy)
+        return real(s, coeffs, target, scheme=scheme)
 
     monkeypatch.setattr(cli, "dinkelbach_solve", solver)
     out = tmp_path / "o"

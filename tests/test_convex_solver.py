@@ -4,8 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import log_gradient
 from mdncee import convex_solver
-from mdncee.convex_solver import _barrier_minimize, assemble_primal, gradients, solve_primal
+from mdncee.convex_solver import _barrier_minimize, assemble_primal, solve_primal
 from mdncee.energy import scheme_constants
 from mdncee.outage import RelaySchedule
 from mdncee.posynomial import Posynomial
@@ -26,12 +27,17 @@ def interior_points(pp, count, seed):
     return [rng.uniform(pp.lo + 0.05 * span, pp.hi - 0.05 * span) for _ in range(count)]
 
 
+def outage_gradients(pp, x):
+    """One gradient row per outage constraint."""
+    return np.vstack([pos.value_grad(x)[1] for pos in pp.outage_pos])
+
+
 def test_gradients_match_central_differences(primal):
     pp = primal
     h = 1e-6
     vprime = pp.vprime(Q)
     for x in interior_points(pp, 25, 7):
-        gtv, gg = gradients(pp, Q, x)
+        gtv, gg = log_gradient(vprime, x), outage_gradients(pp, x)
         fd_tv = np.zeros(pp.dim)
         fd_g = np.zeros(pp.dim)
         for k in range(pp.dim):
@@ -49,14 +55,14 @@ def test_gradient_zero_on_unselected_relay(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 3], 4)
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-2)
     x = 0.5 * (pp.lo + pp.hi)
-    gtv, gg = gradients(pp, 900.0, x)
+    gtv, gg = log_gradient(pp.vprime(900.0), x), outage_gradients(pp, x)
     assert gtv.shape == (paper_scenario.M + 2,)
     assert gg.shape == (1, paper_scenario.M + 2)
 
 
 def test_gradient_of_outage_nonpositive_at_max_power(primal):
     pp = primal
-    gtv, gg = gradients(pp, Q, pp.hi)
+    gg = outage_gradients(pp, pp.hi)
     assert np.all(gg[0] <= 0)
 
 
@@ -128,7 +134,7 @@ def test_loose_target_interior_stationarity(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=0.9999)
     sol = solve_primal(pp, 1300.0)
-    assert np.linalg.norm(gradients(pp, 1300.0, sol.x)[0]) <= 1e-7
+    assert np.linalg.norm(log_gradient(pp.vprime(1300.0), sol.x)) <= 1e-7
 
 
 def test_tightening_target_raises_optimum(paper_scenario, paper_coeffs):
@@ -180,9 +186,10 @@ def test_infeasible_marker_circuit_energy_over_budget(paper_scenario, paper_coef
                                                       include_user_energy):
     # the circuit energy gamma*n + delta0 of three relays alone overspends E0
     gamma, delta0, _, _ = scheme_constants(paper_scenario, scheme)
-    s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0 - 1.0)
+    s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0 - 1.0,
+                            user_energy_in_budget=include_user_energy)
     pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4),
-                         target=1e-2, scheme=scheme, include_user_energy=include_user_energy)
+                         target=1e-2, scheme=scheme)
     assert not pp.feasible
     assert "energy budget" in pp.infeasible_reason
 
@@ -192,9 +199,10 @@ def test_max_slack_start_lowers_user_powers_under_counted_user_energy(paper_scen
     # 1 mJ above the circuit energy: the users at the box midpoint already
     # overspend it, so the start point must lower the user powers as well
     gamma, delta0, _, _ = scheme_constants(paper_scenario, "mdnc")
-    s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0 + 1e-3)
+    s = dataclasses.replace(paper_scenario, E0=gamma * 3 + delta0 + 1e-3,
+                            user_energy_in_budget=True)
     pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 1, 2], 4),
-                         target=1e-2, include_user_energy=True)
+                         target=1e-2)
     assert pp.budget_pos.value(pp.max_slack_point) < pp.budget_cap
 
 
@@ -283,17 +291,17 @@ def test_primal_energy_model_matches_master_at_all_relays(paper_scenario, paper_
     # schedule, a cut anchored at x has an objective row at q that is V' and
     # its gradient there (u = 1 adds the circuit energy), and a budget row
     # that is the primal's budget slack and its gradient
-    from mdncee.optimizer import MasterModel, build_oa_cuts
+    from conftest import master_for
+    from mdncee.optimizer import build_oa_cuts
 
-    s = paper_scenario
+    s = dataclasses.replace(paper_scenario, user_energy_in_budget=include_user_energy)
     full = RelaySchedule.from_indices(range(s.N), s.N)
     dim = s.M + s.N
     ones = np.ones(s.N)
     rng = np.random.default_rng(41)
-    m = MasterModel(s, paper_coeffs, scheme, 1e-3, include_user_energy)
+    m = master_for(s, paper_coeffs, 1e-3, scheme)
     for q in (0.0, 350.0, 1300.0):
-        pp = assemble_primal(s, paper_coeffs, full, target=1e-3, scheme=scheme,
-                             include_user_energy=include_user_energy)
+        pp = assemble_primal(s, paper_coeffs, full, target=1e-3, scheme=scheme)
         for x in interior_points(pp, 10, int(rng.integers(1 << 30))):
             # build_oa_cuts reads only the solution's point
             A, b = build_oa_cuts(pp, SimpleNamespace(x=x), m).at(q)

@@ -195,14 +195,13 @@ def test_energy_breakdown_matches_linear_model(paper_scenario, paper_coeffs, sch
     # T*sum(p) + m*delta_P*T*sum(p') + gamma*n + delta0, and the budget
     # check agrees with the primal's budget constraint, whose cap is E0
     # plus a constant; half of E0 makes the check come out both ways
-    s = paper_scenario
+    s = dataclasses.replace(paper_scenario, user_energy_in_budget=include_user_energy)
     gamma, delta0, m, _ = scheme_constants(s, scheme)
     rng = np.random.default_rng(17)
     seen = set()
     for n in range(1, s.N + 1):
         sched = RelaySchedule.from_indices(rng.choice(s.N, n, replace=False).tolist(), s.N)
-        pp = assemble_primal(s, paper_coeffs, sched, target=1e-3, scheme=scheme,
-                             include_user_energy=include_user_energy)
+        pp = assemble_primal(s, paper_coeffs, sched, target=1e-3, scheme=scheme)
         for _ in range(20):
             x = rng.uniform(pp.lo, pp.hi)
             powers = pp.powers(x)

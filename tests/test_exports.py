@@ -1,16 +1,32 @@
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import mdncee
 
+MODULES = [mdncee] + [importlib.import_module(f"mdncee.{info.name}")
+                      for info in pkgutil.iter_modules(mdncee.__path__)]
+
 
 def test_every_exported_name_resolves():
-    modules = [mdncee] + [importlib.import_module(f"mdncee.{info.name}")
-                          for info in pkgutil.iter_modules(mdncee.__path__)]
-    stale = [f"{module.__name__}.{name}" for module in modules
+    stale = [f"{module.__name__}.{name}" for module in MODULES
              for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert stale == []
+
+
+def test_only_energy_budget_ok_takes_the_budget_switch():
+    # the scenario carries the budget rule (user_energy_in_budget); only the
+    # check of an energy breakdown, which has no scenario, takes it as an argument
+    takers = set()
+    for module in MODULES:
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            functions = ([m for _, m in inspect.getmembers(obj, inspect.isfunction)]
+                         if inspect.isclass(obj) else [obj] if inspect.isfunction(obj) else [])
+            takers.update(fn.__qualname__ for fn in functions
+                          if "include_user_energy" in inspect.signature(fn).parameters)
+    assert takers == {"energy_budget_ok"}
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

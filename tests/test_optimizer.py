@@ -5,12 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mdncee.convex_solver import assemble_primal, gradients, solve_primal
+from mdncee.convex_solver import assemble_primal, solve_primal
 from mdncee.energy import scheme_constants
 from mdncee.lp import solve_lp
 from mdncee.optimizer import (
     GOA_REL_TOL,
-    MasterModel,
     _master_lp_rows,
     build_oa_cuts,
     dinkelbach_fixed_schedule,
@@ -22,6 +21,8 @@ from mdncee.optimizer import (
 )
 from mdncee.model import build_link_coefficients
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_exact
+from conftest import master_for
+from oracles import log_gradient
 from test_properties import _random_small_scenario
 
 
@@ -87,14 +88,14 @@ def test_nonc_schedule_feasible_for_its_worst_user_is_not_refuted(paper_scenario
     # second user at 6.47e-3
     from mdncee.simulate import brute_force_optimize
 
-    s = dataclasses.replace(paper_scenario, E0=266.167)
+    s = dataclasses.replace(paper_scenario, E0=266.167, user_energy_in_budget=True)
     pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0], 4),
-                         target=6.4e-3, scheme="nonc", include_user_energy=True)
+                         target=6.4e-3, scheme="nonc")
     assert pp.budget_pos.value(pp.hi) > pp.budget_cap
     assert pp.feasible
     assert np.all(pp.outage_at(pp.max_slack_point) <= 6.4e-3)
     for solve in (dinkelbach_solve, brute_force_optimize):
-        sol = solve(s, paper_coeffs, 6.4e-3, scheme="nonc", include_user_energy=True)
+        sol = solve(s, paper_coeffs, 6.4e-3, scheme="nonc")
         assert sol.feasible, solve.__name__
         assert sol.schedule.theta == (0,)
         assert sol.ee == pytest.approx(933.345, rel=1e-6)
@@ -109,13 +110,14 @@ def test_count_window_counts_user_energy_when_the_budget_does(paper_scenario, pa
     gamma, delta0, _, _ = scheme_constants(paper_scenario, "mdnc")
     s = paper_scenario
     s = dataclasses.replace(s, E0=gamma * 3 + delta0 + 0.5 * s.M * s.T * P_MIN)
+    counted = dataclasses.replace(s, user_energy_in_budget=True)
     assert relay_count_bounds(s, paper_coeffs, 1e-3).up == 3
-    assert relay_count_bounds(s, paper_coeffs, 1e-3, include_user_energy=True).up == 2
+    assert relay_count_bounds(counted, paper_coeffs, 1e-3).up == 2
     for solve in (dinkelbach_solve, brute_force_optimize):
-        sol = solve(s, paper_coeffs, 1e-3, include_user_energy=True)
+        sol = solve(counted, paper_coeffs, 1e-3)
         assert sol.reason == "no admissible relay count (low=3, up=2)", solve.__name__
     with pytest.raises(ValueError, match="no admissible relay count"):
-        goa_solve(s, paper_coeffs, 500.0, 1e-3, include_user_energy=True)
+        goa_solve(master_for(counted, paper_coeffs, 1e-3), 500.0)
 
 
 def test_count_bounds_unreachable_target(paper_scenario, paper_coeffs):
@@ -188,7 +190,7 @@ def anchor(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-3)
     sol = solve_primal(pp, 1300.0)
-    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-3)
+    master = master_for(paper_scenario, paper_coeffs, 1e-3)
     return pp, sol, master, build_oa_cuts(pp, sol, master)
 
 
@@ -207,7 +209,7 @@ def test_cut_reproduces_anchor_value(anchor):
 
 def test_cut_underestimates_objective_on_anchor_schedule(anchor):
     pp, sol, master, _ = anchor
-    grad_tilde_v = gradients(pp, 1300.0, sol.x)[0]
+    grad_tilde_v = log_gradient(pp.vprime(1300.0), sol.x)
     vprime = pp.vprime(1300.0)
     rng = np.random.default_rng(13)
     for _ in range(100):
@@ -252,7 +254,7 @@ def test_g_cut_inactive_at_slack_anchor(paper_scenario, paper_coeffs):
     sched = RelaySchedule.from_indices(range(4), 4)
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-2)
     sol = solve_primal(pp, 800.0)
-    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-2)
+    master = master_for(paper_scenario, paper_coeffs, 1e-2)
     A, b = build_oa_cuts(pp, sol, master).at(800.0)
     # row 1 is the outage row (row 0 the objective, row 2 the budget)
     assert A[1] @ _anchor_z(master, pp, sol.x) < b[1]
@@ -263,7 +265,8 @@ def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, 
     from mdncee import optimizer
 
     s = paper_scenario
-    refuted = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices([0, 2], 4), target=1e-4)
+    master = master_for(s, paper_coeffs, 1e-4)
+    refuted = master.problem(RelaySchedule.from_indices([0, 2], 4))
     assert not refuted.feasible
     rows = []
     real_lp = optimizer.solve_lp
@@ -273,8 +276,7 @@ def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, 
         return real_lp(c, A, b, lb, ub, warm=warm)
 
     monkeypatch.setattr(optimizer, "solve_lp", recording_lp)
-    master = MasterModel(s, paper_coeffs, "mdnc", 1e-4)
-    state = goa_solve(s, paper_coeffs, 1000.0, 1e-4, master=master, warm=refuted)
+    state = goa_solve(master, 1000.0, warm=refuted)
     assert master.refuted[0] == (0, 2)
     # the root LP holds the 4 + N fixed rows and the refuted schedule's row
     A, b = rows[0]
@@ -290,7 +292,7 @@ def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, 
     grown = [after - before for before, after in zip(sizes, sizes[1:])]
     assert grown == [1 if theta in master.refuted else 4 for theta in state.visited[1:]]
     # a later q-state on the same master keeps the row and never visits (0, 2)
-    later = goa_solve(s, paper_coeffs, 1200.0, 1e-4, master=master)
+    later = goa_solve(master, 1200.0)
     _, A2, b2, _, _ = _master_lp_rows(later)
     assert any(np.array_equal(r, A[-1]) and rhs == b[-1] for r, rhs in zip(A2, b2))
     assert (0, 2) not in later.visited
@@ -313,7 +315,7 @@ def _assert_tree_certifies_by_enumeration(state):
                                  / state.master.v_scale, rel=1e-15)
     ub[-1] = 1e9                        # lift the cap: each schedule's own bound is checked
     checked = 0
-    for k in range(state.bounds.low, state.bounds.up + 1):
+    for k in range(state.master.bounds.low, state.master.bounds.up + 1):
         for subset in combinations(range(s.N), k):
             if subset in state.visited:
                 continue
@@ -328,7 +330,8 @@ def _assert_tree_certifies_by_enumeration(state):
 
 
 def test_master_matches_exhaustive_enumeration(paper_scenario, paper_coeffs):
-    _assert_tree_certifies_by_enumeration(goa_solve(paper_scenario, paper_coeffs, 1300.0, 1e-3))
+    _assert_tree_certifies_by_enumeration(
+        goa_solve(master_for(paper_scenario, paper_coeffs, 1e-3), 1300.0))
 
 
 def test_master_matches_exhaustive_enumeration_at_eight_relays():
@@ -336,14 +339,14 @@ def test_master_matches_exhaustive_enumeration_at_eight_relays():
     # at its first Dinkelbach q
     s = _random_small_scenario(np.random.default_rng([1, 8, 2]), M=2, N=8)
     coeffs = build_link_coefficients(s)
-    state = goa_solve(s, coeffs, 1172.8, 1e-3)
+    state = goa_solve(master_for(s, coeffs, 1e-3), 1172.8)
     assert state.iteration > 10
     _assert_tree_certifies_by_enumeration(state)
 
 
 def test_goa_never_revisits_and_bounds_monotone(paper_scenario, paper_coeffs):
     for target in (1e-2, 1e-3, 1e-4):
-        state = goa_solve(paper_scenario, paper_coeffs, 1200.0, target)
+        state = goa_solve(master_for(paper_scenario, paper_coeffs, target), 1200.0)
         assert len(set(state.visited)) == len(state.visited)
         ubd = state.ubd_history
         assert all(b <= a + 1e-12 for a, b in zip(ubd, ubd[1:]))
@@ -354,7 +357,7 @@ def test_goa_never_revisits_and_bounds_monotone(paper_scenario, paper_coeffs):
 
 
 def test_goa_single_admissible_schedule_terminates_immediately(toy_scenario, toy_coeffs):
-    state = goa_solve(toy_scenario, toy_coeffs, 100.0, 1e-2)
+    state = goa_solve(master_for(toy_scenario, toy_coeffs, 1e-2), 100.0)
     assert state.incumbent is not None
     assert state.iteration == 1
     assert state.visited == [(0,)]
@@ -438,12 +441,6 @@ def test_goa_state_at_iteration_limit_is_counted(paper_scenario, paper_coeffs, m
     sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-2)
     assert "iteration limit" in [i["termination"] for i in sol.diagnostics["inner"]]
     assert sol.diagnostics["goa_unconverged"] >= 1
-
-
-def test_direct_goa_call_rejects_a_master_of_another_target(paper_scenario, paper_coeffs):
-    master = MasterModel(paper_scenario, paper_coeffs, "mdnc", 1e-3)
-    with pytest.raises(ValueError, match="another scheme, target"):
-        goa_solve(paper_scenario, paper_coeffs, 1200.0, 1e-2, master=master)
 
 
 def test_fixed_schedule_counts_unconverged_primals(paper_scenario, paper_coeffs):
@@ -554,12 +551,12 @@ def test_parametric_value_is_zero_level_minus_vprime(paper_scenario, paper_coeff
     from mdncee.convex_solver import log_power_model
     from mdncee.optimizer import _parametric_value
 
-    s = paper_scenario
-    energy, _, _, _ = log_power_model(s, paper_coeffs, scheme, include_user_energy)
+    s = dataclasses.replace(paper_scenario, user_energy_in_budget=include_user_energy)
+    energy, _, _, _ = log_power_model(s, paper_coeffs, scheme)
     W = float(np.sum(energy[s.M:]))
     for relays in ((0,), (0, 2), (0, 1, 2), (0, 1, 2, 3)):
         pp = assemble_primal(s, paper_coeffs, RelaySchedule.from_indices(relays, s.N), 1e-3,
-                             scheme, include_user_energy)
+                             scheme)
         if not pp.feasible:
             continue
         for q in (0.0, 600.0, 1300.0, 2600.0):
@@ -754,7 +751,7 @@ def test_all_relay_outage_built_once_per_solve(paper_scenario, paper_coeffs, mon
     sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
     assert sol.diagnostics["goa_states"] > 1
     assert builds == [(0, 1, 2, 3)]
-    goa_solve(paper_scenario, paper_coeffs, sol.q_star, 1e-3, scheme=scheme)
+    goa_solve(master_for(paper_scenario, paper_coeffs, 1e-3, scheme), sol.q_star)
     assert builds == [(0, 1, 2, 3)] * 2
 
 
@@ -883,9 +880,8 @@ def test_vacuous_target_gives_unconstrained_optimum(toy_scenario, toy_coeffs):
     sched = RelaySchedule.from_indices([0], 1)
     sol = dinkelbach_fixed_schedule(toy_scenario, toy_coeffs, sched, 0.999999)
     pp = assemble_primal(toy_scenario, toy_coeffs, sched, target=0.999999)
-    from mdncee.convex_solver import gradients
     x = np.concatenate([np.log(sol.powers.p), np.log1p(sol.powers.p_relay / toy_coeffs.c_g)])
-    gtv, _ = gradients(pp, sol.q_star, x)
+    gtv = log_gradient(pp.vprime(sol.q_star), x)
     at_cap = np.isclose(x, pp.hi, atol=1e-6)
     assert np.all((np.abs(gtv) <= 1e-5) | at_cap)
 

@@ -12,6 +12,7 @@ from oracles import (
     enumerated_outage_terms,
     outage_approx_logdomain,
     outage_approx_power,
+    powers_to_log,
     prob_varsigma_given_zeta,
     prob_zeta_K,
 )
@@ -25,7 +26,6 @@ from mdncee.outage import (
     outage_exact,
     outage_posynomial,
     powers_from_log,
-    powers_to_log,
     relay_decode_prob,
 )
 

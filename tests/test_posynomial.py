@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mdncee.convex_solver import _BarrierStack, assemble_primal, solve_primal
-from mdncee.optimizer import MasterModel, build_oa_cuts
+from conftest import master_for
+from mdncee.optimizer import build_oa_cuts
 from mdncee.outage import RelaySchedule, outage_posynomial
 from mdncee.posynomial import Posynomial, segment_logvalues, segment_values, stacked_terms
 
@@ -51,7 +52,7 @@ def test_value_grad_equals_parts_bitwise(paper_scenario, paper_coeffs):
     for scheme in ("mdnc", "nonc"):
         pp = assemble_primal(s, paper_coeffs, sched, target=1e-2, scheme=scheme)
         sol = solve_primal(pp, 800.0)
-        master = MasterModel(s, paper_coeffs, scheme, 1e-2)
+        master = master_for(s, paper_coeffs, 1e-2, scheme)
         cut = build_oa_cuts(pp, sol, master)
         x = sol.x    # every relay is selected, so the anchor needs no lifting
         outage = [pos.value_grad(x) for pos in master.outage_full]

@@ -105,8 +105,8 @@ def test_parallel_sweep_matches_serial(tmp_path):
 def test_budget_switch_threads_through_solver(paper_scenario, paper_coeffs):
     # with user energy counted and a tight budget, the optimizer must keep
     # total grid draw + user draw within E0
-    squeezed = dataclasses.replace(paper_scenario, E0=330.0)
-    sol = dinkelbach_solve(squeezed, paper_coeffs, 1e-2, include_user_energy=True)
+    squeezed = dataclasses.replace(paper_scenario, E0=330.0, user_energy_in_budget=True)
+    sol = dinkelbach_solve(squeezed, paper_coeffs, 1e-2)
     assert sol.feasible
     e = sol.energy
     assert e.e_bs1 + e.e_bs2 + e.e_r1 + e.e_r2 + e.e_s <= 330.0 * (1 + 1e-9)

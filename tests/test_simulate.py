@@ -336,17 +336,15 @@ def _assert_same_answer(screened, plain):
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
 def test_screened_brute_force_equals_plain_enumeration_on_paper_cfg(
         scheme, include_user_energy, paper_scenario, paper_coeffs):
+    s = dataclasses.replace(paper_scenario, user_energy_in_budget=include_user_energy)
     for target in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        screened = brute_force_optimize(paper_scenario, paper_coeffs, target, scheme,
-                                        include_user_energy)
-        plain = plain_brute_force(paper_scenario, paper_coeffs, target, scheme,
-                                  include_user_energy)
+        screened = brute_force_optimize(s, paper_coeffs, target, scheme)
+        plain = plain_brute_force(s, paper_coeffs, target, scheme)
         _assert_same_answer(screened, plain)
         d = screened.diagnostics
         assert 1 <= d["q_iterations"] <= d["subsets_tried"]
-        bounds = simulate.relay_count_bounds(paper_scenario, paper_coeffs, target, scheme,
-                                             include_user_energy)
-        window = sum(math.comb(paper_scenario.N, k) for k in range(bounds.low, bounds.up + 1))
+        bounds = simulate.relay_count_bounds(s, paper_coeffs, target, scheme)
+        window = sum(math.comb(s.N, k) for k in range(bounds.low, bounds.up + 1))
         assert d["subsets_tried"] + d["subsets_pruned"] <= window
 
 
@@ -363,11 +361,10 @@ def test_screened_brute_force_equals_plain_enumeration_on_random_scenarios(draw)
     s = _random_small_scenario(rng, M=M, N=N)
     coeffs = build_link_coefficients(s)
     target = float(rng.choice([1e-2, 1e-3, 1e-4]))
-    include_user_energy = (draw // 2) % 2 == 1
+    s = dataclasses.replace(s, user_energy_in_budget=(draw // 2) % 2 == 1)
     for scheme in ("mdnc", "nonc"):
-        _assert_same_answer(
-            brute_force_optimize(s, coeffs, target, scheme, include_user_energy),
-            plain_brute_force(s, coeffs, target, scheme, include_user_energy))
+        _assert_same_answer(brute_force_optimize(s, coeffs, target, scheme),
+                            plain_brute_force(s, coeffs, target, scheme))
 
 
 def test_ratio_bound_holds_for_every_feasible_fixed_schedule():
@@ -382,9 +379,11 @@ def test_ratio_bound_holds_for_every_feasible_fixed_schedule():
             gamma, delta0, _, _ = scheme_constants(s, scheme)
             n = int(rng.integers(1, s.N + 1))
             subset = sorted(rng.choice(s.N, size=n, replace=False).tolist())
-            sol = dinkelbach_fixed_schedule(s, coeffs, RelaySchedule.from_indices(subset, s.N),
-                                            float(rng.choice([1e-2, 1e-3])), scheme=scheme,
-                                            include_user_energy=bool(rng.integers(2)))
+            target = float(rng.choice([1e-2, 1e-3]))
+            counted = dataclasses.replace(s, user_energy_in_budget=bool(rng.integers(2)))
+            sol = dinkelbach_fixed_schedule(counted, coeffs,
+                                            RelaySchedule.from_indices(subset, s.N), target,
+                                            scheme=scheme)
             if sol is None:
                 continue
             assert sol.q_star < s.M * s.alpha0 / (gamma * n + delta0)
