@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .model import ScenarioError, apply_relay_shift, build_link_coefficients, load_scenario, validate_scenario
+from .convex_solver import assemble_primal
 from .energy import energy_efficiency, total_energy
 from .optimizer import dinkelbach_fixed_schedule, dinkelbach_solve, exact_outage
 from .outage import PowerAllocation, RelaySchedule
@@ -179,23 +180,22 @@ def _job_count(text: str) -> int:
     return value
 
 
-def _solve_row(args):
-    """One sweep cell; top-level so process pools can dispatch it."""
-    scenario_path, target, scheme, mode, samples, seed, include_user = args
+def _solve_rows(args):
+    """One solve's sweep rows, one per mode it serves: brute, or goa and mc
+    (mc verifies the goa point). Top-level so process pools can dispatch it."""
+    scenario_path, target, scheme, modes, samples, seed, include_user = args
     s, coeffs = _load(scenario_path, include_user)
     row = dict.fromkeys(SWEEP_COLUMNS)
-    row.update(target=target, scheme=scheme, mode=mode, status="ok", reason="")
-    solver = brute_force_optimize if mode == "brute" else dinkelbach_solve
+    row.update(target=target, scheme=scheme, status="ok", reason="")
+    solver = brute_force_optimize if "brute" in modes else dinkelbach_solve
     try:
         sol = solver(s, coeffs, target, scheme=scheme)
     except (RuntimeError, ValueError) as exc:
-        row["status"] = "failed"
-        row["reason"] = str(exc)
-        return row
+        row.update(status="failed", reason=str(exc))
+        return [{**row, "mode": mode} for mode in modes]
     if not sol.feasible:
-        row["status"] = "infeasible"
-        row["reason"] = sol.reason or "infeasible"
-        return row
+        row.update(status="infeasible", reason=sol.reason or "infeasible")
+        return [{**row, "mode": mode} for mode in modes]
     diag = sol.diagnostics
     row.update({
         "relays": sol.schedule.theta,
@@ -213,13 +213,15 @@ def _solve_row(args):
         "cuts": diag.get("cuts_total"),
         "newton_iters": diag.get("newton_total"),
     })
-    if mode == "mc":
-        mc = monte_carlo_outage(s, coeffs, sol.schedule, sol.powers,
-                                McConfig(samples=samples, seed=seed), scheme=scheme)
-        row["pr_out_mc"] = _scalar_outage(mc.outage)
-        row["mc_stderr"] = _scalar_outage(mc.stderr)
-        row["ee"] = mc.ee
-    return row
+    rows = []
+    for mode in modes:
+        rows.append({**row, "mode": mode})
+        if mode == "mc":
+            mc = monte_carlo_outage(s, coeffs, sol.schedule, sol.powers,
+                                    McConfig(samples=samples, seed=seed), scheme=scheme)
+            rows[-1].update(pr_out_mc=_scalar_outage(mc.outage),
+                            mc_stderr=_scalar_outage(mc.stderr), ee=mc.ee)
+    return rows
 
 
 def _write_lines(path, lines):
@@ -235,15 +237,18 @@ def _write_plotdata(outdir, name, pairs):
 
 
 def _sweep_rows(scenario_path, targets, schemes, modes, samples, seed, include_user, jobs):
-    tasks = [(scenario_path, t, sch, mode, samples, seed, include_user)
-             for t in targets for sch in schemes for mode in modes]
+    # one task per solve: brute force's, and one GOA solve for the goa and mc rows
+    solves = [group for group in ([m for m in modes if m == "brute"],
+                                  [m for m in modes if m != "brute"]) if group]
+    tasks = [(scenario_path, t, sch, group, samples, seed, include_user)
+             for t in targets for sch in schemes for group in solves]
     # the pool forks all its workers up front: never more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_solve_row, tasks))
+            rows = [r for rs in pool.map(_solve_rows, tasks) for r in rs]
     else:
-        rows = [_solve_row(t) for t in tasks]
+        rows = [r for t in tasks for r in _solve_rows(t)]
     rows.sort(key=lambda r: (-r["target"], r["scheme"], r["mode"]))
     return rows
 
@@ -294,7 +299,7 @@ def relay_location_study(s, coeffs, target: float, deltas, subset=None):
         schedule, powers = base.schedule, base.powers
     else:
         schedule = RelaySchedule.from_indices(subset, s.N)
-        fixed = dinkelbach_fixed_schedule(s, coeffs, schedule, target)
+        fixed = dinkelbach_fixed_schedule(assemble_primal(s, coeffs, schedule, target))
         if fixed is None:
             return [{"delta": d, "relays": schedule.theta, "ee": None, "pr_out_exact": None,
                      "status": "infeasible", "reason": "no admissible power allocation at delta 0"}
@@ -431,16 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy-efficiency optimization of network-coded relay networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, jobs=False):
         p.add_argument("scenario", help="scenario file (key = value lines)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--include-user-energy-in-budget", action="store_true",
                        help="count user transmit energy against the E0 budget")
-        p.add_argument("--jobs", type=_job_count, default=1,
-                       help="parallel sweep workers (at most one per sweep point)")
+        if jobs:
+            p.add_argument("--jobs", type=_job_count, default=1,
+                           help="parallel sweep workers (at most one per solve)")
 
     p = sub.add_parser("sweep", help="Pareto sweep: EE versus target outage")
-    common(p)
+    common(p, jobs=True)
     p.add_argument("--scheme", choices=["mdnc", "nonc", "both"], default="mdnc")
     p.add_argument("--mode", type=_parse_modes, default="goa",
                    help="comma list from goa,brute,mc (mc verifies the goa point)")
@@ -451,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("energy-curve", help="transmit-energy share versus achieved outage")
-    common(p)
+    common(p, jobs=True)
     p.add_argument("--scheme", choices=["mdnc", "nonc"], default="mdnc")
     p.add_argument("--targets", type=_parse_targets, default=list(DEFAULT_TARGETS),
                    help="comma list or logrange:start,stop,count")

@@ -68,13 +68,13 @@ class PrimalProblem:
     coeffs: LinkCoefficients
     schedule: RelaySchedule
     scheme: str
-    targets: np.ndarray                 # one outage cap (MDNC) or M per-user caps (NoNC)
+    target: float                       # the cap on every outage
     lo: np.ndarray                      # box lower bounds on x
     hi: np.ndarray                      # box upper bounds on x
     circuit: float                      # V' constant (circuit energy, unselected c_j), times q
     energy: np.ndarray                  # V' weights on e^x, times q
     obj_coef: float                     # V' weight of the outage posynomials
-    outage_pos: list[Posynomial]        # constraint posynomial(s), same order as targets
+    outage_pos: list[Posynomial]        # constraint posynomial(s), each capped at target
     budget_pos: Posynomial              # grid energy draw, exponential part + constants
     budget_cap: float                   # budget_pos(x) <= budget_cap
     feasible: bool
@@ -138,7 +138,7 @@ def _stacked(dim: int, *parts) -> Posynomial:
 
 def outage_posynomials(coeffs: LinkCoefficients, selected, M: int, scheme: str) -> list[Posynomial]:
     """High-SNR outage posynomial(s) over the relays in selected: the network
-    outage (MDNC) or one per user (NoNC), in the order of their targets."""
+    outage (MDNC) or one per user (NoNC), users in order."""
     if scheme == "mdnc":
         return [outage_posynomial(coeffs, selected, M)]
     if scheme == "nonc":
@@ -185,7 +185,6 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     selected = schedule.theta
 
     outage_pos = outage_posynomials(coeffs, selected, s.M, scheme)
-    targets = np.full(len(outage_pos), target)
     gamma, delta0, _, obj_coef = scheme_constants(s, scheme)
     energy, budget_w, lo, hi = log_power_model(s, coeffs, scheme)
     keep = np.r_[np.arange(s.M), s.M + np.array(selected, dtype=int)]
@@ -200,7 +199,7 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     budget = _stacked(dim, ([gamma * n + delta0], np.zeros(dim)), (budget_w[keep], np.eye(dim)))
     budget_cap = s.E0 + float(np.sum(relay[list(selected)]))
     pp = PrimalProblem(s=s, coeffs=coeffs, schedule=schedule, scheme=scheme,
-                       targets=targets, lo=lo, hi=hi, circuit=gamma * n + delta0 + unselected,
+                       target=float(target), lo=lo, hi=hi, circuit=gamma * n + delta0 + unselected,
                        energy=energy[keep], obj_coef=obj_coef,
                        outage_pos=outage_pos, budget_pos=budget, budget_cap=budget_cap,
                        feasible=True)
@@ -225,30 +224,30 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
         # steepest admissible direction instead of assuming the corner.
         x_slack = _max_slack_point(pp)
     pp.max_slack_point = x_slack
-    if np.any(pp.outage_at(x_slack) > targets):
+    if np.any(pp.outage_at(x_slack) > pp.target):
         pp.feasible = False
-        worst = int(np.argmax(pp.outage_at(x_slack) / targets))
+        worst = int(np.argmax(pp.outage_at(x_slack) / pp.target))
         pp.infeasible_reason = (
-            f"outage {pp.outage_at(x_slack)[worst]:.3e} above target {targets[worst]:.3e} "
+            f"outage {pp.outage_at(x_slack)[worst]:.3e} above target {pp.target:.3e} "
             f"at maximum admissible power for schedule {selected}"
         )
     return pp
 
 
 def _max_slack_point(pp: PrimalProblem) -> np.ndarray:
-    """Minimize the worst relative outage max_i Pout_i/target_i subject to
+    """Minimize the worst relative outage max_i Pout_i/target subject to
     budget and boxes.
 
     Used only when the budget excludes the max-power corner but is strictly
     met at the lower corner lo. The schedule is feasible exactly when this
     minimum is at most 1. In epigraph form it is one more convex solve over
     (x, sigma): minimize e^sigma subject to log(Pout_i(x) e^(-sigma)) <=
-    log target_i per outage, and the budget. Every outage falls in every
+    log target per outage, and the budget. Every outage falls in every
     power, so the worst ratio lies between its values at hi and at lo, and
     sigma's box is their logs widened by 1.
     """
     dim = pp.dim
-    worst = [np.log(np.max(pp.outage_at(x) / pp.targets)) for x in (pp.hi, pp.lo)]
+    worst = [np.log(np.max(pp.outage_at(x) / pp.target)) for x in (pp.hi, pp.lo)]
     lo, hi = np.append(pp.lo, worst[0] - 1.0), np.append(pp.hi, worst[1] + 1.0)
 
     def lifted(pos, sigma):
@@ -269,8 +268,7 @@ def _max_slack_point(pp: PrimalProblem) -> np.ndarray:
 
     res = _barrier_minimize(
         objective=Posynomial([1.0], np.eye(dim + 1)[-1:], dim + 1),
-        log_constraints=[(lifted(pos, -1.0), np.log(t))
-                         for pos, t in zip(pp.outage_pos, pp.targets)],
+        log_constraints=[(lifted(pos, -1.0), np.log(pp.target)) for pos in pp.outage_pos],
         linear_constraints=[(lifted(pp.budget_pos, 0.0), pp.budget_cap)],
         lo=lo, hi=hi, starts=starts())
     return res[0][:dim]
@@ -522,7 +520,7 @@ def solve_primal(pp: PrimalProblem, q: float, cutoff: float | None = None) -> Pr
 
     x, newton_total, stages, kkt, exhausted, backtracks, lower = _barrier_minimize(
         objective=vprime,
-        log_constraints=[(pos, np.log(t)) for pos, t in zip(pp.outage_pos, pp.targets)],
+        log_constraints=[(pos, np.log(pp.target)) for pos in pp.outage_pos],
         linear_constraints=[(pp.budget_pos, pp.budget_cap)],
         lo=pp.lo, hi=pp.hi, starts=starts(), cutoff=cutoff,
     )

@@ -297,8 +297,8 @@ class GoaState:
     The master's cuts may come from earlier q-states: carried counts the
     cut blocks the state started with. A visit is a solved primal, which
     builds one cut block, or a refuted schedule (its assembled primal is
-    infeasible, so no barrier solve runs), which joins master.refuted:
-    iteration counts the visits and visited lists their schedules. A primal
+    infeasible, so no barrier solve runs), which joins master.refuted;
+    visited lists the schedules of its visits, in order. A primal
     stopped at the tree's cap (primal_stopped) is a solved primal whose
     schedule cannot beat the incumbent: it builds its cut block but never
     becomes the incumbent.
@@ -317,7 +317,6 @@ class GoaState:
     incumbent: PrimalSolution | None = None
     incumbent_problem: PrimalProblem | None = None
     refutation: str | None = None       # infeasible_reason of the last refuted primal
-    iteration: int = 0
     newton_total: int = 0
     backtracks: int = 0                 # rejected line-search trials of its primals
     primal_unconverged: int = 0         # primal solves that ran to the end with converged=False
@@ -445,7 +444,6 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) 
     def visit(pp: PrimalProblem):
         """One solved or refuted schedule: its master row blocks at this q."""
         theta = pp.schedule.theta
-        state.iteration += 1
         state.visited.append(theta)
         blocks = [_no_good(master, theta)]
         if not pp.feasible:
@@ -548,12 +546,12 @@ class Solution:
     reason: str | None = None
 
 
-def _assemble_solution(pp: PrimalProblem, sol: PrimalSolution, target: float, q: float,
+def _assemble_solution(pp: PrimalProblem, sol: PrimalSolution, q: float,
                        diagnostics: dict) -> Solution:
     e = total_energy(pp.s, pp.schedule, sol.powers, pp.scheme)
     exact = exact_outage(pp.s, pp.coeffs, pp.scheme, pp.schedule, sol.powers)
     approx = float(sol.outage_approx[0]) if pp.scheme == "mdnc" else sol.outage_approx.copy()
-    return Solution(feasible=True, scheme=pp.scheme, target=target, schedule=pp.schedule,
+    return Solution(feasible=True, scheme=pp.scheme, target=pp.target, schedule=pp.schedule,
                     powers=sol.powers, ee=energy_efficiency(pp.s, exact, e, pp.scheme),
                     pr_out_exact=exact, pr_out_approx=approx,
                     energy=e, q_star=q, diagnostics=diagnostics)
@@ -640,9 +638,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
             # every schedule this state tried was refuted: quote the last refutation
             raise _InfeasibleInner(f"{st.termination}; {st.refutation}")
         info = {
-            "goa_iterations": st.iteration,
-            "cuts": st.iteration,
-            "newton_iterations": st.newton_total,
+            "goa_iterations": len(st.visited),
             "ubd_history": list(st.ubd_history),
             "lbd_history": list(st.lbd_history),
             "visited": list(st.visited),
@@ -664,8 +660,8 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     diagnostics["primal_stopped"] = sum(st.primal_stopped for st in states)
     # q-states that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
-    diagnostics["cuts_total"] = sum(st.iteration for st in states)
-    return _assemble_solution(pp, sol, target, q_final, diagnostics)
+    diagnostics["cuts_total"] = sum(len(st.visited) for st in states)
+    return _assemble_solution(pp, sol, q_final, diagnostics)
 
 
 class _InfeasibleInner(Exception):
@@ -677,13 +673,10 @@ def nonc_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float) -> So
     return dinkelbach_solve(s, coeffs, target, scheme="nonc")
 
 
-def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
-                              schedule: RelaySchedule, target: float,
-                              scheme: str = "mdnc") -> Solution | None:
+def dinkelbach_fixed_schedule(pp: PrimalProblem) -> Solution | None:
     """q-iterations with the schedule frozen (no master): the per-subset solver
-    the brute-force oracle is built on. The schedule's problem is assembled
-    once and solved at each q. None when the subset is infeasible."""
-    pp = assemble_primal(s, coeffs, schedule, target, scheme)
+    the brute-force oracle is built on. The assembled problem is solved at
+    each q. None when the problem is infeasible."""
     if not pp.feasible:
         return None
 
@@ -698,16 +691,14 @@ def dinkelbach_fixed_schedule(s: ScenarioConfig, coeffs: LinkCoefficients,
     diagnostics["newton_total"] = sum(p.newton_iterations for p in sols)
     diagnostics["backtracks"] = sum(p.backtracks for p in sols)
     diagnostics["primal_unconverged"] = sum(not p.converged for p in sols)
-    return _assemble_solution(pp, sol, target, q_final, diagnostics)
+    return _assemble_solution(pp, sol, q_final, diagnostics)
 
 
-def fixed_schedule_value(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
-                         q: float, target: float,
-                         scheme: str = "mdnc") -> tuple[float, bool] | None:
-    """max V(q) over the powers of one schedule, by one primal at q, and
-    whether that primal stopped; None when the schedule is infeasible. By
-    Dinkelbach's lemma the schedule's best ratio exceeds q only if max V(q)
-    is positive.
+def fixed_schedule_value(pp: PrimalProblem, q: float) -> tuple[float, bool] | None:
+    """max V(q) over the powers of one assembled schedule, by one primal at
+    q, and whether that primal stopped; None when the problem is
+    infeasible. By Dinkelbach's lemma the schedule's best ratio exceeds q
+    only if max V(q) is positive.
 
     V(q) = obj_coef*K - V'(x) + q*W, with K the number of outages and W the
     summed energy weights of all relays (log_power_model), so max V(q) <= 0
@@ -716,11 +707,10 @@ def fixed_schedule_value(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: 
     returned is the bound obj_coef*K + q*W - exp(lower_bound) <= 0 on max
     V(q), not max V(q) itself.
     """
-    pp = assemble_primal(s, coeffs, schedule, target, scheme)
     if not pp.feasible:
         return None
-    energy, _, _, _ = log_power_model(s, coeffs, scheme)
-    zero = pp.obj_coef * len(pp.outage_pos) + q * float(np.sum(energy[s.M:]))
+    energy, _, _, _ = log_power_model(pp.s, pp.coeffs, pp.scheme)
+    zero = pp.obj_coef * len(pp.outage_pos) + q * float(np.sum(energy[pp.s.M:]))
     sol = solve_primal(pp, q, cutoff=math.log(zero))
     if sol.lower_bound is not None:
         return zero - math.exp(sol.lower_bound), True

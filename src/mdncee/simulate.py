@@ -35,6 +35,7 @@ from math import comb
 
 import numpy as np
 
+from .convex_solver import assemble_primal
 from .energy import energy_efficiency, total_energy
 from .model import LinkCoefficients, ScenarioConfig
 from .optimizer import (
@@ -227,9 +228,11 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     converged bits/energy ratio, and a later subset replaces it only with a
     strictly greater q_star. Guarded to N <= 12 relays.
 
-    The q-iteration of bounds.best_subset gives the incumbent ratio q*
-    (while it and the subsets after it are infeasible, each is q-iterated
-    in turn until one is feasible). Two tests then screen the rest:
+    Each subset is assembled once, and an infeasible one is skipped. The
+    q-iteration of bounds.best_subset gives the incumbent ratio q* (when it
+    is infeasible, the first feasible subset after it does). Two tests then
+    screen the rest, and a subset that passes is q-iterated on the problem
+    its screen solved:
 
     * count cut: a k-relay subset's ratio is below M*alpha0/(gamma*k +
       delta0) (ratio_count_cap), so the counts whose bound is at most q*
@@ -255,43 +258,31 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     if not bounds.feasible:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
+    best = None
     tried = pruned = q_iterations = stopped = 0
-
-    def q_iterate(subset):
-        nonlocal q_iterations
-        sol = dinkelbach_fixed_schedule(s, coeffs, RelaySchedule.from_indices(subset, s.N),
-                                        target, scheme=scheme)
-        q_iterations += sol is not None
-        return sol
-
-    def beats(subset, q):
-        """Sign test: one primal at q; False when the subset is infeasible."""
-        nonlocal tried, stopped
-        res = fixed_schedule_value(s, coeffs, RelaySchedule.from_indices(subset, s.N), q,
-                                   target, scheme)
-        if res is None:
-            return False
-        tried += 1
-        stopped += res[1]
-        return res[0] > 0
-
-    best = q_iterate(bounds.best_subset)
-    tried = q_iterations                # 1 when best_subset is feasible
-    for k in range(bounds.low, bounds.up + 1):
+    # best_subset first (no incumbent yet, so no count cut), then the window
+    # by count without it
+    groups = [(bounds.low, [bounds.best_subset])]
+    groups += [(k, (c for c in combinations(range(s.N), k) if c != bounds.best_subset))
+               for k in range(bounds.low, bounds.up + 1)]
+    for k, subsets in groups:
         if best is not None and k > ratio_count_cap(s, scheme, best.q_star):
             pruned = sum(comb(s.N, j) for j in range(k, bounds.up + 1))
             break
-        for subset in combinations(range(s.N), k):
-            if subset == bounds.best_subset:
+        for subset in subsets:
+            pp = assemble_primal(s, coeffs, RelaySchedule.from_indices(subset, s.N), target, scheme)
+            if not pp.feasible:
                 continue
-            if best is None:
-                best = q_iterate(subset)
-                tried += best is not None
-            elif beats(subset, best.q_star):
-                # feasibility does not depend on q, so the q-iteration runs
-                sol = q_iterate(subset)
-                if sol.q_star > best.q_star:
-                    best = sol
+            tried += 1
+            if best is not None:
+                value, was_stopped = fixed_schedule_value(pp, best.q_star)
+                stopped += was_stopped
+                if value <= 0:
+                    continue
+            sol = dinkelbach_fixed_schedule(pp)
+            q_iterations += 1
+            if best is None or sol.q_star > best.q_star:
+                best = sol
     if best is None:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason="every subset within the count bounds violates the approximate outage cap")

@@ -29,6 +29,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from mdncee.convex_solver import assemble_primal
 from mdncee.energy import EnergyBreakdown, delivered_rate, total_energy
 from mdncee.model import LinkCoefficients, ScenarioConfig
 from mdncee.optimizer import Solution, dinkelbach_fixed_schedule, relay_count_bounds
@@ -265,8 +266,8 @@ def plain_brute_force(s: ScenarioConfig, coeffs: LinkCoefficients, target: float
     best = None
     for k in range(bounds.low, bounds.up + 1):
         for subset in combinations(range(s.N), k):
-            sol = dinkelbach_fixed_schedule(s, coeffs, RelaySchedule.from_indices(subset, s.N),
-                                            target, scheme=scheme)
+            sol = dinkelbach_fixed_schedule(assemble_primal(
+                s, coeffs, RelaySchedule.from_indices(subset, s.N), target, scheme=scheme))
             if sol is not None and (best is None or sol.q_star > best.q_star):
                 best = sol
     return best or Solution(feasible=False, scheme=scheme, target=target)

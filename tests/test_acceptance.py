@@ -194,7 +194,7 @@ def test_criterion_07_dinkelbach_correctness(paper_scenario, paper_coeffs, toy_s
         for s in runs)
 
     sched = RelaySchedule.from_indices([0], 1)
-    toy = dinkelbach_fixed_schedule(toy_scenario, toy_coeffs, sched, 1e-3)
+    toy = dinkelbach_fixed_schedule(assemble_primal(toy_scenario, toy_coeffs, sched, 1e-3))
     best = grid_maximize_toy_ratio(toy_scenario, toy_coeffs, sched, 1e-3)
     grid_ok = abs(toy.q_star - best) <= 1e-4 * best
     elapsed = time.time() - start
@@ -325,9 +325,9 @@ def test_criterion_12_mdnc_vs_nonc_ordering(paper_scenario, paper_coeffs, sweep)
     def best_k(k, target, scheme):
         best = None
         for subset in combinations(range(4), k):
-            r = dinkelbach_fixed_schedule(paper_scenario, paper_coeffs,
-                                          RelaySchedule.from_indices(subset, 4),
-                                          target, scheme=scheme)
+            r = dinkelbach_fixed_schedule(assemble_primal(
+                paper_scenario, paper_coeffs, RelaySchedule.from_indices(subset, 4),
+                target, scheme=scheme))
             if r is not None and (best is None or r.ee > best.ee):
                 best = r
         return best

@@ -310,15 +310,33 @@ def test_relay_shift_keeps_budget_rule_on_every_shifted_scenario(monkeypatch, tm
         seen.append(shifted.user_energy_in_budget)
         return shifted
 
-    def fixed(s, coeffs, schedule, target, scheme="mdnc"):
-        seen.append(s.user_energy_in_budget)
-        return real_fixed(s, coeffs, schedule, target, scheme=scheme)
+    def fixed(pp):
+        seen.append(pp.s.user_energy_in_budget)
+        return real_fixed(pp)
 
     monkeypatch.setattr(cli, "apply_relay_shift", shift)
     monkeypatch.setattr(cli, "dinkelbach_fixed_schedule", fixed)
     assert run_cli(["relay-shift", SCENARIO_PATH, "--relays", "0,1,2", "--deltas=-25,0,25",
                     "--include-user-energy-in-budget", "--out", str(tmp_path)]) == 0
     assert seen == [True] * 4
+
+
+def test_goa_and_mc_rows_share_one_solve_per_point(monkeypatch, tmp_path):
+    calls = []
+    real = cli.dinkelbach_solve
+
+    def solver(s, coeffs, target, scheme="mdnc"):
+        calls.append((target, scheme))
+        return real(s, coeffs, target, scheme=scheme)
+
+    monkeypatch.setattr(cli, "dinkelbach_solve", solver)
+    assert run_cli(["sweep", SCENARIO_PATH, "--scheme", "both", "--mode", "goa,mc",
+                    "--targets", "1e-2,1e-3", "--samples", "4096", "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == sorted((t, sch) for t in (1e-2, 1e-3) for sch in ("mdnc", "nonc"))
+    rows = parse_sweep(read(tmp_path / "sweep.csv"))
+    assert [r["mode"] for r in rows] == ["goa", "mc"] * 4
+    for goa, mc in zip(rows[::2], rows[1::2]):
+        assert goa["relays"] == mc["relays"] and goa["q_star"] == mc["q_star"]
 
 
 def test_failed_solve_becomes_row_and_sweep_continues(monkeypatch, tmp_path):
@@ -475,6 +493,9 @@ def test_paper_sweep_matches_golden(tmp_path):
     (["relay-shift", SCENARIO_PATH, "--deltas=0", "--relays", "0,x"],
      "relays '0,x' are not a comma list of integers"),
     (["sweep", SCENARIO_PATH, "--targets", "1e-3", "--jobs", "0"], "job count 0 is below 1"),
+    (["relay-shift", SCENARIO_PATH, "--deltas=0", "--jobs", "2"],
+     "unrecognized arguments: --jobs 2"),
+    (["verify", SCENARIO_PATH, "--jobs", "2"], "unrecognized arguments: --jobs 2"),
     (["verify", SCENARIO_PATH, "--seed=-1"], "seed -1 is not in [0, 2^64)"),
     (["sweep", SCENARIO_PATH, "--targets", "1e-3", "--seed", str(1 << 64)],
      f"seed {1 << 64} is not in [0, 2^64)"),
@@ -483,8 +504,8 @@ def test_paper_sweep_matches_golden(tmp_path):
 ], ids=["sweep-zero-target", "sweep-negative-target", "sweep-unknown-mode",
         "energy-curve-target-above-1", "relay-shift-zero-target", "verify-zero-target",
         "verify-zero-samples", "sweep-logrange-zero-count", "relay-shift-nonnumeric-delta",
-        "relay-shift-nonnumeric-relay", "sweep-zero-jobs", "verify-negative-seed",
-        "sweep-seed-2^64", "verify-samples-above-max"])
+        "relay-shift-nonnumeric-relay", "sweep-zero-jobs", "relay-shift-jobs", "verify-jobs",
+        "verify-negative-seed", "sweep-seed-2^64", "verify-samples-above-max"])
 def test_bad_argument_exits_2_naming_the_value(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + ["--out", str(tmp_path / "o")])

@@ -238,7 +238,7 @@ def test_line_search_failure_is_flagged(monkeypatch):
 def barrier_stack(pp, q):
     """The stacked barrier problem that solve_primal minimizes at q."""
     return convex_solver._BarrierStack(
-        pp.vprime(q), [(pos, np.log(t)) for pos, t in zip(pp.outage_pos, pp.targets)],
+        pp.vprime(q), [(pos, np.log(pp.target)) for pos in pp.outage_pos],
         [(pp.budget_pos, pp.budget_cap)], pp.lo, pp.hi)
 
 

@@ -15,9 +15,9 @@ def test_every_exported_name_resolves():
     assert stale == []
 
 
-def test_only_energy_budget_ok_takes_the_budget_switch():
-    # the scenario carries the budget rule (user_energy_in_budget); only the
-    # check of an energy breakdown, which has no scenario, takes it as an argument
+def _takers(*params) -> set[str]:
+    """The exported functions and methods of exported classes that take every
+    one of params."""
     takers = set()
     for module in MODULES:
         for name in getattr(module, "__all__", ()):
@@ -25,8 +25,22 @@ def test_only_energy_budget_ok_takes_the_budget_switch():
             functions = ([m for _, m in inspect.getmembers(obj, inspect.isfunction)]
                          if inspect.isclass(obj) else [obj] if inspect.isfunction(obj) else [])
             takers.update(fn.__qualname__ for fn in functions
-                          if "include_user_energy" in inspect.signature(fn).parameters)
-    assert takers == {"energy_budget_ok"}
+                          if set(params) <= set(inspect.signature(fn).parameters))
+    return takers
+
+
+def test_only_energy_budget_ok_takes_the_budget_switch():
+    # the scenario carries the budget rule (user_energy_in_budget); only the
+    # check of an energy breakdown, which has no scenario, takes it as an argument
+    assert _takers("include_user_energy") == {"energy_budget_ok"}
+
+
+def test_only_assemble_primal_takes_a_schedule_and_a_target():
+    # a fixed-schedule problem is assembled once, by assemble_primal, and
+    # every later step takes the assembled PrimalProblem; the records
+    # PrimalProblem and Solution hold both
+    assert _takers("schedule", "target") == {"assemble_primal", "PrimalProblem.__init__",
+                                             "Solution.__init__"}
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -7,6 +7,7 @@ import numpy as np
 from conftest import SCENARIO_PATH
 from oracles import outage_approx_power, tilde_v
 from mdncee import cli
+from mdncee.convex_solver import assemble_primal
 from mdncee.model import ScenarioConfig, build_link_coefficients
 from mdncee.optimizer import dinkelbach_fixed_schedule, dinkelbach_solve
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_exact
@@ -89,7 +90,8 @@ def test_fixed_schedule_data_energy_monotone_in_target(paper_scenario, paper_coe
     sched = RelaySchedule.from_indices([0, 1, 2], 4)
     e_data = []
     for target in (3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5):
-        sol = dinkelbach_fixed_schedule(paper_scenario, paper_coeffs, sched, target)
+        sol = dinkelbach_fixed_schedule(assemble_primal(paper_scenario, paper_coeffs, sched,
+                                                        target))
         e_data.append(sol.energy.e_data)
     assert e_data == sorted(e_data)
 

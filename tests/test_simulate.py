@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mdncee import simulate
+from mdncee.convex_solver import assemble_primal
 from mdncee.energy import scheme_constants
 from mdncee.model import build_link_coefficients
 from mdncee.optimizer import CountBounds, dinkelbach_fixed_schedule, ratio_count_cap
@@ -280,8 +281,8 @@ def test_mc_rejects_unknown_scheme(scheme, paper_scenario, paper_coeffs, mdnc_po
 
 def test_brute_force_single_relay_equals_fixed_schedule(toy_scenario, toy_coeffs):
     sol = brute_force_optimize(toy_scenario, toy_coeffs, 1e-3)
-    ref = dinkelbach_fixed_schedule(toy_scenario, toy_coeffs,
-                                    RelaySchedule.from_indices([0], 1), 1e-3)
+    ref = dinkelbach_fixed_schedule(assemble_primal(toy_scenario, toy_coeffs,
+                                                    RelaySchedule.from_indices([0], 1), 1e-3))
     assert sol.schedule.theta == (0,)
     assert sol.ee == pytest.approx(ref.ee, rel=1e-12)
 
@@ -381,9 +382,8 @@ def test_ratio_bound_holds_for_every_feasible_fixed_schedule():
             subset = sorted(rng.choice(s.N, size=n, replace=False).tolist())
             target = float(rng.choice([1e-2, 1e-3]))
             counted = dataclasses.replace(s, user_energy_in_budget=bool(rng.integers(2)))
-            sol = dinkelbach_fixed_schedule(counted, coeffs,
-                                            RelaySchedule.from_indices(subset, s.N), target,
-                                            scheme=scheme)
+            sol = dinkelbach_fixed_schedule(assemble_primal(
+                counted, coeffs, RelaySchedule.from_indices(subset, s.N), target, scheme=scheme))
             if sol is None:
                 continue
             assert sol.q_star < s.M * s.alpha0 / (gamma * n + delta0)
@@ -417,3 +417,21 @@ def test_brute_force_falls_back_when_best_subset_is_infeasible(monkeypatch, pape
         screened = brute_force_optimize(paper_scenario, paper_coeffs, target)
         _assert_same_answer(screened, plain_brute_force(paper_scenario, paper_coeffs, target))
         assert screened.diagnostics["q_iterations"] >= 1
+
+
+def test_brute_force_assembles_each_subset_once(monkeypatch):
+    # every subset's one problem serves its sign test and its q-iteration
+    s = _random_small_scenario(np.random.default_rng([1, 6, 3]), M=3, N=6)
+    coeffs = build_link_coefficients(s)
+    assembled = []
+    real = simulate.assemble_primal
+
+    def counting(*args, **kwargs):
+        pp = real(*args, **kwargs)
+        assembled.append(pp.schedule.theta)
+        return pp
+
+    monkeypatch.setattr(simulate, "assemble_primal", counting)
+    sol = brute_force_optimize(s, coeffs, 1e-3, "mdnc")
+    assert sol.feasible and sol.diagnostics["q_iterations"] > 1
+    assert len(assembled) == len(set(assembled)) >= sol.diagnostics["subsets_tried"]
