@@ -331,7 +331,7 @@ def cmd_relay_shift(args) -> int:
             print(f"invalid relays: {exc}", file=sys.stderr)
             return 2
     rows = []
-    for target in args.targets:
+    for target in args.targets or [s.pr_out_target]:
         study = relay_location_study(s, coeffs, target, args.deltas, subset=args.relays)
         rows += [{**r, "target": target} for r in study]
         pairs = [(r["delta"], r["ee"]) for r in study if r["status"] == "ok"]
@@ -373,7 +373,8 @@ def cmd_verify(args) -> int:
             print(f"invalid point: {exc}", file=sys.stderr)
             return 2
     else:
-        sol = dinkelbach_solve(s, coeffs, args.target, scheme=args.scheme)
+        target = s.pr_out_target if args.target is None else args.target
+        sol = dinkelbach_solve(s, coeffs, target, scheme=args.scheme)
         if not sol.feasible:
             print(json.dumps({"schema": VERIFY_SCHEMA, "status": "infeasible",
                               "reason": sol.reason}, indent=2))
@@ -467,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--deltas", type=_shift_list, required=True,
                    help="comma list of shifts in meters (use --deltas=-150,... for negatives)")
-    p.add_argument("--targets", type=_target_list, default=[1e-3],
-                   help="comma list of target outages (default 1e-3)")
+    p.add_argument("--targets", type=_target_list,
+                   help="comma list of target outages (default: the scenario's pr_out_target)")
     p.add_argument("--relays", type=_index_list,
                    help="comma list of relay indices (default: optimizer pick at delta 0)")
     p.set_defaults(func=cmd_relay_shift)
@@ -479,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relays", help="comma list of relay indices")
     p.add_argument("--user-powers", help="comma list, W")
     p.add_argument("--relay-powers", help="comma list for the selected relays, W")
-    p.add_argument("--target", type=_target, default=1e-3,
-                   help="optimize at this target when no explicit point is given")
+    p.add_argument("--target", type=_target,
+                   help="optimize at this target when no explicit point is given "
+                        "(default: the scenario's pr_out_target)")
     p.add_argument("--samples", type=_sample_count, default=1_000_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)

@@ -124,7 +124,6 @@ class PrimalSolution:
     outage_approx: np.ndarray
     converged: bool
     newton_iterations: int
-    barrier_stages: int
     kkt_residual: float
     backtracks: int                     # rejected line-search trials
     lower_bound: float | None = None    # bound on the optimal tilde_v when stopped at a cutoff
@@ -394,9 +393,9 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
     log_constraints holds (posynomial, cap) pairs meaning log P(x) < cap,
     linear_constraints pairs meaning P(x) < cap. The barrier starts from the
     first of the candidate points in starts that is strictly feasible.
-    Returns (x, newton_iterations, barrier_stages, kkt_residual, exhausted,
-    backtracks, lower_bound), backtracks counting rejected line-search
-    trials. Implements the pinned schedule: barrier weight mu from 1 by
+    Returns (x, newton_iterations, kkt_residual, exhausted, backtracks,
+    lower_bound), backtracks counting rejected line-search trials.
+    Implements the pinned schedule: barrier weight mu from 1 by
     factors of 10 until (#inequalities)*mu < GAP_TOL, damped Newton inside.
     A stage ends when lambda^2/2 (half the squared Newton decrement) is at
     most max(tol, eps*(|t*log objective| + |barrier|)), with t = 1/mu and
@@ -432,12 +431,10 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
     mu = 1.0
     newton_total = 0
     backtracks = 0
-    stages = 0
     exhausted = False
     lower = None
     (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
     while True:
-        stages += 1
         t = 1.0 / mu
         last = m_ineq * mu < GAP_TOL
         tol = NEWTON_TOL if last else CENTERING_TOL
@@ -488,7 +485,7 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
 
     # KKT stationarity residual of the original problem at the final iterate
     kkt = float(np.linalg.norm(fg + mu * bg))
-    return x, newton_total, stages, kkt, exhausted, backtracks, lower
+    return x, newton_total, kkt, exhausted, backtracks, lower
 
 
 def solve_primal(pp: PrimalProblem, q: float, cutoff: float | None = None) -> PrimalSolution:
@@ -518,7 +515,7 @@ def solve_primal(pp: PrimalProblem, q: float, cutoff: float | None = None) -> Pr
             yield x0
             x0 = 0.5 * (x0 + anchor)
 
-    x, newton_total, stages, kkt, exhausted, backtracks, lower = _barrier_minimize(
+    x, newton_total, kkt, exhausted, backtracks, lower = _barrier_minimize(
         objective=vprime,
         log_constraints=[(pos, np.log(pp.target)) for pos in pp.outage_pos],
         linear_constraints=[(pp.budget_pos, pp.budget_cap)],
@@ -527,6 +524,6 @@ def solve_primal(pp: PrimalProblem, q: float, cutoff: float | None = None) -> Pr
 
     return PrimalSolution(
         x=x, powers=pp.powers(x), tilde_v=vprime.logvalue(x), outage_approx=pp.outage_at(x),
-        converged=not exhausted, newton_iterations=newton_total, barrier_stages=stages,
-        kkt_residual=kkt, backtracks=backtracks, lower_bound=lower,
+        converged=not exhausted, newton_iterations=newton_total, kkt_residual=kkt,
+        backtracks=backtracks, lower_bound=lower,
     )

@@ -49,7 +49,8 @@ from .convex_solver import (
 from .energy import EnergyBreakdown, delivered_rate, energy_efficiency, scheme_constants, total_energy
 from .lp import LpResult, solve_lp
 from .model import P_MIN, LinkCoefficients, ScenarioConfig
-from .outage import PowerAllocation, RelaySchedule, nonc_outage, outage_exact
+from .outage import (PowerAllocation, RelaySchedule, nonc_link_failures, nonc_outage, outage_exact,
+                     relay_hops)
 
 __all__ = [
     "CountBounds",
@@ -91,10 +92,6 @@ class CountBounds:
         return self.low is not None and self.low <= self.up
 
 
-def _max_power_allocation(s: ScenarioConfig, schedule: RelaySchedule) -> PowerAllocation:
-    return PowerAllocation(p=np.full(s.M, s.P_S_max), p_relay=schedule.u * s.P_R_max)
-
-
 def exact_outage(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
                  schedule: RelaySchedule, powers: PowerAllocation):
     """Exact outage at an operating point: the network outage (MDNC, a float)
@@ -106,13 +103,6 @@ def exact_outage(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _max_power_merit(s, coeffs, subset, scheme: str, target: float) -> float:
-    """Outage-vs-target merit of a subset at full power; <= 1 means feasible."""
-    schedule = RelaySchedule.from_indices(subset, s.N)
-    outage = exact_outage(s, coeffs, scheme, schedule, _max_power_allocation(s, schedule))
-    return float(np.max(outage)) / target
-
-
 def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
                        scheme: str = "mdnc") -> CountBounds:
     """Bracket the number of relays any solution can use.
@@ -121,12 +111,14 @@ def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: floa
     transmitter at maximum power (exact outage formula). up: the largest k
     whose energy at the lowest powers stays strictly inside the budget,
     gamma*k + delta0 (+ M*T*P_MIN when s.user_energy_in_budget) < E0, the same
-    strict slack the fixed-schedule primal needs. The MDNC outage is a
+    strict slack the fixed-schedule primal needs. Both schemes read the
+    links of one all-relay allocation at maximum power. The MDNC outage is a
     Poisson-binomial tail that falls in every relay's two-hop success
-    probability r_j, so its best k-subset is the top k relays by r_j (lowest
-    index first on ties), read from the all-relay schedule: a sort, exact at
-    every N. The NoNC outage is a max over users with no such order, so its
-    k-subsets are enumerated.
+    probability r_j = rho_j ok_g,j, so its best k-subset is the top k relays
+    by r_j (lowest index first on ties): a sort, exact at every N. The NoNC
+    outage is a max over users of products of link failures w[i, j], with no
+    such order, so its k-subsets are scored one by one from w and the first
+    minimum in enumeration order wins.
     """
     gamma, delta0, _, _ = scheme_constants(s, scheme)
     floor = delta0 + (s.M * s.T * P_MIN if s.user_energy_in_budget else 0.0)
@@ -134,19 +126,22 @@ def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: floa
     for k in range(1, s.N + 1):
         if gamma * k + floor < s.E0:
             up = k
+    full = RelaySchedule(np.ones(s.N, dtype=int))
+    powers = PowerAllocation(p=np.full(s.M, s.P_S_max), p_relay=np.full(s.N, s.P_R_max))
     if scheme == "mdnc":
-        full = RelaySchedule(np.ones(s.N, dtype=int))
-        ob = outage_exact(s, coeffs, full, _max_power_allocation(s, full))
-        order = np.argsort(-ob.rho * (1.0 - ob.pr_e_g), kind="stable")
-    k_min = s.M if scheme == "mdnc" else 1
+        rho, ok_g = relay_hops(coeffs, full, powers)
+        order = np.argsort(-rho * ok_g, kind="stable")
+    else:
+        w = nonc_link_failures(coeffs, full, powers).tolist()
 
-    for k in range(k_min, s.N + 1):
+    for k in range(s.M if scheme == "mdnc" else 1, s.N + 1):
         if scheme == "mdnc":
-            subsets = [tuple(sorted(int(j) for j in order[:k]))]
+            subset = tuple(sorted(int(j) for j in order[:k]))
+            schedule = RelaySchedule.from_indices(subset, s.N)
+            merit = outage_exact(s, coeffs, schedule, powers).total / target
         else:
-            subsets = combinations(range(s.N), k)
-        merit, subset = min((_max_power_merit(s, coeffs, subset, scheme, target), subset)
-                            for subset in subsets)
+            merit, subset = min((max(math.prod(row[j] for j in c) for row in w) / target, c)
+                                for c in combinations(range(s.N), k))
         if merit <= 1.0:
             return CountBounds(low=k, up=up, best_subset=subset)
     return CountBounds(low=None, up=up, best_subset=None)
@@ -578,8 +573,8 @@ def _parametric_value(pp: PrimalProblem, sol: PrimalSolution, q: float) -> tuple
 
 
 def _dinkelbach_loop(inner_solve, q0: float, warm: PrimalProblem):
-    """Shared q-iteration: inner_solve(q, warm) -> (PrimalProblem, PrimalSolution,
-    info), warm the previous incumbent's problem, which no q-state assembles again.
+    """Shared q-iteration: inner_solve(q, warm) -> (PrimalProblem, PrimalSolution),
+    warm the previous incumbent's problem, which no q-state assembles again.
 
     Stops when the inner maximum of V(q) is within tolerance of zero; the
     reported q is then the incumbent's own bits/energy ratio.
@@ -588,20 +583,17 @@ def _dinkelbach_loop(inner_solve, q0: float, warm: PrimalProblem):
     pp = warm
     q_history: list[float] = []
     v_history: list[float] = []
-    infos: list[dict] = []
     tol = DINKELBACH_TOL_REL * warm.s.M * warm.s.alpha0
     for theta in range(1, DINKELBACH_MAX_ITER + 1):
-        pp, sol, info = inner_solve(q, pp)
+        pp, sol = inner_solve(q, pp)
         v, ratio = _parametric_value(pp, sol, q)
         q_history.append(q)
         v_history.append(v)
-        infos.append(info)
         if abs(v) <= tol:
             diagnostics = {
                 "dinkelbach_iterations": theta,
                 "q_history": q_history,
                 "v_history": v_history,
-                "inner": infos,
             }
             return pp, sol, diagnostics, ratio
         q = ratio
@@ -619,6 +611,8 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     earlier cuts and the no-goods of refuted schedules. Returns the final
     operating point with the exact outage re-evaluated at the returned
     powers; the approximate-vs-exact gap is surfaced in the solution fields.
+    diagnostics["inner"] holds one record per q-state, and the GoaState
+    counters are summed over all of them.
     """
     bounds = relay_count_bounds(s, coeffs, target, scheme)
     if not bounds.feasible:
@@ -637,27 +631,24 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
         if st.incumbent is None:
             # every schedule this state tried was refuted: quote the last refutation
             raise _InfeasibleInner(f"{st.termination}; {st.refutation}")
-        info = {
-            "goa_iterations": len(st.visited),
-            "ubd_history": list(st.ubd_history),
-            "lbd_history": list(st.lbd_history),
-            "visited": list(st.visited),
-            "termination": st.termination,
-        }
-        return st.incumbent_problem, st.incumbent, info
+        return st.incumbent_problem, st.incumbent
 
     try:
         pp, sol, diagnostics, q_final = _dinkelbach_loop(inner, q0, pp0)
     except _InfeasibleInner as exc:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no feasible schedule in the relay-count window: {exc}")
+    diagnostics["inner"] = [{
+        "goa_iterations": len(st.visited),
+        "ubd_history": st.ubd_history,
+        "lbd_history": st.lbd_history,
+        "visited": st.visited,
+        "termination": st.termination,
+    } for st in states]
     diagnostics["goa_states"] = len(states)
-    diagnostics["newton_total"] = sum(st.newton_total for st in states)
-    diagnostics["backtracks"] = sum(st.backtracks for st in states)
-    for counter in ("master_lps", "master_pivots", "master_nodes"):
+    for counter in ("newton_total", "backtracks", "master_lps", "master_pivots", "master_nodes",
+                    "primal_unconverged", "primal_stopped"):
         diagnostics[counter] = sum(getattr(st, counter) for st in states)
-    diagnostics["primal_unconverged"] = sum(st.primal_unconverged for st in states)
-    diagnostics["primal_stopped"] = sum(st.primal_stopped for st in states)
     # q-states that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
     diagnostics["cuts_total"] = sum(len(st.visited) for st in states)
@@ -683,9 +674,8 @@ def dinkelbach_fixed_schedule(pp: PrimalProblem) -> Solution | None:
     sols: list[PrimalSolution] = []
 
     def inner(q, warm):
-        sol = solve_primal(pp, q)
-        sols.append(sol)
-        return pp, sol, {"newton_iterations": sol.newton_iterations}
+        sols.append(solve_primal(pp, q))
+        return pp, sols[-1]
 
     _, sol, diagnostics, q_final = _dinkelbach_loop(inner, _max_slack_ratio(pp), pp)
     diagnostics["newton_total"] = sum(p.newton_iterations for p in sols)

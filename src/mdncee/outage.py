@@ -41,7 +41,9 @@ __all__ = [
     "OutageBreakdown",
     "link_outage",
     "relay_decode_prob",
+    "relay_hops",
     "outage_exact",
+    "nonc_link_failures",
     "nonc_outage",
     "outage_posynomial",
     "nonc_outage_posynomials",
@@ -124,6 +126,16 @@ def relay_decode_prob(c_col, p) -> float:
     return math.exp(-math.fsum(c_col / p))
 
 
+def relay_hops(coeffs: LinkCoefficients, schedule: RelaySchedule,
+               powers: PowerAllocation) -> tuple[np.ndarray, np.ndarray]:
+    """Per selected relay, in schedule order: rho_j, the probability that it
+    decodes all M user messages, and ok_g,j = 1 - Pe_g,j, the probability
+    that its codeword reaches the BS (0 at zero relay power)."""
+    rho = np.array([relay_decode_prob(coeffs.c_h[:, j], powers.p) for j in schedule.theta])
+    ok_g = np.array([1.0 - link_outage(coeffs.c_g[j], powers.p_relay[j]) for j in schedule.theta])
+    return rho, ok_g
+
+
 @dataclass(frozen=True)
 class OutageBreakdown:
     """Structured exact-outage evaluation.
@@ -132,27 +144,16 @@ class OutageBreakdown:
     hops. It splits by the number K of fully-decoding relays: pr_A = P(K < M)
     (too few relays decode) and pr_B = P(K >= M, S < M) = total - pr_A,
     floored at 0, so total == pr_A + pr_B. zeta[K] is the probability that
-    exactly K selected relays decode everything. pr_e_g holds the relay-to-BS
-    link failure probabilities (pr_e_g[j] = 1 for unselected relays).
-    certain_outage flags schedules with fewer than M relays, for which the BS
-    can never collect M codewords.
+    exactly K selected relays decode everything. certain_outage flags
+    schedules with fewer than M relays, for which the BS can never collect M
+    codewords.
     """
 
     pr_A: float
     pr_B: float
     total: float
     zeta: np.ndarray
-    pr_e_g: np.ndarray
-    rho: np.ndarray
     certain_outage: bool = False
-
-
-def _relay_link_failures(s: ScenarioConfig, coeffs: LinkCoefficients,
-                         schedule: RelaySchedule, powers: PowerAllocation) -> np.ndarray:
-    return np.array([
-        link_outage(coeffs.c_g[j], powers.p_relay[j] if schedule.u[j] else 0.0)
-        for j in range(s.N)
-    ])
 
 
 def _poisson_binomial(r) -> np.ndarray:
@@ -179,19 +180,15 @@ def outage_exact(s: ScenarioConfig, coeffs: LinkCoefficients,
     """
     if schedule.count == 0:
         raise ValueError("schedule selects no relays")
-    pr_e_g = _relay_link_failures(s, coeffs, schedule, powers)
-    rho = np.array([relay_decode_prob(coeffs.c_h[:, j], powers.p) for j in schedule.theta])
+    rho, ok_g = relay_hops(coeffs, schedule, powers)
     zeta = _poisson_binomial(rho)
 
     if schedule.count < s.M:
-        return OutageBreakdown(pr_A=1.0, pr_B=0.0, total=1.0, zeta=zeta,
-                               pr_e_g=pr_e_g, rho=rho, certain_outage=True)
+        return OutageBreakdown(pr_A=1.0, pr_B=0.0, total=1.0, zeta=zeta, certain_outage=True)
 
-    r = rho * (1.0 - pr_e_g[list(schedule.theta)])
     pr_A = math.fsum(zeta[:s.M])
-    pr_B = max(math.fsum(_poisson_binomial(r)[:s.M]) - pr_A, 0.0)
-    return OutageBreakdown(pr_A=pr_A, pr_B=pr_B, total=pr_A + pr_B, zeta=zeta,
-                           pr_e_g=pr_e_g, rho=rho)
+    pr_B = max(math.fsum(_poisson_binomial(rho * ok_g)[:s.M]) - pr_A, 0.0)
+    return OutageBreakdown(pr_A=pr_A, pr_B=pr_B, total=pr_A + pr_B, zeta=zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +261,19 @@ def outage_posynomial(coeffs: LinkCoefficients, selected, M: int) -> Posynomial:
 # NoNC baseline
 
 
+def nonc_link_failures(coeffs: LinkCoefficients, schedule: RelaySchedule,
+                       powers: PowerAllocation) -> np.ndarray:
+    """w[i, k] = 1 - (1 - Pe_ij)(1 - Pe_j): the probability that user i's
+    message does not get through the k-th selected relay (j = theta[k])."""
+    w = np.ones((coeffs.c_h.shape[0], schedule.count))
+    for k, j in enumerate(schedule.theta):
+        p_rel = powers.p_relay[j]
+        ok_2 = math.exp(-coeffs.c_g[j] / p_rel) if p_rel > 0 else 0.0
+        for i in range(w.shape[0]):
+            w[i, k] = 1.0 - math.exp(-coeffs.c_h[i, j] / powers.p[i]) * ok_2
+    return w
+
+
 def nonc_outage(coeffs: LinkCoefficients, schedule: RelaySchedule,
                 powers: PowerAllocation) -> np.ndarray:
     """Per-user outage without network coding.
@@ -271,19 +281,8 @@ def nonc_outage(coeffs: LinkCoefficients, schedule: RelaySchedule,
     User i fails iff no selected relay carries its message through both hops:
     Pr_out_i = prod_j (1 - (1 - Pe_ij)(1 - Pe_j)).
     """
-    M = coeffs.c_h.shape[0]
-    out = np.ones(M)
-    if schedule.count == 0:
-        return out
-    for i in range(M):
-        prob = 1.0
-        for j in schedule.theta:
-            ok_1 = math.exp(-coeffs.c_h[i, j] / powers.p[i])
-            p_rel = powers.p_relay[j] if schedule.u[j] else 0.0
-            ok_2 = math.exp(-coeffs.c_g[j] / p_rel) if p_rel > 0 else 0.0
-            prob *= 1.0 - ok_1 * ok_2
-        out[i] = prob
-    return out
+    return np.array([math.prod(row) for row in nonc_link_failures(coeffs, schedule, powers)],
+                    dtype=float)
 
 
 def nonc_outage_posynomials(coeffs: LinkCoefficients, selected, M: int) -> list[Posynomial]:

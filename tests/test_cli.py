@@ -197,6 +197,19 @@ def test_relay_shift_rejects_relay_index_outside_n(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_verify_and_relay_shift_default_to_the_scenario_target(tmp_path, capsys):
+    # MDNC picks relays (0, 2) at 1e-2 and (0, 1, 2) at 1e-3
+    cfg = tmp_path / "t1e-2.cfg"
+    cfg.write_text(read(SCENARIO_PATH).replace("pr_out_target = 1e-3", "pr_out_target = 1e-2"))
+    assert "pr_out_target = 1e-2" in read(cfg)
+    assert run_cli(["relay-shift", str(cfg), "--deltas=0", "--out", str(tmp_path / "s")]) == 0
+    lines = read(tmp_path / "s" / "relay_shift.csv").strip().split("\n")
+    rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
+    assert [(r["target"], r["relays"]) for r in rows] == [("0.01", "0;2")]
+    assert run_cli(["verify", str(cfg), "--samples", "100000", "--out", str(tmp_path / "v")]) == 0
+    assert json.loads(read(tmp_path / "v" / "verify.json"))["relays"] == [0, 2]
+
+
 def test_verify_passes_at_optimizer_point(tmp_path, capsys):
     out = tmp_path / "o"
     code = run_cli(["verify", SCENARIO_PATH, "--target", "1e-3",

@@ -228,7 +228,7 @@ def test_line_search_failure_is_flagged(monkeypatch):
     monkeypatch.setattr(convex_solver._BarrierStack, "value",
                         lambda self, x: interior_value(self, x) if np.array_equal(x, x0) else None)
     objective = Posynomial([1.0, 1.0], [[1.0], [-1.0]])
-    x, newton, _, _, exhausted, _, _ = _barrier_minimize(
+    x, newton, _, exhausted, _, _ = _barrier_minimize(
         objective, [], [], lo=[-1.0], hi=[1.0], starts=[x0])
     assert newton == 0
     assert np.array_equal(x, x0)

@@ -130,14 +130,15 @@ def test_count_bounds_nonc_allows_single_relay(paper_scenario, paper_coeffs):
     assert b.low == 1
 
 
-def _max_power_outage(s, coeffs, subset):
+def _max_power_outage(s, coeffs, subset, scheme):
+    """The worst outage of a subset at maximum power, on a schedule and an
+    allocation of its own."""
     schedule = RelaySchedule.from_indices(subset, s.N)
     powers = PowerAllocation(p=np.full(s.M, s.P_S_max), p_relay=schedule.u * s.P_R_max)
-    return outage_exact(s, coeffs, schedule, powers).total
+    return float(np.max(exact_outage(s, coeffs, scheme, schedule, powers)))
 
 
-@pytest.mark.parametrize("N,M", [(5, 2), (5, 3), (8, 2), (8, 3)])
-def test_mdnc_count_bounds_match_subset_enumeration(N, M):
+def _assert_count_bounds_match_subset_enumeration(N, M, scheme):
     # oracle: the lexicographically first argmin of the exact max-power
     # outage over every k-subset, for the smallest k meeting the target
     for seed in range(3):
@@ -145,27 +146,47 @@ def test_mdnc_count_bounds_match_subset_enumeration(N, M):
         coeffs = build_link_coefficients(s)
         for target in (1e-3, 1e-5):
             low = best_subset = None
-            for k in range(M, N + 1):
-                merit, subset = min((_max_power_outage(s, coeffs, c) / target, c)
+            for k in range(M if scheme == "mdnc" else 1, N + 1):
+                merit, subset = min((_max_power_outage(s, coeffs, c, scheme) / target, c)
                                     for c in combinations(range(N), k))
                 if merit <= 1.0:
                     low, best_subset = k, subset
                     break
-            b = relay_count_bounds(s, coeffs, target)
+            b = relay_count_bounds(s, coeffs, target, scheme)
             assert (b.low, b.best_subset) == (low, best_subset)
+
+
+@pytest.mark.parametrize("N,M", [(5, 2), (5, 3), (8, 2), (8, 3)])
+def test_mdnc_count_bounds_match_subset_enumeration(N, M):
+    _assert_count_bounds_match_subset_enumeration(N, M, "mdnc")
+
+
+@pytest.mark.parametrize("N,M", [(5, 2), (5, 3), (8, 2), (8, 3)])
+def test_nonc_count_bounds_match_subset_enumeration(N, M):
+    _assert_count_bounds_match_subset_enumeration(N, M, "nonc")
+
+
+def _assert_count_lower_bound_is_tight(seed, M, scheme):
+    s = _random_small_scenario(np.random.default_rng([14, seed]), M=M, N=14)
+    coeffs = build_link_coefficients(s)
+    for target in (1e-3, 1e-5):
+        b = relay_count_bounds(s, coeffs, target, scheme)
+        assert b.low is not None and len(b.best_subset) == b.low
+        assert _max_power_outage(s, coeffs, b.best_subset, scheme) <= target
+        assert all(_max_power_outage(s, coeffs, c, scheme) > target
+                   for c in combinations(range(s.N), b.low - 1))
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("M", [2, 3])
 def test_mdnc_count_lower_bound_is_tight_beyond_brute_force_size(seed, M):
-    s = _random_small_scenario(np.random.default_rng([14, seed]), M=M, N=14)
-    coeffs = build_link_coefficients(s)
-    for target in (1e-3, 1e-5):
-        b = relay_count_bounds(s, coeffs, target)
-        assert b.low is not None and len(b.best_subset) == b.low
-        assert _max_power_outage(s, coeffs, b.best_subset) <= target
-        assert all(_max_power_outage(s, coeffs, c) > target
-                   for c in combinations(range(s.N), b.low - 1))
+    _assert_count_lower_bound_is_tight(seed, M, "mdnc")
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("M", [2, 3])
+def test_nonc_count_lower_bound_is_tight_beyond_brute_force_size(seed, M):
+    _assert_count_lower_bound_is_tight(seed, M, "nonc")
 
 
 # -- cuts --------------------------------------------------------------------
