@@ -118,7 +118,9 @@ def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: floa
     by r_j (lowest index first on ties): a sort, exact at every N. The NoNC
     outage is a max over users of products of link failures w[i, j], with no
     such order, so its k-subsets are scored one by one from w and the first
-    minimum in enumeration order wins.
+    minimum in enumeration order wins; scoring stops at up, so a target no
+    admissible count meets leaves low None. MDNC's sort costs N exact
+    evaluations, so it goes on past up and names the count the target needs.
     """
     gamma, delta0, _, _ = scheme_constants(s, scheme)
     floor = delta0 + (s.M * s.T * P_MIN if s.user_energy_in_budget else 0.0)
@@ -134,7 +136,7 @@ def relay_count_bounds(s: ScenarioConfig, coeffs: LinkCoefficients, target: floa
     else:
         w = nonc_link_failures(coeffs, full, powers).tolist()
 
-    for k in range(s.M if scheme == "mdnc" else 1, s.N + 1):
+    for k in range(s.M, s.N + 1) if scheme == "mdnc" else range(1, up + 1):
         if scheme == "mdnc":
             subset = tuple(sorted(int(j) for j in order[:k]))
             schedule = RelaySchedule.from_indices(subset, s.N)

@@ -240,3 +240,46 @@ def test_appended_row_that_cuts_off_the_optimum_pivots_from_the_warm_basis():
     assert child.objective == pytest.approx(0.8, abs=1e-12)
     assert child.x == pytest.approx([0.8, 0.0], abs=1e-12)
     assert child.pivots == 1
+
+
+def test_optimal_tableau_holds_no_box_rows():
+    # the boxes are bounds on complemented variables, not rows: one row per
+    # constraint plus the cost row, one column per variable and per slack
+    rng = np.random.default_rng(7)
+    solved = 0
+    for _ in range(100):
+        c, A, b, lb, ub = _random_lp(rng)
+        res = solve_lp(c, A, b, lb, ub)
+        if res.status == "optimal":
+            assert res.tableau.shape == (len(b) + 1, len(c) + len(b) + 1)
+            assert len(res.basis) == len(b) and len(res.complemented) == len(c)
+            solved += 1
+    assert solved > 10
+
+
+def test_warm_child_complements_a_basic_variable_above_its_tightened_bound():
+    # min x + y st x + y >= 0.5 on [0,1]^2: x is basic at 0.5. The child caps
+    # x at 0.3, so the warm re-solve finds x past its far end, measures it
+    # down from the new upper bound (x' = 0.3 - 0.5 < 0) and pivots y in
+    c, A, b = [1.0, 1.0], [[-1.0, -1.0]], [-0.5]
+    parent = solve_lp(c, A, b, [0.0, 0.0], [1.0, 1.0])
+    assert parent.x == pytest.approx([0.5, 0.0], abs=1e-12)
+    assert list(parent.basis) == [0] and not parent.complemented.any()
+    child = solve_lp(c, A, b, [0.0, 0.0], [0.3, 1.0], warm=parent)
+    ref = reference(c, A, b, [0.0, 0.0], [0.3, 1.0])
+    assert child.status == "optimal" and ref.status == 0
+    assert child.objective == pytest.approx(ref.fun, abs=1e-12)
+    assert child.x == pytest.approx([0.3, 0.2], abs=1e-12)
+    assert list(child.basis) == [1] and list(child.complemented) == [True, False]
+    assert child.pivots == 1
+    # the mirror image: negative costs start at the upper bounds, and raising
+    # the basic variable's lower bound complements it back to y = x - lb
+    c, A, b = [-1.0, -1.0], [[1.0, 1.0]], [1.5]
+    parent = solve_lp(c, A, b, [0.0, 0.0], [1.0, 1.0])
+    assert parent.x == pytest.approx([0.5, 1.0], abs=1e-12)
+    assert list(parent.basis) == [0] and parent.complemented.all()
+    child = solve_lp(c, A, b, [0.7, 0.0], [1.0, 1.0], warm=parent)
+    ref = reference(c, A, b, [0.7, 0.0], [1.0, 1.0])
+    assert child.objective == pytest.approx(ref.fun, abs=1e-12)
+    assert child.x == pytest.approx([0.7, 0.8], abs=1e-12)
+    assert list(child.complemented) == [False, True] and child.pivots == 1

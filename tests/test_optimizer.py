@@ -54,6 +54,26 @@ def test_count_bounds_budget_cap(paper_scenario, paper_coeffs):
     assert not b2.feasible
 
 
+def test_nonc_count_window_scores_no_count_above_up(monkeypatch):
+    # no NoNC schedule of at most up = 4 of these 20 relays meets 1e-40, so
+    # the window scores the C(20, <= 4) subsets and stops there: scoring on
+    # to the first count that meets the target would enumerate up to 2^20
+    from mdncee import optimizer
+
+    s = _random_small_scenario(np.random.default_rng([0, 20, 2]), M=2, N=20)
+    requested = []
+    real = optimizer.combinations
+
+    def recording(pool, k):
+        requested.append(k)
+        return real(pool, k)
+
+    monkeypatch.setattr(optimizer, "combinations", recording)
+    b = relay_count_bounds(s, build_link_coefficients(s), 1e-40, "nonc")
+    assert (b.low, b.up, b.feasible) == (None, 4, False)
+    assert requested == [1, 2, 3, 4]
+
+
 def test_circuit_energy_exactly_at_budget_gives_infeasible_solution(paper_scenario, paper_coeffs):
     # E0 = gamma*3 + delta0: no 3-relay schedule leaves strict budget slack,
     # so the count window is empty (3 relays needed, at most 2 fit) and the
@@ -140,19 +160,20 @@ def _max_power_outage(s, coeffs, subset, scheme):
 
 def _assert_count_bounds_match_subset_enumeration(N, M, scheme):
     # oracle: the lexicographically first argmin of the exact max-power
-    # outage over every k-subset, for the smallest k meeting the target
+    # outage over every k-subset, for the smallest k meeting the target; NoNC
+    # scores no count above up, MDNC every count up to N
     for seed in range(3):
         s = _random_small_scenario(np.random.default_rng([N, M, seed]), M=M, N=N)
         coeffs = build_link_coefficients(s)
         for target in (1e-3, 1e-5):
+            b = relay_count_bounds(s, coeffs, target, scheme)
             low = best_subset = None
-            for k in range(M if scheme == "mdnc" else 1, N + 1):
+            for k in range(M, N + 1) if scheme == "mdnc" else range(1, b.up + 1):
                 merit, subset = min((_max_power_outage(s, coeffs, c, scheme) / target, c)
                                     for c in combinations(range(N), k))
                 if merit <= 1.0:
                     low, best_subset = k, subset
                     break
-            b = relay_count_bounds(s, coeffs, target, scheme)
             assert (b.low, b.best_subset) == (low, best_subset)
 
 
