@@ -15,6 +15,7 @@ Unselected relays are eliminated from the vector entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from .model import P_MIN, LinkCoefficients, ScenarioConfig
 from .outage import (
     PowerAllocation,
     RelaySchedule,
+    nonc_outage_approx_values,
     nonc_outage_posynomials,
+    outage_approx_value,
     outage_posynomial,
     powers_from_log,
 )
@@ -35,6 +38,7 @@ __all__ = [
     "assemble_primal",
     "log_power_model",
     "outage_posynomials",
+    "outage_values",
     "solve_primal",
 ]
 
@@ -56,13 +60,19 @@ CENTERING_TOL = 0.125
 ARMIJO_SLOPE = 0.3
 ARMIJO_SHRINK = 0.5
 MAX_NEWTON = 200
+# The max-power corner refutes a schedule on its numeric outage alone when
+# that exceeds the target by more than this relative margin, far above the
+# round-off between the numeric recursion and the term matrix (1e-15 to
+# 1e-14), so the term matrix would refute it too.
+CORNER_REL_TOL = 1e-12
 
 
 @dataclass
 class PrimalProblem:
     """Assembled fixed-schedule problem: min log V'(x) subject to outage,
     budget and box constraints, all posynomial-backed. Only the objective
-    depends on q, so one problem serves every q: vprime(q) builds it."""
+    depends on q, so one problem serves every q: vprime(q) builds it.
+    The outage term matrices are built on first read of outage_pos."""
 
     s: ScenarioConfig
     coeffs: LinkCoefficients
@@ -74,7 +84,6 @@ class PrimalProblem:
     circuit: float                      # V' constant (circuit energy, unselected c_j), times q
     energy: np.ndarray                  # V' weights on e^x, times q
     obj_coef: float                     # V' weight of the outage posynomials
-    outage_pos: list[Posynomial]        # constraint posynomial(s), each capped at target
     budget_pos: Posynomial              # grid energy draw, exponential part + constants
     budget_cap: float                   # budget_pos(x) <= budget_cap
     feasible: bool
@@ -84,6 +93,11 @@ class PrimalProblem:
     @property
     def dim(self) -> int:
         return len(self.lo)
+
+    @cached_property
+    def outage_pos(self) -> list[Posynomial]:
+        """The constraint posynomial(s), each capped at target."""
+        return outage_posynomials(self.coeffs, self.schedule.theta, self.s.M, self.scheme)
 
     def powers(self, x) -> PowerAllocation:
         full = np.zeros(self.s.N)
@@ -145,6 +159,16 @@ def outage_posynomials(coeffs: LinkCoefficients, selected, M: int, scheme: str) 
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def outage_values(coeffs: LinkCoefficients, selected, M: int, scheme: str, x) -> np.ndarray:
+    """The values of outage_posynomials(coeffs, selected, M, scheme) at x,
+    from the same counting on numbers: no term matrix is built."""
+    if scheme == "mdnc":
+        return np.array([outage_approx_value(coeffs, selected, M, x)])
+    if scheme == "nonc":
+        return nonc_outage_approx_values(coeffs, selected, M, x)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def log_power_model(s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str):
     """Energy weights, budget weights and box over all M + N log powers
     x = (ptilde_1..M, ptilde'_1..N): (energy, budget, lo, hi).
@@ -174,19 +198,21 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
 
     The outage cap is monotone decreasing in every power, so the max-power
     corner minimizes it; if even that corner misses the target (with the
-    budget honored), the problem is marked infeasible. Otherwise the point
-    that minimizes the worst relative outage within the budget is kept as
-    the primal's start anchor. No q enters: the constraints, the
-    feasibility test and the anchor hold at every q, and solve_primal takes
-    the q.
+    budget honored), the problem is marked infeasible. When the corner fits
+    the budget, its outage is first evaluated on numbers, without term
+    matrices, and a value above the target by more than CORNER_REL_TOL
+    refutes the schedule at once; any other case is decided on the term
+    matrices, so the verdict is theirs. The point that minimizes the worst
+    relative outage within the budget (the corner, when it fits) is kept as
+    the primal's start anchor. No q enters: the constraints, the feasibility test and
+    the anchor hold at every q, and solve_primal takes the q.
     """
     n = schedule.count
     selected = schedule.theta
 
-    outage_pos = outage_posynomials(coeffs, selected, s.M, scheme)
     gamma, delta0, _, obj_coef = scheme_constants(s, scheme)
     energy, budget_w, lo, hi = log_power_model(s, coeffs, scheme)
-    keep = np.r_[np.arange(s.M), s.M + np.array(selected, dtype=int)]
+    keep = np.array([*range(s.M), *(s.M + j for j in selected)], dtype=int)
     lo, hi = lo[keep], hi[keep]
     dim = len(keep)
     relay = energy[s.M:]
@@ -194,22 +220,27 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     # The -c_j offsets of the substituted relay powers move into the budget
     # cap; in V' the unselected relays keep their c_j, as at ptilde'_j = 0 in
     # the master's all-relay model.
-    unselected = float(np.sum(np.delete(relay, list(selected))))
+    off = np.ones(s.N, dtype=bool)
+    off[list(selected)] = False
+    unselected = float(np.sum(relay[off]))
     budget = _stacked(dim, ([gamma * n + delta0], np.zeros(dim)), (budget_w[keep], np.eye(dim)))
     budget_cap = s.E0 + float(np.sum(relay[list(selected)]))
     pp = PrimalProblem(s=s, coeffs=coeffs, schedule=schedule, scheme=scheme,
                        target=float(target), lo=lo, hi=hi, circuit=gamma * n + delta0 + unselected,
                        energy=energy[keep], obj_coef=obj_coef,
-                       outage_pos=outage_pos, budget_pos=budget, budget_cap=budget_cap,
-                       feasible=True)
+                       budget_pos=budget, budget_cap=budget_cap, feasible=True)
 
     if n < s.M and scheme == "mdnc":
         pp.feasible = False
         pp.infeasible_reason = f"schedule selects {n} < M = {s.M} relays; outage is certain"
         return pp
 
+    outage = None
     if budget.value(hi) <= budget_cap:
         x_slack = hi.copy()
+        corner = outage_values(coeffs, selected, s.M, scheme, hi)
+        if np.any(corner > pp.target * (1.0 + CORNER_REL_TOL)):
+            outage = corner         # refuted on numbers: no term matrix is built
     elif budget.value(lo) >= budget_cap:
         # even the lowest powers leave no strict budget slack: with the
         # default budget, the circuit energy gamma*n + delta0 reaches E0
@@ -223,11 +254,13 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
         # steepest admissible direction instead of assuming the corner.
         x_slack = _max_slack_point(pp)
     pp.max_slack_point = x_slack
-    if np.any(pp.outage_at(x_slack) > pp.target):
+    if outage is None:
+        outage = pp.outage_at(x_slack)
+    if np.any(outage > pp.target):
         pp.feasible = False
-        worst = int(np.argmax(pp.outage_at(x_slack) / pp.target))
+        worst = int(np.argmax(outage / pp.target))
         pp.infeasible_reason = (
-            f"outage {pp.outage_at(x_slack)[worst]:.3e} above target {pp.target:.3e} "
+            f"outage {outage[worst]:.3e} above target {pp.target:.3e} "
             f"at maximum admissible power for schedule {selected}"
         )
     return pp
@@ -300,9 +333,10 @@ class _BarrierStack:
         self._last = None                 # (point, evaluation) last made inside the box
 
     def _evaluate(self, x):
-        """Objective log value, every inequality's slack (box upper, box lower,
-        constraints), the linear constraints' values and the stacked terms; None
-        off the open box, where the exponentials may overflow.
+        """Objective log value, the barrier (None off the strict interior),
+        every inequality's slack (box upper, box lower, constraints), the
+        linear constraints' values and the stacked terms; None off the open
+        box, where the exponentials may overflow.
 
         The last evaluation inside the box is kept with the array it was made
         at: a Newton iterate is the line search's accepted trial, the very
@@ -320,19 +354,17 @@ class _BarrierStack:
         values = segment_logvalues(zmax, sums)
         values[k:] = segment_values(zmax[k:], sums[k:])
         slack = np.concatenate((box, self.caps - values[1:]))
-        evaluated = values[0], slack, values[k:], e, sums
+        barrier = -np.log(slack).sum() if slack.min() > 0 else None
+        evaluated = values[0], barrier, slack, values[k:], e, sums
         self._last = x, evaluated
         return evaluated
 
     def value(self, x):
         """(log objective, barrier) at x, or None off the strict interior."""
         evaluated = self._evaluate(x)
-        if evaluated is None:
+        if evaluated is None or evaluated[1] is None:
             return None
-        fv, slack = evaluated[:2]
-        if slack.min() <= 0:
-            return None
-        return fv, -np.log(slack).sum()
+        return evaluated[:2]
 
     def derivatives(self, x):
         """(log objective, gradient, Hessian) and (barrier, gradient, Hessian) at an
@@ -346,7 +378,7 @@ class _BarrierStack:
         segment, omega = coef*w per row and d = coef^2 - coef (log) or coef^2
         (linear).
         """
-        fv, slack, lin, e, sums = self._evaluate(x)
+        fv, bv, slack, lin, e, sums = self._evaluate(x)
         dim = len(x)
         n0 = self.n_obj
         wa = (e / sums[self.segment])[:, None] * self.expos
@@ -354,8 +386,9 @@ class _BarrierStack:
         fg = means[0]
         fh = self.expos[:n0].T @ wa[:n0] - fg[:, None] * fg
 
-        box = 1.0 / slack[:2 * dim]
-        coef = 1.0 / slack[2 * dim:]
+        inverse = 1.0 / slack
+        box = inverse[:2 * dim]
+        coef = inverse[2 * dim:]
         coef[self.n_log:] *= lin
         d = coef * coef
         d[:self.n_log] -= coef[:self.n_log]
@@ -364,7 +397,7 @@ class _BarrierStack:
         bh = (self.expos[n0:].T @ (coef[self.segment[n0:] - 1, None] * wa[n0:])
               + G.T @ (d[:, None] * G))
         bh.flat[::dim + 1] += box[:dim] ** 2 + box[dim:] ** 2
-        return (fv, fg, fh), (-np.log(slack).sum(), bg, bh)
+        return (fv, fg, fh), (bv, bg, bh)
 
     def lower_bound(self, x, mu, fv, fg, bg) -> float:
         """A lower bound on min log P0 over the constraints and the closed
@@ -439,13 +472,13 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
         last = m_ineq * mu < GAP_TOL
         tol = NEWTON_TOL if last else CENTERING_TOL
         for inner in range(MAX_NEWTON):
-            grad = t * fg + bg
+            descent = -(t * fg + bg)
             hess = t * fh + bh
             try:
-                step = np.linalg.solve(hess, -grad)
+                step = np.linalg.solve(hess, descent)
             except np.linalg.LinAlgError:
-                step = np.linalg.solve(hess + 1e-10 * np.trace(hess) * np.eye(dim), -grad)
-            decrement2 = float(-grad @ step)
+                step = np.linalg.solve(hess + 1e-10 * np.trace(hess) * np.eye(dim), descent)
+            decrement2 = float(descent @ step)
             base = t * fv + bv
             if decrement2 / 2.0 <= max(tol, eps * (abs(t * fv) + abs(bv))):
                 if last:
@@ -456,7 +489,7 @@ def _barrier_minimize(objective: Posynomial, log_constraints, linear_constraints
                         (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
                 break
             # backtracking: stay strictly feasible, then Armijo
-            slope = float(grad @ step)
+            slope = -decrement2
             alpha = 1.0
             while alpha > 1e-14:
                 xn = x + alpha * step

@@ -27,8 +27,10 @@ Warm start. The reduced costs do not depend on b, lb or ub, so an LP that
 differs from a solved one only there keeps the solved optimal basis and
 complement flags dual feasible. solve_lp(..., warm=parent) rebuilds the
 initial right-hand side for the new data, maps it through B^-1 (the final
-tableau's slack block) and continues the dual simplex. A branch-and-bound
-child, which fixes one variable, re-solves in a few pivots.
+tableau's slack block) and continues the dual simplex, reusing the
+parent's row scales, since A's leading rows are the same. A
+branch-and-bound child, which fixes one variable, re-solves in a few
+pivots.
 
 Appended rows. warm may also come from an LP over only the first k rows of
 A. Each appended row, in the parent's complemented variables, is reduced
@@ -65,15 +67,17 @@ class LpResult:
     tableau: np.ndarray | None = field(default=None, repr=False)
     basis: np.ndarray | None = field(default=None, repr=False)
     complemented: np.ndarray | None = field(default=None, repr=False)  # y = ub - x
+    scale: np.ndarray | None = field(default=None, repr=False)         # row equilibration
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    prow = tableau[row]
+    prow /= prow[col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
-    # the pivot row is sparse (about one entry in eight in the master): skip its zeros
-    nonzero = np.flatnonzero(tableau[row])
-    tableau[:, nonzero] -= np.outer(factor, tableau[row, nonzero])
+    # one dense rank-1 update: where the pivot row is zero it subtracts a
+    # zero, which can change only the sign of a zero entry
+    tableau -= factor[:, None] * prow
     basis[row] = col
 
 
@@ -86,36 +90,41 @@ def _dual_simplex(tableau: np.ndarray, basis: np.ndarray, width: np.ndarray,
         return "optimal", 0
     rhs = tableau[:m, -1]
     costs = tableau[-1, :-1]
+    widths = width[basis]               # each row's basic box width, kept current
+    basic = np.zeros(len(width), dtype=bool)
+    basic[basis] = True
     bland = False
     stalled: set[bytes] = set()         # states met since the dual objective last rose
     for iteration in range(MAX_ITER):
-        over = rhs - width.take(basis)
+        over = rhs - widths
         violation = np.maximum(-rhs, over)
         row = int(np.where(violation > FEAS_TOL, basis, len(width)).argmin() if bland
                   else violation.argmax())
         if violation[row] <= FEAS_TOL:
             return "optimal", iteration
+        j = basis[row]
         if over[row] > 0.0:         # past its far end: measure it from there, below zero
-            j = basis[row]
             tableau[row] *= -1.0
             tableau[row, j] = 1.0
             rhs[row] += width[j]
             complemented[j] = not complemented[j]
         entries = tableau[row, :-1]
-        cand = np.flatnonzero(entries < -PIVOT_TOL)
+        cand = (entries < -PIVOT_TOL).nonzero()[0]
         if len(cand) == 0:
             return "infeasible", iteration
         ratios = np.maximum(costs[cand], 0.0) / -entries[cand]
         step = ratios.min()
         tied = cand[ratios <= step + RATIO_TIE]
-        col = int(tied[0] if bland else tied[np.argmin(entries[tied])])
+        col = int(tied[0] if bland else tied[entries[tied].argmin()])
         _pivot(tableau, basis, row, col)
+        basic[j], basic[col] = False, True
+        widths[row] = width[col]
         # round-off zeros become exact, so a degenerate pivot leaves every cost unchanged
         costs[np.abs(costs) < COST_TOL] = 0.0
         if step > 0.0:
             stalled.clear()
         elif not bland:
-            key = np.sort(basis).tobytes() + complemented.tobytes()
+            key = basic.tobytes() + complemented.tobytes()
             bland = key in stalled
             stalled.add(key)
     raise RuntimeError("simplex iteration limit exceeded (cycling?)")
@@ -155,16 +164,19 @@ def solve_lp(c, A, b, lb, ub, warm: LpResult | None = None) -> LpResult:
         return LpResult("infeasible", None, None)
 
     complemented = c < 0 if warm is None else warm.complemented.copy()
-    sign = np.where(complemented, -1.0, 1.0)
-    ref = np.where(complemented, ub, lb)     # x = ref + sign * y with y >= 0
-    scale = np.maximum(np.max(np.abs(A), axis=1, initial=0.0), 1e-300)
+    ref = np.where(complemented, ub, lb)     # x = ub - y if complemented, else lb + y
     if warm is None:        # every row appended to the row-free LP: the all-slack basis
-        tableau, basis = np.append(c * sign, 0.0)[None], np.arange(0)
+        tableau = np.append(np.where(complemented, -c, c), 0.0)[None]
+        basis, scale = np.arange(0), np.zeros(0)
     else:
-        tableau, basis = warm.tableau.copy(), warm.basis.copy()
+        tableau, basis, scale = warm.tableau.copy(), warm.basis.copy(), warm.scale
     if len(basis) < m:
         k = len(basis)
-        tableau, basis = _append_rows(tableau, basis, A[k:] * sign / scale[k:, None])
+        scale = np.concatenate(
+            [scale, np.maximum(np.max(np.abs(A[k:]), axis=1, initial=0.0), 1e-300)])
+        rows = A[k:] / scale[k:, None]
+        rows[:, complemented] *= -1.0
+        tableau, basis = _append_rows(tableau, basis, rows)
     tableau[:m, -1] = tableau[:m, n:n + m] @ ((b - A @ ref) / scale)
 
     width = np.concatenate([ub - lb, np.full(m, np.inf)])
@@ -175,4 +187,4 @@ def solve_lp(c, A, b, lb, ub, warm: LpResult | None = None) -> LpResult:
     y[basis] = tableau[:m, -1]
     # snap round-off back into the box
     x = np.minimum(np.maximum(np.where(complemented, ub - y[:n], lb + y[:n]), lb), ub)
-    return LpResult("optimal", x, float(c @ x), pivots, tableau, basis, complemented)
+    return LpResult("optimal", x, float(c @ x), pivots, tableau, basis, complemented, scale)

@@ -46,7 +46,9 @@ __all__ = [
     "nonc_link_failures",
     "nonc_outage",
     "outage_posynomial",
+    "outage_approx_value",
     "nonc_outage_posynomials",
+    "nonc_outage_approx_values",
     "powers_from_log",
 ]
 
@@ -257,6 +259,34 @@ def outage_posynomial(coeffs: LinkCoefficients, selected, M: int) -> Posynomial:
                       np.array(expos, dtype=float).reshape(len(expos), dim), dim)
 
 
+def outage_approx_value(coeffs: LinkCoefficients, selected, M: int, x) -> float:
+    """outage_posynomial(coeffs, selected, M) at log powers x, by the same
+    one-relay-at-a-time recursion on numbers instead of term tables.
+
+    Each relay's factors are numbers here: f_j = sum_i c_ij e^(-x_i) and
+    e_j = e^(-x'_j). The states are the same counts, so a value costs
+    O(|selected| M^2) and builds no term matrix. It agrees with the
+    posynomial's value up to the order of the floating-point sums.
+    """
+    x = np.asarray(x, dtype=float)
+    f = (np.exp(-x[:M]) @ coeffs.c_h[:, list(selected)]).tolist()
+    e = np.exp(-x[M:]).tolist()
+    few = [1.0] + [0.0] * (M - 1)                     # K < M: by decoded count
+    many = [[0.0] * M for _ in range(M + 1)]          # K >= M: [decoded, capped][survived]
+    many[0][0] = 1.0
+    for fj, ej in zip(f, e):
+        few = [few[0] * fj] + [few[d] * fj + few[d - 1] for d in range(1, M)]
+        nxt = [[v * fj for v in row] for row in many]
+        for d, row in enumerate(many):
+            up = nxt[min(d + 1, M)]
+            for s, v in enumerate(row):
+                up[s] += v * ej
+                if s + 1 < M:
+                    up[s + 1] += v
+        many = nxt
+    return sum(few) + sum(many[M])
+
+
 # ---------------------------------------------------------------------------
 # NoNC baseline
 
@@ -283,6 +313,14 @@ def nonc_outage(coeffs: LinkCoefficients, schedule: RelaySchedule,
     """
     return np.array([math.prod(row) for row in nonc_link_failures(coeffs, schedule, powers)],
                     dtype=float)
+
+
+def nonc_outage_approx_values(coeffs: LinkCoefficients, selected, M: int, x) -> np.ndarray:
+    """nonc_outage_posynomials(coeffs, selected, M) at log powers x, without
+    expanding the products: user i's value is
+    prod_j (c_ij e^(-x_i) + e^(-x'_j)), O(M |selected|)."""
+    x = np.asarray(x, dtype=float)
+    return (coeffs.c_h[:, list(selected)] * np.exp(-x[:M])[:, None] + np.exp(-x[M:])).prod(axis=1)
 
 
 def nonc_outage_posynomials(coeffs: LinkCoefficients, selected, M: int) -> list[Posynomial]:

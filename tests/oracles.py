@@ -17,6 +17,9 @@ posynomial's own value and gradient.
 plain_brute_force is exhaustive search without screening: a full
 q-iteration on every subset in the relay-count window.
 
+term_matrix_verdict is the fixed-schedule feasibility pre-check with every
+outage read from its term matrix, no numeric corner screen.
+
 whole_chunk_failures is the Monte Carlo kernel without blocks or threads:
 each chunk's gains in one fill per hop and the outage rules as array
 reductions.
@@ -29,7 +32,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mdncee.convex_solver import assemble_primal
+from mdncee.convex_solver import _max_slack_point, assemble_primal, outage_posynomials
 from mdncee.energy import EnergyBreakdown, delivered_rate, total_energy
 from mdncee.model import LinkCoefficients, ScenarioConfig
 from mdncee.optimizer import Solution, dinkelbach_fixed_schedule, relay_count_bounds
@@ -271,6 +274,31 @@ def plain_brute_force(s: ScenarioConfig, coeffs: LinkCoefficients, target: float
             if sol is not None and (best is None or sol.q_star > best.q_star):
                 best = sol
     return best or Solution(feasible=False, scheme=scheme, target=target)
+
+
+def term_matrix_verdict(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
+                        target: float, scheme: str = "mdnc"):
+    """(feasible, infeasible_reason, max_slack_point) of assemble_primal's
+    pre-check with every outage evaluated on freshly built term matrices:
+    the max-power corner when it fits the budget, else the max-slack point
+    (the library's, from the assembled problem's box and budget)."""
+    selected = schedule.theta
+    if schedule.count < s.M and scheme == "mdnc":
+        return False, f"schedule selects {schedule.count} < M = {s.M} relays; outage is certain", None
+    pp = assemble_primal(s, coeffs, schedule, target, scheme)
+    if pp.budget_pos.value(pp.hi) <= pp.budget_cap:
+        x = pp.hi.copy()
+    elif pp.budget_pos.value(pp.lo) >= pp.budget_cap:
+        return False, (f"energy budget E0 = {s.E0:g} J not strictly met at minimum power "
+                       f"for schedule {selected}"), None
+    else:
+        x = _max_slack_point(pp)
+    outage = np.array([pos.value(x) for pos in outage_posynomials(coeffs, selected, s.M, scheme)])
+    if np.any(outage > target):
+        worst = int(np.argmax(outage / target))
+        return False, (f"outage {outage[worst]:.3e} above target {target:.3e} "
+                       f"at maximum admissible power for schedule {selected}"), x
+    return True, None, x
 
 
 def whole_chunk_failures(thr_h: np.ndarray, thr_g: np.ndarray, mc: McConfig,

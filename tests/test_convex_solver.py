@@ -4,12 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import log_gradient
+from oracles import log_gradient, outage_approx_power, term_matrix_verdict
 from mdncee import convex_solver
 from mdncee.convex_solver import _barrier_minimize, assemble_primal, solve_primal
 from mdncee.energy import scheme_constants
-from mdncee.outage import RelaySchedule
+from mdncee.model import build_link_coefficients
+from mdncee.outage import RelaySchedule, powers_from_log
 from mdncee.posynomial import Posynomial
+from test_properties import _random_small_scenario
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,67 @@ def test_infeasible_marker_below_relay_minimum(paper_scenario, paper_coeffs):
     pp = assemble_primal(paper_scenario, paper_coeffs, sched, target=1e-3)
     assert not pp.feasible
     assert "relays" in pp.infeasible_reason
+
+
+@pytest.mark.parametrize("user_energy", [False, True], ids=["relays", "users+relays"])
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_corner_screen_keeps_the_term_matrix_verdict(monkeypatch, scheme, user_energy):
+    # every subset of seeded random scenarios: assemble_primal, which refutes
+    # on the numeric corner outage first, gives the term-matrix oracle's
+    # verdict, reason text and anchor, and a corner-refuted schedule builds
+    # no term matrix until its outage_pos is read
+    from itertools import combinations
+
+    builds = []
+    for name in ("outage_posynomial", "nonc_outage_posynomials"):
+        def counting(*args, real=getattr(convex_solver, name)):
+            builds.append(args)
+            return real(*args)
+        monkeypatch.setattr(convex_solver, name, counting)
+    targets = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    seen = {"corner refuted": 0, "corner not refuted": 0, "budget binds": 0}
+    for M, N in ((3, 6), (2, 7)):
+        s = dataclasses.replace(_random_small_scenario(np.random.default_rng([25, N, M]), M, N),
+                                user_energy_in_budget=user_energy)
+        coeffs = build_link_coefficients(s)
+        subsets = [c for k in range(1, N + 1) for c in combinations(range(N), k)]
+        for i, subset in enumerate(subsets):
+            sched = RelaySchedule.from_indices(subset, N)
+            target = targets[i % len(targets)]
+            del builds[:]
+            pp = assemble_primal(s, coeffs, sched, target, scheme)
+            built = len(builds)
+            feasible, reason, anchor = term_matrix_verdict(s, coeffs, sched, target, scheme)
+            assert (pp.feasible, pp.infeasible_reason) == (feasible, reason), subset
+            assert (pp.max_slack_point is None) == (anchor is None)
+            if anchor is None:
+                continue
+            assert np.array_equal(pp.max_slack_point, anchor), subset
+            if pp.budget_pos.value(pp.hi) > pp.budget_cap:
+                seen["budget binds"] += 1
+                continue
+            corner = convex_solver.outage_values(coeffs, subset, M, scheme, pp.hi)
+            del builds[:]
+            terms = pp.outage_at(pp.hi)
+            assert corner == pytest.approx(terms, rel=1e-13, abs=0.0)
+            if scheme == "mdnc":
+                full = np.zeros(N)
+                full[list(subset)] = pp.hi[M:]
+                powers = powers_from_log(coeffs, sched, pp.hi[:M], full)
+                assert corner[0] == pytest.approx(outage_approx_power(coeffs, sched, powers),
+                                                  rel=1e-12)
+            if np.any(corner > target * (1.0 + convex_solver.CORNER_REL_TOL)):
+                seen["corner refuted"] += 1
+                assert not pp.feasible and built == 0, subset
+                # outage_pos is built on its first read, and the refuted
+                # problem still evaluates its outage and objective
+                assert len(builds) == 1
+                assert pp.vprime(1e3).value(pp.hi) > 0.0
+            else:
+                seen["corner not refuted"] += 1
+                assert built == 1 and builds == []
+    assert seen["corner refuted"] > 20 and seen["corner not refuted"] > 20
+    assert seen["budget binds"] > 0
 
 
 def test_infeasible_marker_unreachable_target(paper_scenario, paper_coeffs):

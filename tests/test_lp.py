@@ -283,3 +283,47 @@ def test_warm_child_complements_a_basic_variable_above_its_tightened_bound():
     assert child.objective == pytest.approx(ref.fun, abs=1e-12)
     assert child.x == pytest.approx([0.7, 0.8], abs=1e-12)
     assert list(child.complemented) == [False, True] and child.pivots == 1
+
+
+def test_dense_pivot_matches_the_nonzero_column_update_on_the_cycling_master(monkeypatch):
+    # the cycling re-solve of test_bland_switch_ends_a_cycling_master_solve:
+    # every dense rank-1 pivot equals the update restricted to the pivot
+    # row's nonzero columns (up to the sign of a zero), the state (basic set
+    # and complement flags) after pivot 31 repeats an earlier one, which
+    # switches the solve to Bland's rule, and it ends in 43 pivots
+    from mdncee import lp
+
+    data = np.load(os.path.join(os.path.dirname(__file__), "data", "lp_master_cycle.npz"))
+    c, A, b = data["c"], data["A"], data["b"]
+    lo, hi = data["lb"].copy(), data["ub"].copy()
+    res = solve_lp(c, A, b, lo, hi)
+    for j, value in zip(data["fix_index"], data["fix_value"]):
+        lo[j] = hi[j] = value
+        parent = res
+        res = solve_lp(c, A, b, lo, hi, warm=parent)
+
+    flags, states, mismatches = [], [], []
+    real_simplex, real_pivot = lp._dual_simplex, lp._pivot
+
+    def recording_simplex(tableau, basis, width, complemented):
+        flags.append(complemented)
+        return real_simplex(tableau, basis, width, complemented)
+
+    def checked_pivot(tableau, basis, row, col):
+        sparse = tableau.copy()
+        sparse[row] /= sparse[row, col]
+        factor = sparse[:, col].copy()
+        factor[row] = 0.0
+        nonzero = np.flatnonzero(sparse[row])
+        sparse[:, nonzero] -= np.outer(factor, sparse[row, nonzero])
+        real_pivot(tableau, basis, row, col)
+        mismatches.append(not np.array_equal(tableau, sparse))
+        states.append(np.sort(basis).tobytes() + flags[-1].tobytes())
+
+    monkeypatch.setattr(lp, "_dual_simplex", recording_simplex)
+    monkeypatch.setattr(lp, "_pivot", checked_pivot)
+    again = solve_lp(c, A, b, lo, hi, warm=parent)
+    assert again.status == "optimal" and again.pivots == 43 == len(states)
+    assert not any(mismatches)
+    repeat = next(i for i, state in enumerate(states) if state in states[:i])
+    assert repeat == 31

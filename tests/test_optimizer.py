@@ -744,6 +744,27 @@ def test_master_solves_each_lp_once(paper_scenario, paper_coeffs, monkeypatch, s
         assert sol.ee == pytest.approx(ee, rel=1e-9)
 
 
+# master LPs and pivots of paper.cfg's GOA solves per (scheme, target): the
+# dual simplex's decisions, which last-bit changes in its arithmetic would move
+PAPER_MASTER_PIVOTS = {
+    ("mdnc", 1e-2): (30, 134),
+    ("mdnc", 1e-3): (18, 73),
+    ("mdnc", 1e-4): (18, 69),
+    ("mdnc", 1e-5): (19, 73),
+    ("nonc", 1e-2): (25, 137),
+    ("nonc", 1e-3): (18, 73),
+    ("nonc", 1e-4): (29, 159),
+    ("nonc", 1e-5): (29, 134),
+}
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_master_lps_and_pivots_of_paper_solves_are_pinned(paper_scenario, paper_coeffs, scheme):
+    for target in (1e-2, 1e-3, 1e-4, 1e-5):
+        d = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme).diagnostics
+        assert (d["master_lps"], d["master_pivots"]) == PAPER_MASTER_PIVOTS[scheme, target], target
+
+
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
 def test_warm_children_pivot_less_than_cold_roots(paper_scenario, paper_coeffs, monkeypatch,
                                                   scheme):
