@@ -28,6 +28,11 @@ both convex). So one master model serves every q of a parametric solve:
 each q-state starts from every earlier cut and from the no-good rows of the
 schedules refuted so far, and adds its own. A refuted schedule (its primal
 is infeasible, which no q changes) adds its no-good row only.
+
+Relay dominance orders the schedules: a schedule whose relays are each
+matched to an equal or better relay of a schedule the tree has already
+visited can do no better (MasterModel.dominates), so the tree excludes it
+with its no-good row and never assembles or solves it.
 """
 
 from __future__ import annotations
@@ -185,8 +190,9 @@ class MasterModel:
     every primal solved so far, in creation order; refuted lists the
     schedules whose primal was infeasible, which no q can change. problems
     keeps every schedule's PrimalProblem, which holds no q, so a later
-    q-state's revisit reuses it. bounds must be feasible: an empty window
-    leaves no tree to grow.
+    q-state's revisit reuses it. dominators[b] lists the relays a != b that
+    dominate relay b (see dominates). bounds must be feasible: an empty
+    window leaves no tree to grow.
     """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
@@ -208,6 +214,69 @@ class MasterModel:
         self.cuts: list[OaCut] = []
         self.refuted: list[tuple[int, ...]] = []
         self.problems: dict[tuple[int, ...], PrimalProblem] = {}
+        c_h, c_g = coeffs.c_h, coeffs.c_g
+        better = (c_h[:, :, None] <= c_h[:, None, :]).all(axis=0) & (c_g[:, None] <= c_g[None, :])
+        np.fill_diagonal(better, False)
+        self.dominators = [frozenset(np.flatnonzero(better[:, b]).tolist()) for b in range(s.N)]
+        self.comparable = bool(better.any())
+
+    def dominates(self, better: tuple[int, ...], worse: tuple[int, ...]) -> bool:
+        """Whether schedule better = S dominates worse = S': |S| = |S'|,
+        S != S', and a bijection pairs each relay b of S' with a relay a of S
+        that equals or dominates it, where relay a dominates relay b when
+        c_h[:, a] <= c_h[:, b] elementwise and c_g[a] <= c_g[b].
+
+        Lemma: then max V_S(q) >= max V_S'(q) at every q, and S' is
+        infeasible whenever S is. Proof. Write each relay's power in natural
+        units, p'_j = c_g[j] (e^(ptilde'_j) - 1). Every relay then has the
+        same box [0, P_R_max], the same energy m*delta_P*T*p'_j and the same
+        budget weight, and a k-relay schedule pays the circuit energy
+        gamma*k + delta0 whichever relays it selects. Both outages, exact
+        and approximate, of either scheme, are symmetric in the selected
+        relays, and a relay enters them only through its first- and
+        second-hop failure probabilities (exact: 1 - e^(-c/p); approximate:
+        c_ij/p_i summed over the users it must decode, and
+        c_g[j]/(c_g[j] + p'_j)), each rising with the relay's coefficients;
+        the outage rises with every failure probability. So S, at the user
+        powers of a point of S' and with each relay at the power of the
+        relay of S' it is paired with, has no more outage and the same
+        energy: it is feasible where that point is, and its
+        V(q) = rate - q*E_tot is no lower. Taking the best point of S'
+        proves both claims.
+
+        The relays common to S and S' pair with themselves: dominance is
+        transitive, so any pairing can be exchanged into one that does. The
+        relays of S' outside S are then matched into those of S outside S'
+        by augmenting paths.
+        """
+        if not self.comparable or len(better) != len(worse):
+            return False
+        lost = [b for b in worse if b not in better]
+        gained = [a for a in better if a not in worse]
+        if not lost:
+            return False
+        match: dict[int, int] = {}          # gained relay -> the lost relay it covers
+
+        def augment(b: int, seen: set[int]) -> bool:
+            for a in gained:
+                if a in self.dominators[b] and a not in seen:
+                    seen.add(a)
+                    if a not in match or augment(match[a], seen):
+                        match[a] = b
+                        return True
+            return False
+
+        return all(augment(b, set()) for b in lost)
+
+    def dominating(self, worse: tuple[int, ...]) -> set[tuple[int, ...]]:
+        """Every schedule that dominates worse: the |worse|-subsets of the
+        relays of worse and their dominators that pass dominates. Empty at
+        once when no relay of worse has a dominator."""
+        reach = set(worse).union(*(self.dominators[b] for b in worse))
+        if len(reach) == len(worse):
+            return set()
+        return {better for better in combinations(sorted(reach), len(worse))
+                if self.dominates(better, worse)}
 
     def problem(self, schedule: RelaySchedule) -> PrimalProblem:
         """The schedule's problem, assembled on first use and kept."""
@@ -298,7 +367,10 @@ class GoaState:
     visited lists the schedules of its visits, in order. A primal
     stopped at the tree's cap (primal_stopped) is a solved primal whose
     schedule cannot beat the incumbent: it builds its cut block but never
-    becomes the incumbent.
+    becomes the incumbent. dominated lists, in order, the schedules the tree
+    skipped because a visit of this state or a refuted schedule dominates
+    them (MasterModel.dominates); each added its no-good row alone and is
+    no visit. Those dominated by a refuted schedule joined master.refuted.
     lbd_history holds the tree's bound as each schedule after the first
     was picked.
     """
@@ -307,6 +379,7 @@ class GoaState:
     q: float
     carried: int = 0
     visited: list[tuple[int, ...]] = field(default_factory=list)
+    dominated: list[tuple[int, ...]] = field(default_factory=list)
     ubd: float = math.inf
     lbd: float = -math.inf
     ubd_history: list[float] = field(default_factory=list)
@@ -357,8 +430,10 @@ def _master_lp_rows(state: GoaState):
     two always-valid floors, the relay-count window, the caps
     ptilde'_j <= cap_j * u_j, then every cut block, followed by its
     schedule's no-good row when this state solved that schedule, then one
-    no-good row per refuted schedule. The tree appends each visit's rows
-    as a suffix. vhat's upper bound is the state's cap."""
+    no-good row per refuted schedule and one per other schedule this state
+    skipped as dominated. The tree appends each visit's and each skip's
+    rows as a suffix, so its final rows are these, in another order.
+    vhat's upper bound is the state's cap."""
     m = state.master
     s = m.s
     q = state.q
@@ -383,7 +458,9 @@ def _master_lp_rows(state: GoaState):
         blocks.append(cut.at(q))
         if i >= state.carried:
             blocks.append(_no_good(m, cut.theta))
+    refuted = set(m.refuted)
     blocks += [_no_good(m, theta) for theta in m.refuted]
+    blocks += [_no_good(m, theta) for theta in state.dominated if theta not in refuted]
     A = np.vstack([fixed, *(rows for rows, _ in blocks)])
     b = np.concatenate([[-q * m.delta0, s.E0 - m.delta0,
                          float(m.bounds.up), -float(m.bounds.low)], np.zeros(N),
@@ -427,12 +504,17 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) 
     stack. Once an incumbent exists, each primal runs with the cap as its
     cutoff and stops as soon as its duality bound shows the schedule cannot
     beat the incumbent; the stopped point anchors the cut block, and the
-    schedule's no-good row excludes it from this tree. An open node whose
-    LP predates the last rows or the last cap re-solves warm from its own
-    tableau. The tree prunes every node whose bound reaches vhat's cap, so
-    an exhausted tree certifies the incumbent. The state extends master's
-    pool: it starts from every cut already there and adds its own, so a
-    caller solving several q passes one master to all of them.
+    schedule's no-good row excludes it from this tree. An integral node
+    whose schedule is dominated by a refuted schedule (which makes it
+    infeasible: it joins master.refuted) or by a visit of this state (which
+    makes it no better than the incumbent, or past the cap) gets its
+    no-good row alone: nothing is assembled or solved, and the skip does
+    not count toward GOA_MAX_ITER. An open node whose LP predates the last
+    rows or the last cap re-solves warm from its own tableau. The tree
+    prunes every node whose bound reaches vhat's cap, so an exhausted tree
+    certifies the incumbent. The state extends master's pool: it starts
+    from every cut already there and adds its own, so a caller solving
+    several q passes one master to all of them.
     """
     s = master.s
     state = GoaState(master=master, q=float(q), carried=len(master.cuts))
@@ -489,13 +571,23 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) 
         frac = np.abs(u - np.round(u))
         undecided = np.flatnonzero((frac > 1e-6) & (node.lo < node.hi))
         if len(undecided) == 0:
-            if len(master.cuts) - state.carried >= GOA_MAX_ITER:
+            u_int = np.clip(np.round(u).astype(int), node.lo.astype(int), node.hi.astype(int))
+            schedule = RelaySchedule(u_int)
+            theta = schedule.theta
+            better = master.dominating(theta)
+            refuted = not better.isdisjoint(master.refuted)
+            if refuted or not better.isdisjoint(state.visited):
+                if refuted:
+                    master.refuted.append(theta)
+                state.dominated.append(theta)
+                blocks = [_no_good(master, theta)]
+            elif len(master.cuts) - state.carried >= GOA_MAX_ITER:
                 state.termination = "iteration limit"
                 return state
-            state.lbd = _log_bound(min(n.lp.objective for n in (*stack, node)), master)
-            state.lbd_history.append(state.lbd)
-            u_int = np.clip(np.round(u).astype(int), node.lo.astype(int), node.hi.astype(int))
-            blocks = visit(master.problem(RelaySchedule(u_int)))
+            else:
+                state.lbd = _log_bound(min(n.lp.objective for n in (*stack, node)), master)
+                state.lbd_history.append(state.lbd)
+                blocks = visit(master.problem(schedule))
             A = np.vstack([A, *(rows for rows, _ in blocks)])
             b = np.concatenate([b, *(rhs for _, rhs in blocks)])
             ub[-1] = _vcap(state)
@@ -645,6 +737,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
         "ubd_history": st.ubd_history,
         "lbd_history": st.lbd_history,
         "visited": st.visited,
+        "dominated": st.dominated,
         "termination": st.termination,
     } for st in states]
     diagnostics["goa_states"] = len(states)
@@ -654,6 +747,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     # q-states that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
     diagnostics["cuts_total"] = sum(len(st.visited) for st in states)
+    diagnostics["dominated_total"] = sum(len(st.dominated) for st in states)
     return _assemble_solution(pp, sol, q_final, diagnostics)
 
 

@@ -20,9 +20,14 @@ c_j/(c_j + u_j p'_j), which turns the whole expression into a posynomial in
 1/p_i and 1/(1 + u_j p'_j / c_j); its log-domain image is convex. Its terms
 come from the same one-relay-at-a-time counting: a recursion over the
 decoded and surviving counts, both capped at M, with no subset enumeration.
+The approximation is no bound on the exact outage: with a = c/p, a user
+hop's factor a lies above its exact failure 1 - e^(-a), and a relay hop's
+c_j/(c_j + p'_j) = a/(1 + a), a = c_j/p'_j, lies below it, both because
+e^a >= 1 + a.
 
 NoNC baseline: each relay forwards each user's message separately, so user i
-is in outage iff no relay carries its message end to end.
+is in outage iff no relay carries its message end to end. Its approximation
+has the same two factors, so it is no bound either.
 """
 
 from __future__ import annotations
@@ -326,9 +331,13 @@ def nonc_outage_approx_values(coeffs: LinkCoefficients, selected, M: int, x) -> 
 def nonc_outage_posynomials(coeffs: LinkCoefficients, selected, M: int) -> list[Posynomial]:
     """Per-user high-SNR NoNC outage posynomials.
 
-    1 - (1-Pe_ij)(1-Pe_j) = Pe_ij + Pe_j - Pe_ij Pe_j is approximated by the
-    posynomial upper bound Pe_ij + Pe_j = c_ij e^(-ptilde_i) + e^(-ptilde'_j);
-    the cross term is second-order at high SNR. The product over relays
+    1 - (1-Pe_ij)(1-Pe_j) = Pe_ij + Pe_j - Pe_ij Pe_j is approximated by
+    c_ij e^(-ptilde_i) + e^(-ptilde'_j), dropping the cross term, which is
+    second-order at high SNR. This is no upper bound: the user-hop factor
+    c_ij/p_i lies above the exact Pe_ij = 1 - e^(-c_ij/p_i), but the
+    relay-hop factor e^(-ptilde'_j) = c_j/(c_j + p'_j) = a/(1 + a), with
+    a = c_j/p'_j, lies below the exact Pe_j = 1 - e^(-a), both because
+    e^a >= 1 + a. The product over relays
     doubles the term matrix once per relay; its 2^n rows are distinct (a
     row's relay part says which factor each relay contributed).
     """

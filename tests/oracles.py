@@ -20,6 +20,9 @@ q-iteration on every subset in the relay-count window.
 term_matrix_verdict is the fixed-schedule feasibility pre-check with every
 outage read from its term matrix, no numeric corner screen.
 
+dominates decides schedule dominance by trying every pairing of the two
+schedules' relays, where the library matches them by augmenting paths.
+
 whole_chunk_failures is the Monte Carlo kernel without blocks or threads:
 each chunk's gains in one fill per hop and the outage rules as array
 reductions.
@@ -28,7 +31,7 @@ reductions.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -274,6 +277,23 @@ def plain_brute_force(s: ScenarioConfig, coeffs: LinkCoefficients, target: float
             if sol is not None and (best is None or sol.q_star > best.q_star):
                 best = sol
     return best or Solution(feasible=False, scheme=scheme, target=target)
+
+
+def dominates(coeffs: LinkCoefficients, better, worse) -> dict | None:
+    """A pairing {relay of worse: relay of better} under which each relay of
+    better equals or dominates its partner (c_h column and c_g no larger),
+    found by trying every permutation; None when the schedules are equal,
+    differ in size or no pairing exists."""
+    better, worse = tuple(better), tuple(worse)
+    if len(better) != len(worse) or set(better) == set(worse):
+        return None
+    covers = {(a, b): bool(np.all(coeffs.c_h[:, a] <= coeffs.c_h[:, b])
+                           and coeffs.c_g[a] <= coeffs.c_g[b])
+              for a in better for b in worse}
+    for perm in permutations(better):
+        if all(covers[a, b] for a, b in zip(perm, worse)):
+            return dict(zip(worse, perm))
+    return None
 
 
 def term_matrix_verdict(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,

@@ -5,24 +5,27 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mdncee.convex_solver import assemble_primal, solve_primal
+from mdncee.convex_solver import assemble_primal, outage_values, solve_primal
 from mdncee.energy import scheme_constants
 from mdncee.lp import solve_lp
 from mdncee.optimizer import (
     GOA_REL_TOL,
+    CountBounds,
+    MasterModel,
     _master_lp_rows,
     build_oa_cuts,
     dinkelbach_fixed_schedule,
     dinkelbach_solve,
     exact_outage,
+    fixed_schedule_value,
     goa_solve,
     nonc_solve,
     relay_count_bounds,
 )
-from mdncee.model import build_link_coefficients
+from mdncee.model import LinkCoefficients, build_link_coefficients
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_exact
 from conftest import master_for
-from oracles import log_gradient
+from oracles import dominates, log_gradient
 from test_properties import _random_small_scenario
 
 
@@ -329,10 +332,13 @@ def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, 
             u = RelaySchedule.from_indices(subset, s.N).u
             assert (A[-1, u0:u0 + s.N] @ u <= b[-1]) == (subset != (0, 2)), subset
     # each later visit appends its rows: one if refuted, else a cut block
-    # (objective, outage, budget) and its no-good row
+    # (objective, outage, budget) and its no-good row; a schedule skipped as
+    # dominated appends its no-good row alone
     sizes = sorted({len(b) for _, b in rows})
     grown = [after - before for before, after in zip(sizes, sizes[1:])]
-    assert grown == [1 if theta in master.refuted else 4 for theta in state.visited[1:]]
+    assert state.dominated
+    assert sorted(grown) == sorted([1 if theta in master.refuted else 4
+                                    for theta in state.visited[1:]] + [1] * len(state.dominated))
     # a later q-state on the same master keeps the row and never visits (0, 2)
     later = goa_solve(master, 1200.0)
     _, A2, b2, _, _ = _master_lp_rows(later)
@@ -343,10 +349,30 @@ def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, 
 # -- master problem ----------------------------------------------------------
 
 
+def _assert_no_better_than_its_dominator(state, subset):
+    """A schedule the tree skipped as dominated, checked directly: some
+    visited or refuted schedule dominates it, and its own primal at the
+    state's q is infeasible or reaches that schedule's value."""
+    master = state.master
+    dominators = [theta for theta in (*state.visited, *master.refuted)
+                  if master.dominates(theta, subset)]
+    assert dominators, subset
+    pp = master.problem(RelaySchedule.from_indices(subset, master.s.N))
+    if not pp.feasible:
+        return
+    value = solve_primal(pp, state.q).tilde_v
+    for theta in dominators:
+        better = master.problem(RelaySchedule.from_indices(theta, master.s.N))
+        assert better.feasible, (theta, subset)
+        best = solve_primal(better, state.q).tilde_v
+        assert value >= best - GOA_REL_TOL * (1 + abs(best)), (theta, subset)
+
+
 def _assert_tree_certifies_by_enumeration(state):
     """An exhausted tree is a certificate: over the final master rows, every
-    admissible schedule the state did not visit has a fixed-u LP that is
-    infeasible or whose bound reaches vhat's cap."""
+    admissible schedule the state neither visited nor skipped as dominated
+    has a fixed-u LP that is infeasible or whose bound reaches vhat's cap; a
+    skipped one is checked against its dominator directly."""
     assert state.converged
     assert state.termination == "master infeasible (no remaining schedule can improve)"
     c, A, b, lb, ub = _master_lp_rows(state)
@@ -360,6 +386,9 @@ def _assert_tree_certifies_by_enumeration(state):
     for k in range(state.master.bounds.low, state.master.bounds.up + 1):
         for subset in combinations(range(s.N), k):
             if subset in state.visited:
+                continue
+            if subset in state.dominated:
+                _assert_no_better_than_its_dominator(state, subset)
                 continue
             u = RelaySchedule.from_indices(subset, s.N).u
             lbn, ubn = lb.copy(), ub.copy()
@@ -382,8 +411,35 @@ def test_master_matches_exhaustive_enumeration_at_eight_relays():
     s = _random_small_scenario(np.random.default_rng([1, 8, 2]), M=2, N=8)
     coeffs = build_link_coefficients(s)
     state = goa_solve(master_for(s, coeffs, 1e-3), 1172.8)
-    assert len(state.visited) > 10
+    assert len(state.visited) > 10 and state.dominated
     _assert_tree_certifies_by_enumeration(state)
+
+
+def test_tree_rows_equal_the_rebuilt_master_rows(monkeypatch):
+    # _master_lp_rows(state) rebuilds the rows the tree ended with, skipped
+    # schedules' no-good rows included, in another order; in the first
+    # q-state and in a later one that starts from the carried pool
+    from mdncee import optimizer
+
+    s = _random_small_scenario(np.random.default_rng([1, 8, 3]), M=3, N=8)
+    master = master_for(s, build_link_coefficients(s), 1e-3)
+    last = []
+    real_lp = optimizer.solve_lp
+
+    def recording_lp(c, A, b, lb, ub, warm=None):
+        last[:] = [A.copy(), b.copy()]
+        return real_lp(c, A, b, lb, ub, warm=warm)
+
+    def row_set(A, b):
+        return sorted(np.append(row, rhs).tobytes() for row, rhs in zip(A, b))
+
+    monkeypatch.setattr(optimizer, "solve_lp", recording_lp)
+    for q in (1000.0, 1100.0):
+        state = goa_solve(master, q)
+        assert state.dominated
+        _, A, b, _, _ = _master_lp_rows(state)
+        assert len(b) == len(last[1])
+        assert row_set(A, b) == row_set(*last)
 
 
 def test_goa_never_revisits_and_bounds_monotone(paper_scenario, paper_coeffs):
@@ -645,6 +701,8 @@ def test_cutoff_at_least_halves_goa_newton_steps(paper_scenario, paper_coeffs, m
                    .diagnostics["newton_total"]
                    for t in PAPER_TARGETS for scheme in ("mdnc", "nonc"))
 
+    # with the dominance skip off, so that the cutoff alone is measured
+    monkeypatch.setattr(optimizer.MasterModel, "dominates", lambda self, better, worse: False)
     with_cutoff = newton_total()
     monkeypatch.setattr(optimizer, "solve_primal", _drop_cutoff)
     assert with_cutoff <= 0.7 * newton_total()
@@ -671,14 +729,14 @@ def test_newton_path_ignores_outage_term_order(paper_scenario, paper_coeffs, mon
 
 # schedule, GOA iterations, cuts and EE of paper.cfg per (scheme, target)
 PAPER_MASTER_RESULTS = {
-    ("mdnc", 1e-2): ((0, 2), 7, 7, 783.0075496313098),
-    ("mdnc", 1e-3): ((0, 1, 2), 5, 5, 567.8600391730046),
-    ("mdnc", 1e-4): ((0, 1, 2), 5, 5, 563.9915982539757),
-    ("mdnc", 1e-5): ((0, 1, 2), 5, 5, 550.657050890315),
-    ("nonc", 1e-2): ((0,), 7, 7, 933.3897578534938),
-    ("nonc", 1e-3): ((0,), 5, 5, 902.1859586213831),
-    ("nonc", 1e-4): ((0, 2), 7, 7, 532.2684733770477),
-    ("nonc", 1e-5): ((0, 2), 7, 7, 526.9936995595244),
+    ("mdnc", 1e-2): ((0, 2), 3, 3, 783.0075496313098),
+    ("mdnc", 1e-3): ((0, 1, 2), 2, 2, 567.8600391730046),
+    ("mdnc", 1e-4): ((0, 1, 2), 2, 2, 563.9915982539757),
+    ("mdnc", 1e-5): ((0, 1, 2), 2, 2, 550.657050890315),
+    ("nonc", 1e-2): ((0,), 5, 5, 933.3897578534938),
+    ("nonc", 1e-3): ((0,), 3, 3, 902.1859586213831),
+    ("nonc", 1e-4): ((0, 2), 3, 3, 532.2684733770477),
+    ("nonc", 1e-5): ((0, 2), 3, 3, 526.9936995595244),
 }
 
 
@@ -747,14 +805,14 @@ def test_master_solves_each_lp_once(paper_scenario, paper_coeffs, monkeypatch, s
 # master LPs and pivots of paper.cfg's GOA solves per (scheme, target): the
 # dual simplex's decisions, which last-bit changes in its arithmetic would move
 PAPER_MASTER_PIVOTS = {
-    ("mdnc", 1e-2): (30, 134),
-    ("mdnc", 1e-3): (18, 73),
-    ("mdnc", 1e-4): (18, 69),
-    ("mdnc", 1e-5): (19, 73),
-    ("nonc", 1e-2): (25, 137),
-    ("nonc", 1e-3): (18, 73),
-    ("nonc", 1e-4): (29, 159),
-    ("nonc", 1e-5): (29, 134),
+    ("mdnc", 1e-2): (35, 82),
+    ("mdnc", 1e-3): (24, 37),
+    ("mdnc", 1e-4): (22, 42),
+    ("mdnc", 1e-5): (20, 44),
+    ("nonc", 1e-2): (31, 106),
+    ("nonc", 1e-3): (20, 75),
+    ("nonc", 1e-4): (35, 84),
+    ("nonc", 1e-5): (35, 97),
 }
 
 
@@ -866,6 +924,10 @@ def test_unknown_scheme_rejected(paper_scenario, paper_coeffs, entry, scheme):
         calls[entry]()
 
 
+# visits per q-state of the N = 8 GOA solves, after the dominance skip
+EIGHT_RELAY_VISITS = {(2, "mdnc"): [37, 6], (3, "mdnc"): [44, 8], (3, "nonc"): [14, 4, 3]}
+
+
 @pytest.mark.parametrize("M,scheme", [(2, "mdnc"), (3, "mdnc"), (3, "nonc")])
 def test_goa_matches_brute_force_at_eight_relays(M, scheme):
     # the N = 8 scenario that bench/workloads.random_scenario draws from seed
@@ -879,9 +941,8 @@ def test_goa_matches_brute_force_at_eight_relays(M, scheme):
     assert goa.schedule.theta == brute.schedule.theta
     assert goa.ee >= brute.ee * (1.0 - 1e-3)
     assert goa.diagnostics["goa_unconverged"] == 0
-    if scheme == "mdnc":
-        # the second q-state starts from the first one's cuts and closes at once
-        assert [i["goa_iterations"] for i in goa.diagnostics["inner"]][1:] == [1]
+    visits = [i["goa_iterations"] for i in goa.diagnostics["inner"]]
+    assert visits == EIGHT_RELAY_VISITS[M, scheme]
 
 
 def test_goa_certifies_brute_force_answer_at_ten_relays():
@@ -966,3 +1027,127 @@ def test_nonc_single_user_agrees_with_mdnc(paper_scenario, paper_coeffs):
 def test_nonc_loose_target_selects_one_relay(paper_scenario, paper_coeffs):
     sol = nonc_solve(paper_scenario, paper_coeffs, 1e-2)
     assert sol.schedule.count == 1
+
+
+# -- relay dominance ---------------------------------------------------------
+
+
+def _ladder_coeffs(rng, M, N):
+    """Coefficients on a three-step ladder, so that many relays compare."""
+    return LinkCoefficients(c_h=1e-3 * rng.integers(1, 4, (M, N)).astype(float),
+                            c_g=1e-3 * rng.integers(1, 4, N).astype(float))
+
+
+def test_dominance_matcher_agrees_with_the_permutation_oracle():
+    rng = np.random.default_rng(2024)
+    s = _random_small_scenario(np.random.default_rng([1, 7, 2]), M=2, N=7)
+    window = CountBounds(low=1, up=s.N, best_subset=(0,))
+    found = 0
+    for _ in range(6):
+        coeffs = _ladder_coeffs(rng, s.M, s.N)
+        master = MasterModel(s, coeffs, "mdnc", 1e-3, window)
+        assert master.comparable
+        for k in range(1, 5):
+            subsets = list(combinations(range(s.N), k))
+            for better in subsets:
+                for worse in subsets:
+                    want = dominates(coeffs, better, worse) is not None
+                    assert master.dominates(better, worse) == want, (better, worse)
+                    found += want
+    assert found > 100
+
+
+def test_dominance_without_comparable_relays_is_empty():
+    # relays on an anti-chain: a smaller c_g always comes with a larger c_h
+    s = _random_small_scenario(np.random.default_rng([1, 5, 1]), M=1, N=5)
+    coeffs = LinkCoefficients(c_h=np.arange(1.0, 6.0)[None, :] * 1e-3,
+                              c_g=np.arange(5.0, 0.0, -1.0) * 1e-3)
+    master = MasterModel(s, coeffs, "mdnc", 1e-3, CountBounds(low=1, up=5, best_subset=(0,)))
+    assert not master.comparable
+    for k in range(1, 4):
+        for better in combinations(range(5), k):
+            for worse in combinations(range(5), k):
+                assert dominates(coeffs, better, worse) is None
+                assert not master.dominates(better, worse)
+
+
+def _natural_point(rng, s, theta):
+    """Random user powers in (0, P_S_max] and powers in (0, P_R_max] on the
+    relays of theta."""
+    p = rng.uniform(0.05, 1.0, s.M) * s.P_S_max
+    p_relay = np.zeros(s.N)
+    p_relay[list(theta)] = rng.uniform(0.05, 1.0, len(theta)) * s.P_R_max
+    return PowerAllocation(p=p, p_relay=p_relay)
+
+
+def _log_point(coeffs, theta, powers):
+    """The log powers (ptilde, ptilde' on theta) of a natural point."""
+    relays = list(theta)
+    return np.concatenate([np.log(powers.p),
+                           np.log1p(powers.p_relay[relays] / coeffs.c_g[relays])])
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+@pytest.mark.parametrize("M,N", [(2, 6), (3, 6), (2, 8), (3, 8)])
+def test_dominated_schedule_is_never_better(M, N, scheme):
+    # the lemma of MasterModel.dominates on every pair (S, S') of the count
+    # window it finds dominated, paired by the oracle: S' is infeasible
+    # whenever S is, its max V(q) is no higher at several q, and at paired
+    # natural powers neither its approximate nor its exact outage is lower
+    s = _random_small_scenario(np.random.default_rng([1, N, M]), M=M, N=N)
+    coeffs = build_link_coefficients(s)
+    target = 1e-3
+    master = master_for(s, coeffs, target, scheme)
+    rng = np.random.default_rng([N, M])
+    tol = 1e-6 * M * s.alpha0
+    values: dict = {}
+
+    def value(theta, q):
+        if (theta, q) not in values:
+            values[theta, q] = fixed_schedule_value(
+                master.problem(RelaySchedule.from_indices(theta, N)), q)
+        return values[theta, q]
+
+    pairs = 0
+    for k in range(master.bounds.low, master.bounds.up + 1):
+        subsets = list(combinations(range(N), k))
+        for better in subsets:
+            for worse in subsets:
+                if not master.dominates(better, worse):
+                    continue
+                pairing = dominates(coeffs, better, worse)
+                pairs += 1
+                sb, sw = (RelaySchedule.from_indices(t, N) for t in (better, worse))
+                for _ in range(2):
+                    pw = _natural_point(rng, s, worse)
+                    relay = np.zeros(N)
+                    relay[[pairing[b] for b in worse]] = pw.p_relay[list(worse)]
+                    pb = PowerAllocation(p=pw.p, p_relay=relay)
+                    pb.check(s, sb)
+                    approx_b = outage_values(coeffs, better, M, scheme,
+                                             _log_point(coeffs, better, pb))
+                    approx_w = outage_values(coeffs, worse, M, scheme,
+                                             _log_point(coeffs, worse, pw))
+                    assert np.all(approx_w >= approx_b * (1 - 1e-12)), (better, worse)
+                    exact_b = np.atleast_1d(exact_outage(s, coeffs, scheme, sb, pb))
+                    exact_w = np.atleast_1d(exact_outage(s, coeffs, scheme, sw, pw))
+                    assert np.all(exact_w >= exact_b * (1 - 1e-12)), (better, worse)
+                for q in (0.0, 600.0, 1200.0):
+                    vb, vw = value(better, q), value(worse, q)
+                    if vb is None:
+                        assert vw is None, (better, worse)
+                    elif vw is not None and not vw[1]:
+                        # a stopped primal of S' bounds its max V(q) from
+                        # above by a value that need not lie below S's;
+                        # the tolerance is the primals' duality gap
+                        assert vw[0] <= vb[0] + tol, (better, worse, q)
+    assert pairs > 0
+
+
+def test_skipped_schedules_are_reported_and_never_visited():
+    s = _random_small_scenario(np.random.default_rng([1, 8, 3]), M=3, N=8)
+    d = dinkelbach_solve(s, build_link_coefficients(s), 1e-3).diagnostics
+    assert d["dominated_total"] == sum(len(i["dominated"]) for i in d["inner"]) > 0
+    for info in d["inner"]:
+        assert not set(info["dominated"]) & set(info["visited"])
+        assert len(set(info["dominated"])) == len(info["dominated"])

@@ -22,6 +22,7 @@ from mdncee.outage import (
     RelaySchedule,
     link_outage,
     nonc_outage,
+    nonc_outage_approx_values,
     nonc_outage_posynomials,
     outage_exact,
     outage_posynomial,
@@ -374,3 +375,27 @@ def test_nonc_empty_schedule_is_certain_outage(paper_coeffs):
     sched = RelaySchedule(np.zeros(4, dtype=int))
     powers = PowerAllocation(p=[1.0, 1.0], p_relay=np.zeros(4))
     np.testing.assert_array_equal(nonc_outage(paper_coeffs, sched, powers), np.ones(2))
+
+
+@pytest.mark.parametrize("a", np.logspace(-3, 1, 9))
+def test_nonc_approximation_straddles_the_exact_link_failures(paper_coeffs, a):
+    # with a = c/p, the user hop's approximate factor a lies above its exact
+    # failure 1 - e^(-a), and the relay hop's c/(c + p') = a/(1 + a) lies
+    # below it (e^a >= 1 + a): the approximation is no bound. Each hop is
+    # isolated by a power so high that the other one cannot fail.
+    co = paper_coeffs
+    M, j = co.c_h.shape[0], 1
+    sched = RelaySchedule.from_indices([j], co.c_g.size)
+    huge = 1e15
+
+    def approx_minus_exact(p, p_relay):
+        x = np.concatenate([np.log(p), [np.log1p(p_relay / co.c_g[j])]])
+        exact = nonc_outage(co, sched, PowerAllocation(p=p, p_relay=sched.u * p_relay))
+        return nonc_outage_approx_values(co, (j,), M, x) - exact
+
+    user_hop = approx_minus_exact(co.c_h[:, j] / a, co.c_g[j] * huge)
+    relay_hop = approx_minus_exact(co.c_h[:, j] * huge, co.c_g[j] / a)
+    assert np.all(user_hop > 0.0)
+    assert np.all(relay_hop < 0.0)
+    assert user_hop == pytest.approx(a + math.expm1(-a), rel=1e-6)
+    assert relay_hop == pytest.approx(a / (1.0 + a) + math.expm1(-a), rel=1e-6)
