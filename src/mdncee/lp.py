@@ -1,11 +1,8 @@
 """Dense dual simplex, warm-startable, for the small master-problem LPs.
 
 Minimizes c.x subject to A x <= b and finite boxes lb <= x <= ub. The
-outer-approximation master relaxations have a few dozen columns and up to a
-few hundred rows, so a dense tableau is the simplest correct tool. A pivot
-updates the whole tableau at once while it is small, and only the pivot
-row's nonzero columns once its rows outnumber SPARSE_PIVOT_ROWS; both give
-the same numbers up to the sign of a zero.
+outer-approximation master relaxations have a few dozen columns and one to
+two hundred rows, so a dense tableau is the simplest correct tool.
 
 Cold start. Each variable is measured from one end of its box: y = x - lb,
 or y = ub - x when it is complemented. The cold start complements the
@@ -56,13 +53,6 @@ COST_TOL = 1e-9             # a reduced cost below COST_TOL in magnitude is zero
 PIVOT_TOL = 1e-11           # smallest usable pivot magnitude
 RATIO_TIE = 1e-12           # dual ratios this close count as tied
 MAX_ITER = 20000
-# Past this many rows a pivot updates only the pivot row's nonzero columns.
-# Median times per pivot on the masters of GOA solves of random scenarios at
-# N = 6..12: the dense update wins up to about 100 rows (23 us against 29 us
-# at 90-99 rows), the restricted one from about 110 (32 us against 77 us at
-# 110-119 rows; 214 us against 770 us at 500-524 rows, where about 5% of
-# the pivot row is nonzero).
-SPARSE_PIVOT_ROWS = 100
 
 
 @dataclass
@@ -85,13 +75,9 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     prow /= prow[col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
-    if len(basis) > SPARSE_PIVOT_ROWS:
-        nonzero = np.flatnonzero(prow)
-        tableau[:, nonzero] -= np.outer(factor, prow[nonzero])
-    else:
-        # one dense rank-1 update: where the pivot row is zero it subtracts
-        # a zero, which can change only the sign of a zero entry
-        tableau -= factor[:, None] * prow
+    # one dense rank-1 update: where the pivot row is zero it subtracts a
+    # zero, which can change only the sign of a zero entry
+    tableau -= factor[:, None] * prow
     basis[row] = col
 
 

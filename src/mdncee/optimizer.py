@@ -268,16 +268,6 @@ class MasterModel:
 
         return all(augment(b, set()) for b in lost)
 
-    def dominating(self, worse: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """Every schedule that dominates worse: the |worse|-subsets of the
-        relays of worse and their dominators that pass dominates. Empty at
-        once when no relay of worse has a dominator."""
-        reach = set(worse).union(*(self.dominators[b] for b in worse))
-        if len(reach) == len(worse):
-            return set()
-        return {better for better in combinations(sorted(reach), len(worse))
-                if self.dominates(better, worse)}
-
     def problem(self, schedule: RelaySchedule) -> PrimalProblem:
         """The schedule's problem, assembled on first use and kept."""
         pp = self.problems.get(schedule.theta)
@@ -574,9 +564,8 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) 
             u_int = np.clip(np.round(u).astype(int), node.lo.astype(int), node.hi.astype(int))
             schedule = RelaySchedule(u_int)
             theta = schedule.theta
-            better = master.dominating(theta)
-            refuted = not better.isdisjoint(master.refuted)
-            if refuted or not better.isdisjoint(state.visited):
+            refuted = any(master.dominates(other, theta) for other in master.refuted)
+            if refuted or any(master.dominates(other, theta) for other in state.visited):
                 if refuted:
                     master.refuted.append(theta)
                 state.dominated.append(theta)

@@ -285,18 +285,17 @@ def test_warm_child_complements_a_basic_variable_above_its_tightened_bound():
     assert list(child.complemented) == [False, True] and child.pivots == 1
 
 
-def _cycling_resolve(monkeypatch, sparse_rows):
-    """The cycling re-solve of test_bland_switch_ends_a_cycling_master_solve
-    with lp.SPARSE_PIVOT_ROWS = sparse_rows: its result, the state (basic
-    set and complement flags) after each pivot, and whether each pivot
-    differed from the update restricted to the pivot row's nonzero columns
-    (up to the sign of a zero)."""
+def test_dense_pivot_matches_the_nonzero_column_update_on_the_cycling_master(monkeypatch):
+    # the cycling re-solve of test_bland_switch_ends_a_cycling_master_solve:
+    # every dense rank-1 pivot equals the update restricted to the pivot
+    # row's nonzero columns (up to the sign of a zero), the state (basic set
+    # and complement flags) after pivot 31 repeats an earlier one, which
+    # switches the solve to Bland's rule, and it ends in 43 pivots
     from mdncee import lp
 
     data = np.load(os.path.join(os.path.dirname(__file__), "data", "lp_master_cycle.npz"))
     c, A, b = data["c"], data["A"], data["b"]
     lo, hi = data["lb"].copy(), data["ub"].copy()
-    monkeypatch.setattr(lp, "SPARSE_PIVOT_ROWS", sparse_rows)
     res = solve_lp(c, A, b, lo, hi)
     for j, value in zip(data["fix_index"], data["fix_value"]):
         lo[j] = hi[j] = value
@@ -323,25 +322,7 @@ def _cycling_resolve(monkeypatch, sparse_rows):
 
     monkeypatch.setattr(lp, "_dual_simplex", recording_simplex)
     monkeypatch.setattr(lp, "_pivot", checked_pivot)
-    return solve_lp(c, A, b, lo, hi, warm=parent), states, mismatches
-
-
-def test_dense_pivot_matches_the_nonzero_column_update_on_the_cycling_master(monkeypatch):
-    # every dense rank-1 pivot (forced on this 105-row master) equals the
-    # update restricted to the pivot row's nonzero columns, the state after
-    # pivot 31 repeats an earlier one, which switches the solve to Bland's
-    # rule, and it ends in 43 pivots
-    again, states, mismatches = _cycling_resolve(monkeypatch, sparse_rows=10 ** 9)
-    assert again.status == "optimal" and again.pivots == 43 == len(states)
-    assert not any(mismatches)
-    repeat = next(i for i, state in enumerate(states) if state in states[:i])
-    assert repeat == 31
-
-
-def test_nonzero_column_pivot_keeps_the_cycling_master_path(monkeypatch):
-    # the same re-solve with every pivot restricted to the pivot row's
-    # nonzero columns takes the same 43 pivots and the same repeat
-    again, states, mismatches = _cycling_resolve(monkeypatch, sparse_rows=0)
+    again = solve_lp(c, A, b, lo, hi, warm=parent)
     assert again.status == "optimal" and again.pivots == 43 == len(states)
     assert not any(mismatches)
     repeat = next(i for i, state in enumerate(states) if state in states[:i])

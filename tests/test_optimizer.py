@@ -13,6 +13,7 @@ from mdncee.optimizer import (
     CountBounds,
     MasterModel,
     _master_lp_rows,
+    _no_good,
     build_oa_cuts,
     dinkelbach_fixed_schedule,
     dinkelbach_solve,
@@ -333,12 +334,23 @@ def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, 
             assert (A[-1, u0:u0 + s.N] @ u <= b[-1]) == (subset != (0, 2)), subset
     # each later visit appends its rows: one if refuted, else a cut block
     # (objective, outage, budget) and its no-good row; a schedule skipped as
-    # dominated appends its no-good row alone
-    sizes = sorted({len(b) for _, b in rows})
-    grown = [after - before for before, after in zip(sizes, sizes[1:])]
+    # dominated appends its no-good row alone. Every step ends in its
+    # schedule's no-good row, which names the schedule.
+    by_size = {len(b): (A, b) for A, b in rows}
+    sizes = sorted(by_size)
+    steps = []
+    for before, after in zip(sizes, sizes[1:]):
+        A, b = by_size[after]
+        theta = tuple(np.flatnonzero(A[-1, u0:u0 + s.N] > 0).tolist())
+        row, rhs = _no_good(master, theta)
+        assert np.array_equal(A[-1], row[0]) and b[-1] == rhs[0], theta
+        steps.append((theta, after - before))
     assert state.dominated
-    assert sorted(grown) == sorted([1 if theta in master.refuted else 4
-                                    for theta in state.visited[1:]] + [1] * len(state.dominated))
+    assert [theta for theta, _ in steps if theta not in state.dominated] == state.visited[1:]
+    assert [theta for theta, _ in steps if theta in state.dominated] == state.dominated
+    for theta, grown in steps:
+        skipped = theta in master.refuted or theta in state.dominated
+        assert grown == (1 if skipped else 4), theta
     # a later q-state on the same master keeps the row and never visits (0, 2)
     later = goa_solve(master, 1200.0)
     _, A2, b2, _, _ = _master_lp_rows(later)
