@@ -466,13 +466,12 @@ def _master_lp_rows(state: GoaState):
 @dataclass
 class _Node:
     """An open node of the master tree: its box on u and the LP it last
-    solved, with the number of master rows and the vhat cap that LP saw."""
+    solved, with the number of master rows that LP saw."""
 
     lo: np.ndarray
     hi: np.ndarray
     lp: LpResult
     rows: int
-    vcap: float
 
 
 def _log_bound(vhat: float, master: MasterModel) -> float:
@@ -500,7 +499,8 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) 
     makes it no better than the incumbent, or past the cap) gets its
     no-good row alone: nothing is assembled or solved, and the skip does
     not count toward GOA_MAX_ITER. An open node whose LP predates the last
-    rows or the last cap re-solves warm from its own tableau. The tree
+    rows re-solves warm from its own tableau; the cap moves only when rows
+    are appended, so that test covers it too. The tree
     prunes every node whose bound reaches vhat's cap, so an exhausted tree
     certifies the incumbent. The state extends master's pool: it starts
     from every cut already there and adds its own, so a caller solving
@@ -546,12 +546,12 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) 
                        np.concatenate([ub[:u0], hi_u, ub[u0 + n_u:]]), warm=warm)
         state.master_lps += 1
         state.master_pivots += res.pivots
-        return _Node(lo_u, hi_u, res, len(b), ub[-1])
+        return _Node(lo_u, hi_u, res, len(b))
 
     stack = [relax(np.zeros(n_u), np.ones(n_u))]
     while stack:
         node = stack.pop()
-        if node.rows < len(b) or node.vcap != ub[-1]:
+        if node.rows < len(b):
             node = relax(node.lo, node.hi, node.lp)
         state.master_nodes += 1
         res = node.lp
