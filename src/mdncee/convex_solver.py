@@ -161,9 +161,11 @@ def outage_posynomials(coeffs: LinkCoefficients, selected, M: int, scheme: str) 
 
 def outage_values(coeffs: LinkCoefficients, selected, M: int, scheme: str, x) -> np.ndarray:
     """The values of outage_posynomials(coeffs, selected, M, scheme) at x,
-    from the same counting on numbers: no term matrix is built."""
+    from the same counting on numbers: no term matrix is built. x may be a
+    batch of points, float or complex, shape (..., M + |selected|); the
+    values then have shape (..., number of outages)."""
     if scheme == "mdnc":
-        return np.array([outage_approx_value(coeffs, selected, M, x)])
+        return np.asarray(outage_approx_value(coeffs, selected, M, x))[..., None]
     if scheme == "nonc":
         return nonc_outage_approx_values(coeffs, selected, M, x)
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -1,8 +1,11 @@
 """Dense dual simplex, warm-startable, for the small master-problem LPs.
 
 Minimizes c.x subject to A x <= b and finite boxes lb <= x <= ub. The
-outer-approximation master relaxations have a few dozen columns and one to
-two hundred rows, so a dense tableau is the simplest correct tool.
+outer-approximation master relaxations have a few dozen columns and tens
+to hundreds of rows: under a hundred on the benchmark's N <= 6 masters, and
+526 in the median pivot of a (3, 12) MDNC solve at 1e-3. The tableau is
+dense, the simplest correct form, though at hundreds of rows most of a
+pivot's update touches zeros.
 
 Cold start. Each variable is measured from one end of its box: y = x - lb,
 or y = ub - x when it is complemented. The cold start complements the

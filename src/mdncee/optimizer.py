@@ -14,13 +14,15 @@ powers) is solved by nesting three loops:
 
 Master cuts are built in V' space, where the circuit energy is exactly
 linear in the selection vector u and the smooth part is jointly convex, so
-every cut is a global underestimator. The outage entering the master is the
-full-relay-set approximation, which does not depend on u at all (an
-unselected relay has ptilde'_j = 0, i.e. second-hop failure probability 1),
-making the constraint cuts valid for every schedule. Integer no-good rows
-exclude already-visited schedules outright, which keeps the upper/lower
-bound bookkeeping exact in floating point. Each cut is linearized once, at
-its anchor, into fixed master rows; the master only stacks them.
+every row underestimates the function it linearizes. The outage entering
+the master is the full-relay-set approximation, which does not depend on u
+at all (an unselected relay has ptilde'_j = 0, i.e. second-hop failure
+probability 1). It is not a schedule's own approximate outage, and no
+bound of the master on an unvisited schedule is proved (see MasterModel).
+Integer no-good rows exclude already-visited schedules outright, which
+keeps the upper/lower bound bookkeeping exact in floating point. Each cut
+is linearized once, at its anchor, into fixed master rows; the master only
+stacks them.
 
 No cut depends on q except through the energy term of its objective row,
 and that term is linear in q (a q-free part plus q times an energy part,
@@ -48,7 +50,7 @@ from .convex_solver import (
     PrimalSolution,
     assemble_primal,
     log_power_model,
-    outage_posynomials,
+    outage_values,
     solve_primal,
 )
 from .energy import EnergyBreakdown, delivered_rate, energy_efficiency, scheme_constants, total_energy
@@ -78,6 +80,12 @@ GOA_REL_TOL = 1e-6          # prune a schedule whose bound is within tol * (1 + 
 DINKELBACH_TOL_REL = 1e-6   # |V(q)| <= tol * M * alpha0
 DINKELBACH_MAX_ITER = 50
 GOA_MAX_ITER = 120          # solved primals per q-state; refuted visits cost one row and no solve
+# Complex-step differentiation (Martins, Sturdza and Alonso, ACM TOMS 29(3),
+# 2003): for f built from +, * and exp alone, Im f(x + i*h*e_k)/h is df/dx_k
+# up to a relative O(h^2), with no difference of close values to lose digits
+# in. At h = 1e-30 that term is far below round-off, and h times any outage
+# derivative met here stays far above the smallest normal double.
+COMPLEX_STEP = 1e-30
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +189,24 @@ class MasterModel:
     description of its trees: the relay-count window, shared posynomials,
     constants and the outer-approximation pool that every q-state extends.
 
-    V'(x, u) = obj_coef*sum(outage_full(x)) + q*(energy . e^x + gamma*sum(u)
-    + delta0) over the all-relay log powers x, where outage_full depends on
-    neither q nor the target (an unselected relay sits at ptilde'_j = 0).
-    Both parts are convex in x, so a cut linearizes each once and holds for
-    every q >= 0. The budget draws budget . e^x + gamma*sum(u) + delta0
+    V'(x, u) = obj_coef*sum(P(x)) + q*(energy . e^x + gamma*sum(u) + delta0)
+    over the all-relay log powers x, where P, the approximate outage(s) over
+    all N relays (outage_value_grad), depends on neither q nor the target
+    (an unselected relay sits at ptilde'_j = 0). Both parts are convex in
+    x, so a cut linearizes each once and holds for every q >= 0.
+
+    P at a schedule's lifted point is not that schedule's own approximate
+    outage: an unselected relay still contributes its undecoded and lost
+    terms. At paper.cfg's GOA optima it reads 1.0028-1.0371 times the
+    schedule's own, so an outage row can cut off a schedule's own optimum.
+    In 9 of the 11 feasible pool_scenario(0..5) solves at 1e-3 that
+    happened to an unvisited schedule, by up to 1.6e-2 of the row's
+    scale. So no bound of the master on an unvisited schedule is proved.
+    None has been seen to fail: on the final master at q* of paper.cfg's 8
+    solves and those 11, the bound with u fixed never exceeded the optimal
+    V' of any of the 237 unvisited feasible schedules.
+
+    The budget draws budget . e^x + gamma*sum(u) + delta0
     against E0 plus the relays' -c_j offsets. cuts holds the cut block of
     every primal solved so far, in creation order; refuted lists the
     schedules whose primal was infeasible, which no q can change. problems
@@ -207,7 +228,6 @@ class MasterModel:
         self.bounds = bounds
         self.gamma, self.delta0, _, self.obj_coef = scheme_constants(s, scheme)
         self.dim = s.M + s.N
-        self.outage_full = outage_posynomials(coeffs, tuple(range(s.N)), s.M, scheme)
         self.energy, self.budget, self.lo, self.hi = log_power_model(s, coeffs, scheme)
         self.budget_offset = float(np.sum(self.energy[s.M:]))
         self.v_scale = s.M * s.alpha0    # master works in v / v_scale units
@@ -268,6 +288,15 @@ class MasterModel:
 
         return all(augment(b, set()) for b in lost)
 
+    def outage_value_grad(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """P at all-relay log powers x, one value per outage, and the
+        gradients, one row per outage. The values come from the counting
+        recursion at x and the gradients from one batch of its M + N complex
+        steps, so no term matrix is built."""
+        def outage(points):
+            return outage_values(self.coeffs, range(self.s.N), self.s.M, self.scheme, points)
+        return outage(x), outage(x + 1j * COMPLEX_STEP * np.eye(self.dim)).imag.T / COMPLEX_STEP
+
     def problem(self, schedule: RelaySchedule) -> PrimalProblem:
         """The schedule's problem, assembled on first use and kept."""
         pp = self.problems.get(schedule.theta)
@@ -323,13 +352,13 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution, master: MasterModel) -
         r[u0:u0 + s.N] = u_coef
         return r
 
-    # each outage posynomial is evaluated once: its rows and the objective's
-    # outage part share the value and gradient
-    outage = [pos.value_grad(x) for pos in master.outage_full]
+    # each outage is evaluated once: its rows and the objective's outage
+    # part share the value and gradient
+    values, grads = master.outage_value_grad(x)
     ex = np.exp(x)
     # vhat * v_scale >= obj_coef*sum(outage) + q * (energy . e^x + circuit(u))
-    value = master.obj_coef * sum(v for v, _ in outage)
-    grad = master.obj_coef * sum(g for _, g in outage)
+    value = master.obj_coef * sum(values)
+    grad = master.obj_coef * sum(grads)
     r = row(grad, 0.0)
     r[-1] = -master.v_scale
     rows, rhs = [r], [float(grad @ x) - value]
@@ -337,7 +366,7 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution, master: MasterModel) -
     grad = master.energy * ex
     energy_row = row(grad, master.gamma)
     energy_rhs = float(grad @ x) - (float(np.sum(grad)) + master.delta0)
-    for value, grad in outage:
+    for value, grad in zip(values, grads):
         rows.append(row(grad, 0.0))
         rhs.append(float(grad @ x) - float(value - master.target))
     grad = master.budget * ex

@@ -264,7 +264,7 @@ def outage_posynomial(coeffs: LinkCoefficients, selected, M: int) -> Posynomial:
                       np.array(expos, dtype=float).reshape(len(expos), dim), dim)
 
 
-def outage_approx_value(coeffs: LinkCoefficients, selected, M: int, x) -> float:
+def outage_approx_value(coeffs: LinkCoefficients, selected, M: int, x):
     """outage_posynomial(coeffs, selected, M) at log powers x, by the same
     one-relay-at-a-time recursion on numbers instead of term tables.
 
@@ -272,10 +272,17 @@ def outage_approx_value(coeffs: LinkCoefficients, selected, M: int, x) -> float:
     e_j = e^(-x'_j). The states are the same counts, so a value costs
     O(|selected| M^2) and builds no term matrix. It agrees with the
     posynomial's value up to the order of the floating-point sums.
+
+    x may be a batch of points, shape (..., M + |selected|), float or
+    complex; the result then has the batch's shape. The value is built from
+    x by +, * and exp alone, so it is analytic in x: a complex step
+    Im f(x + i h e_k) / h gives its derivatives. A single point runs the
+    recursion on Python numbers, the fastest form for one value; a batch
+    runs it on arrays, one relay's slice at a time.
     """
-    x = np.asarray(x, dtype=float)
-    f = (np.exp(-x[:M]) @ coeffs.c_h[:, list(selected)]).tolist()
-    e = np.exp(-x[M:]).tolist()
+    w = np.exp(-np.asarray(x))
+    f = w[..., :M] @ coeffs.c_h[:, list(selected)]
+    f, e = [a.tolist() if w.ndim == 1 else np.moveaxis(a, -1, 0) for a in (f, w[..., M:])]
     few = [1.0] + [0.0] * (M - 1)                     # K < M: by decoded count
     many = [[0.0] * M for _ in range(M + 1)]          # K >= M: [decoded, capped][survived]
     many[0][0] = 1.0
@@ -323,9 +330,14 @@ def nonc_outage(coeffs: LinkCoefficients, schedule: RelaySchedule,
 def nonc_outage_approx_values(coeffs: LinkCoefficients, selected, M: int, x) -> np.ndarray:
     """nonc_outage_posynomials(coeffs, selected, M) at log powers x, without
     expanding the products: user i's value is
-    prod_j (c_ij e^(-x_i) + e^(-x'_j)), O(M |selected|)."""
-    x = np.asarray(x, dtype=float)
-    return (coeffs.c_h[:, list(selected)] * np.exp(-x[:M])[:, None] + np.exp(-x[M:])).prod(axis=1)
+    prod_j (c_ij e^(-x_i) + e^(-x'_j)), O(M |selected|).
+
+    x may be a batch of points, shape (..., M + |selected|), float or
+    complex; the result has shape (..., M). The values are built from x by
+    +, * and exp alone, so a complex step gives their derivatives.
+    """
+    w = np.exp(-np.asarray(x))
+    return (coeffs.c_h[:, list(selected)] * w[..., :M, None] + w[..., None, M:]).prod(axis=-1)
 
 
 def nonc_outage_posynomials(coeffs: LinkCoefficients, selected, M: int) -> list[Posynomial]:

@@ -10,10 +10,12 @@ The class is a term matrix and its evaluator, with no algebra: builders
 assemble the coefficient vector and exponent rows directly (the outage
 terms by counting recursions, the energy terms by stacking rows), and
 evaluation treats repeated rows as a sum, so nothing needs merging. A
-Posynomial gives P, log P and (P, grad P), the last for the master's
-cuts. The barrier's gradients and Hessians of log P and P come from the
-stacked terms in convex_solver._BarrierStack; an energy term w*e^(x_k) is
-its own gradient, so the master's energy rows need no posynomial at all.
+Posynomial gives P and log P. The barrier's gradients and Hessians of
+log P and P come from the stacked terms in convex_solver._BarrierStack.
+The master's cuts use no posynomial: their outage values and gradients
+come from the counting recursion on numbers (optimizer.MasterModel), and
+an energy term w*e^(x_k) is its own gradient. Term matrices serve the
+fixed-schedule primal, whose barrier reads them at every iterate.
 
 All evaluation goes through one evaluator, `stacked_terms`, over a stack of
 posynomials: their exponent rows one under another, their log-coefficients,
@@ -98,13 +100,6 @@ class Posynomial:
             return 0.0
         zmax, _, total = self._terms(x)
         return float(segment_values(zmax, total)[0])
-
-    def value_grad(self, x):
-        """(P, grad P) at x from one exponent evaluation; P equals value(x) bit for bit."""
-        if len(self.coeffs) == 0:
-            return 0.0, np.zeros(self.dim)
-        zmax, e, total = self._terms(x)
-        return float(segment_values(zmax, total)[0]), (np.exp(zmax) * e) @ self.expos
 
     def logvalue(self, x) -> float:
         if len(self.coeffs) == 0:

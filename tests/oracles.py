@@ -11,8 +11,9 @@ posynomial the solver builds (its outage term is the library's outage
 posynomial, itself checked against the subset sums above).
 
 powers_to_log maps natural powers to the log-domain variables, the inverse
-of the library's powers_from_log, and log_gradient is grad log P from a
-posynomial's own value and gradient.
+of the library's powers_from_log. value_grad is (P, grad P) of a
+posynomial from its term matrix, the gradient oracle of the barrier and
+of the master's complex-step cuts, and log_gradient is grad log P from it.
 
 plain_brute_force is exhaustive search without screening: a full
 q-iteration on every subset in the relay-count window.
@@ -40,6 +41,7 @@ from mdncee.energy import EnergyBreakdown, delivered_rate, total_energy
 from mdncee.model import LinkCoefficients, ScenarioConfig
 from mdncee.optimizer import Solution, dinkelbach_fixed_schedule, relay_count_bounds
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_posynomial, powers_from_log
+from mdncee.posynomial import Posynomial, segment_values, stacked_terms
 from mdncee.simulate import CHUNK, McConfig, rng_for_chunk
 
 
@@ -187,10 +189,20 @@ def enumerated_nonc_terms(coeffs, selected, M: int) -> list[dict]:
     return result
 
 
+def value_grad(pos: Posynomial, x):
+    """(P, grad P) at x from one exponent evaluation of the term matrix; P
+    equals pos.value(x) bit for bit."""
+    if pos.n_terms == 0:
+        return 0.0, np.zeros(pos.dim)
+    zmax, e, total = stacked_terms(pos.expos, pos.logc, np.zeros(1, dtype=np.intp),
+                                   np.asarray(x, dtype=float))
+    return float(segment_values(zmax, total)[0]), (np.exp(zmax) * e) @ pos.expos
+
+
 def log_gradient(pos, x) -> np.ndarray:
-    """Gradient of log P at x, from the posynomial's own value and gradient:
+    """Gradient of log P at x, from the posynomial's value and gradient:
     grad log V' at q is log_gradient(pp.vprime(q), x)."""
-    value, grad = pos.value_grad(x)
+    value, grad = value_grad(pos, x)
     return grad / value
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_PATH, random_coeffs
-from oracles import log_gradient, outage_approx_power, prob_varsigma_given_zeta, prob_zeta_K
+from oracles import (log_gradient, outage_approx_power, prob_varsigma_given_zeta, prob_zeta_K,
+                     value_grad)
 from test_outage import enumerate_outage, outage_exact_toy
 from test_optimizer import grid_maximize_toy_ratio
 
@@ -166,7 +167,7 @@ def test_criterion_06_gradient_correctness(paper_scenario, paper_coeffs):
     for _ in range(100):
         x = rng.uniform(pp.lo + 0.02 * span, pp.hi - 0.02 * span)
         gtv = log_gradient(vprime, x)
-        gg = [pos.value_grad(x)[1] for pos in pp.outage_pos]
+        gg = [value_grad(pos, x)[1] for pos in pp.outage_pos]
         fd_tv = np.zeros(pp.dim)
         fd_g = np.zeros(pp.dim)
         for k in range(pp.dim):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import log_gradient, outage_approx_power, term_matrix_verdict
+from oracles import log_gradient, outage_approx_power, term_matrix_verdict, value_grad
 from mdncee import convex_solver
 from mdncee.convex_solver import _barrier_minimize, assemble_primal, solve_primal
 from mdncee.energy import scheme_constants
@@ -31,7 +31,7 @@ def interior_points(pp, count, seed):
 
 def outage_gradients(pp, x):
     """One gradient row per outage constraint."""
-    return np.vstack([pos.value_grad(x)[1] for pos in pp.outage_pos])
+    return np.vstack([value_grad(pos, x)[1] for pos in pp.outage_pos])
 
 
 def test_gradients_match_central_differences(primal):
@@ -368,10 +368,10 @@ def test_primal_energy_model_matches_master_at_all_relays(paper_scenario, paper_
         for x in interior_points(pp, 10, int(rng.integers(1 << 30))):
             # build_oa_cuts reads only the solution's point
             A, b = build_oa_cuts(pp, SimpleNamespace(x=x), m).at(q)
-            v, g = pp.vprime(q).value_grad(x)
+            v, g = value_grad(pp.vprime(q), x)
             assert A[0, :dim] @ x + A[0, dim:dim + s.N] @ ones - b[0] == pytest.approx(v, rel=1e-13)
             assert A[0, :dim] == pytest.approx(g, rel=1e-13, abs=1e-13 * v)
-            bv, bg = pp.budget_pos.value_grad(x)
+            bv, bg = value_grad(pp.budget_pos, x)
             assert A[-1, :dim] @ x + A[-1, dim:dim + s.N] @ ones - b[-1] == pytest.approx(
                 bv - pp.budget_cap, rel=1e-12, abs=1e-12 * s.E0)
             assert A[-1, :dim] == pytest.approx(bg, rel=1e-13)

@@ -276,7 +276,8 @@ def _check_objective_row_underestimates_vprime(master, cut, q):
         x[:2] = rng.uniform(np.log(1e-6), np.log(10.0), 2)
         for j in subset:
             x[2 + j] = rng.uniform(master.lo[2 + j], master.hi[2 + j])
-        vtrue = (master.obj_coef * sum(pos.value(x) for pos in master.outage_full)
+        outage = outage_values(master.coeffs, range(4), 2, master.scheme, x)
+        vtrue = (master.obj_coef * sum(outage)
                  + q * (master.energy @ np.exp(x) + master.gamma * count + master.delta0))
         z = np.concatenate([x, RelaySchedule.from_indices(subset, 4).u, [0.0]])
         vcut = _vhat_floor(master, A[0], b[0], z)
@@ -817,14 +818,14 @@ def test_master_solves_each_lp_once(paper_scenario, paper_coeffs, monkeypatch, s
 # master LPs and pivots of paper.cfg's GOA solves per (scheme, target): the
 # dual simplex's decisions, which last-bit changes in its arithmetic would move
 PAPER_MASTER_PIVOTS = {
-    ("mdnc", 1e-2): (35, 82),
+    ("mdnc", 1e-2): (34, 90),
     ("mdnc", 1e-3): (24, 37),
-    ("mdnc", 1e-4): (22, 42),
-    ("mdnc", 1e-5): (20, 44),
-    ("nonc", 1e-2): (31, 106),
-    ("nonc", 1e-3): (20, 75),
-    ("nonc", 1e-4): (35, 84),
-    ("nonc", 1e-5): (35, 97),
+    ("mdnc", 1e-4): (22, 40),
+    ("mdnc", 1e-5): (20, 46),
+    ("nonc", 1e-2): (32, 109),
+    ("nonc", 1e-3): (20, 78),
+    ("nonc", 1e-4): (35, 93),
+    ("nonc", 1e-5): (33, 99),
 }
 
 
@@ -864,54 +865,124 @@ def test_warm_children_pivot_less_than_cold_roots(paper_scenario, paper_coeffs, 
 
 
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
-def test_all_relay_outage_built_once_per_solve(paper_scenario, paper_coeffs, monkeypatch, scheme):
-    from mdncee import optimizer
+def test_all_relay_outage_builds_no_term_matrix(paper_scenario, paper_coeffs, monkeypatch,
+                                                scheme):
+    # the master reads the all-relay outage from the counting recursion, so
+    # a solve's only term matrices are its primals' own: one per assembled
+    # schedule that reads its outage_pos
+    from mdncee import convex_solver, optimizer
 
-    # the master's posynomials are the optimizer's only outage_posynomials
-    # call; the primals build theirs in convex_solver
-    real = optimizer.outage_posynomials
-    builds = []
+    real = convex_solver.outage_posynomials
+    builds, masters = [], []
 
     def counting(coeffs, selected, M, scheme):
         builds.append(tuple(selected))
         return real(coeffs, selected, M, scheme)
 
-    monkeypatch.setattr(optimizer, "outage_posynomials", counting)
+    class Recorded(optimizer.MasterModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            masters.append(self)
+
+    def term_matrices(master):
+        return sorted(theta for theta, pp in master.problems.items() if "outage_pos" in vars(pp))
+
+    monkeypatch.setattr(convex_solver, "outage_posynomials", counting)
+    monkeypatch.setattr(optimizer, "MasterModel", Recorded)
     sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
     assert sol.diagnostics["goa_states"] > 1
-    assert builds == [(0, 1, 2, 3)]
-    goa_solve(master_for(paper_scenario, paper_coeffs, 1e-3, scheme), sol.q_star)
-    assert builds == [(0, 1, 2, 3)] * 2
+    assert len(masters) == 1 and masters[0].cuts
+    assert sorted(builds) == term_matrices(masters[0])
+    builds.clear()
+    master = master_for(paper_scenario, paper_coeffs, 1e-3, scheme)
+    assert builds == []
+    goa_solve(master, sol.q_star)
+    assert sorted(builds) == term_matrices(master)
 
 
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
 def test_each_cut_evaluates_each_outage_posynomial_once(paper_scenario, paper_coeffs,
                                                         monkeypatch, scheme):
     # a cut's objective row reuses its outage rows' values and gradients,
-    # and its energy and budget rows are closed form
+    # and its energy and budget rows are closed form: the recursion runs
+    # once at the anchor for the values, and once on the batch of its
+    # M + N complex steps for the gradients
     from mdncee import optimizer
-    from mdncee.posynomial import Posynomial
 
-    real_value_grad, real_build = Posynomial.value_grad, optimizer.build_oa_cuts
-    calls = [0]
+    real_values, real_build = optimizer.outage_values, optimizer.build_oa_cuts
+    calls = []
     per_cut = []
 
-    def counting_value_grad(self, x):
-        calls[0] += 1
-        return real_value_grad(self, x)
+    def counting_values(coeffs, selected, M, scheme, x):
+        values = real_values(coeffs, selected, M, scheme, x)
+        calls.append((tuple(selected), np.shape(x), np.iscomplexobj(x), values.shape))
+        return values
 
     def counting_build(pp, sol, master):
-        calls[0] = 0
+        calls.clear()
         cut = real_build(pp, sol, master)
-        per_cut.append((calls[0], len(master.outage_full)))
+        per_cut.append((list(calls), master.dim))
         return cut
 
-    monkeypatch.setattr(Posynomial, "value_grad", counting_value_grad)
+    monkeypatch.setattr(optimizer, "outage_values", counting_values)
     monkeypatch.setattr(optimizer, "build_oa_cuts", counting_build)
     for target in (1e-2, 1e-3, 1e-4):
         dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
-    assert per_cut and all(n == outage for n, outage in per_cut)
-    assert {outage for _, outage in per_cut} == {1 if scheme == "mdnc" else paper_scenario.M}
+    outages = 1 if scheme == "mdnc" else paper_scenario.M
+    relays = tuple(range(paper_scenario.N))
+    assert per_cut
+    for cut_calls, dim in per_cut:
+        assert cut_calls == [(relays, (dim,), False, (outages,)),
+                             (relays, (dim, dim), True, (dim, outages))]
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 10])
+@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_cut_outage_value_and_gradient_equal_the_term_matrix(N, M, scheme):
+    # the master's all-relay outage from the recursion and its complex steps
+    # against the term matrix of outage_posynomials, summed here term by term
+    from mdncee.convex_solver import outage_posynomials
+
+    s = _random_small_scenario(np.random.default_rng([1, N, M]), M=M, N=N)
+    coeffs = build_link_coefficients(s)
+    master = MasterModel(s, coeffs, scheme, 1e-3, CountBounds(low=1, up=N, best_subset=(0,)))
+    terms = outage_posynomials(coeffs, range(N), M, scheme)
+    rng = np.random.default_rng([2, N, M])
+    idle = rng.uniform(master.lo, master.hi)
+    idle[M + rng.choice(N, size=N // 2, replace=False)] = 0.0
+    for x in (idle, master.lo, master.hi):
+        values, grads = master.outage_value_grad(x)
+        assert values.shape == (len(terms),) and grads.shape == (len(terms), master.dim)
+        for pos, value, grad in zip(terms, values, grads):
+            t = pos.coeffs * np.exp(pos.expos @ x)
+            np.testing.assert_allclose(value, t.sum(), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(grad, t @ pos.expos, rtol=1e-12, atol=0)
+
+
+def test_twenty_relay_master_and_cut_build_no_term_matrix(monkeypatch):
+    # at (2, 20) the all-relay MDNC term matrix does not fit in 3 GB; the
+    # master and its cuts read the recursion alone
+    from types import SimpleNamespace
+
+    from mdncee import convex_solver
+
+    def refuse(*args):
+        raise AssertionError("term matrix built")
+
+    monkeypatch.setattr(convex_solver, "outage_posynomial", refuse)
+    monkeypatch.setattr(convex_solver, "nonc_outage_posynomials", refuse)
+    s = _random_small_scenario(np.random.default_rng([1, 20, 2]), M=2, N=20)
+    master = master_for(s, build_link_coefficients(s), 1e-3)
+    schedule = RelaySchedule.from_indices(master.bounds.best_subset, s.N)
+    keep = [*range(s.M), *(s.M + j for j in schedule.theta)]
+    # build_oa_cuts reads only the schedule and the solution's point
+    cut = build_oa_cuts(SimpleNamespace(schedule=schedule), SimpleNamespace(x=master.hi[keep]),
+                        master)
+    assert cut.A.shape == (3, master.dim + s.N + 1)
+    assert np.all(np.isfinite(cut.A)) and np.all(np.isfinite(cut.b))
+    # the outage falls in every power, the idle relays' included
+    assert np.all(cut.A[1, :master.dim] < 0)
 
 
 @pytest.mark.parametrize("scheme", ["MDNC", ""])
@@ -937,7 +1008,7 @@ def test_unknown_scheme_rejected(paper_scenario, paper_coeffs, entry, scheme):
 
 
 # visits per q-state of the N = 8 GOA solves, after the dominance skip
-EIGHT_RELAY_VISITS = {(2, "mdnc"): [37, 6], (3, "mdnc"): [44, 8], (3, "nonc"): [14, 4, 3]}
+EIGHT_RELAY_VISITS = {(2, "mdnc"): [38, 6], (3, "mdnc"): [48, 8], (3, "nonc"): [14, 3, 3]}
 
 
 @pytest.mark.parametrize("M,scheme", [(2, "mdnc"), (3, "mdnc"), (3, "nonc")])

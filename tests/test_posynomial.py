@@ -3,6 +3,7 @@ import pytest
 
 from mdncee.convex_solver import _BarrierStack, assemble_primal, solve_primal
 from conftest import master_for
+from oracles import value_grad
 from mdncee.optimizer import build_oa_cuts
 from mdncee.outage import RelaySchedule, outage_posynomial
 from mdncee.posynomial import Posynomial, segment_logvalues, segment_values, stacked_terms
@@ -25,9 +26,8 @@ def barrier_of(pos, width=10.0):
 
 
 def test_parts_values_equal_value_only_bitwise(paper_coeffs):
-    # a cut's outage rows and its objective row share one value_grad call, so
-    # its value must be the value the primal's feasibility test reads; and
-    # Armijo compares a base value from the barrier's derivatives with trial
+    # the term-matrix gradient oracle must read the value the primal's
+    # feasibility test reads; and Armijo compares a base value from the barrier's derivatives with trial
     # values from its value-only path, so those must agree with logvalue
     rng = np.random.default_rng(11)
     cases = [random_posynomial(rng) for _ in range(20)]
@@ -37,16 +37,17 @@ def test_parts_values_equal_value_only_bitwise(paper_coeffs):
         stack = barrier_of(pos) if pos.n_terms else None
         for _ in range(10):
             x = rng.uniform(-3.0, 3.0, pos.dim)
-            assert pos.value_grad(x)[0] == pos.value(x)
+            assert value_grad(pos, x)[0] == pos.value(x)
             if stack is not None:
                 (fv, _, _), _ = stack.derivatives(x)
                 assert fv == stack.value(x)[0] == pos.logvalue(x)
 
 
 def test_value_grad_equals_parts_bitwise(paper_scenario, paper_coeffs):
-    # a cut's rows are the parts of value_grad at its anchor, bit for bit:
-    # each outage row is one posynomial's gradient, the objective row their
-    # obj_coef-weighted sum, and an energy row w*e^x its own gradient
+    # a cut's rows are the parts of the master's outage_value_grad at its
+    # anchor, bit for bit: each outage row is one outage's gradient, the
+    # objective row their obj_coef-weighted sum, and an energy row w*e^x its
+    # own gradient
     s = paper_scenario
     sched = RelaySchedule.from_indices(range(s.N), s.N)
     for scheme in ("mdnc", "nonc"):
@@ -55,11 +56,11 @@ def test_value_grad_equals_parts_bitwise(paper_scenario, paper_coeffs):
         master = master_for(s, paper_coeffs, 1e-2, scheme)
         cut = build_oa_cuts(pp, sol, master)
         x = sol.x    # every relay is selected, so the anchor needs no lifting
-        outage = [pos.value_grad(x) for pos in master.outage_full]
-        assert cut.A.shape[0] == 2 + len(outage)
-        objective_grad = master.obj_coef * sum(g for _, g in outage)
+        values, grads = master.outage_value_grad(x)
+        assert cut.A.shape[0] == 2 + len(values)
+        objective_grad = master.obj_coef * sum(grads)
         assert cut.A[0, :master.dim].tobytes() == objective_grad.tobytes()
-        for k, (value, grad) in enumerate(outage, start=1):
+        for k, (value, grad) in enumerate(zip(values, grads), start=1):
             assert cut.A[k, :master.dim].tobytes() == grad.tobytes()
             assert cut.b[k] == float(grad @ x) - float(value - master.target)
         assert cut.energy_row[:master.dim].tobytes() == (master.energy * np.exp(x)).tobytes()
@@ -71,7 +72,7 @@ def test_parts_derivatives_match_central_differences():
     for _ in range(20):
         pos = random_posynomial(rng)
         x = rng.uniform(-1.0, 1.0, pos.dim)
-        value, grad = pos.value_grad(x)
+        value, grad = value_grad(pos, x)
         assert grad == pytest.approx(central_diff(pos.value, x), rel=1e-6, abs=1e-6 * value)
         # grad log P = grad P / P
         assert grad / value == pytest.approx(central_diff(pos.logvalue, x), abs=1e-7)
@@ -85,7 +86,7 @@ def test_parts_derivatives_match_central_differences():
 
 def test_parts_of_empty_posynomial():
     empty = Posynomial([], np.zeros((0, 3)), 3)
-    value, grad = empty.value_grad(np.ones(3))
+    value, grad = value_grad(empty, np.ones(3))
     assert value == 0.0
     assert np.array_equal(grad, np.zeros(3))
     assert np.array_equal(central_diff(empty.value, np.ones(3)), np.zeros(3))
