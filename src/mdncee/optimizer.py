@@ -186,8 +186,8 @@ def ratio_count_cap(s: ScenarioConfig, scheme: str, q: float) -> int:
 
 class MasterModel:
     """The q-free master of one (scheme, target) solve, and the whole
-    description of its trees: the relay-count window, shared posynomials,
-    constants and the outer-approximation pool that every q-state extends.
+    description of its trees: the relay-count window, the constants and
+    the outer-approximation pool that every q-state extends.
 
     V'(x, u) = obj_coef*sum(P(x)) + q*(energy . e^x + gamma*sum(u) + delta0)
     over the all-relay log powers x, where P, the approximate outage(s) over
@@ -199,12 +199,14 @@ class MasterModel:
     outage: an unselected relay still contributes its undecoded and lost
     terms. At paper.cfg's GOA optima it reads 1.0028-1.0371 times the
     schedule's own, so an outage row can cut off a schedule's own optimum.
-    In 9 of the 11 feasible pool_scenario(0..5) solves at 1e-3 that
-    happened to an unvisited schedule, by up to 1.6e-2 of the row's
-    scale. So no bound of the master on an unvisited schedule is proved.
-    None has been seen to fail: on the final master at q* of paper.cfg's 8
-    solves and those 11, the bound with u fixed never exceeded the optimal
-    V' of any of the 237 unvisited feasible schedules.
+    In 9 of the 11 feasible solves at 1e-3 on bench/workloads'
+    pool_scenario(0..5), a row of the final master cut off an unvisited
+    schedule's optimum at q*: its linearized outage there exceeded the
+    target by up to 0.63 times the target under MDNC, 16 times under NoNC.
+    So no bound of the master on an unvisited schedule is proved. None has
+    been seen to fail: on the final master at q* of paper.cfg's 8 solves
+    and those 11, the bound with u fixed never exceeded the optimal V' of
+    any of the 267 unvisited feasible schedules.
 
     The budget draws budget . e^x + gamma*sum(u) + delta0
     against E0 plus the relays' -c_j offsets. cuts holds the cut block of
