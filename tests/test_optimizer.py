@@ -872,12 +872,13 @@ def test_all_relay_outage_builds_no_term_matrix(paper_scenario, paper_coeffs, mo
     # schedule that reads its outage_pos
     from mdncee import convex_solver, optimizer
 
-    real = convex_solver.outage_posynomials
     builds, masters = [], []
 
-    def counting(coeffs, selected, M, scheme):
-        builds.append(tuple(selected))
-        return real(coeffs, selected, M, scheme)
+    def counting(real):
+        def build(coeffs, selected, M):
+            builds.append(tuple(selected))
+            return real(coeffs, selected, M)
+        return build
 
     class Recorded(optimizer.MasterModel):
         def __init__(self, *args):
@@ -887,7 +888,9 @@ def test_all_relay_outage_builds_no_term_matrix(paper_scenario, paper_coeffs, mo
     def term_matrices(master):
         return sorted(theta for theta, pp in master.problems.items() if "outage_pos" in vars(pp))
 
-    monkeypatch.setattr(convex_solver, "outage_posynomials", counting)
+    # every term matrix comes from one of these two, whoever asks for it
+    for name in ("outage_posynomial", "nonc_outage_posynomials"):
+        monkeypatch.setattr(convex_solver, name, counting(getattr(convex_solver, name)))
     monkeypatch.setattr(optimizer, "MasterModel", Recorded)
     sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
     assert sol.diagnostics["goa_states"] > 1
