@@ -60,11 +60,6 @@ CENTERING_TOL = 0.125
 ARMIJO_SLOPE = 0.3
 ARMIJO_SHRINK = 0.5
 MAX_NEWTON = 200
-# The max-power corner refutes a schedule on its numeric outage alone when
-# that exceeds the target by more than this relative margin, far above the
-# round-off between the numeric recursion and the term matrix (1e-15 to
-# 1e-14), so the term matrix would refute it too.
-CORNER_REL_TOL = 1e-12
 
 
 @dataclass
@@ -72,7 +67,13 @@ class PrimalProblem:
     """Assembled fixed-schedule problem: min log V'(x) subject to outage,
     budget and box constraints, all posynomial-backed. Only the objective
     depends on q, so one problem serves every q: vprime(q) builds it.
-    The outage term matrices are built on first read of outage_pos."""
+
+    outage_at(x) evaluates the outage by the counting recursion
+    (outage_values) and is the only reading of it outside a barrier: the
+    feasibility verdict, the reported approximate outage and the Dinkelbach
+    start all come from it. The outage term matrices, outage_pos, are built
+    on their first read, which only a barrier makes (solve_primal,
+    _max_slack_point, and vprime, which a barrier minimizes)."""
 
     s: ScenarioConfig
     coeffs: LinkCoefficients
@@ -84,6 +85,7 @@ class PrimalProblem:
     circuit: float                      # V' constant (circuit energy, unselected c_j), times q
     energy: np.ndarray                  # V' weights on e^x, times q
     obj_coef: float                     # V' weight of the outage posynomials
+    relay_energy: float                 # summed energy weights of all N relays
     budget_pos: Posynomial              # grid energy draw, exponential part + constants
     budget_cap: float                   # budget_pos(x) <= budget_cap
     feasible: bool
@@ -105,7 +107,7 @@ class PrimalProblem:
         return powers_from_log(self.coeffs, self.schedule, x[:self.s.M], full)
 
     def outage_at(self, x) -> np.ndarray:
-        return np.array([pos.value(x) for pos in self.outage_pos])
+        return outage_values(self.coeffs, self.schedule.theta, self.s.M, self.scheme, x)
 
     def vprime(self, q: float) -> Posynomial:
         """V'(x) at q, whose log is the objective tilde V."""
@@ -161,9 +163,12 @@ def outage_posynomials(coeffs: LinkCoefficients, selected, M: int, scheme: str) 
 
 def outage_values(coeffs: LinkCoefficients, selected, M: int, scheme: str, x) -> np.ndarray:
     """The values of outage_posynomials(coeffs, selected, M, scheme) at x,
-    from the same counting on numbers: no term matrix is built. x may be a
-    batch of points, float or complex, shape (..., M + |selected|); the
-    values then have shape (..., number of outages)."""
+    from the same counting on numbers: no term matrix is built. Every
+    reading of the outage outside a barrier goes through here: the
+    primal's verdict and reported outage (PrimalProblem.outage_at) and the
+    master's cuts. x may be a batch of points, float or complex, shape
+    (..., M + |selected|); the values then have shape (..., number of
+    outages)."""
     if scheme == "mdnc":
         return np.asarray(outage_approx_value(coeffs, selected, M, x))[..., None]
     if scheme == "nonc":
@@ -198,16 +203,17 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
                     target: float, scheme: str = "mdnc") -> PrimalProblem:
     """Build the fixed-schedule problem and pre-check feasibility.
 
-    The outage cap is monotone decreasing in every power, so the max-power
-    corner minimizes it; if even that corner misses the target (with the
-    budget honored), the problem is marked infeasible. When the corner fits
-    the budget, its outage is first evaluated on numbers, without term
-    matrices, and a value above the target by more than CORNER_REL_TOL
-    refutes the schedule at once; any other case is decided on the term
-    matrices, so the verdict is theirs. The point that minimizes the worst
-    relative outage within the budget (the corner, when it fits) is kept as
-    the primal's start anchor. No q enters: the constraints, the feasibility test and
-    the anchor hold at every q, and solve_primal takes the q.
+    The outage cap is monotone decreasing in every power, so the
+    admissible point of least outage is the max-power corner hi when it
+    fits the budget, and otherwise the max-slack point, which minimizes
+    the worst relative outage within the budget. That point is picked
+    first and kept as the primal's start anchor; the outage is then
+    evaluated once, there, on numbers (outage_at), and a value above the
+    target marks the problem infeasible. A budget not strictly met even at
+    the lowest powers marks it infeasible with no anchor. Only a binding
+    budget builds term matrices here, for the max-slack barrier. No q
+    enters: the constraints, the feasibility test and the anchor hold at
+    every q, and solve_primal takes the q.
     """
     n = schedule.count
     selected = schedule.theta
@@ -229,7 +235,7 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     budget_cap = s.E0 + float(np.sum(relay[list(selected)]))
     pp = PrimalProblem(s=s, coeffs=coeffs, schedule=schedule, scheme=scheme,
                        target=float(target), lo=lo, hi=hi, circuit=gamma * n + delta0 + unselected,
-                       energy=energy[keep], obj_coef=obj_coef,
+                       energy=energy[keep], obj_coef=obj_coef, relay_energy=float(np.sum(relay)),
                        budget_pos=budget, budget_cap=budget_cap, feasible=True)
 
     if n < s.M and scheme == "mdnc":
@@ -237,12 +243,8 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
         pp.infeasible_reason = f"schedule selects {n} < M = {s.M} relays; outage is certain"
         return pp
 
-    outage = None
     if budget.value(hi) <= budget_cap:
-        x_slack = hi.copy()
-        corner = outage_values(coeffs, selected, s.M, scheme, hi)
-        if np.any(corner > pp.target * (1.0 + CORNER_REL_TOL)):
-            outage = corner         # refuted on numbers: no term matrix is built
+        pp.max_slack_point = hi.copy()
     elif budget.value(lo) >= budget_cap:
         # even the lowest powers leave no strict budget slack: with the
         # default budget, the circuit energy gamma*n + delta0 reaches E0
@@ -254,10 +256,8 @@ def assemble_primal(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Relay
     else:
         # Budget binds before full power: push the outage down along the
         # steepest admissible direction instead of assuming the corner.
-        x_slack = _max_slack_point(pp)
-    pp.max_slack_point = x_slack
-    if outage is None:
-        outage = pp.outage_at(x_slack)
+        pp.max_slack_point = _max_slack_point(pp)
+    outage = pp.outage_at(pp.max_slack_point)
     if np.any(outage > pp.target):
         pp.feasible = False
         worst = int(np.argmax(outage / pp.target))
@@ -278,10 +278,12 @@ def _max_slack_point(pp: PrimalProblem) -> np.ndarray:
     (x, sigma): minimize e^sigma subject to log(Pout_i(x) e^(-sigma)) <=
     log target per outage, and the budget. Every outage falls in every
     power, so the worst ratio lies between its values at hi and at lo, and
-    sigma's box is their logs widened by 1.
+    sigma's box is their logs widened by 1, read from the term matrices
+    this barrier minimizes over.
     """
     dim = pp.dim
-    worst = [np.log(np.max(pp.outage_at(x) / pp.target)) for x in (pp.hi, pp.lo)]
+    worst = [np.log(max(pos.value(x) for pos in pp.outage_pos) / pp.target)
+             for x in (pp.hi, pp.lo)]
     lo, hi = np.append(pp.lo, worst[0] - 1.0), np.append(pp.hi, worst[1] + 1.0)
 
     def lifted(pos, sigma):

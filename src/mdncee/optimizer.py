@@ -806,17 +806,16 @@ def fixed_schedule_value(pp: PrimalProblem, q: float) -> tuple[float, bool] | No
     infeasible. By Dinkelbach's lemma the schedule's best ratio exceeds q
     only if max V(q) is positive.
 
-    V(q) = obj_coef*K - V'(x) + q*W, with K the number of outages and W the
-    summed energy weights of all relays (log_power_model), so max V(q) <= 0
-    exactly when the optimal log V' is at least log(obj_coef*K + q*W). The
-    primal takes that level as its cutoff. When it stops there, the value
-    returned is the bound obj_coef*K + q*W - exp(lower_bound) <= 0 on max
-    V(q), not max V(q) itself.
+    V(q) = M*alpha0 - V'(x) + q*W under both schemes (obj_coef times the
+    number of outages), with W = pp.relay_energy the summed energy weights
+    of all relays, so max V(q) <= 0 exactly when the optimal log V' is at
+    least log(M*alpha0 + q*W). The primal takes that level as its cutoff.
+    When it stops there, the value returned is the bound
+    M*alpha0 + q*W - exp(lower_bound) <= 0 on max V(q), not max V(q) itself.
     """
     if not pp.feasible:
         return None
-    energy, _, _, _ = log_power_model(pp.s, pp.coeffs, pp.scheme)
-    zero = pp.obj_coef * len(pp.outage_pos) + q * float(np.sum(energy[pp.s.M:]))
+    zero = pp.s.M * pp.s.alpha0 + q * pp.relay_energy
     sol = solve_primal(pp, q, cutoff=math.log(zero))
     if sol.lower_bound is not None:
         return zero - math.exp(sol.lower_bound), True

@@ -14,8 +14,10 @@ Posynomial gives P and log P. The barrier's gradients and Hessians of
 log P and P come from the stacked terms in convex_solver._BarrierStack.
 The master's cuts use no posynomial: their outage values and gradients
 come from the counting recursion on numbers (optimizer.MasterModel), and
-an energy term w*e^(x_k) is its own gradient. Term matrices serve the
-fixed-schedule primal, whose barrier reads them at every iterate.
+an energy term w*e^(x_k) is its own gradient. Term matrices serve only
+the fixed-schedule barriers (the primal and its max-slack point), which
+read them at every iterate; every other reading of the outage is the
+recursion's (convex_solver.PrimalProblem.outage_at).
 
 All evaluation goes through one evaluator, `stacked_terms`, over a stack of
 posynomials: their exponent rows one under another, their log-coefficients,

@@ -19,7 +19,8 @@ plain_brute_force is exhaustive search without screening: a full
 q-iteration on every subset in the relay-count window.
 
 term_matrix_verdict is the fixed-schedule feasibility pre-check with every
-outage read from its term matrix, no numeric corner screen.
+outage read from freshly built term matrices instead of the counting
+recursion the library reads it by.
 
 dominates decides schedule dominance by trying every pairing of the two
 schedules' relays, where the library matches them by augmenting paths.
@@ -311,9 +312,10 @@ def dominates(coeffs: LinkCoefficients, better, worse) -> dict | None:
 def term_matrix_verdict(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,
                         target: float, scheme: str = "mdnc"):
     """(feasible, infeasible_reason, max_slack_point) of assemble_primal's
-    pre-check with every outage evaluated on freshly built term matrices:
-    the max-power corner when it fits the budget, else the max-slack point
-    (the library's, from the assembled problem's box and budget)."""
+    pre-check with the outage at the anchor evaluated on freshly built term
+    matrices: the max-power corner when it fits the budget, else the
+    max-slack point (the library's, from the assembled problem's box and
+    budget)."""
     selected = schedule.theta
     if schedule.count < s.M and scheme == "mdnc":
         return False, f"schedule selects {schedule.count} < M = {s.M} relays; outage is certain", None

@@ -173,64 +173,94 @@ def test_infeasible_marker_below_relay_minimum(paper_scenario, paper_coeffs):
     assert "relays" in pp.infeasible_reason
 
 
-@pytest.mark.parametrize("user_energy", [False, True], ids=["relays", "users+relays"])
-@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
-def test_corner_screen_keeps_the_term_matrix_verdict(monkeypatch, scheme, user_energy):
-    # every subset of seeded random scenarios: assemble_primal, which refutes
-    # on the numeric corner outage first, gives the term-matrix oracle's
-    # verdict, reason text and anchor, and a corner-refuted schedule builds
-    # no term matrix until its outage_pos is read
+def _seeded_subsets(user_energy):
+    """(scenario, coefficients, schedule, target) for every subset of two
+    seeded random scenarios, (M, N) = (3, 6) and (2, 7), the targets 1e-2
+    to 1e-6 taken in turn."""
     from itertools import combinations
 
-    builds = []
-    for name in ("outage_posynomial", "nonc_outage_posynomials"):
-        def counting(*args, real=getattr(convex_solver, name)):
-            builds.append(args)
-            return real(*args)
-        monkeypatch.setattr(convex_solver, name, counting)
     targets = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    seen = {"corner refuted": 0, "corner not refuted": 0, "budget binds": 0}
     for M, N in ((3, 6), (2, 7)):
         s = dataclasses.replace(_random_small_scenario(np.random.default_rng([25, N, M]), M, N),
                                 user_energy_in_budget=user_energy)
         coeffs = build_link_coefficients(s)
         subsets = [c for k in range(1, N + 1) for c in combinations(range(N), k)]
         for i, subset in enumerate(subsets):
-            sched = RelaySchedule.from_indices(subset, N)
-            target = targets[i % len(targets)]
-            del builds[:]
-            pp = assemble_primal(s, coeffs, sched, target, scheme)
-            built = len(builds)
-            feasible, reason, anchor = term_matrix_verdict(s, coeffs, sched, target, scheme)
-            assert (pp.feasible, pp.infeasible_reason) == (feasible, reason), subset
-            assert (pp.max_slack_point is None) == (anchor is None)
-            if anchor is None:
-                continue
-            assert np.array_equal(pp.max_slack_point, anchor), subset
-            if pp.budget_pos.value(pp.hi) > pp.budget_cap:
-                seen["budget binds"] += 1
-                continue
-            corner = convex_solver.outage_values(coeffs, subset, M, scheme, pp.hi)
-            del builds[:]
-            terms = pp.outage_at(pp.hi)
-            assert corner == pytest.approx(terms, rel=1e-13, abs=0.0)
-            if scheme == "mdnc":
-                full = np.zeros(N)
-                full[list(subset)] = pp.hi[M:]
-                powers = powers_from_log(coeffs, sched, pp.hi[:M], full)
-                assert corner[0] == pytest.approx(outage_approx_power(coeffs, sched, powers),
-                                                  rel=1e-12)
-            if np.any(corner > target * (1.0 + convex_solver.CORNER_REL_TOL)):
-                seen["corner refuted"] += 1
-                assert not pp.feasible and built == 0, subset
-                # outage_pos is built on its first read, and the refuted
-                # problem still evaluates its outage and objective
-                assert len(builds) == 1
-                assert pp.vprime(1e3).value(pp.hi) > 0.0
-            else:
-                seen["corner not refuted"] += 1
-                assert built == 1 and builds == []
-    assert seen["corner refuted"] > 20 and seen["corner not refuted"] > 20
+            yield s, coeffs, RelaySchedule.from_indices(subset, N), targets[i % len(targets)]
+
+
+def _budget_binds(pp):
+    return pp.max_slack_point is not None and pp.budget_pos.value(pp.hi) > pp.budget_cap
+
+
+@pytest.mark.parametrize("user_energy", [False, True], ids=["relays", "users+relays"])
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_corner_screen_keeps_the_term_matrix_verdict(scheme, user_energy):
+    # every subset of seeded random scenarios: assemble_primal, which reads
+    # the outage at its anchor by the counting recursion alone, gives the
+    # term-matrix oracle's verdict, reason text and anchor; at the
+    # max-power corner the recursion equals the term matrix and, for MDNC,
+    # the subset-sum oracle
+    seen = {"feasible": 0, "refuted": 0, "budget binds": 0}
+    for s, coeffs, sched, target in _seeded_subsets(user_energy):
+        pp = assemble_primal(s, coeffs, sched, target, scheme)
+        feasible, reason, anchor = term_matrix_verdict(s, coeffs, sched, target, scheme)
+        assert (pp.feasible, pp.infeasible_reason) == (feasible, reason), sched.theta
+        assert (pp.max_slack_point is None) == (anchor is None)
+        if anchor is None:
+            continue
+        assert np.array_equal(pp.max_slack_point, anchor), sched.theta
+        seen["feasible" if feasible else "refuted"] += 1
+        seen["budget binds"] += _budget_binds(pp)
+        corner = pp.outage_at(pp.hi)
+        terms = [pos.value(pp.hi)
+                 for pos in convex_solver.outage_posynomials(coeffs, sched.theta, s.M, scheme)]
+        assert corner == pytest.approx(terms, rel=1e-13, abs=0.0)
+        if scheme == "mdnc":
+            full = np.zeros(s.N)
+            full[list(sched.theta)] = pp.hi[s.M:]
+            powers = powers_from_log(coeffs, sched, pp.hi[:s.M], full)
+            assert corner[0] == pytest.approx(outage_approx_power(coeffs, sched, powers),
+                                              rel=1e-12)
+    assert seen["feasible"] > 20 and seen["refuted"] > 20
+    assert seen["budget binds"] > 0
+
+
+@pytest.mark.parametrize("user_energy", [False, True], ids=["relays", "users+relays"])
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_term_matrices_are_built_only_where_a_barrier_runs(monkeypatch, scheme, user_energy):
+    # on the same subsets: assemble_primal builds an outage term matrix only
+    # for the max-slack barrier of a binding budget; a feasible problem
+    # builds it on its first solve_primal, whose reported outage, read by
+    # the recursion, equals the term matrix at the solve's point; an
+    # infeasible problem never builds it, and its vprime still evaluates
+    builds = []
+    for name in ("outage_posynomial", "nonc_outage_posynomials"):
+        def counting(*args, real=getattr(convex_solver, name)):
+            builds.append(args)
+            return real(*args)
+        monkeypatch.setattr(convex_solver, name, counting)
+    seen = {"solved": 0, "refuted": 0, "budget binds": 0}
+    for s, coeffs, sched, target in _seeded_subsets(user_energy):
+        del builds[:]
+        pp = assemble_primal(s, coeffs, sched, target, scheme)
+        binds = _budget_binds(pp)
+        seen["budget binds"] += binds
+        assert len(builds) == binds, sched.theta
+        if not pp.feasible:
+            seen["refuted"] += 1
+            pp.outage_at(pp.hi)
+            assert len(builds) == binds
+            # outage_pos is built on its first read, here by vprime
+            assert pp.vprime(1e3).value(pp.hi) > 0.0
+            assert len(builds) == 1
+            continue
+        seen["solved"] += 1
+        sol = solve_primal(pp, 1e3)
+        assert len(builds) == 1, sched.theta
+        terms = [pos.value(sol.x) for pos in pp.outage_pos]
+        assert sol.outage_approx == pytest.approx(terms, rel=1e-13, abs=0.0)
+    assert seen["solved"] > 20 and seen["refuted"] > 20
     assert seen["budget binds"] > 0
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -41,6 +42,37 @@ def test_only_assemble_primal_takes_a_schedule_and_a_target():
     # PrimalProblem and Solution hold both
     assert _takers("schedule", "target") == {"assemble_primal", "PrimalProblem.__init__",
                                              "Solution.__init__"}
+
+
+def _readers(attr: str) -> set[str]:
+    """The functions and methods of mdncee whose code reads .attr, by
+    qualified name within their module."""
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, ast.Load)):
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    for module in MODULES:
+        visit(ast.parse(inspect.getsource(module)), [])
+    return readers
+
+
+def test_only_the_barriers_read_the_outage_term_matrices():
+    # outside a barrier the outage is read by the counting recursion
+    # (PrimalProblem.outage_at), one evaluator with no tolerance bridging
+    # it to a second: the term matrices serve the primal's barrier, the
+    # max-slack barrier and the V' posynomial a barrier minimizes
+    from mdncee import convex_solver
+
+    assert _readers("outage_pos") == {"solve_primal", "_max_slack_point", "PrimalProblem.vprime"}
+    assert not hasattr(convex_solver, "CORNER_REL_TOL")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -508,6 +508,31 @@ def test_no_primal_ends_unconverged_on_paper_targets(paper_scenario, paper_coeff
 
 
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_feasible_answers_keep_the_approximate_outage_within_target(paper_scenario, paper_coeffs,
+                                                                    scheme):
+    # pr_out_approx is the counting recursion's value at the returned
+    # powers, while the barrier kept the term matrix below the target; the
+    # benchmark's correctness check reads it. GOA and brute force on
+    # paper.cfg over the sweep's six targets (logrange:1e-2,5e-6,6), and on
+    # the benchmark's pool scenarios (bench/workloads.pool_scenario(0..5),
+    # seed [1608, k]) at 1e-3
+    from mdncee.simulate import brute_force_optimize
+
+    cases = [(paper_scenario, paper_coeffs, float(t)) for t in np.geomspace(1e-2, 5e-6, 6)]
+    for k in range(6):
+        s = _random_small_scenario(np.random.default_rng([1608, k]), M=2 + k % 2, N=6)
+        cases.append((s, build_link_coefficients(s), 1e-3))
+    feasible = 0
+    for s, coeffs, target in cases:
+        for solve in (dinkelbach_solve, brute_force_optimize):
+            sol = solve(s, coeffs, target, scheme=scheme)
+            if sol.feasible:
+                feasible += 1
+                assert np.all(np.asarray(sol.pr_out_approx) <= target), (solve.__name__, target)
+    assert feasible >= 22
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
 def test_later_q_states_close_in_one_goa_iteration(paper_scenario, paper_coeffs, monkeypatch,
                                                   scheme):
     # every q-state after the first starts from the solve's whole cut pool,
@@ -671,6 +696,9 @@ def test_parametric_value_is_zero_level_minus_vprime(paper_scenario, paper_coeff
                              scheme)
         if not pp.feasible:
             continue
+        # fixed_schedule_value's zero level reads these, bit for bit
+        assert pp.relay_energy == W
+        assert s.M * s.alpha0 == pp.obj_coef * len(pp.outage_pos)
         for q in (0.0, 600.0, 1300.0, 2600.0):
             sol = solve_primal(pp, q)
             zero = pp.obj_coef * len(pp.outage_pos) + q * W
