@@ -3,12 +3,21 @@
 The mixed-integer problem (binary relay selection, continuous log-domain
 powers) is solved by nesting three loops:
 
-* outermost, the parametric update of q = bits/(J*slot) until the
-  subtractive objective V(q) has its root (fractional programming);
-* per q, one branch-and-bound tree over the linear master of accumulated
-  first-order cuts (LP/NLP-based outer approximation on the in-repo dual
-  simplex): each integral node solves a convex primal (powers for a fixed
-  schedule; barrier-Newton) and appends its cut to the open tree;
+* outermost, Dinkelbach's update of q = bits/(J*slot) until the
+  subtractive objective V(q) has its root (fractional programming). q moves
+  on the incumbent's own schedule, one primal per step, until that
+  schedule's V(q) is within tolerance of zero; only at such a fixed point
+  does a tree grow. A tree that keeps the incumbent proves max V(q) over
+  every schedule within tolerance of zero, which is Dinkelbach's stopping
+  test at that q, so the answer is the one a tree at every q gives
+  (Dinkelbach 1967; Schaible 1976: only the last q needs an exact inner
+  maximum). A tree that finds a better schedule hands it on, and q moves
+  on that one: one tree per incumbent;
+* per such q, one branch-and-bound tree over the linear master of
+  accumulated first-order cuts (LP/NLP-based outer approximation on the
+  in-repo dual simplex): each integral node solves a convex primal (powers
+  for a fixed schedule; barrier-Newton) and appends its cut to the open
+  tree;
 * relay-count bounds precomputed from the exact outage at maximum power and
   from the circuit-energy budget prune the master's search space.
 
@@ -27,14 +36,15 @@ stacks them.
 No cut depends on q except through the energy term of its objective row,
 and that term is linear in q (a q-free part plus q times an energy part,
 both convex). So one master model serves every q of a parametric solve:
-each q-state starts from every earlier cut and from the no-good rows of the
+each tree starts from every earlier cut and from the no-good rows of the
 schedules refuted so far, and adds its own. A refuted schedule (its primal
 is infeasible, which no q changes) adds its no-good row only.
 
 Relay dominance orders the schedules: a schedule whose relays are each
-matched to an equal or better relay of a schedule the tree has already
-visited can do no better (MasterModel.dominates), so the tree excludes it
-with its no-good row and never assembles or solves it.
+matched to an equal or better relay of a schedule the tree has visited can
+do no better (MasterModel.dominates). So each visit excludes the whole
+family it dominates with their no-good rows at once, and the tree never
+assembles or solves them.
 """
 
 from __future__ import annotations
@@ -79,7 +89,7 @@ __all__ = [
 GOA_REL_TOL = 1e-6          # prune a schedule whose bound is within tol * (1 + |UBD|) of UBD
 DINKELBACH_TOL_REL = 1e-6   # |V(q)| <= tol * M * alpha0
 DINKELBACH_MAX_ITER = 50
-GOA_MAX_ITER = 120          # solved primals per q-state; refuted visits cost one row and no solve
+GOA_MAX_ITER = 120          # solved primals per tree; refuted visits cost one row and no solve
 # Complex-step differentiation (Martins, Sturdza and Alonso, ACM TOMS 29(3),
 # 2003): for f built from +, * and exp alone, Im f(x + i*h*e_k)/h is df/dx_k
 # up to a relative O(h^2), with no difference of close values to lose digits
@@ -187,7 +197,7 @@ def ratio_count_cap(s: ScenarioConfig, scheme: str, q: float) -> int:
 class MasterModel:
     """The q-free master of one (scheme, target) solve, and the whole
     description of its trees: the relay-count window, the constants and
-    the outer-approximation pool that every q-state extends.
+    the outer-approximation pool that every tree extends.
 
     V'(x, u) = obj_coef*sum(P(x)) + q*(energy . e^x + gamma*sum(u) + delta0)
     over the all-relay log powers x, where P, the approximate outage(s) over
@@ -213,7 +223,7 @@ class MasterModel:
     every primal solved so far, in creation order; refuted lists the
     schedules whose primal was infeasible, which no q can change. problems
     keeps every schedule's PrimalProblem, which holds no q, so a later
-    q-state's revisit reuses it. dominators[b] lists the relays a != b that
+    tree's revisit reuses it. dominators[b] lists the relays a != b that
     dominate relay b (see dominates). bounds must be feasible: an empty
     window leaves no tree to grow.
     """
@@ -289,6 +299,15 @@ class MasterModel:
             return False
 
         return all(augment(b, set()) for b in lost)
+
+    def dominated_family(self, better: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Every schedule that better dominates, in combinations order. Such
+        a schedule trades relays of better only for relays outside it that
+        have a dominator in it, so only those relays are combined."""
+        inside = set(better)
+        outside = [b for b in range(self.s.N) if b not in inside and self.dominators[b] & inside]
+        return [worse for worse in combinations(sorted([*better, *outside]), len(better))
+                if self.dominates(better, worse)]
 
     def outage_value_grad(self, x) -> tuple[np.ndarray, np.ndarray]:
         """P at all-relay log powers x, one value per outage, and the
@@ -379,21 +398,23 @@ def build_oa_cuts(pp: PrimalProblem, sol: PrimalSolution, master: MasterModel) -
 
 @dataclass
 class GoaState:
-    """Outer-approximation bookkeeping for one q-state of a master.
+    """Outer-approximation bookkeeping for one tree of a master, at one q.
 
-    The master's cuts may come from earlier q-states: carried counts the
-    cut blocks the state started with. A visit is a solved primal, which
-    builds one cut block, or a refuted schedule (its assembled primal is
+    The master's cuts may come from earlier trees: carried counts the cut
+    blocks the tree started with. A visit is a solved primal, which builds
+    one cut block, or a refuted schedule (its assembled primal is
     infeasible, so no barrier solve runs), which joins master.refuted;
-    visited lists the schedules of its visits, in order. A primal
-    stopped at the tree's cap (primal_stopped) is a solved primal whose
-    schedule cannot beat the incumbent: it builds its cut block but never
-    becomes the incumbent. dominated lists, in order, the schedules the tree
-    skipped because a visit of this state or a refuted schedule dominates
-    them (MasterModel.dominates); each added its no-good row alone and is
-    no visit. Those dominated by a refuted schedule joined master.refuted.
-    lbd_history holds the tree's bound as each schedule after the first
-    was picked.
+    visited lists the schedules of its visits, in order. A primal stopped
+    at the tree's cap (primal_stopped) is a solved primal whose schedule
+    cannot beat the incumbent: it builds its cut block but never becomes
+    the incumbent. dominated lists, in order, the schedules the tree
+    excluded because a visit of this tree or a refuted schedule dominates
+    them (MasterModel.dominates): each visit's dominated family as the
+    visit happens, and any other such schedule met at an integral node.
+    Each added its no-good row alone and is no visit; those dominated by a
+    refuted schedule joined master.refuted. The counters count the primals
+    this tree solved, not a warm primal handed to it. lbd_history holds the
+    tree's bound as each schedule after the first was picked.
     """
 
     master: MasterModel
@@ -450,9 +471,9 @@ def _master_lp_rows(state: GoaState):
     """The master LP over z = [ptilde, ptilde', u, vhat] at the state's q:
     two always-valid floors, the relay-count window, the caps
     ptilde'_j <= cap_j * u_j, then every cut block, followed by its
-    schedule's no-good row when this state solved that schedule, then one
-    no-good row per refuted schedule and one per other schedule this state
-    skipped as dominated. The tree appends each visit's and each skip's
+    schedule's no-good row when this tree solved that schedule, then one
+    no-good row per refuted schedule and one per other schedule this tree
+    excluded as dominated. The tree appends each visit's and each skip's
     rows as a suffix, so its final rows are these, in another order.
     vhat's upper bound is the state's cap."""
     m = state.master
@@ -510,26 +531,31 @@ def _log_bound(vhat: float, master: MasterModel) -> float:
     return math.log(vhat * master.v_scale) if vhat > 0 else -math.inf
 
 
-def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) -> GoaState:
+def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None,
+              solved: PrimalSolution | None = None) -> GoaState:
     """Outer approximation for one fixed q as one branch-and-bound tree
     (LP/NLP-based, Quesada and Grossmann 1992): returns the final state.
 
-    The warm problem comes first: one of master.problems, solved here at q
-    (by default, the count window's best_subset's). Then one depth-first
-    tree over the master's LP relaxation: at each integral node the
-    schedule's problem comes from master.problem, and its primal updates
-    the incumbent (kept with its problem) and the nonincreasing upper
-    bound, its cut block and no-good row (a refuted schedule's no-good row
-    alone) are appended to the master, and the node goes back on the
-    stack. Once an incumbent exists, each primal runs with the cap as its
-    cutoff and stops as soon as its duality bound shows the schedule cannot
-    beat the incumbent; the stopped point anchors the cut block, and the
-    schedule's no-good row excludes it from this tree. An integral node
-    whose schedule is dominated by a refuted schedule (which makes it
-    infeasible: it joins master.refuted) or by a visit of this state (which
-    makes it no better than the incumbent, or past the cap) gets its
-    no-good row alone: nothing is assembled or solved, and the skip does
-    not count toward GOA_MAX_ITER. An open node whose LP predates the last
+    The warm problem comes first: one of master.problems (by default, the
+    count window's best_subset's), solved here at q unless solved, its
+    uncapped primal at q, is given. Then one depth-first tree over the
+    master's LP relaxation: at each integral node the schedule's problem
+    comes from master.problem, and its primal updates the incumbent (kept
+    with its problem) and the nonincreasing upper bound, its cut block and
+    no-good row (a refuted schedule's no-good row alone) are appended to
+    the master, and the node goes back on the stack. Once an incumbent
+    exists, each primal runs with the cap as its cutoff and stops as soon
+    as its duality bound shows the schedule cannot beat the incumbent; the
+    stopped point anchors the cut block, and the schedule's no-good row
+    excludes it from this tree. Each visit then appends the no-good row of
+    every schedule it dominates that the tree has not excluded yet
+    (MasterModel.dominated_family): such a schedule is no better than the
+    visit, so no better than the incumbent or past the cap, and infeasible
+    when the visit is refuted (it then joins master.refuted). An integral
+    node whose schedule is dominated by a refuted schedule or by a visit of
+    this tree gets its no-good row alone in the same way. Nothing is
+    assembled or solved for such a schedule, and it does not count toward
+    GOA_MAX_ITER. An open node whose LP predates the last
     rows re-solves warm from its own tableau; the cap moves only when rows
     are appended, so that test covers it too. The tree
     prunes every node whose bound reaches vhat's cap, so an exhausted tree
@@ -541,8 +567,9 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) 
     state = GoaState(master=master, q=float(q), carried=len(master.cuts))
     u0, n_u = s.M + s.N, s.N
 
-    def visit(pp: PrimalProblem):
-        """One solved or refuted schedule: its master row blocks at this q."""
+    def visit(pp: PrimalProblem, sol: PrimalSolution | None = None):
+        """One solved or refuted schedule: its master row blocks at this q.
+        sol, when given, is pp's primal at q, solved and counted already."""
         theta = pp.schedule.theta
         state.visited.append(theta)
         blocks = [_no_good(master, theta)]
@@ -551,24 +578,34 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None) 
             state.refutation = pp.infeasible_reason
             master.refuted.append(theta)
         else:
-            sol = solve_primal(pp, q, cutoff=_log_cap(state))
-            state.newton_total += sol.newton_iterations
-            state.backtracks += sol.backtracks
+            if sol is None:
+                sol = solve_primal(pp, q, cutoff=_log_cap(state))
+                state.newton_total += sol.newton_iterations
+                state.backtracks += sol.backtracks
+                state.primal_unconverged += sol.lower_bound is None and not sol.converged
             if sol.lower_bound is not None:
                 # its optimum reaches the cap, whatever tilde_v the stopped point has
                 state.primal_stopped += 1
-            else:
-                state.primal_unconverged += not sol.converged
-                if sol.tilde_v < state.ubd:
-                    state.ubd = sol.tilde_v
-                    state.incumbent = sol
-                    state.incumbent_problem = pp
+            elif sol.tilde_v < state.ubd:
+                state.ubd = sol.tilde_v
+                state.incumbent = sol
+                state.incumbent_problem = pp
             master.cuts.append(build_oa_cuts(pp, sol, master))
             blocks.insert(0, master.cuts[-1].at(q))
         state.ubd_history.append(state.ubd)
+        # the schedules it dominates can do no better, and are infeasible
+        # when it is: each gets its no-good row now, unless already excluded
+        excluded = {*state.visited, *state.dominated, *master.refuted}
+        for worse in master.dominated_family(theta):
+            if worse not in excluded:
+                if not pp.feasible:
+                    master.refuted.append(worse)
+                state.dominated.append(worse)
+                blocks.append(_no_good(master, worse))
         return blocks
 
-    visit(warm or master.problem(RelaySchedule.from_indices(master.bounds.best_subset, s.N)))
+    visit(warm or master.problem(RelaySchedule.from_indices(master.bounds.best_subset, s.N)),
+          solved)
     c, A, b, lb, ub = _master_lp_rows(state)
 
     def relax(lo_u, hi_u, warm=None) -> _Node:
@@ -686,21 +723,34 @@ def _parametric_value(pp: PrimalProblem, sol: PrimalSolution, q: float) -> tuple
     return numer - q * e.e_tot, numer / e.e_tot
 
 
-def _dinkelbach_loop(inner_solve, q0: float, warm: PrimalProblem):
-    """Shared q-iteration: inner_solve(q, warm) -> (PrimalProblem, PrimalSolution),
-    warm the previous incumbent's problem, which no q-state assembles again.
+def _dinkelbach_loop(q0: float, pp: PrimalProblem, tree=None):
+    """Dinkelbach's q-iteration on pp's schedule alone, from q0: each step
+    solves the schedule's primal at q and moves q to its point's ratio.
 
-    Stops when the inner maximum of V(q) is within tolerance of zero; the
-    reported q is then the incumbent's own bits/energy ratio.
+    tree(q, pp, sol) -> (pp, sol), when given, runs at each q where the
+    schedule's own V(q) is within tolerance of zero (sol None when pp is
+    infeasible, at once): it returns the best schedule at q, and the loop
+    goes on from it. The loop stops when V(q) of the returned schedule is
+    within tolerance; the reported q is then its point's own bits/energy
+    ratio. diagnostics hold one q and V per q, fixed-schedule steps and
+    trees alike, and the counters of the primals solved here.
     """
     q = q0
-    pp = warm
     q_history: list[float] = []
     v_history: list[float] = []
-    tol = DINKELBACH_TOL_REL * warm.s.M * warm.s.alpha0
+    sols: list[PrimalSolution] = []
+    tol = DINKELBACH_TOL_REL * pp.s.M * pp.s.alpha0
     for theta in range(1, DINKELBACH_MAX_ITER + 1):
-        pp, sol = inner_solve(q, pp)
-        v, ratio = _parametric_value(pp, sol, q)
+        sol = None
+        if pp.feasible:
+            sol = solve_primal(pp, q)
+            sols.append(sol)
+            v, ratio = _parametric_value(pp, sol, q)
+        if tree is not None and (sol is None or abs(v) <= tol):
+            pp, best = tree(q, pp, sol)
+            if best is not sol:
+                sol = best
+                v, ratio = _parametric_value(pp, sol, q)
         q_history.append(q)
         v_history.append(v)
         if abs(v) <= tol:
@@ -708,6 +758,9 @@ def _dinkelbach_loop(inner_solve, q0: float, warm: PrimalProblem):
                 "dinkelbach_iterations": theta,
                 "q_history": q_history,
                 "v_history": v_history,
+                "newton_total": sum(p.newton_iterations for p in sols),
+                "backtracks": sum(p.backtracks for p in sols),
+                "primal_unconverged": sum(not p.converged for p in sols),
             }
             return pp, sol, diagnostics, ratio
         q = ratio
@@ -718,15 +771,22 @@ def _dinkelbach_loop(inner_solve, q0: float, warm: PrimalProblem):
 
 def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
                      scheme: str = "mdnc") -> Solution:
-    """Full pipeline: count bounds, then q-iterations with a GOA inner solve.
+    """Full pipeline: count bounds, then Dinkelbach's q-iteration, which
+    grows a GOA tree only at a fixed point of its incumbent's schedule.
 
-    Each new q warm-starts from the previous incumbent's problem, assembled
-    once, and every q-state extends one master model: it starts from all
+    q first moves on best_subset's schedule alone until that schedule's
+    V(q) is within tolerance of zero. One tree at that q then starts from
+    the schedule and its primal already solved there. When the tree keeps
+    it, max V(q) over every schedule is within tolerance and the solve
+    ends; otherwise q moves on the tree's incumbent, and the next tree
+    grows at that schedule's fixed point. So there is one tree per
+    incumbent. Every tree extends one master model: it starts from all
     earlier cuts and the no-goods of refuted schedules. Returns the final
     operating point with the exact outage re-evaluated at the returned
-    powers; the approximate-vs-exact gap is surfaced in the solution fields.
-    diagnostics["inner"] holds one record per q-state, and the GoaState
-    counters are summed over all of them.
+    powers; the approximate-vs-exact gap is surfaced in the solution
+    fields. diagnostics["inner"] holds one record per tree, the GoaState
+    counters are summed over the trees and the fixed-schedule primals, and
+    cuts_total counts the cut blocks the solve built.
     """
     bounds = relay_count_bounds(s, coeffs, target, scheme)
     if not bounds.feasible:
@@ -735,20 +795,20 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
 
     master = MasterModel(s, coeffs, scheme, target, bounds)
     pp0 = master.problem(RelaySchedule.from_indices(bounds.best_subset, s.N))
-    # infeasible: the first inner solve then behaves as pure outage minimization
+    # infeasible: the first tree then behaves as pure outage minimization
     q0 = _max_slack_ratio(pp0) if pp0.feasible else 0.0
     states: list[GoaState] = []
 
-    def inner(q, warm):
-        st = goa_solve(master, q, warm)
+    def tree(q, pp, sol):
+        st = goa_solve(master, q, pp, sol)
         states.append(st)
         if st.incumbent is None:
-            # every schedule this state tried was refuted: quote the last refutation
+            # every schedule this tree tried was refuted: quote the last refutation
             raise _InfeasibleInner(f"{st.termination}; {st.refutation}")
         return st.incumbent_problem, st.incumbent
 
     try:
-        pp, sol, diagnostics, q_final = _dinkelbach_loop(inner, q0, pp0)
+        pp, sol, diagnostics, q_final = _dinkelbach_loop(q0, pp0, tree)
     except _InfeasibleInner as exc:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no feasible schedule in the relay-count window: {exc}")
@@ -763,10 +823,11 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     diagnostics["goa_states"] = len(states)
     for counter in ("newton_total", "backtracks", "master_lps", "master_pivots", "master_nodes",
                     "primal_unconverged", "primal_stopped"):
-        diagnostics[counter] = sum(getattr(st, counter) for st in states)
-    # q-states that ended at the iteration limit, with no certificate
+        diagnostics[counter] = diagnostics.get(counter, 0) + sum(getattr(st, counter)
+                                                                 for st in states)
+    # trees that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
-    diagnostics["cuts_total"] = sum(len(st.visited) for st in states)
+    diagnostics["cuts_total"] = len(master.cuts)
     diagnostics["dominated_total"] = sum(len(st.dominated) for st in states)
     return _assemble_solution(pp, sol, q_final, diagnostics)
 
@@ -786,17 +847,7 @@ def dinkelbach_fixed_schedule(pp: PrimalProblem) -> Solution | None:
     each q. None when the problem is infeasible."""
     if not pp.feasible:
         return None
-
-    sols: list[PrimalSolution] = []
-
-    def inner(q, warm):
-        sols.append(solve_primal(pp, q))
-        return pp, sols[-1]
-
-    _, sol, diagnostics, q_final = _dinkelbach_loop(inner, _max_slack_ratio(pp), pp)
-    diagnostics["newton_total"] = sum(p.newton_iterations for p in sols)
-    diagnostics["backtracks"] = sum(p.backtracks for p in sols)
-    diagnostics["primal_unconverged"] = sum(not p.converged for p in sols)
+    _, sol, diagnostics, q_final = _dinkelbach_loop(_max_slack_ratio(pp), pp)
     return _assemble_solution(pp, sol, q_final, diagnostics)
 
 

@@ -190,6 +190,57 @@ def test_bland_switch_ends_a_cycling_master_solve(monkeypatch):
     assert again.objective == pytest.approx(solve_lp(c, A, b, lo, hi).objective, rel=1e-9)
 
 
+def test_warm_child_with_negligible_pivots_matches_scipy(monkeypatch):
+    # A 373-row master LP of the (3, 10) MDNC solve at 10^-3.5 (random
+    # scenario seed [1, 10, 3]): its parent's tableau as the tree held it,
+    # and the child that fixes one u_j. From that tableau the warm solve
+    # once met ties whose pivots are negligible against their row: Bland's
+    # rule took one of -3.9e-11 where a tied 3.43 stood, a reduced cost fell
+    # to -2.1e6, and the solve ran to the iteration limit. It now gives up on
+    # such a pivot and re-solves cold. From a cold solve of the parent, the
+    # child once came out infeasible.
+    from mdncee import lp
+    from mdncee.lp import PIVOT_REL, LpResult
+
+    data = np.load(os.path.join(os.path.dirname(__file__), "data", "lp_master_tiny_pivot.npz"))
+    c, A, b = data["c"], data["A"], data["b"]
+    lo, hi = data["lb"].copy(), data["ub"].copy()
+    parents = [LpResult("optimal", None, None, 0, data["parent_tableau"], data["parent_basis"],
+                        data["parent_complemented"], data["parent_scale"]),
+               solve_lp(c, A, b, lo, hi)]
+    lo[data["fix_index"]] = hi[data["fix_index"]] = data["fix_value"]
+    ref = reference(c, A, b, lo, hi)
+    assert ref.status == 0
+    cold = solve_lp(c, A, b, lo, hi)
+    assert cold.status == "optimal" and cold.objective == pytest.approx(ref.fun, rel=1e-12)
+
+    statuses, pivots = [], []
+    real_simplex, real_pivot = lp._dual_simplex, lp._pivot
+
+    def recording_simplex(tableau, basis, width, complemented, warm):
+        statuses.append(real_simplex(tableau, basis, width, complemented, warm)[0])
+        return statuses[-1], len(pivots)
+
+    def recording_pivot(tableau, basis, row, col):
+        entries = tableau[row, :-1]
+        pivots.append((len(statuses), -entries[col] / np.abs(entries).max()))
+        real_pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(lp, "_dual_simplex", recording_simplex)
+    monkeypatch.setattr(lp, "_pivot", recording_pivot)
+    runs = []
+    for parent in parents:
+        statuses.clear()
+        pivots.clear()
+        child = solve_lp(c, A, b, lo, hi, warm=parent)
+        assert child.status == "optimal"
+        assert child.objective == pytest.approx(ref.fun, rel=1e-9)
+        # every warm pivot is a safe one: at least PIVOT_REL of its row
+        assert all(rel >= PIVOT_REL for solve, rel in pivots if solve == 0)
+        runs.append(statuses[:])
+    assert runs == [["unstable", "optimal"], ["optimal"]]
+
+
 def test_warm_start_with_appended_rows_matches_scipy_and_cold():
     # an outer-approximation tree node: solved over the first k rows, then
     # re-solved from its own basis once 1-4 rows (a new cut) are appended,
@@ -305,9 +356,9 @@ def test_dense_pivot_matches_the_nonzero_column_update_on_the_cycling_master(mon
     flags, states, mismatches = [], [], []
     real_simplex, real_pivot = lp._dual_simplex, lp._pivot
 
-    def recording_simplex(tableau, basis, width, complemented):
+    def recording_simplex(tableau, basis, width, complemented, warm):
         flags.append(complemented)
-        return real_simplex(tableau, basis, width, complemented)
+        return real_simplex(tableau, basis, width, complemented, warm)
 
     def checked_pivot(tableau, basis, row, col):
         sparse = tableau.copy()

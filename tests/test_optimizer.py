@@ -30,6 +30,12 @@ from oracles import dominates, log_gradient
 from test_properties import _random_small_scenario
 
 
+def _pool_scenario(k):
+    """bench/workloads.pool_scenario(k)."""
+    s = _random_small_scenario(np.random.default_rng([1608, k]), M=2 + k % 2, N=6)
+    return s, build_link_coefficients(s)
+
+
 # -- relay-count bounds ------------------------------------------------------
 
 
@@ -324,38 +330,59 @@ def test_refuted_schedule_appends_one_no_good_row(paper_scenario, paper_coeffs, 
 
     monkeypatch.setattr(optimizer, "solve_lp", recording_lp)
     state = goa_solve(master, 1000.0, warm=refuted)
-    assert master.refuted[0] == (0, 2)
-    # the root LP holds the 4 + N fixed rows and the refuted schedule's row
-    A, b = rows[0]
-    assert A.shape[0] == 4 + s.N + 1
     u0 = s.M + s.N
+
+    def named(row):
+        """The schedule a no-good row names, None for a cut row."""
+        if np.any(row[:u0]) or row[-1] or not np.all(np.abs(row[u0:u0 + s.N]) == 1.0):
+            return None
+        return tuple(np.flatnonzero(row[u0:u0 + s.N] > 0).tolist())
+
+    # the root LP holds the 4 + N fixed rows, the refuted schedule's row and
+    # then one row per schedule of the same size that it dominates: they
+    # are infeasible too, and join the refuted schedules
+    family = master.dominated_family((0, 2))
+    assert family == [(0, 3), (1, 2), (1, 3), (2, 3)]
+    A, b = rows[0]
+    assert A.shape[0] == 4 + s.N + 1 + len(family)
+    assert [named(row) for row in A[4 + s.N:]] == [(0, 2), *family]
+    assert master.refuted == [(0, 2), *family]
     for k in range(s.N + 1):
         for subset in combinations(range(s.N), k):
             u = RelaySchedule.from_indices(subset, s.N).u
-            assert (A[-1, u0:u0 + s.N] @ u <= b[-1]) == (subset != (0, 2)), subset
+            assert (A[4 + s.N, u0:u0 + s.N] @ u <= b[4 + s.N]) == (subset != (0, 2)), subset
     # each later visit appends its rows: one if refuted, else a cut block
-    # (objective, outage, budget) and its no-good row; a schedule skipped as
-    # dominated appends its no-good row alone. Every step ends in its
-    # schedule's no-good row, which names the schedule.
+    # (objective, outage, budget) and its no-good row; then the no-good row
+    # of each schedule it dominates that the tree has not excluded yet. A
+    # schedule skipped at an integral node appends its no-good row alone.
     by_size = {len(b): (A, b) for A, b in rows}
     sizes = sorted(by_size)
+    excluded = {(0, 2), *family}
     steps = []
     for before, after in zip(sizes, sizes[1:]):
-        A, b = by_size[after]
-        theta = tuple(np.flatnonzero(A[-1, u0:u0 + s.N] > 0).tolist())
-        row, rhs = _no_good(master, theta)
-        assert np.array_equal(A[-1], row[0]) and b[-1] == rhs[0], theta
+        names = [named(row) for row in by_size[after][0][before:after]]
+        solved = names[0] is None
+        if solved:
+            assert names[:3] == [None] * 3
+            names = names[3:]
+        theta, *rest = names
+        assert solved == (theta in state.visited and theta not in master.refuted)
+        if theta in state.visited:
+            assert rest == [w for w in master.dominated_family(theta) if w not in excluded], theta
+        else:
+            assert rest == [], theta
+        excluded.update(names)
         steps.append((theta, after - before))
-    assert state.dominated
-    assert [theta for theta, _ in steps if theta not in state.dominated] == state.visited[1:]
-    assert [theta for theta, _ in steps if theta in state.dominated] == state.dominated
-    for theta, grown in steps:
-        skipped = theta in master.refuted or theta in state.dominated
-        assert grown == (1 if skipped else 4), theta
-    # a later q-state on the same master keeps the row and never visits (0, 2)
+    # here the tree solves (0, 1, 2), which excludes the three other 3-relay
+    # schedules, and then the master has no schedule left
+    assert steps == [((0, 1, 2), 4 + 3)]
+    assert state.visited == [(0, 2), (0, 1, 2)]
+    assert excluded == {*state.visited, *state.dominated}
+    # a later tree on the same master keeps the row and never visits (0, 2)
     later = goa_solve(master, 1200.0)
     _, A2, b2, _, _ = _master_lp_rows(later)
-    assert any(np.array_equal(r, A[-1]) and rhs == b[-1] for r, rhs in zip(A2, b2))
+    A, b = rows[0]
+    assert any(np.array_equal(r, A[4 + s.N]) and rhs == b[4 + s.N] for r, rhs in zip(A2, b2))
     assert (0, 2) not in later.visited
 
 
@@ -431,7 +458,7 @@ def test_master_matches_exhaustive_enumeration_at_eight_relays():
 def test_tree_rows_equal_the_rebuilt_master_rows(monkeypatch):
     # _master_lp_rows(state) rebuilds the rows the tree ended with, skipped
     # schedules' no-good rows included, in another order; in the first
-    # q-state and in a later one that starts from the carried pool
+    # tree and in a later one that starts from the carried pool
     from mdncee import optimizer
 
     s = _random_small_scenario(np.random.default_rng([1, 8, 3]), M=3, N=8)
@@ -519,9 +546,7 @@ def test_feasible_answers_keep_the_approximate_outage_within_target(paper_scenar
     from mdncee.simulate import brute_force_optimize
 
     cases = [(paper_scenario, paper_coeffs, float(t)) for t in np.geomspace(1e-2, 5e-6, 6)]
-    for k in range(6):
-        s = _random_small_scenario(np.random.default_rng([1608, k]), M=2 + k % 2, N=6)
-        cases.append((s, build_link_coefficients(s), 1e-3))
+    cases += [(*_pool_scenario(k), 1e-3) for k in range(6)]
     feasible = 0
     for s, coeffs, target in cases:
         for solve in (dinkelbach_solve, brute_force_optimize):
@@ -533,41 +558,91 @@ def test_feasible_answers_keep_the_approximate_outage_within_target(paper_scenar
 
 
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
-def test_later_q_states_close_in_one_goa_iteration(paper_scenario, paper_coeffs, monkeypatch,
-                                                  scheme):
-    # every q-state after the first starts from the solve's whole cut pool,
-    # so it visits only its warm incumbent and schedules whose earlier
-    # primal stopped at its bound (that cut is anchored at the stopped
-    # point, not at the schedule's optimum)
+def test_each_tree_grows_at_its_incumbents_fixed_point(paper_scenario, paper_coeffs,
+                                                       monkeypatch, scheme):
+    # q moves on the incumbent's own schedule until its V(q) is within
+    # tolerance, and only there does a tree grow, from that schedule and the
+    # primal the fixed-schedule step solved at q. A tree that keeps its warm
+    # schedule ends the solve, so the trees number the incumbent changes
+    # plus one. paper.cfg at four targets and the pool scenarios at two
     from mdncee import optimizer
+    from mdncee.optimizer import _parametric_value
 
-    stopped = set()
-    states = []                         # (schedules stopped before the state, state)
-    real_goa = optimizer.goa_solve
+    trees, primals = [], []
+    real_goa, real_primal = optimizer.goa_solve, optimizer.solve_primal
 
-    def recording(pp, q, cutoff=None):
-        sol = solve_primal(pp, q, cutoff=cutoff)
-        if sol.lower_bound is not None:
-            stopped.add(pp.schedule.theta)
-        return sol
+    def recording_goa(master, q, warm=None, solved=None):
+        state = real_goa(master, q, warm, solved)
+        trees.append((q, warm, solved, state))
+        return state
 
-    def tracked(*args, **kwargs):
-        before = set(stopped)
-        states.append((before, real_goa(*args, **kwargs)))
-        return states[-1][1]
+    def recording_primal(pp, q, cutoff=None):
+        primals.append(real_primal(pp, q, cutoff=cutoff))
+        return primals[-1]
 
-    monkeypatch.setattr(optimizer, "solve_primal", recording)
-    monkeypatch.setattr(optimizer, "goa_solve", tracked)
-    for target in (1e-2, 1e-3, 1e-4, 1e-5):
-        stopped.clear()
-        states.clear()
-        sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
-        assert len(states) > 1, target
-        for (_, prev), (before, st) in zip(states, states[1:]):
-            warm, *rest = st.visited
-            assert warm == prev.incumbent_problem.schedule.theta, target
-            assert all(theta in before for theta in rest), target
-        assert sol.diagnostics["goa_unconverged"] == 0, target
+    monkeypatch.setattr(optimizer, "goa_solve", recording_goa)
+    monkeypatch.setattr(optimizer, "solve_primal", recording_primal)
+    cases = [(paper_scenario, paper_coeffs, t) for t in PAPER_TARGETS]
+    cases += [(*_pool_scenario(k), t) for k in range(6) for t in (1e-2, 1e-3)]
+    several = 0
+    for s, coeffs, target in cases:
+        trees.clear()
+        primals.clear()
+        sol = dinkelbach_solve(s, coeffs, target, scheme=scheme)
+        if not sol.feasible:
+            continue
+        d = sol.diagnostics
+        tol = 1e-6 * s.M * s.alpha0
+        bounds = relay_count_bounds(s, coeffs, target, scheme)
+        assert trees[0][1].schedule.theta == bounds.best_subset
+        for q, warm, solved, state in trees:
+            assert (solved is None) == (not warm.feasible)
+            if solved is not None:
+                assert solved.lower_bound is None
+                assert abs(_parametric_value(warm, solved, q)[0]) <= tol
+                assert state.visited[0] == warm.schedule.theta
+            assert q in d["q_history"]
+        # every tree but the last changes the incumbent, and the next tree
+        # grows from the new one; the last keeps its warm schedule
+        for (_, warm, _, state), (_, following, _, _) in zip(trees, trees[1:]):
+            assert state.incumbent_problem is not warm
+            assert following is state.incumbent_problem
+        _, warm, solved, last = trees[-1]
+        assert last.incumbent_problem is warm and last.incumbent is solved
+        assert d["goa_states"] == len(trees) == len(d["inner"])
+        qs = d["q_history"]
+        assert len(qs) == d["dinkelbach_iterations"] >= len(trees)
+        assert all(b >= a for a, b in zip(qs, qs[1:]))
+        assert qs[-1] == trees[-1][0]
+        assert abs(d["v_history"][-1]) <= tol
+        # the fixed-schedule primals count once, the one a tree reuses too
+        assert d["newton_total"] == sum(p.newton_iterations for p in primals)
+        assert d["cuts_total"] == len(last.master.cuts)
+        several += len(trees) > 1
+    assert several > 0
+
+
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_goa_equals_screened_brute_force_on_the_grid(paper_scenario, paper_coeffs, scheme, k):
+    # the seeded random scenarios [1, N, M] for N in 4, 6, 8 and M in 2, 3
+    # (k = 0..5), the pool scenario k, and paper.cfg with k = 0, at five
+    # targets: the same schedule and EE within 1e-9 relative
+    from mdncee.simulate import brute_force_optimize
+
+    N, M = (4, 6, 8)[k // 2], 2 + k % 2
+    s = _random_small_scenario(np.random.default_rng([1, N, M]), M=M, N=N)
+    cases = [(s, build_link_coefficients(s)), _pool_scenario(k)]
+    if k == 0:
+        cases.append((paper_scenario, paper_coeffs))
+    for s, coeffs in cases:
+        for target in (1e-2, 1e-3, 10 ** -3.5, 1e-4, 1e-5):
+            goa = dinkelbach_solve(s, coeffs, target, scheme=scheme)
+            brute = brute_force_optimize(s, coeffs, target, scheme=scheme)
+            assert goa.feasible == brute.feasible, target
+            if goa.feasible:
+                assert goa.schedule.theta == brute.schedule.theta, target
+                assert goa.ee == pytest.approx(brute.ee, rel=1e-9, abs=0.0), target
 
 
 def test_goa_state_at_iteration_limit_is_counted(paper_scenario, paper_coeffs, monkeypatch):
@@ -768,16 +843,16 @@ def test_newton_path_ignores_outage_term_order(paper_scenario, paper_coeffs, mon
     assert after.ee == pytest.approx(before.ee, rel=1e-12)
 
 
-# schedule, GOA iterations, cuts and EE of paper.cfg per (scheme, target)
+# schedule, GOA iterations, cut blocks and EE of paper.cfg per (scheme, target)
 PAPER_MASTER_RESULTS = {
-    ("mdnc", 1e-2): ((0, 2), 3, 3, 783.0075496313098),
-    ("mdnc", 1e-3): ((0, 1, 2), 2, 2, 567.8600391730046),
-    ("mdnc", 1e-4): ((0, 1, 2), 2, 2, 563.9915982539757),
-    ("mdnc", 1e-5): ((0, 1, 2), 2, 2, 550.657050890315),
-    ("nonc", 1e-2): ((0,), 5, 5, 933.3897578534938),
-    ("nonc", 1e-3): ((0,), 3, 3, 902.1859586213831),
-    ("nonc", 1e-4): ((0, 2), 3, 3, 532.2684733770477),
-    ("nonc", 1e-5): ((0, 2), 3, 3, 526.9936995595244),
+    ("mdnc", 1e-2): ((0, 2), 2, 2, 783.0075496313098),
+    ("mdnc", 1e-3): ((0, 1, 2), 1, 1, 567.8600391730046),
+    ("mdnc", 1e-4): ((0, 1, 2), 1, 1, 563.9915982539757),
+    ("mdnc", 1e-5): ((0, 1, 2), 1, 1, 550.657050890315),
+    ("nonc", 1e-2): ((0,), 2, 2, 933.3897578534938),
+    ("nonc", 1e-3): ((0,), 2, 2, 902.1859586213831),
+    ("nonc", 1e-4): ((0, 2), 2, 2, 532.2684733770477),
+    ("nonc", 1e-5): ((0, 2), 2, 2, 526.9936995595244),
 }
 
 
@@ -785,10 +860,10 @@ PAPER_MASTER_RESULTS = {
 def test_each_schedule_is_assembled_once_per_solve(paper_scenario, paper_coeffs, monkeypatch,
                                                    scheme):
     # only the objective depends on q, so a solve assembles each schedule it
-    # visits once: best_subset serves both q0 and the first visit, a later
-    # q-state's warm visit reuses the incumbent's problem, and its other
-    # visits (at NoNC 1e-2, a schedule whose first primal stopped at its
-    # bound) reuse the problem kept on the master
+    # visits once: best_subset serves q0, every fixed-schedule step and the
+    # first tree's warm visit, a later tree's warm visit reuses the
+    # incumbent's problem, and its other visits reuse the problems kept on
+    # the master. paper.cfg, and pool scenarios whose solves grow two trees
     from mdncee import optimizer
 
     assembled = []
@@ -800,16 +875,18 @@ def test_each_schedule_is_assembled_once_per_solve(paper_scenario, paper_coeffs,
         return pp
 
     monkeypatch.setattr(optimizer, "assemble_primal", counting)
-    for target in (1e-3, 1e-2):
+    k = 0 if scheme == "mdnc" else 2
+    cases = [(paper_scenario, paper_coeffs, 1e-3), (paper_scenario, paper_coeffs, 1e-2),
+             (*_pool_scenario(k), 1e-2)]
+    trees = []
+    for s, coeffs, target in cases:
         assembled.clear()
-        sol = dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme=scheme)
+        sol = dinkelbach_solve(s, coeffs, target, scheme=scheme)
         inner = sol.diagnostics["inner"]
         visited = {theta for info in inner for theta in info["visited"]}
-        assert len(inner) > 1
         assert sorted(assembled) == sorted(visited), target
-        revisits = [theta for k, info in enumerate(inner) for theta in info["visited"][1:]
-                    if any(theta in before["visited"] for before in inner[:k])]
-        assert bool(revisits) == ((scheme, target) == ("nonc", 1e-2)), target
+        trees.append(len(inner))
+    assert trees == [1, 1, 2]
 
 
 @pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
@@ -846,14 +923,14 @@ def test_master_solves_each_lp_once(paper_scenario, paper_coeffs, monkeypatch, s
 # master LPs and pivots of paper.cfg's GOA solves per (scheme, target): the
 # dual simplex's decisions, which last-bit changes in its arithmetic would move
 PAPER_MASTER_PIVOTS = {
-    ("mdnc", 1e-2): (34, 90),
-    ("mdnc", 1e-3): (24, 37),
-    ("mdnc", 1e-4): (22, 40),
-    ("mdnc", 1e-5): (20, 46),
-    ("nonc", 1e-2): (32, 109),
-    ("nonc", 1e-3): (20, 78),
-    ("nonc", 1e-4): (35, 93),
-    ("nonc", 1e-5): (33, 99),
+    ("mdnc", 1e-2): (13, 39),
+    ("mdnc", 1e-3): (7, 17),
+    ("mdnc", 1e-4): (7, 17),
+    ("mdnc", 1e-5): (7, 21),
+    ("nonc", 1e-2): (9, 29),
+    ("nonc", 1e-3): (8, 33),
+    ("nonc", 1e-4): (12, 43),
+    ("nonc", 1e-5): (13, 40),
 }
 
 
@@ -884,7 +961,7 @@ def test_warm_children_pivot_less_than_cold_roots(paper_scenario, paper_coeffs, 
         lps += sol.diagnostics["master_lps"]
         total += sol.diagnostics["master_pivots"]
         trees += sol.diagnostics["goa_states"]
-    # each q-state's tree solves its root cold and every other LP warm, from
+    # each tree solves its root cold and every other LP warm, from
     # its parent's tableau or, after new rows or a lower cap, from its own
     assert len(pivots["cold"]) == trees
     assert lps == len(pivots["cold"]) + len(pivots["warm"])
@@ -892,12 +969,12 @@ def test_warm_children_pivot_less_than_cold_roots(paper_scenario, paper_coeffs, 
     assert np.mean(pivots["warm"]) < np.mean(pivots["cold"])
 
 
-@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
-def test_all_relay_outage_builds_no_term_matrix(paper_scenario, paper_coeffs, monkeypatch,
-                                                scheme):
+@pytest.mark.parametrize("scheme,k", [("mdnc", 0), ("nonc", 2)], ids=["mdnc", "nonc"])
+def test_all_relay_outage_builds_no_term_matrix(monkeypatch, scheme, k):
     # the master reads the all-relay outage from the counting recursion, so
     # a solve's only term matrices are its primals' own: one per assembled
-    # schedule that reads its outage_pos
+    # schedule that reads its outage_pos. On pool scenarios whose solves
+    # grow two trees at 1e-2
     from mdncee import convex_solver, optimizer
 
     builds, masters = [], []
@@ -920,12 +997,13 @@ def test_all_relay_outage_builds_no_term_matrix(paper_scenario, paper_coeffs, mo
     for name in ("outage_posynomial", "nonc_outage_posynomials"):
         monkeypatch.setattr(convex_solver, name, counting(getattr(convex_solver, name)))
     monkeypatch.setattr(optimizer, "MasterModel", Recorded)
-    sol = dinkelbach_solve(paper_scenario, paper_coeffs, 1e-3, scheme=scheme)
+    s, coeffs = _pool_scenario(k)
+    sol = dinkelbach_solve(s, coeffs, 1e-2, scheme=scheme)
     assert sol.diagnostics["goa_states"] > 1
     assert len(masters) == 1 and masters[0].cuts
     assert sorted(builds) == term_matrices(masters[0])
     builds.clear()
-    master = master_for(paper_scenario, paper_coeffs, 1e-3, scheme)
+    master = master_for(s, coeffs, 1e-2, scheme)
     assert builds == []
     goa_solve(master, sol.q_star)
     assert sorted(builds) == term_matrices(master)
@@ -1038,14 +1116,14 @@ def test_unknown_scheme_rejected(paper_scenario, paper_coeffs, entry, scheme):
         calls[entry]()
 
 
-# visits per q-state of the N = 8 GOA solves, after the dominance skip
-EIGHT_RELAY_VISITS = {(2, "mdnc"): [38, 6], (3, "mdnc"): [48, 8], (3, "nonc"): [14, 3, 3]}
+# visits per tree of the N = 8 GOA solves
+EIGHT_RELAY_VISITS = {(2, "mdnc"): [47], (3, "mdnc"): [52, 5], (3, "nonc"): [16]}
 
 
 @pytest.mark.parametrize("M,scheme", [(2, "mdnc"), (3, "mdnc"), (3, "nonc")])
 def test_goa_matches_brute_force_at_eight_relays(M, scheme):
     # the N = 8 scenario that bench/workloads.random_scenario draws from seed
-    # [1, 8, M]; at M = 3 most first-state visits refute their schedule
+    # [1, 8, M]; at M = 3 most first-tree visits refute their schedule
     from mdncee.simulate import brute_force_optimize
 
     s = _random_small_scenario(np.random.default_rng([1, 8, M]), M=M, N=8)
@@ -1060,7 +1138,7 @@ def test_goa_matches_brute_force_at_eight_relays(M, scheme):
 
 
 def test_goa_certifies_brute_force_answer_at_ten_relays():
-    # (M, N) = (3, 10) MDNC: the first q-state refutes most of the 4-relay
+    # (M, N) = (3, 10) MDNC: the first tree refutes most of the 4-relay
     # schedules it visits; a refutation costs one master row and does not
     # count toward GOA_MAX_ITER, so every tree closes with a certificate
     from mdncee.simulate import brute_force_optimize
