@@ -40,11 +40,13 @@ each tree starts from every earlier cut and from the no-good rows of the
 schedules refuted so far, and adds its own. A refuted schedule (its primal
 is infeasible, which no q changes) adds its no-good row only.
 
-Relay dominance orders the schedules: a schedule whose relays are each
-matched to an equal or better relay of a schedule the tree has visited can
-do no better (MasterModel.dominates). So each visit excludes the whole
-family it dominates with their no-good rows at once, and the tree never
-assembles or solves them.
+Relay dominance orders the relays: a relay whose links are no weaker
+than another's can stand in for it (dominance_pairs). A schedule that
+holds the weaker relay of a pair but not the stronger is then no better
+than the schedule with the two swapped, so one fixed master row
+u_b - u_a <= 0 per pair (a dominating b) leaves exactly the schedules closed
+under dominance, among which an optimum always lies. The tree never meets
+the others, and brute force enumerates only the closed ones too.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ __all__ = [
     "Solution",
     "relay_count_bounds",
     "ratio_count_cap",
+    "dominance_pairs",
     "MasterModel",
     "OaCut",
     "build_oa_cuts",
@@ -190,6 +193,49 @@ def ratio_count_cap(s: ScenarioConfig, scheme: str, q: float) -> int:
     return cap
 
 
+def dominance_pairs(coeffs: LinkCoefficients) -> list[tuple[int, int]]:
+    """The comparable relay pairs (a, b), ordered by a and then b: relay a
+    dominates relay b when c_h[:, a] <= c_h[:, b] elementwise and
+    c_g[a] <= c_g[b]. Of two equal relays only the lower index dominates,
+    so the pairs form a strict partial order (irreflexive and transitive)
+    and never ask two relays to be selected together.
+
+    Lemma: let (a, b) be a pair, S' a schedule with b in S' and a not in
+    S', and S = S' - b + a the swap. Then max V_S(q) >= max V_S'(q) at
+    every q, and S' is infeasible whenever S is. Proof. Write each relay's
+    power in natural units, p'_j = c_g[j] (e^(ptilde'_j) - 1). Every relay
+    then has the same box [0, P_R_max], the same energy m*delta_P*T*p'_j
+    and the same budget weight, and a k-relay schedule pays the circuit
+    energy gamma*k + delta0 whichever relays it selects. Both outages,
+    exact and approximate, of either scheme, are symmetric in the selected
+    relays, and a relay enters them only through its first- and second-hop
+    failure probabilities (exact: 1 - e^(-c/p); approximate: c_ij/p_i
+    summed over the users it must decode, and c_g[j]/(c_g[j] + p'_j)),
+    each rising with the relay's coefficients; the outage rises with every
+    failure probability. So S, at the user powers of a point of S', with a
+    at b's power and every other relay at its own, has no more outage and
+    the same energy: it is feasible where that point is, and its
+    V(q) = rate - q*E_tot is no lower. Taking the best point of S' proves
+    both claims.
+
+    So a schedule that holds the b of a pair but not its a is no better
+    than one of the same size, in the same relay-count window, one swap up
+    the order. A chain of such swaps ends, since each raises the
+    schedule's rank sum in any linear extension of the order, at a
+    schedule closed under dominance: whenever it holds b, it holds a. An
+    optimum therefore lies among the closed schedules, and the rows
+    u_b - u_a <= 0, one per pair, which leave exactly those, lose none
+    (dominance as pruning: Fischetti and Salvagnin, INFORMS J. Comput.
+    22(1), 2010; the index order among interchangeable relays: Margot,
+    "Symmetry in integer linear programming", 2010).
+    """
+    c_h, c_g = coeffs.c_h, coeffs.c_g
+    better = (c_h[:, :, None] <= c_h[:, None, :]).all(axis=0) & (c_g[:, None] <= c_g[None, :])
+    # mutual dominance (the diagonal, and equal relays): the lower index wins
+    better &= ~(better.T & np.tri(len(c_g), dtype=bool))
+    return [(int(a), int(b)) for a, b in np.argwhere(better)]
+
+
 # ---------------------------------------------------------------------------
 # Cuts and the master model
 
@@ -223,9 +269,9 @@ class MasterModel:
     every primal solved so far, in creation order; refuted lists the
     schedules whose primal was infeasible, which no q can change. problems
     keeps every schedule's PrimalProblem, which holds no q, so a later
-    tree's revisit reuses it. dominators[b] lists the relays a != b that
-    dominate relay b (see dominates). bounds must be feasible: an empty
-    window leaves no tree to grow.
+    tree's revisit reuses it. pairs holds dominance_pairs(coeffs), one
+    fixed master row each. bounds must be feasible: an empty window leaves
+    no tree to grow.
     """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
@@ -246,68 +292,7 @@ class MasterModel:
         self.cuts: list[OaCut] = []
         self.refuted: list[tuple[int, ...]] = []
         self.problems: dict[tuple[int, ...], PrimalProblem] = {}
-        c_h, c_g = coeffs.c_h, coeffs.c_g
-        better = (c_h[:, :, None] <= c_h[:, None, :]).all(axis=0) & (c_g[:, None] <= c_g[None, :])
-        np.fill_diagonal(better, False)
-        self.dominators = [frozenset(np.flatnonzero(better[:, b]).tolist()) for b in range(s.N)]
-        self.comparable = bool(better.any())
-
-    def dominates(self, better: tuple[int, ...], worse: tuple[int, ...]) -> bool:
-        """Whether schedule better = S dominates worse = S': |S| = |S'|,
-        S != S', and a bijection pairs each relay b of S' with a relay a of S
-        that equals or dominates it, where relay a dominates relay b when
-        c_h[:, a] <= c_h[:, b] elementwise and c_g[a] <= c_g[b].
-
-        Lemma: then max V_S(q) >= max V_S'(q) at every q, and S' is
-        infeasible whenever S is. Proof. Write each relay's power in natural
-        units, p'_j = c_g[j] (e^(ptilde'_j) - 1). Every relay then has the
-        same box [0, P_R_max], the same energy m*delta_P*T*p'_j and the same
-        budget weight, and a k-relay schedule pays the circuit energy
-        gamma*k + delta0 whichever relays it selects. Both outages, exact
-        and approximate, of either scheme, are symmetric in the selected
-        relays, and a relay enters them only through its first- and
-        second-hop failure probabilities (exact: 1 - e^(-c/p); approximate:
-        c_ij/p_i summed over the users it must decode, and
-        c_g[j]/(c_g[j] + p'_j)), each rising with the relay's coefficients;
-        the outage rises with every failure probability. So S, at the user
-        powers of a point of S' and with each relay at the power of the
-        relay of S' it is paired with, has no more outage and the same
-        energy: it is feasible where that point is, and its
-        V(q) = rate - q*E_tot is no lower. Taking the best point of S'
-        proves both claims.
-
-        The relays common to S and S' pair with themselves: dominance is
-        transitive, so any pairing can be exchanged into one that does. The
-        relays of S' outside S are then matched into those of S outside S'
-        by augmenting paths.
-        """
-        if not self.comparable or len(better) != len(worse):
-            return False
-        lost = [b for b in worse if b not in better]
-        gained = [a for a in better if a not in worse]
-        if not lost:
-            return False
-        match: dict[int, int] = {}          # gained relay -> the lost relay it covers
-
-        def augment(b: int, seen: set[int]) -> bool:
-            for a in gained:
-                if a in self.dominators[b] and a not in seen:
-                    seen.add(a)
-                    if a not in match or augment(match[a], seen):
-                        match[a] = b
-                        return True
-            return False
-
-        return all(augment(b, set()) for b in lost)
-
-    def dominated_family(self, better: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Every schedule that better dominates, in combinations order. Such
-        a schedule trades relays of better only for relays outside it that
-        have a dominator in it, so only those relays are combined."""
-        inside = set(better)
-        outside = [b for b in range(self.s.N) if b not in inside and self.dominators[b] & inside]
-        return [worse for worse in combinations(sorted([*better, *outside]), len(better))
-                if self.dominates(better, worse)]
+        self.pairs = dominance_pairs(coeffs)
 
     def outage_value_grad(self, x) -> tuple[np.ndarray, np.ndarray]:
         """P at all-relay log powers x, one value per outage, and the
@@ -407,21 +392,16 @@ class GoaState:
     visited lists the schedules of its visits, in order. A primal stopped
     at the tree's cap (primal_stopped) is a solved primal whose schedule
     cannot beat the incumbent: it builds its cut block but never becomes
-    the incumbent. dominated lists, in order, the schedules the tree
-    excluded because a visit of this tree or a refuted schedule dominates
-    them (MasterModel.dominates): each visit's dominated family as the
-    visit happens, and any other such schedule met at an integral node.
-    Each added its no-good row alone and is no visit; those dominated by a
-    refuted schedule joined master.refuted. The counters count the primals
-    this tree solved, not a warm primal handed to it. lbd_history holds the
-    tree's bound as each schedule after the first was picked.
+    the incumbent. Every visit but the warm one is closed under dominance,
+    since the master's pair rows exclude the rest. The counters count the
+    primals this tree solved, not a warm primal handed to it. lbd_history
+    holds the tree's bound as each schedule after the first was picked.
     """
 
     master: MasterModel
     q: float
     carried: int = 0
     visited: list[tuple[int, ...]] = field(default_factory=list)
-    dominated: list[tuple[int, ...]] = field(default_factory=list)
     ubd: float = math.inf
     lbd: float = -math.inf
     ubd_history: list[float] = field(default_factory=list)
@@ -470,11 +450,11 @@ def _no_good(master: MasterModel, theta: tuple[int, ...]):
 def _master_lp_rows(state: GoaState):
     """The master LP over z = [ptilde, ptilde', u, vhat] at the state's q:
     two always-valid floors, the relay-count window, the caps
-    ptilde'_j <= cap_j * u_j, then every cut block, followed by its
-    schedule's no-good row when this tree solved that schedule, then one
-    no-good row per refuted schedule and one per other schedule this tree
-    excluded as dominated. The tree appends each visit's and each skip's
-    rows as a suffix, so its final rows are these, in another order.
+    ptilde'_j <= cap_j * u_j, one row u_b - u_a <= 0 per dominance pair
+    (a, b), then every cut block, followed by its schedule's no-good row
+    when this tree solved that schedule, then one no-good row per refuted
+    schedule. The tree appends each visit's rows as a suffix, so its final
+    rows are these, in another order.
     vhat's upper bound is the state's cap."""
     m = state.master
     s = m.s
@@ -485,8 +465,9 @@ def _master_lp_rows(state: GoaState):
     u0 = M + N
     u = slice(u0, u0 + N)
     relays = np.arange(N)
+    pairs = np.array(m.pairs, dtype=int).reshape(-1, 2)
 
-    fixed = np.zeros((4 + N, nv))
+    fixed = np.zeros((4 + N + len(pairs), nv))
     # v >= q * circuit(u), and circuit(u) alone must fit the budget
     fixed[0, u] = q * m.gamma
     fixed[0, iv] = -m.v_scale
@@ -495,17 +476,19 @@ def _master_lp_rows(state: GoaState):
     fixed[3, u] = -1.0
     fixed[4 + relays, M + relays] = 1.0
     fixed[4 + relays, u0 + relays] = -m.hi[M:]
+    # u_b <= u_a: a schedule holding b holds every relay that dominates it
+    dominance = 4 + N + np.arange(len(pairs))
+    fixed[dominance, u0 + pairs[:, 1]] = 1.0
+    fixed[dominance, u0 + pairs[:, 0]] = -1.0
     blocks = []
     for i, cut in enumerate(m.cuts):
         blocks.append(cut.at(q))
         if i >= state.carried:
             blocks.append(_no_good(m, cut.theta))
-    refuted = set(m.refuted)
     blocks += [_no_good(m, theta) for theta in m.refuted]
-    blocks += [_no_good(m, theta) for theta in state.dominated if theta not in refuted]
     A = np.vstack([fixed, *(rows for rows, _ in blocks)])
     b = np.concatenate([[-q * m.delta0, s.E0 - m.delta0,
-                         float(m.bounds.up), -float(m.bounds.low)], np.zeros(N),
+                         float(m.bounds.up), -float(m.bounds.low)], np.zeros(N + len(pairs)),
                         *(rhs for _, rhs in blocks)])
 
     lb = np.concatenate([m.lo, np.zeros(N), [0.0]])
@@ -547,15 +530,10 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None,
     exists, each primal runs with the cap as its cutoff and stops as soon
     as its duality bound shows the schedule cannot beat the incumbent; the
     stopped point anchors the cut block, and the schedule's no-good row
-    excludes it from this tree. Each visit then appends the no-good row of
-    every schedule it dominates that the tree has not excluded yet
-    (MasterModel.dominated_family): such a schedule is no better than the
-    visit, so no better than the incumbent or past the cap, and infeasible
-    when the visit is refuted (it then joins master.refuted). An integral
-    node whose schedule is dominated by a refuted schedule or by a visit of
-    this tree gets its no-good row alone in the same way. Nothing is
-    assembled or solved for such a schedule, and it does not count toward
-    GOA_MAX_ITER. An open node whose LP predates the last
+    excludes it from this tree. The master's dominance rows hold at every
+    node, so each integral node names a schedule closed under dominance,
+    and the tree certifies the incumbent over those alone, which is enough
+    (dominance_pairs). An open node whose LP predates the last
     rows re-solves warm from its own tableau; the cap moves only when rows
     are appended, so that test covers it too. The tree
     prunes every node whose bound reaches vhat's cap, so an exhausted tree
@@ -593,15 +571,6 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None,
             master.cuts.append(build_oa_cuts(pp, sol, master))
             blocks.insert(0, master.cuts[-1].at(q))
         state.ubd_history.append(state.ubd)
-        # the schedules it dominates can do no better, and are infeasible
-        # when it is: each gets its no-good row now, unless already excluded
-        excluded = {*state.visited, *state.dominated, *master.refuted}
-        for worse in master.dominated_family(theta):
-            if worse not in excluded:
-                if not pp.feasible:
-                    master.refuted.append(worse)
-                state.dominated.append(worse)
-                blocks.append(_no_good(master, worse))
         return blocks
 
     visit(warm or master.problem(RelaySchedule.from_indices(master.bounds.best_subset, s.N)),
@@ -629,22 +598,13 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None,
         frac = np.abs(u - np.round(u))
         undecided = np.flatnonzero((frac > 1e-6) & (node.lo < node.hi))
         if len(undecided) == 0:
-            u_int = np.clip(np.round(u).astype(int), node.lo.astype(int), node.hi.astype(int))
-            schedule = RelaySchedule(u_int)
-            theta = schedule.theta
-            refuted = any(master.dominates(other, theta) for other in master.refuted)
-            if refuted or any(master.dominates(other, theta) for other in state.visited):
-                if refuted:
-                    master.refuted.append(theta)
-                state.dominated.append(theta)
-                blocks = [_no_good(master, theta)]
-            elif len(master.cuts) - state.carried >= GOA_MAX_ITER:
+            if len(master.cuts) - state.carried >= GOA_MAX_ITER:
                 state.termination = "iteration limit"
                 return state
-            else:
-                state.lbd = _log_bound(min(n.lp.objective for n in (*stack, node)), master)
-                state.lbd_history.append(state.lbd)
-                blocks = visit(master.problem(schedule))
+            u_int = np.clip(np.round(u).astype(int), node.lo.astype(int), node.hi.astype(int))
+            state.lbd = _log_bound(min(n.lp.objective for n in (*stack, node)), master)
+            state.lbd_history.append(state.lbd)
+            blocks = visit(master.problem(RelaySchedule(u_int)))
             A = np.vstack([A, *(rows for rows, _ in blocks)])
             b = np.concatenate([b, *(rhs for _, rhs in blocks)])
             ub[-1] = _vcap(state)
@@ -785,8 +745,9 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     operating point with the exact outage re-evaluated at the returned
     powers; the approximate-vs-exact gap is surfaced in the solution
     fields. diagnostics["inner"] holds one record per tree, the GoaState
-    counters are summed over the trees and the fixed-schedule primals, and
-    cuts_total counts the cut blocks the solve built.
+    counters are summed over the trees and the fixed-schedule primals,
+    cuts_total counts the cut blocks the solve built, and dominance_rows
+    the master's dominance pairs.
     """
     bounds = relay_count_bounds(s, coeffs, target, scheme)
     if not bounds.feasible:
@@ -817,7 +778,6 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
         "ubd_history": st.ubd_history,
         "lbd_history": st.lbd_history,
         "visited": st.visited,
-        "dominated": st.dominated,
         "termination": st.termination,
     } for st in states]
     diagnostics["goa_states"] = len(states)
@@ -828,7 +788,7 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     # trees that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
     diagnostics["cuts_total"] = len(master.cuts)
-    diagnostics["dominated_total"] = sum(len(st.dominated) for st in states)
+    diagnostics["dominance_rows"] = len(master.pairs)
     return _assemble_solution(pp, sol, q_final, diagnostics)
 
 

@@ -41,6 +41,7 @@ from .model import LinkCoefficients, ScenarioConfig
 from .optimizer import (
     Solution,
     dinkelbach_fixed_schedule,
+    dominance_pairs,
     fixed_schedule_value,
     ratio_count_cap,
     relay_count_bounds,
@@ -221,7 +222,7 @@ def monte_carlo_outage(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: Re
 
 def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
                          scheme: str = "mdnc") -> Solution:
-    """Enumerate every relay subset within the count bounds and keep the best.
+    """Enumerate the relay subsets within the count bounds and keep the best.
 
     Each subset's continuous problem is convex, so the per-subset q-iteration
     is exact to solver tolerance; the winner is the subset with the highest
@@ -232,7 +233,10 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     q-iteration of bounds.best_subset gives the incumbent ratio q* (when it
     is infeasible, the first feasible subset after it does). Two tests then
     screen the rest, and a subset that passes is q-iterated on the problem
-    its screen solved:
+    its screen solved. Only subsets closed under relay dominance are
+    assembled at all: one that holds the b of a pair of dominance_pairs
+    but not its a is no better than a closed subset of the same size, so
+    the best ratio lies among the closed ones.
 
     * count cut: a k-relay subset's ratio is below M*alpha0/(gamma*k +
       delta0) (ratio_count_cap), so the counts whose bound is at most q*
@@ -249,7 +253,8 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     skipped, and a subset that exactly ties best_subset leaves best_subset
     the winner even when it comes first in enumeration order. diagnostics
     counts subsets_tried (subsets whose primal was solved, as a screen or
-    a q-iteration), subsets_pruned (cut by count), q_iterations and
+    a q-iteration), subsets_pruned (cut by count), subsets_dominated (not
+    closed under dominance, in the counts enumerated), q_iterations and
     primal_stopped (sign tests whose primal stopped at its bound).
     """
     if s.N > ENUM_GUARD_N:
@@ -259,12 +264,24 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
     best = None
-    tried = pruned = q_iterations = stopped = 0
+    tried = pruned = dominated = q_iterations = stopped = 0
+    pairs = dominance_pairs(coeffs)
+
+    def closed(k):
+        """The k-subsets closed under dominance, best_subset left out."""
+        nonlocal dominated
+        for c in combinations(range(s.N), k):
+            if c == bounds.best_subset:
+                continue
+            if all(a in c for a, b in pairs if b in c):
+                yield c
+            else:
+                dominated += 1
+
     # best_subset first (no incumbent yet, so no count cut), then the window
     # by count without it
     groups = [(bounds.low, [bounds.best_subset])]
-    groups += [(k, (c for c in combinations(range(s.N), k) if c != bounds.best_subset))
-               for k in range(bounds.low, bounds.up + 1)]
+    groups += [(k, closed(k)) for k in range(bounds.low, bounds.up + 1)]
     for k, subsets in groups:
         if best is not None and k > ratio_count_cap(s, scheme, best.q_star):
             pruned = sum(comb(s.N, j) for j in range(k, bounds.up + 1))
@@ -287,5 +304,6 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason="every subset within the count bounds violates the approximate outage cap")
     best.diagnostics.update(subsets_tried=tried, subsets_pruned=pruned,
-                            q_iterations=q_iterations, primal_stopped=stopped)
+                            subsets_dominated=dominated, q_iterations=q_iterations,
+                            primal_stopped=stopped)
     return best

@@ -23,7 +23,8 @@ outage read from freshly built term matrices instead of the counting
 recursion the library reads it by.
 
 dominates decides schedule dominance by trying every pairing of the two
-schedules' relays, where the library matches them by augmenting paths.
+schedules' relays, and closed_under_dominance asks it of every one-relay
+swap, where the library reads both from its relay pairs.
 
 whole_chunk_failures is the Monte Carlo kernel without blocks or threads:
 each chunk's gains in one fill per hop and the outage rules as array
@@ -307,6 +308,22 @@ def dominates(coeffs: LinkCoefficients, better, worse) -> dict | None:
         if all(covers[a, b] for a, b in zip(perm, worse)):
             return dict(zip(worse, perm))
     return None
+
+
+def closed_under_dominance(coeffs: LinkCoefficients, subset) -> bool:
+    """Whether no swap of one relay of subset for one outside it gives a
+    schedule that dominates it, of two equal relays only the lower index
+    counting as the better."""
+    subset = tuple(subset)
+    for b in subset:
+        for a in range(len(coeffs.c_g)):
+            if a in subset:
+                continue
+            swap = tuple(sorted(set(subset) - {b} | {a}))
+            if dominates(coeffs, swap, subset) is not None and not (
+                    a > b and dominates(coeffs, subset, swap) is not None):
+                return False
+    return True
 
 
 def term_matrix_verdict(s: ScenarioConfig, coeffs: LinkCoefficients, schedule: RelaySchedule,

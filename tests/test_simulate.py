@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mdncee.simulate import (
     monte_carlo_outage,
     rng_for_chunk,
 )
-from oracles import plain_brute_force, whole_chunk_failures
+from oracles import closed_under_dominance, plain_brute_force, whole_chunk_failures
 from test_properties import _random_small_scenario
 
 # Pinned generator identity (Philox 4x64): these exact streams must never
@@ -346,7 +347,38 @@ def test_screened_brute_force_equals_plain_enumeration_on_paper_cfg(
         assert 1 <= d["q_iterations"] <= d["subsets_tried"]
         bounds = simulate.relay_count_bounds(s, paper_coeffs, target, scheme)
         window = sum(math.comb(s.N, k) for k in range(bounds.low, bounds.up + 1))
-        assert d["subsets_tried"] + d["subsets_pruned"] <= window
+        assert d["subsets_tried"] + d["subsets_pruned"] + d["subsets_dominated"] <= window
+
+
+@pytest.mark.parametrize("M,scheme,target", [(2, "mdnc", 1e-4), (3, "mdnc", 1e-3),
+                                              (3, "nonc", 1e-3)])
+def test_brute_force_assembles_only_subsets_closed_under_dominance(monkeypatch, M, scheme,
+                                                                    target):
+    # on the N = 8 scenario of bench/workloads.random_scenario's seed
+    # [1, 8, M]: best_subset first, then, count by count up to the count
+    # cut, exactly the subsets of combinations that no one-relay swap
+    # dominates by the permutation oracle; subsets_dominated counts the rest
+    s = _random_small_scenario(np.random.default_rng([1, 8, M]), M=M, N=8)
+    coeffs = build_link_coefficients(s)
+    assembled = []
+    real = simulate.assemble_primal
+
+    def recording(s, coeffs, schedule, target, scheme):
+        assembled.append(schedule.theta)
+        return real(s, coeffs, schedule, target, scheme)
+
+    monkeypatch.setattr(simulate, "assemble_primal", recording)
+    sol = brute_force_optimize(s, coeffs, target, scheme)
+    bounds = simulate.relay_count_bounds(s, coeffs, target, scheme)
+    d = sol.diagnostics
+    # the counts from stop on were cut by count
+    stop = next(k for k in range(bounds.low, bounds.up + 2)
+                if sum(math.comb(s.N, j) for j in range(k, bounds.up + 1)) == d["subsets_pruned"])
+    rest = [c for k in range(bounds.low, stop) for c in combinations(range(s.N), k)
+            if c != bounds.best_subset]
+    closed = [c for c in rest if closed_under_dominance(coeffs, c)]
+    assert assembled == [bounds.best_subset, *closed]
+    assert d["subsets_dominated"] == len(rest) - len(closed) > 0
 
 
 # (M, N) of each random draw; the draws alternate in pairs between leaving
