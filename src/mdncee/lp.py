@@ -2,10 +2,10 @@
 
 Minimizes c.x subject to A x <= b and finite boxes lb <= x <= ub. The
 outer-approximation master relaxations have a few dozen columns and tens
-to hundreds of rows: under a hundred on the benchmark's N <= 6 masters, and
-526 in the median pivot of a (3, 12) MDNC solve at 1e-3. The tableau is
-dense, the simplest correct form, though at hundreds of rows most of a
-pivot's update touches zeros.
+to over a hundred rows: under a hundred on the benchmark's N <= 6 masters,
+and 105 in the median pivot of the 308 LPs of a (3, 12) MDNC solve at 1e-3.
+The tableau is dense, the simplest correct form, though at a hundred rows
+most of a pivot's update touches zeros.
 
 Cold start. Each variable is measured from one end of its box: y = x - lb,
 or y = ub - x when it is complemented. The cold start complements the
@@ -34,9 +34,10 @@ rounded. A warm solve that meets a pivot below PIVOT_REL times its row's
 largest entry, or a pivot that leaves a reduced cost below -COST_TOL (the
 basis is then no longer dual feasible), gives up and re-solves cold from
 the all-slack basis; its pivots count too. A cold solve has no better start
-to fall back on and goes on. On the 130 GOA solves of the seeded test grid
-(six random scenarios with N = 4..8, six pool scenarios and paper.cfg, five
-targets, both schemes), 4 of 5,721 warm solves fall back.
+to fall back on and goes on. On 130 GOA solves (bench/workloads'
+random_scenario [1, N, M] for M = 2, 3 and N = 4, 6, 8, pool_scenario(0..5)
+and paper.cfg, at 1e-2 ... 1e-6, both schemes), 7 of 3,530 warm solves fall
+back.
 
 Warm start. The reduced costs do not depend on b, lb or ub, so an LP that
 differs from a solved one only there keeps the solved optimal basis and

@@ -52,6 +52,7 @@ the others, and brute force enumerates only the closed ones too.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -255,14 +256,15 @@ class MasterModel:
     outage: an unselected relay still contributes its undecoded and lost
     terms. At paper.cfg's GOA optima it reads 1.0028-1.0371 times the
     schedule's own, so an outage row can cut off a schedule's own optimum.
-    In 9 of the 11 feasible solves at 1e-3 on bench/workloads'
-    pool_scenario(0..5), a row of the final master cut off an unvisited
-    schedule's optimum at q*: its linearized outage there exceeded the
-    target by up to 0.63 times the target under MDNC, 16 times under NoNC.
-    So no bound of the master on an unvisited schedule is proved. None has
-    been seen to fail: on the final master at q* of paper.cfg's 8 solves
-    and those 11, the bound with u fixed never exceeded the optimal V' of
-    any of the 267 unvisited feasible schedules.
+    In 8 of the 11 feasible solves at 1e-3 on bench/workloads'
+    pool_scenario(0..5), a row of the final master cut off the optimum at
+    q* of an unvisited schedule closed under dominance: its linearized
+    outage there exceeded the target by up to 0.63 times the target under
+    MDNC, 16 times under NoNC. So no bound of the master on an unvisited
+    schedule is proved. None has been seen to fail: on the final master at
+    q* of paper.cfg's 8 solves and those 11, the bound with u fixed never
+    exceeded the optimal V' of any of the 158 unvisited feasible schedules
+    closed under dominance (the dominance rows exclude every other).
 
     The budget draws budget . e^x + gamma*sum(u) + delta0
     against E0 plus the relays' -c_j offsets. cuts holds the cut block of
@@ -270,8 +272,10 @@ class MasterModel:
     schedules whose primal was infeasible, which no q can change. problems
     keeps every schedule's PrimalProblem, which holds no q, so a later
     tree's revisit reuses it. pairs holds dominance_pairs(coeffs), one
-    fixed master row each. bounds must be feasible: an empty window leaves
-    no tree to grow.
+    fixed master row each. counts adds up the work of every tree: the
+    primals they solved (_count_primal), master_lps, master_pivots and
+    master_nodes (the branch-and-bound nodes entered). bounds must be feasible: an empty
+    window leaves no tree to grow.
     """
 
     def __init__(self, s: ScenarioConfig, coeffs: LinkCoefficients, scheme: str,
@@ -293,6 +297,7 @@ class MasterModel:
         self.refuted: list[tuple[int, ...]] = []
         self.problems: dict[tuple[int, ...], PrimalProblem] = {}
         self.pairs = dominance_pairs(coeffs)
+        self.counts: Counter = Counter()
 
     def outage_value_grad(self, x) -> tuple[np.ndarray, np.ndarray]:
         """P at all-relay log powers x, one value per outage, and the
@@ -393,9 +398,9 @@ class GoaState:
     at the tree's cap (primal_stopped) is a solved primal whose schedule
     cannot beat the incumbent: it builds its cut block but never becomes
     the incumbent. Every visit but the warm one is closed under dominance,
-    since the master's pair rows exclude the rest. The counters count the
-    primals this tree solved, not a warm primal handed to it. lbd_history
-    holds the tree's bound as each schedule after the first was picked.
+    since the master's pair rows exclude the rest. The tree's work goes to
+    master.counts, a warm primal handed to it excepted. lbd_history holds
+    the tree's bound as each schedule after the first was picked.
     """
 
     master: MasterModel
@@ -409,15 +414,19 @@ class GoaState:
     incumbent: PrimalSolution | None = None
     incumbent_problem: PrimalProblem | None = None
     refutation: str | None = None       # infeasible_reason of the last refuted primal
-    newton_total: int = 0
-    backtracks: int = 0                 # rejected line-search trials of its primals
-    primal_unconverged: int = 0         # primal solves that ran to the end with converged=False
-    primal_stopped: int = 0             # primal solves stopped at the cap by their duality bound
-    master_lps: int = 0
-    master_pivots: int = 0
-    master_nodes: int = 0               # branch-and-bound nodes entered
     converged: bool = False
     termination: str = ""
+
+
+def _count_primal(counts: Counter, sol: PrimalSolution) -> None:
+    """Add one solved primal's work to a solve's counts: its Newton steps,
+    its rejected line-search trials, whether it ran to the end unconverged,
+    and whether it stopped at its cutoff (which a primal that ran to the
+    end did not)."""
+    counts["newton_total"] += sol.newton_iterations
+    counts["backtracks"] += sol.backtracks
+    counts["primal_unconverged"] += sol.lower_bound is None and not sol.converged
+    counts["primal_stopped"] += sol.lower_bound is not None
 
 
 def _log_cap(state: GoaState) -> float | None:
@@ -558,13 +567,10 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None,
         else:
             if sol is None:
                 sol = solve_primal(pp, q, cutoff=_log_cap(state))
-                state.newton_total += sol.newton_iterations
-                state.backtracks += sol.backtracks
-                state.primal_unconverged += sol.lower_bound is None and not sol.converged
-            if sol.lower_bound is not None:
-                # its optimum reaches the cap, whatever tilde_v the stopped point has
-                state.primal_stopped += 1
-            elif sol.tilde_v < state.ubd:
+                _count_primal(master.counts, sol)
+            # a stopped primal's optimum reaches the cap, whatever tilde_v
+            # the stopped point has
+            if sol.lower_bound is None and sol.tilde_v < state.ubd:
                 state.ubd = sol.tilde_v
                 state.incumbent = sol
                 state.incumbent_problem = pp
@@ -581,8 +587,7 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None,
         res = solve_lp(c, A, b,
                        np.concatenate([lb[:u0], lo_u, lb[u0 + n_u:]]),
                        np.concatenate([ub[:u0], hi_u, ub[u0 + n_u:]]), warm=warm)
-        state.master_lps += 1
-        state.master_pivots += res.pivots
+        master.counts.update(master_lps=1, master_pivots=res.pivots)
         return _Node(lo_u, hi_u, res, len(b))
 
     stack = [relax(np.zeros(n_u), np.ones(n_u))]
@@ -590,7 +595,7 @@ def goa_solve(master: MasterModel, q: float, warm: PrimalProblem | None = None,
         node = stack.pop()
         if node.rows < len(b):
             node = relax(node.lo, node.hi, node.lp)
-        state.master_nodes += 1
+        master.counts["master_nodes"] += 1
         res = node.lp
         if res.status != "optimal" or res.objective >= ub[-1]:
             continue
@@ -690,39 +695,38 @@ def _dinkelbach_loop(q0: float, pp: PrimalProblem, tree=None):
     tree(q, pp, sol) -> (pp, sol), when given, runs at each q where the
     schedule's own V(q) is within tolerance of zero (sol None when pp is
     infeasible, at once): it returns the best schedule at q, and the loop
-    goes on from it. The loop stops when V(q) of the returned schedule is
-    within tolerance; the reported q is then its point's own bits/energy
-    ratio. diagnostics hold one q and V per q, fixed-schedule steps and
-    trees alike, and the counters of the primals solved here.
+    goes on from it, or None, which ends the loop with None. The loop stops
+    when V(q) of the returned schedule is within tolerance; the reported q
+    is then its point's own bits/energy ratio. Returns (pp, sol, q,
+    diagnostics, counts): diagnostics hold one q and V per q,
+    fixed-schedule steps and trees alike, and counts the work of the
+    primals solved here.
     """
     q = q0
     q_history: list[float] = []
     v_history: list[float] = []
-    sols: list[PrimalSolution] = []
+    counts: Counter = Counter()
     tol = DINKELBACH_TOL_REL * pp.s.M * pp.s.alpha0
     for theta in range(1, DINKELBACH_MAX_ITER + 1):
         sol = None
         if pp.feasible:
             sol = solve_primal(pp, q)
-            sols.append(sol)
+            _count_primal(counts, sol)
             v, ratio = _parametric_value(pp, sol, q)
         if tree is not None and (sol is None or abs(v) <= tol):
-            pp, best = tree(q, pp, sol)
+            found = tree(q, pp, sol)
+            if found is None:
+                return None
+            pp, best = found
             if best is not sol:
                 sol = best
                 v, ratio = _parametric_value(pp, sol, q)
         q_history.append(q)
         v_history.append(v)
         if abs(v) <= tol:
-            diagnostics = {
-                "dinkelbach_iterations": theta,
-                "q_history": q_history,
-                "v_history": v_history,
-                "newton_total": sum(p.newton_iterations for p in sols),
-                "backtracks": sum(p.backtracks for p in sols),
-                "primal_unconverged": sum(not p.converged for p in sols),
-            }
-            return pp, sol, diagnostics, ratio
+            diagnostics = {"dinkelbach_iterations": theta, "q_history": q_history,
+                           "v_history": v_history}
+            return pp, sol, ratio, diagnostics, counts
         q = ratio
     raise RuntimeError(
         f"parametric q-iteration did not converge in {DINKELBACH_MAX_ITER} rounds "
@@ -744,10 +748,10 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     earlier cuts and the no-goods of refuted schedules. Returns the final
     operating point with the exact outage re-evaluated at the returned
     powers; the approximate-vs-exact gap is surfaced in the solution
-    fields. diagnostics["inner"] holds one record per tree, the GoaState
-    counters are summed over the trees and the fixed-schedule primals,
-    cuts_total counts the cut blocks the solve built, and dominance_rows
-    the master's dominance pairs.
+    fields. diagnostics["inner"] holds one record per tree; the counts of
+    the fixed-schedule primals and of master.counts are added up under
+    their own keys, cuts_total counts the cut blocks the solve built, and
+    dominance_rows the master's dominance pairs.
     """
     bounds = relay_count_bounds(s, coeffs, target, scheme)
     if not bounds.feasible:
@@ -763,16 +767,18 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
     def tree(q, pp, sol):
         st = goa_solve(master, q, pp, sol)
         states.append(st)
-        if st.incumbent is None:
-            # every schedule this tree tried was refuted: quote the last refutation
-            raise _InfeasibleInner(f"{st.termination}; {st.refutation}")
-        return st.incumbent_problem, st.incumbent
+        # None when every schedule this tree tried was refuted
+        return None if st.incumbent is None else (st.incumbent_problem, st.incumbent)
 
-    try:
-        pp, sol, diagnostics, q_final = _dinkelbach_loop(q0, pp0, tree)
-    except _InfeasibleInner as exc:
+    found = _dinkelbach_loop(q0, pp0, tree)
+    if found is None:
+        # quote the last refutation
         return Solution(feasible=False, scheme=scheme, target=target,
-                        reason=f"no feasible schedule in the relay-count window: {exc}")
+                        reason="no feasible schedule in the relay-count window: "
+                               f"{states[-1].termination}; {states[-1].refutation}")
+    pp, sol, q_final, diagnostics, counts = found
+    counts.update(master.counts)
+    diagnostics.update(counts)
     diagnostics["inner"] = [{
         "goa_iterations": len(st.visited),
         "ubd_history": st.ubd_history,
@@ -781,19 +787,11 @@ def dinkelbach_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float,
         "termination": st.termination,
     } for st in states]
     diagnostics["goa_states"] = len(states)
-    for counter in ("newton_total", "backtracks", "master_lps", "master_pivots", "master_nodes",
-                    "primal_unconverged", "primal_stopped"):
-        diagnostics[counter] = diagnostics.get(counter, 0) + sum(getattr(st, counter)
-                                                                 for st in states)
     # trees that ended at the iteration limit, with no certificate
     diagnostics["goa_unconverged"] = sum(not st.converged for st in states)
     diagnostics["cuts_total"] = len(master.cuts)
     diagnostics["dominance_rows"] = len(master.pairs)
     return _assemble_solution(pp, sol, q_final, diagnostics)
-
-
-class _InfeasibleInner(Exception):
-    pass
 
 
 def nonc_solve(s: ScenarioConfig, coeffs: LinkCoefficients, target: float) -> Solution:
@@ -807,28 +805,28 @@ def dinkelbach_fixed_schedule(pp: PrimalProblem) -> Solution | None:
     each q. None when the problem is infeasible."""
     if not pp.feasible:
         return None
-    _, sol, diagnostics, q_final = _dinkelbach_loop(_max_slack_ratio(pp), pp)
-    return _assemble_solution(pp, sol, q_final, diagnostics)
+    _, sol, q_final, diagnostics, counts = _dinkelbach_loop(_max_slack_ratio(pp), pp)
+    return _assemble_solution(pp, sol, q_final, {**diagnostics, **counts})
 
 
-def fixed_schedule_value(pp: PrimalProblem, q: float) -> tuple[float, bool] | None:
+def fixed_schedule_value(pp: PrimalProblem, q: float) -> tuple[float, PrimalSolution] | None:
     """max V(q) over the powers of one assembled schedule, by one primal at
-    q, and whether that primal stopped; None when the problem is
-    infeasible. By Dinkelbach's lemma the schedule's best ratio exceeds q
-    only if max V(q) is positive.
+    q, and that primal; None when the problem is infeasible. By
+    Dinkelbach's lemma the schedule's best ratio exceeds q only if max V(q)
+    is positive.
 
     V(q) = M*alpha0 - V'(x) + q*W under both schemes (obj_coef times the
     number of outages), with W = pp.relay_energy the summed energy weights
     of all relays, so max V(q) <= 0 exactly when the optimal log V' is at
     least log(M*alpha0 + q*W). The primal takes that level as its cutoff.
-    When it stops there, the value returned is the bound
-    M*alpha0 + q*W - exp(lower_bound) <= 0 on max V(q), not max V(q) itself.
+    When it stops there (its lower_bound set), the value returned is the
+    bound M*alpha0 + q*W - exp(lower_bound) <= 0 on max V(q), not max V(q)
+    itself.
     """
     if not pp.feasible:
         return None
     zero = pp.s.M * pp.s.alpha0 + q * pp.relay_energy
     sol = solve_primal(pp, q, cutoff=math.log(zero))
     if sol.lower_bound is not None:
-        return zero - math.exp(sol.lower_bound), True
-    v, _ = _parametric_value(pp, sol, q)
-    return v, False
+        return zero - math.exp(sol.lower_bound), sol
+    return _parametric_value(pp, sol, q)[0], sol

@@ -74,8 +74,6 @@ class Posynomial:
     def __init__(self, coeffs, expos, dim: int | None = None):
         coeffs = np.asarray(coeffs, dtype=float)
         expos = np.asarray(expos, dtype=float)
-        if expos.ndim == 1:
-            expos = expos.reshape(len(coeffs), -1)
         if dim is None:
             dim = expos.shape[1] if expos.size else 0
         if expos.size == 0:

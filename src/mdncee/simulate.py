@@ -29,6 +29,7 @@ booleans (MDNC) or CHUNK * M * n (NoNC).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -40,6 +41,7 @@ from .energy import energy_efficiency, total_energy
 from .model import LinkCoefficients, ScenarioConfig
 from .optimizer import (
     Solution,
+    _count_primal,
     dinkelbach_fixed_schedule,
     dominance_pairs,
     fixed_schedule_value,
@@ -264,19 +266,19 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason=f"no admissible relay count (low={bounds.low}, up={bounds.up})")
     best = None
-    tried = pruned = dominated = q_iterations = stopped = 0
+    counts = Counter(subsets_tried=0, subsets_pruned=0, subsets_dominated=0, q_iterations=0,
+                     primal_stopped=0)
     pairs = dominance_pairs(coeffs)
 
     def closed(k):
         """The k-subsets closed under dominance, best_subset left out."""
-        nonlocal dominated
         for c in combinations(range(s.N), k):
             if c == bounds.best_subset:
                 continue
             if all(a in c for a, b in pairs if b in c):
                 yield c
             else:
-                dominated += 1
+                counts["subsets_dominated"] += 1
 
     # best_subset first (no incumbent yet, so no count cut), then the window
     # by count without it
@@ -284,26 +286,26 @@ def brute_force_optimize(s: ScenarioConfig, coeffs: LinkCoefficients, target: fl
     groups += [(k, closed(k)) for k in range(bounds.low, bounds.up + 1)]
     for k, subsets in groups:
         if best is not None and k > ratio_count_cap(s, scheme, best.q_star):
-            pruned = sum(comb(s.N, j) for j in range(k, bounds.up + 1))
+            counts["subsets_pruned"] = sum(comb(s.N, j) for j in range(k, bounds.up + 1))
             break
         for subset in subsets:
             pp = assemble_primal(s, coeffs, RelaySchedule.from_indices(subset, s.N), target, scheme)
             if not pp.feasible:
                 continue
-            tried += 1
+            counts["subsets_tried"] += 1
             if best is not None:
-                value, was_stopped = fixed_schedule_value(pp, best.q_star)
-                stopped += was_stopped
+                value, primal = fixed_schedule_value(pp, best.q_star)
+                _count_primal(counts, primal)
                 if value <= 0:
                     continue
             sol = dinkelbach_fixed_schedule(pp)
-            q_iterations += 1
+            counts["q_iterations"] += 1
+            counts.update({key: sol.diagnostics[key]
+                           for key in ("newton_total", "backtracks", "primal_unconverged")})
             if best is None or sol.q_star > best.q_star:
                 best = sol
     if best is None:
         return Solution(feasible=False, scheme=scheme, target=target,
                         reason="every subset within the count bounds violates the approximate outage cap")
-    best.diagnostics.update(subsets_tried=tried, subsets_pruned=pruned,
-                            subsets_dominated=dominated, q_iterations=q_iterations,
-                            primal_stopped=stopped)
+    best.diagnostics.update(counts)
     return best

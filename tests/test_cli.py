@@ -189,6 +189,20 @@ def test_relay_shift_circuit_energy_over_budget_exits_3(tmp_path):
     assert len(rows) == 1 and rows[0]["status"] == "infeasible"
 
 
+def test_relay_shift_without_a_feasible_base_selection_exits_3(tmp_path):
+    # at 1e-10 no relay count of paper.cfg meets the target even at maximum
+    # power, so every delta gets an infeasible row and no plot data
+    out = tmp_path / "o"
+    assert run_cli(["relay-shift", SCENARIO_PATH, "--deltas=-25,0", "--targets", "1e-10",
+                    "--out", str(out)]) == 3
+    lines = read(out / "relay_shift.csv").strip().split("\n")
+    rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
+    assert [(r["delta"], r["status"], r["reason"]) for r in rows] == [
+        ("-25", "infeasible", "no feasible base selection"),
+        ("0", "infeasible", "no feasible base selection")]
+    assert not (out / "plotdata").exists()
+
+
 def test_relay_shift_rejects_relay_index_outside_n(tmp_path, capsys):
     code = run_cli(["relay-shift", SCENARIO_PATH, "--deltas=0", "--relays", "0,9",
                     "--out", str(tmp_path / "o")])

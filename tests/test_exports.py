@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import mdncee
@@ -73,6 +76,19 @@ def test_only_the_barriers_read_the_outage_term_matrices():
 
     assert _readers("outage_pos") == {"solve_primal", "_max_slack_point", "PrimalProblem.vprime"}
     assert not hasattr(convex_solver, "CORNER_REL_TOL")
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    # numpy is the one runtime dependency; scipy and hypothesis serve the
+    # tests alone. The modules a fresh interpreter loads before the import
+    # (site hooks) do not count
+    code = ("import sys; before = set(sys.modules); import mdncee; "
+            "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))")
+    src = str(Path(mdncee.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert set(loaded) - sys.stdlib_module_names == {"mdncee", "numpy"}
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -23,6 +23,15 @@ def test_infeasible_detected():
     assert res.status == "infeasible"
 
 
+def test_empty_box_is_infeasible_without_a_pivot():
+    # ub < lb on the second variable: no point exists, whatever the rows
+    res = solve_lp([1.0, 1.0], [[1.0, 1.0]], [10.0], [0.0, 2.0], [1.0, 1.0])
+    assert (res.status, res.x, res.objective, res.pivots) == ("infeasible", None, None, 0)
+    # a box that is a single point is not empty
+    res = solve_lp([1.0, 1.0], [[1.0, 1.0]], [10.0], [0.0, 1.0], [1.0, 1.0])
+    assert res.status == "optimal" and res.objective == pytest.approx(1.0, abs=1e-12)
+
+
 def test_degenerate_redundant_rows():
     A = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     b = [1.0, 1.0, 1.0, 0.0]

@@ -140,3 +140,47 @@ def test_load_rejects_unknown_and_missing_fields(tmp_path):
     missing.write_text("M = 1\nN = 1\n")
     with pytest.raises(ScenarioError, match="missing"):
         load_scenario(missing)
+
+
+@pytest.mark.parametrize("changes,violation", [
+    ({"M": 0}, "M: must be >= 1"),
+    ({"N": 0}, "N: must be >= 1"),
+    ({"sigma_h": np.ones((2, 3))}, "sigma_h: shape (2, 3) != (2, 4)"),
+    ({"d_g": np.ones(3)}, "d_g: shape (3,) != (4,)"),
+    ({"n_g": np.array([2.0, 0.0, 2.0, 2.0])}, "n_g: all entries must be finite and > 0"),
+    ({"N0_h": np.full((2, 4), np.nan)}, "N0_h: all entries must be finite and > 0"),
+    ({"E0": 0.0}, "E0: must be finite and > 0"),
+    ({"delta_P": np.inf}, "delta_P: must be finite and > 0"),
+    ({"pr_out_target": 1.0}, "pr_out_target: must lie in (0,1)"),
+    ({"pr_out_target": 0.0}, "pr_out_target: must lie in (0,1)"),
+    ({"P_sleep_BS": 130.0}, "P0_BS: must exceed P_sleep_BS"),
+], ids=["M", "N", "h-shape", "g-shape", "array-zero", "array-nan", "scalar-zero",
+        "scalar-inf", "target-one", "target-zero", "bs-ordering"])
+def test_validate_names_each_violated_rule(paper_scenario, changes, violation):
+    assert violation in validate_scenario(dataclasses.replace(paper_scenario, **changes))
+
+
+@pytest.mark.parametrize("changes", [{"d_g": [1e300, 321.7, 321.7, 321.7]},
+                                     {"sigma_g": [np.inf, 1.0, 1.0, 1.0]}],
+                         ids=["overflow", "zero"])
+def test_relay_to_bs_coefficient_rejected(paper_scenario, changes):
+    # c_g[0] overflows to inf, or an infinite variance drives it to 0
+    with pytest.raises(ScenarioError, match=r"c_g\[0\] is not a positive finite number"):
+        build_link_coefficients(dataclasses.replace(paper_scenario, **changes))
+
+
+@pytest.mark.parametrize("field,line,message", [
+    ("N", "N 4\n", r"bad\.cfg:2: expected 'name = value', got 'N 4'"),
+    ("N", "N = [4,\n", r"bad\.cfg:2: cannot parse value for 'N'"),
+    ("T", "", r"bad\.cfg: give either T or X_bits"),
+], ids=["no-equals", "no-literal", "no-slot"])
+def test_load_rejects_an_unreadable_line_or_a_missing_slot(paper_scenario, tmp_path, field,
+                                                           line, message):
+    # paper.cfg as dump_scenario writes it (M first, then N), with one line
+    # replaced: every other field is valid, so this error is the one raised
+    path = tmp_path / "bad.cfg"
+    dump_scenario(paper_scenario, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line if old.startswith(f"{field} =") else old for old in lines))
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)

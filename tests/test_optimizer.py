@@ -797,6 +797,35 @@ def test_sign_test_stop_keeps_brute_force_answer(paper_scenario, paper_coeffs, m
     assert sum(a.diagnostics["primal_stopped"] for a in screened) > 0
 
 
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_brute_force_counts_every_primal_it_solves(paper_scenario, paper_coeffs, monkeypatch,
+                                                   scheme):
+    # the primal counters add up every primal brute force solves, its sign
+    # tests and the q-iteration of every subset that passes one, not only
+    # the winner's q-iteration
+    from mdncee import optimizer
+    from mdncee.simulate import brute_force_optimize
+
+    primals = []
+
+    def recording(pp, q, cutoff=None):
+        primals.append(solve_primal(pp, q, cutoff=cutoff))
+        return primals[-1]
+
+    monkeypatch.setattr(optimizer, "solve_primal", recording)
+    several = 0
+    for target in PAPER_TARGETS:
+        primals.clear()
+        d = brute_force_optimize(paper_scenario, paper_coeffs, target, scheme=scheme).diagnostics
+        assert d["newton_total"] == sum(p.newton_iterations for p in primals)
+        assert d["backtracks"] == sum(p.backtracks for p in primals)
+        assert d["primal_unconverged"] == sum(p.lower_bound is None and not p.converged
+                                              for p in primals)
+        assert d["primal_stopped"] == sum(p.lower_bound is not None for p in primals)
+        several += len(primals) > d["dinkelbach_iterations"]
+    assert several > 0
+
+
 def test_cutoff_at_least_halves_goa_newton_steps(paper_scenario, paper_coeffs, monkeypatch):
     # the stop must keep firing: over paper.cfg 1e-2..1e-5 and both schemes,
     # GOA takes at most 0.7x the Newton steps it takes with every primal
@@ -1386,7 +1415,7 @@ def test_dominated_schedule_is_never_better(M, N, scheme):
                     vb, vw = value(better, q), value(worse, q)
                     if vb is None:
                         assert vw is None, (better, worse)
-                    elif vw is not None and not vw[1]:
+                    elif vw is not None and vw[1].lower_bound is None:
                         # a stopped primal of S' bounds its max V(q) from
                         # above by a value that need not lie below S's;
                         # the tolerance is the primals' duality gap
