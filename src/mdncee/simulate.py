@@ -17,7 +17,10 @@ partial). Each chunk draws the first-hop gains, shape (take, M, n) in C
 order, and then the second-hop gains, shape (take, n), from that chunk's
 generator, BLOCK samples at a time. Each first-hop block is reduced at once
 to a boolean mask kept for the chunk, and each second-hop block is counted
-against it. The chunks run on a thread pool of min(usable CPUs, chunks)
+against it. The boolean buffers are relay-major with the samples last,
+(M, n, b) and (n, b), and the draws are read through their transposes, so
+every comparison, AND and count loops over the samples rather than over
+the n relays. The chunks run on a thread pool of min(usable CPUs, chunks)
 threads; their outage event counts are exact integers, summed in any
 order, so they do not depend on the thread count and are pinned bit for
 bit by golden counts in the test suite. Memory is bounded per thread by
@@ -128,10 +131,14 @@ def _chunk_failures(thr_h: np.ndarray, thr_g: np.ndarray, mc: McConfig, mdnc: bo
     The first-hop gains x_h (take, M, n) and then the second-hop gains x_g
     (take, n) are drawn BLOCK samples at a time into block buffers (one
     generator filled in sequence gives the same values as one fill). Each
-    first-hop block is reduced at once to the chunk's boolean mask: relay
-    decodes every user, (take, n), for MDNC; user-relay link up,
-    (take, M, n), for NoNC. The second-hop blocks are then ANDed and
-    counted against it.
+    block is compared through its transpose into relay-major booleans,
+    samples last, so every comparison, AND and count runs along the
+    samples rather than along the n relays. Each first-hop block is reduced
+    at once to the chunk's mask: relay decodes every user, (n, take), for
+    MDNC; user-relay link up, (M, n, take), for NoNC. Each second-hop block
+    is then ANDed with it and counted: MDNC sums each sample's delivering
+    relays in the smallest unsigned type that holds n, NoNC ORs over the
+    relays and counts per user.
     """
     M, n = thr_h.shape
     take = min(CHUNK, mc.samples - chunk * CHUNK)
@@ -139,42 +146,37 @@ def _chunk_failures(thr_h: np.ndarray, thr_g: np.ndarray, mc: McConfig, mdnc: bo
     size = min(BLOCK, take)
     x_h = np.empty((size, M, n))
     x_g = np.empty((size, n))
-    link_buf = np.empty((size, M, n), dtype=bool)
-    hop2_buf = np.empty((size, n), dtype=bool)
-    hop1 = np.empty((take, n) if mdnc else (take, M, n), dtype=bool)
-    # thresholds already absorb the link means
+    link_buf = np.empty((M, n, size), dtype=bool)
+    hop2_buf = np.empty((n, size), dtype=bool)
+    hop1 = np.empty((n, take) if mdnc else (M, n, take), dtype=bool)
+    # thresholds already absorb the link means; they broadcast over samples
+    thr_h, thr_g = thr_h[:, :, None], thr_g[:, None]
     for lo in range(0, take, size):
         xh = x_h[:take - lo]
         b = len(xh)
         rng.standard_exponential(out=xh)
         if mdnc:
-            link = np.greater_equal(xh, thr_h, out=link_buf[:b])
-            ok = hop1[lo:lo + b]
-            ok[:] = link[:, 0, :]
-            for i in range(1, M):
-                ok &= link[:, i, :]
+            link = np.greater_equal(xh.transpose(1, 2, 0), thr_h, out=link_buf[..., :b])
+            np.logical_and.reduce(link, axis=0, out=hop1[:, lo:lo + b])
         else:
-            np.greater_equal(xh, thr_h, out=hop1[lo:lo + b])
+            np.greater_equal(xh.transpose(1, 2, 0), thr_h, out=hop1[..., lo:lo + b])
     fail_counts = np.zeros(1 if mdnc else M, dtype=np.int64)
     for lo in range(0, take, size):
         xg = x_g[:take - lo]
         b = len(xg)
         rng.standard_exponential(out=xg)
-        hop2 = np.greater_equal(xg, thr_g, out=hop2_buf[:b])
+        hop2 = np.greater_equal(xg.T, thr_g, out=hop2_buf[:, :b])
         if mdnc:
-            # count the relays that decode every user and survive hop 2
-            hop2 &= hop1[lo:lo + b]
-            count = hop2[:, 0].astype(np.min_scalar_type(n))
-            for j in range(1, n):
-                count += hop2[:, j]
+            # count the relays that decode every user and survive hop 2;
+            # the counter holds n, so it never wraps
+            hop2 &= hop1[:, lo:lo + b]
+            count = np.add.reduce(hop2.view(np.uint8), axis=0, dtype=np.min_scalar_type(n))
             fail_counts[0] += np.count_nonzero(count < M)
         else:
             # user i is carried when some relay passes both of its hops
-            link = np.logical_and(hop1[lo:lo + b], hop2[:, None, :], out=link_buf[:b])
-            carried = link[:, :, 0].copy()
-            for j in range(1, n):
-                carried |= link[:, :, j]
-            fail_counts += b - np.count_nonzero(carried, axis=0)
+            link = np.logical_and(hop1[..., lo:lo + b], hop2, out=link_buf[..., :b])
+            carried = np.logical_or.reduce(link, axis=1)
+            fail_counts += b - np.count_nonzero(carried, axis=1)
     return fail_counts
 
 

@@ -219,8 +219,10 @@ def test_mc_counts_do_not_depend_on_the_worker_count(workers, monkeypatch, paper
     assert (threads == {threading.get_ident()}) == (workers == 1)
 
 
-@pytest.mark.parametrize("M, n, mdnc", [(1, 1, True), (1, 3, False), (2, 1, False),
-                                        (2, 5, True), (3, 4, True), (3, 9, False)])
+@pytest.mark.parametrize("M, n, mdnc", [(1, 1, True), (1, 2, False), (1, 3, False),
+                                        (2, 1, False), (2, 5, True), (2, 8, True),
+                                        (3, 4, True), (3, 9, False), (3, 12, True),
+                                        (3, 12, False)])
 def test_mc_kernel_equals_whole_chunk_oracle(M, n, mdnc):
     # random thresholds, with a link that always holds and, when a relay
     # can be spared, a relay whose second hop always fails
@@ -236,18 +238,33 @@ def test_mc_kernel_equals_whole_chunk_oracle(M, n, mdnc):
     assert 0 < counts.min() and counts.max() < mc.samples
 
 
+def test_mc_relay_counter_does_not_wrap():
+    # 256 relays that always deliver: a uint8 counter would wrap to 0 < M
+    # and count every sample as an outage
+    thr_h, thr_g = np.zeros((2, 256)), np.zeros(256)
+    assert simulate._count_failures(thr_h, thr_g, McConfig(1000, seed=9), True).tolist() == [0]
+
+
 def test_mc_memory_is_bounded_by_blocks(monkeypatch, paper_scenario):
     # two threads on the N = 8 golden point: whole-chunk float draws alone
     # would take 2 * CHUNK * (M + 1) * n * 8 bytes = 50 MB (26 MB on one thread)
-    _pin_workers(monkeypatch, 2)
+    workers = 2
+    _pin_workers(monkeypatch, workers)
     thr_h, thr_g = _golden_thresholds("n8-mdnc", paper_scenario)
-    tracemalloc.start()
-    try:
-        simulate._count_failures(thr_h, thr_g, McConfig(1 << 20), True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
+    M, n = thr_h.shape
+    block, chunk = simulate.BLOCK, simulate.CHUNK
+    for mdnc in (True, False):
+        # the module docstring's per-thread bound: one block's float draws,
+        # its boolean blocks and the chunk's first-hop mask
+        per_thread = (block * (M + 1) * n * 8 + block * M * n + block * n
+                      + (chunk * n if mdnc else chunk * M * n))
+        tracemalloc.start()
+        try:
+            simulate._count_failures(thr_h, thr_g, McConfig(1 << 20), mdnc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * per_thread + 1e6, mdnc
 
 
 @pytest.mark.parametrize("kwargs, message", [
