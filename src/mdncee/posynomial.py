@@ -22,8 +22,9 @@ recursion's (convex_solver.PrimalProblem.outage_at).
 All evaluation goes through one evaluator, `stacked_terms`, over a stack of
 posynomials: their exponent rows one under another, their log-coefficients,
 and the row where each one (a segment) starts. The barrier solver stacks an
-objective and its constraints and pays one exponent pass per iterate; a
-Posynomial is a stack of one segment. Each segment is shifted by its own
+objective and its constraints and pays one exponent pass per iterate (its
+_BarrierStack._evaluate writes the same four steps out in place, to save a
+call per point); a Posynomial is a stack of one segment. Each segment is shifted by its own
 largest exponent, so P = exp(zmax) * sum exp(z - zmax) and
 log P = zmax + log sum exp(z - zmax). The exponents come from a row-by-row
 `einsum` and the sums from `reduceat`, whose results do not depend on what

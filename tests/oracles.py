@@ -29,6 +29,13 @@ swap, where the library reads both from its relay pairs.
 whole_chunk_failures is the Monte Carlo kernel without blocks or threads:
 each chunk's gains in one fill per hop and the outage rules as array
 reductions.
+
+plain_barrier_minimize is the barrier-Newton method that evaluates every
+line-search trial, with PlainBarrierStack building its term matrix afresh
+for every solve and evaluating through posynomial.stacked_terms:
+convex_solver's _barrier_minimize and _BarrierStack before the tangent
+bound on the line search and the per-problem stack. plain_primal runs it
+on the problem solve_primal solves.
 """
 
 from __future__ import annotations
@@ -38,12 +45,22 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from mdncee.convex_solver import _max_slack_point, assemble_primal, outage_posynomials
+from mdncee.convex_solver import (
+    ARMIJO_SHRINK,
+    ARMIJO_SLOPE,
+    CENTERING_TOL,
+    GAP_TOL,
+    MAX_NEWTON,
+    NEWTON_TOL,
+    _max_slack_point,
+    assemble_primal,
+    outage_posynomials,
+)
 from mdncee.energy import EnergyBreakdown, delivered_rate, total_energy
 from mdncee.model import LinkCoefficients, ScenarioConfig
 from mdncee.optimizer import Solution, dinkelbach_fixed_schedule, relay_count_bounds
 from mdncee.outage import PowerAllocation, RelaySchedule, outage_posynomial, powers_from_log
-from mdncee.posynomial import Posynomial, segment_values, stacked_terms
+from mdncee.posynomial import Posynomial, segment_logvalues, segment_values, stacked_terms
 from mdncee.simulate import CHUNK, McConfig, rng_for_chunk
 
 
@@ -369,3 +386,244 @@ def whole_chunk_failures(thr_h: np.ndarray, thr_g: np.ndarray, mc: McConfig,
             # no relay passes both hops of the user
             fails += np.count_nonzero(~(hop1 & hop2[:, None, :]).any(axis=2), axis=0)
     return fails
+
+
+class PlainBarrierStack:
+    """The objective and every constraint of one barrier problem as one term matrix.
+
+    Segment 0 is the objective P0, minimized as log P0. Then come the log
+    constraints log P_i < cap_i and the linear constraints P_j < cap_j, with
+    the box lo < x < hi. One stacked_terms pass evaluates them all, so each
+    P here equals its standalone Posynomial value bit for bit.
+    """
+
+    def __init__(self, objective: Posynomial, log_constraints, linear_constraints, lo, hi):
+        posys = [objective] + [p for p, _ in log_constraints] + [p for p, _ in linear_constraints]
+        counts = np.array([p.n_terms for p in posys])
+        if not np.all(counts):
+            raise ValueError("barrier objective and constraints need at least one term each")
+        self.expos = np.vstack([p.expos for p in posys])
+        self.logc = np.concatenate([p.logc for p in posys])
+        self.starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+        self.segment = np.repeat(np.arange(len(posys)), counts)   # segment of each row
+        self.n_obj = counts[0]
+        self.n_log = len(log_constraints)
+        self.caps = np.array([c for _, c in log_constraints] + [c for _, c in linear_constraints],
+                             dtype=float)
+        self.lo = lo
+        self.hi = hi
+        self._last = None                 # (point, evaluation) last made inside the box
+
+    def _evaluate(self, x):
+        """Objective log value, the barrier (None off the strict interior),
+        every inequality's slack (box upper, box lower, constraints), the
+        linear constraints' values and the stacked terms; None off the open
+        box, where the exponentials may overflow.
+
+        The last evaluation inside the box is kept with the array it was made
+        at: a Newton iterate is the line search's accepted trial, the very
+        array value saw, so derivatives there reuse value's pass. A hit is
+        tested by identity, which is exact because no iterate is ever
+        mutated in place: every new point is a new array.
+        """
+        if self._last is not None and self._last[0] is x:
+            return self._last[1]
+        box = np.concatenate((self.hi - x, x - self.lo))
+        if box.min() <= 0:
+            return None
+        zmax, e, sums = stacked_terms(self.expos, self.logc, self.starts, x, self.segment)
+        k = 1 + self.n_log
+        values = segment_logvalues(zmax, sums)
+        values[k:] = segment_values(zmax[k:], sums[k:])
+        slack = np.concatenate((box, self.caps - values[1:]))
+        barrier = -np.log(slack).sum() if slack.min() > 0 else None
+        evaluated = values[0], barrier, slack, values[k:], e, sums
+        self._last = x, evaluated
+        return evaluated
+
+    def value(self, x):
+        """(log objective, barrier) at x, or None off the strict interior."""
+        evaluated = self._evaluate(x)
+        if evaluated is None or evaluated[1] is None:
+            return None
+        return evaluated[:2]
+
+    def derivatives(self, x):
+        """(log objective, gradient, Hessian) and (barrier, gradient, Hessian) at an
+        interior x.
+
+        With softmax weights w per segment and means G (one row per segment),
+        log P_i has gradient G_i and Hessian A_i^T diag(w) A_i - G_i G_i^T, and
+        P_j has gradient P_j G_j and Hessian A_j^T diag(P_j w) A_j. So the
+        constraint barrier's Hessian is A^T diag(omega) A + G^T diag(d) G over
+        the constraint rows, with coef = 1/slack (log) or P/slack (linear) per
+        segment, omega = coef*w per row and d = coef^2 - coef (log) or coef^2
+        (linear).
+        """
+        fv, bv, slack, lin, e, sums = self._evaluate(x)
+        dim = len(x)
+        n0 = self.n_obj
+        wa = (e / sums[self.segment])[:, None] * self.expos
+        means = np.add.reduceat(wa, self.starts, axis=0)
+        fg = means[0]
+        fh = self.expos[:n0].T @ wa[:n0] - fg[:, None] * fg
+
+        inverse = 1.0 / slack
+        box = inverse[:2 * dim]
+        coef = inverse[2 * dim:]
+        coef[self.n_log:] *= lin
+        d = coef * coef
+        d[:self.n_log] -= coef[:self.n_log]
+        G = means[1:]
+        bg = box[:dim] - box[dim:] + coef @ G
+        bh = (self.expos[n0:].T @ (coef[self.segment[n0:] - 1, None] * wa[n0:])
+              + G.T @ (d[:, None] * G))
+        bh.flat[::dim + 1] += box[:dim] ** 2 + box[dim:] ** 2
+        return (fv, fg, fh), (bv, bg, bh)
+
+    def lower_bound(self, x, mu, fv, fg, bg) -> float:
+        """A lower bound on min log P0 over the constraints and the closed
+        box, from an interior x, the barrier weight mu and derivatives(x).
+
+        Weak duality (Boyd and Vandenberghe, Convex Optimization, 2004,
+        sections 5.2 and 11.2): each constraint f_i < 0 takes the multiplier
+        mu/slack_i > 0, and the box stays a hard constraint. The Lagrangian
+        L(z) = log P0(z) + sum_i mu*f_i(z)/slack_i is convex, so its minimum
+        over the box is at least L(x) + min over the box of g.(z - x), with
+        g = grad L(x), and a linear function takes its minimum over a box at
+        one end of every coordinate. L(x) = log P0(x) - n_c*mu, since
+        f_i(x) = -slack_i, and g is fg plus mu times the barrier gradient bg
+        without its box terms. The bound holds at any interior x, centered
+        or not.
+        """
+        g = fg + mu * (bg - 1.0 / (self.hi - x) + 1.0 / (x - self.lo))
+        return float(fv - len(self.caps) * mu
+                     + np.minimum(g * (self.lo - x), g * (self.hi - x)).sum())
+
+
+def plain_barrier_minimize(objective: Posynomial, log_constraints, linear_constraints, lo, hi,
+                           starts, cutoff: float | None = None):
+    """Minimize log(objective(x)) over the box and the constraints.
+
+    log_constraints holds (posynomial, cap) pairs meaning log P(x) < cap,
+    linear_constraints pairs meaning P(x) < cap. The barrier starts from the
+    first of the candidate points in starts that is strictly feasible.
+    Returns (x, newton_iterations, kkt_residual, exhausted, backtracks,
+    lower_bound), backtracks counting rejected line-search trials.
+    Implements the pinned schedule: barrier weight mu from 1 by
+    factors of 10 until (#inequalities)*mu < GAP_TOL, damped Newton inside.
+    A stage ends when lambda^2/2 (half the squared Newton decrement) is at
+    most max(tol, eps*(|t*log objective| + |barrier|)), with t = 1/mu and
+    eps the machine epsilon: below that round-off floor of the merit the
+    Armijo test cannot tell a step from noise. tol is CENTERING_TOL in the
+    stages that only warm-start the next one and NEWTON_TOL in the last,
+    which certifies the gap. When the last stage meets its test it takes the
+    full Newton step just computed, if that step stays strictly feasible,
+    and counts it. That step does not make the result independent of the
+    start: the last stage stops at the round-off floor, so restarts from
+    other points end about 1e-10 relative apart (see NEWTON_TOL). Each
+    point is evaluated once: line-search trials by value, and the accepted
+    trial's terms are reused for its derivatives.
+    exhausted is set when a stage spends MAX_NEWTON steps or backtracking
+    finds no acceptable step.
+
+    With a cutoff, every stage but the last ends with the duality bound of
+    PlainBarrierStack.lower_bound at its point; once that bound reaches the
+    cutoff, the optimum cannot lie below it, and the solve stops there and
+    returns the bound as lower_bound (None when it ran to the end). Without
+    a stop, the iterates are the same as without a cutoff.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    stack = PlainBarrierStack(objective, log_constraints, linear_constraints, lo, hi)
+    for x in starts:
+        x = np.asarray(x, dtype=float)
+        if stack.value(x) is not None:
+            break
+    else:
+        raise RuntimeError("no candidate barrier start point is strictly feasible")
+    dim = len(x)
+    m_ineq = 2 * dim + len(stack.caps)
+    eps = np.finfo(float).eps
+
+    mu = 1.0
+    newton_total = 0
+    backtracks = 0
+    exhausted = False
+    lower = None
+    (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
+    while True:
+        t = 1.0 / mu
+        last = m_ineq * mu < GAP_TOL
+        tol = NEWTON_TOL if last else CENTERING_TOL
+        for inner in range(MAX_NEWTON):
+            descent = -(t * fg + bg)
+            hess = t * fh + bh
+            try:
+                step = np.linalg.solve(hess, descent)
+            except np.linalg.LinAlgError:
+                step = np.linalg.solve(hess + 1e-10 * np.trace(hess) * np.eye(dim), descent)
+            decrement2 = float(descent @ step)
+            base = t * fv + bv
+            if decrement2 / 2.0 <= max(tol, eps * (abs(t * fv) + abs(bv))):
+                if last:
+                    xn = x + step
+                    if stack.value(xn) is not None:
+                        x = xn
+                        newton_total += 1
+                        (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
+                break
+            # backtracking: stay strictly feasible, then Armijo
+            slope = -decrement2
+            alpha = 1.0
+            while alpha > 1e-14:
+                xn = x + alpha * step
+                trial = stack.value(xn)
+                if trial is not None and (t * trial[0] + trial[1]
+                                          <= base + ARMIJO_SLOPE * alpha * slope):
+                    break
+                backtracks += 1
+                alpha *= ARMIJO_SHRINK
+            else:
+                exhausted = True   # no acceptable step above the round-off floor
+                break
+            x = xn
+            newton_total += 1
+            (fv, fg, fh), (bv, bg, bh) = stack.derivatives(x)
+        else:
+            exhausted = True   # Newton budget spent before reaching tolerance
+        if last:
+            break
+        if cutoff is not None:
+            bound = stack.lower_bound(x, mu, fv, fg, bg)
+            if bound >= cutoff:
+                lower = bound
+                break
+        mu /= 10.0
+
+    # KKT stationarity residual of the original problem at the final iterate
+    kkt = float(np.linalg.norm(fg + mu * bg))
+    return x, newton_total, kkt, exhausted, backtracks, lower
+
+
+def plain_primal(pp, q: float, cutoff: float | None = None):
+    """plain_barrier_minimize on the problem solve_primal solves at q, from
+    the same start points: (x, newton_iterations, kkt_residual, exhausted,
+    backtracks, lower_bound) and log V' at x."""
+    vprime = pp.vprime(q)
+    span = pp.hi - pp.lo
+    anchor = np.clip(pp.max_slack_point, pp.lo + 1e-9 * span, pp.hi - 1e-9 * span)
+
+    def starts():
+        x0 = 0.5 * (pp.lo + pp.hi)
+        for _ in range(200):
+            yield x0
+            x0 = 0.5 * (x0 + anchor)
+
+    res = plain_barrier_minimize(
+        objective=vprime,
+        log_constraints=[(pos, np.log(pp.target)) for pos in pp.outage_pos],
+        linear_constraints=[(pp.budget_pos, pp.budget_cap)],
+        lo=pp.lo, hi=pp.hi, starts=starts(), cutoff=cutoff,
+    )
+    return res, vprime.logvalue(res[0])

@@ -1,16 +1,26 @@
 import dataclasses
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import log_gradient, outage_approx_power, term_matrix_verdict, value_grad
+from oracles import (
+    closed_under_dominance,
+    log_gradient,
+    outage_approx_power,
+    plain_barrier_minimize,
+    plain_primal,
+    term_matrix_verdict,
+    value_grad,
+)
 from mdncee import convex_solver
 from mdncee.convex_solver import _barrier_minimize, assemble_primal, solve_primal
 from mdncee.energy import scheme_constants
-from mdncee.model import build_link_coefficients
+from mdncee.model import build_link_coefficients, load_scenario
 from mdncee.outage import RelaySchedule, powers_from_log
 from mdncee.posynomial import Posynomial
+from conftest import SCENARIO_PATH
 from test_properties import _random_small_scenario
 
 
@@ -329,10 +339,10 @@ def test_line_search_failure_is_flagged(monkeypatch):
 
 
 def barrier_stack(pp, q):
-    """The stacked barrier problem that solve_primal minimizes at q."""
-    return convex_solver._BarrierStack(
-        pp.vprime(q), [(pos, np.log(pp.target)) for pos in pp.outage_pos],
-        [(pp.budget_pos, pp.budget_cap)], pp.lo, pp.hi)
+    """The stacked barrier problem that solve_primal minimizes at q > 0:
+    the stack its own builder made and keeps on pp, left at q."""
+    solve_primal(pp, q)
+    return pp.stack
 
 
 @pytest.mark.parametrize("t", [1.0, 1e4])
@@ -405,3 +415,182 @@ def test_primal_energy_model_matches_master_at_all_relays(paper_scenario, paper_
             assert A[-1, :dim] @ x + A[-1, dim:dim + s.N] @ ones - b[-1] == pytest.approx(
                 bv - pp.budget_cap, rel=1e-12, abs=1e-12 * s.E0)
             assert A[-1, :dim] == pytest.approx(bg, rel=1e-13)
+
+
+# -- the tangent-bounded line search and the per-problem stack ----------------
+
+
+def _oracle_scenario(name):
+    """paper.cfg, bench/workloads.pool_scenario(k) ("pool k") or the N = 8
+    scenario bench/workloads.random_scenario draws from seed [1, 8, M]
+    ("random M")."""
+    if name == "paper":
+        return load_scenario(SCENARIO_PATH)
+    kind, arg = name.split()
+    if kind == "pool":
+        k = int(arg)
+        return _random_small_scenario(np.random.default_rng([1608, k]), M=2 + k % 2, N=6)
+    return _random_small_scenario(np.random.default_rng([1, 8, int(arg)]), M=int(arg), N=8)
+
+
+def _barrier_result(res):
+    x, newton, kkt, exhausted, backtracks, lower = res
+    return x.tobytes(), newton, kkt, exhausted, backtracks, lower
+
+
+def _solution_result(sol):
+    return (sol.x.tobytes(), sol.newton_iterations, sol.kkt_residual, not sol.converged,
+            sol.backtracks, sol.lower_bound)
+
+
+@pytest.mark.parametrize("name", ["paper", *(f"pool {k}" for k in range(6)), "random 2",
+                                  "random 3"])
+def test_barrier_equals_the_plain_barrier_bitwise(monkeypatch, name):
+    # every closed feasible schedule at the scenario's target, both schemes,
+    # solved at the Dinkelbach start and at q*, without a cutoff and with
+    # one it stops at, on one assembled problem in turn (so on its kept
+    # stack): each barrier ends where the barrier that evaluates every
+    # line-search trial on a fresh stack ends, point, counters, kkt and
+    # bound alike; so does every max-slack barrier of a binding budget
+    from mdncee.optimizer import _max_slack_ratio, dinkelbach_fixed_schedule
+
+    slack_runs = []
+
+    def recorded(objective, log_constraints, linear_constraints, lo, hi, starts, cutoff=None):
+        starts = list(starts)
+        res = real(objective, log_constraints, linear_constraints, lo, hi, starts, cutoff)
+        slack_runs.append(((objective, log_constraints, linear_constraints, lo, hi, starts,
+                            cutoff), res))
+        return res
+
+    real = convex_solver._barrier_minimize
+    monkeypatch.setattr(convex_solver, "_barrier_minimize", recorded)
+    s = _oracle_scenario(name)
+    coeffs = build_link_coefficients(s)
+    solved = stopped = 0
+    for scheme in ("mdnc", "nonc"):
+        for k in range(1, s.N + 1):
+            for subset in combinations(range(s.N), k):
+                if not closed_under_dominance(coeffs, subset):
+                    continue
+                pp = assemble_primal(s, coeffs, RelaySchedule.from_indices(subset, s.N),
+                                     s.pr_out_target, scheme)
+                if not pp.feasible:
+                    continue
+                for q in (_max_slack_ratio(pp), dinkelbach_fixed_schedule(pp).q_star):
+                    plain, tilde_v = plain_primal(pp, q)
+                    for cutoff in (None, tilde_v - 1e-3):
+                        if cutoff is not None:
+                            plain, tilde_v = plain_primal(pp, q, cutoff)
+                        sol = solve_primal(pp, q, cutoff)
+                        assert _solution_result(sol) == _barrier_result(plain), (subset, q)
+                        assert sol.tilde_v == tilde_v
+                        solved += 1
+                        stopped += sol.lower_bound is not None
+    assert solved >= 12 and stopped > 0
+    assert slack_runs
+    for args, res in slack_runs:
+        assert _barrier_result(res) == _barrier_result(plain_barrier_minimize(*args))
+
+
+def _recording_reach(monkeypatch):
+    """Record (x, step, reach, rejected) for every reach the barrier asks
+    for: rejected holds, for each alpha = 1, 1/2, ... > 1e-14 past the
+    reach, whether the full evaluation at x + alpha*step rejects it."""
+    records = []
+    real_derivatives = convex_solver._BarrierStack.derivatives
+    real_reach = convex_solver._BarrierStack.reach
+
+    def derivatives(self, x):
+        self.probed_x = x
+        return real_derivatives(self, x)
+
+    def reach(self, step):
+        bound = real_reach(self, step)
+        x, kept = self.probed_x, self._last
+        rejected = []
+        alpha = 1.0
+        while alpha > 1e-14:
+            if alpha > bound:
+                evaluated = self._evaluate(x + alpha * step)
+                rejected.append(evaluated is None or evaluated[1] is None)
+            alpha *= convex_solver.ARMIJO_SHRINK
+        self._last = kept
+        records.append((x, step, bound, rejected))
+        return bound
+
+    monkeypatch.setattr(convex_solver._BarrierStack, "derivatives", derivatives)
+    monkeypatch.setattr(convex_solver._BarrierStack, "reach", reach)
+    return records
+
+
+def test_every_skipped_trial_is_outside_the_strict_interior(paper_scenario, paper_coeffs,
+                                                            monkeypatch):
+    # every line-search trial the constraints' tangents skip, on every
+    # barrier of the paper.cfg GOA solves at 1e-2..1e-5 and the pool
+    # scenarios' at 1e-3 (max-slack barriers included), is one the full
+    # evaluation rejects: off the open box or off a constraint
+    from mdncee.optimizer import dinkelbach_solve
+
+    records = _recording_reach(monkeypatch)
+    for scheme in ("mdnc", "nonc"):
+        for target in (1e-2, 1e-3, 1e-4, 1e-5):
+            dinkelbach_solve(paper_scenario, paper_coeffs, target, scheme)
+        for k in range(6):
+            s = _oracle_scenario(f"pool {k}")
+            dinkelbach_solve(s, build_link_coefficients(s), 1e-3, scheme)
+    skipped = [ok for *_, rejected in records for ok in rejected]
+    assert len(skipped) > 500
+    assert all(skipped)
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["log", "linear"])
+def test_a_tangent_crossing_inside_the_margin_is_evaluated(linear):
+    # x < cap as log e^x < cap, or e^x < e^cap: from x = 0 a unit step that
+    # the tangent puts past the cap by half the margin is left to the
+    # evaluation, which rejects it; one past it by twice the margin is
+    # skipped. The tangent of the log constraint is exact; that of e^x lies
+    # below it, so the trial is outside either way
+    cap = 0.5
+    constraint = (Posynomial([1.0], [[1.0]]), np.exp(cap) if linear else cap)
+    stack = convex_solver._BarrierStack(Posynomial([1.0], [[-1.0]]),
+                                        [] if linear else [constraint],
+                                        [constraint] if linear else [], np.array([-2.0]),
+                                        np.array([2.0]))
+    x = np.array([0.0])
+    stack.derivatives(x)
+    margin = convex_solver.TANGENT_MARGIN * (1.0 + abs(constraint[1]))
+    # the tangent's rate along +1: 1 for log x, e^0 = 1 for e^x, so the
+    # tangent reaches the cap's slack at step = slack
+    slack = cap if not linear else np.exp(cap) - 1.0
+    inside = np.array([slack + 0.5 * margin])
+    beyond = np.array([slack + 2.0 * margin])
+    assert stack.reach(inside) >= 1.0
+    assert stack.reach(beyond) < 1.0
+    assert stack.value(x + inside) is None
+
+
+@pytest.mark.parametrize("scheme", ["mdnc", "nonc"])
+def test_a_kept_stack_solves_every_q_as_a_fresh_problem(paper_scenario, paper_coeffs, scheme):
+    # one problem solved at q1, q2, then q1 again reuses the stack its first
+    # solve built and gives both q1 solves the bits of a freshly assembled
+    # problem's; q = 0, whose V' has no energy rows, gets a stack of its own
+    # and leaves the kept one alone. tilde_v is V' at the point, bit for bit
+    sched = RelaySchedule.from_indices([0, 1, 2], 4)
+    pp = assemble_primal(paper_scenario, paper_coeffs, sched, 1e-3, scheme)
+    fresh = assemble_primal(paper_scenario, paper_coeffs, sched, 1e-3, scheme)
+    q1, q2 = 1300.0, 900.0
+    first = solve_primal(pp, q1)
+    stack = pp.stack
+    second = solve_primal(pp, q2)
+    again = solve_primal(pp, q1)
+    assert pp.stack is stack
+    at_zero = solve_primal(pp, 0.0)
+    assert pp.stack is stack
+    assert _solution_result(first) == _solution_result(again) == _solution_result(
+        solve_primal(fresh, q1))
+    assert first.tilde_v == again.tilde_v
+    assert _solution_result(second) == _barrier_result(plain_primal(pp, q2)[0])
+    assert _solution_result(at_zero) == _barrier_result(plain_primal(pp, 0.0)[0])
+    for q, sol in ((q1, first), (q2, second), (q1, again), (0.0, at_zero)):
+        assert sol.tilde_v == pp.vprime(q).logvalue(sol.x)
