@@ -560,7 +560,7 @@ def test_a_tangent_crossing_inside_the_margin_is_evaluated(linear):
     x = np.array([0.0])
     stack.derivatives(x)
     margin = convex_solver.TANGENT_MARGIN * (1.0 + abs(constraint[1]))
-    # the tangent's rate along +1: 1 for log x, e^0 = 1 for e^x, so the
+    # the tangent's rate along +1: 1 for log e^x, e^0 = 1 for e^x, so the
     # tangent reaches the cap's slack at step = slack
     slack = cap if not linear else np.exp(cap) - 1.0
     inside = np.array([slack + 0.5 * margin])
